@@ -5,7 +5,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include "analysis/composite.hpp"
 #include "analysis/dp.hpp"
 #include "analysis/engine.hpp"
 #include "analysis/gn1.hpp"
@@ -125,20 +124,25 @@ void BM_Gn2TestExact(benchmark::State& state) {
 }
 BENCHMARK(BM_Gn2TestExact)->Arg(4)->Arg(10)->Arg(20);
 
-void BM_CompositeTest(benchmark::State& state) {
+// The paper trio through the reference evaluators with every test run —
+// the full-diagnostics AnalysisRequest defaults, timing off.
+void BM_EngineTrioReference(benchmark::State& state) {
   const TaskSet ts = make_taskset(static_cast<int>(state.range(0)), 55);
   const Device dev{100};
+  analysis::AnalysisRequest request;
+  request.measure = false;
+  const analysis::AnalysisEngine engine{std::move(request)};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(analysis::composite_test(ts, dev).accepted());
+    benchmark::DoNotOptimize(engine.run(ts, dev).accepted());
   }
 }
-BENCHMARK(BM_CompositeTest)->Arg(4)->Arg(10)->Arg(32);
+BENCHMARK(BM_EngineTrioReference)->Arg(4)->Arg(10)->Arg(32);
 
 // Same trio through a prebuilt AnalysisEngine with cheapest-first early
 // exit — the serving configuration. fast_any_request() selects fast mode,
 // so this measures the SoA kernels through run()'s minimal-TestReport
-// path; the gap to BM_CompositeTest combines kernel-vs-reference-evaluator
-// cost with the shim's run-all + per-call engine construction overhead.
+// path; the gap to BM_EngineTrioReference combines
+// kernel-vs-reference-evaluator cost with early exit.
 void BM_EngineTrioEarlyExit(benchmark::State& state) {
   const ScopedObs obs_off(false);
   const TaskSet ts = make_taskset(static_cast<int>(state.range(0)), 55);

@@ -1,7 +1,5 @@
 #include "analysis/hash.hpp"
 
-#include "analysis/composite.hpp"
-#include "analysis/engine.hpp"
 #include "common/rng.hpp"
 
 namespace reconf::analysis {
@@ -26,18 +24,6 @@ std::uint64_t task_fingerprint(const Task& t) noexcept {
   h = mix64(h ^ static_cast<std::uint64_t>(t.period));
   h = mix64(h ^ static_cast<std::uint64_t>(t.area));
   return h;
-}
-
-std::uint64_t options_fingerprint(const CompositeOptions& options,
-                                  bool for_fkf) {
-  // Delegates to the engine so legacy (CompositeOptions, for_fkf) callers
-  // and engine-native callers with the same effective analyzer selection
-  // agree on cache keys. Note the deliberate asymmetry with the old field
-  // fold: configurations that resolve to the same post-filter lineup (e.g.
-  // use_gn1 on/off under for_fkf) now share a fingerprint — their verdicts
-  // are identical, so sharing is correct and improves hit rates.
-  const AnalysisEngine engine(request_from_composite(options, for_fkf));
-  return engine.fingerprint();
 }
 
 std::uint64_t canonical_hash(const TaskSet& ts, Device device) noexcept {

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 
-#include "analysis/options.hpp"
 #include "common/types.hpp"
 #include "task/task.hpp"
 #include "task/taskset.hpp"
@@ -29,18 +28,5 @@ namespace reconf::analysis {
 /// per-task SplitMix64 mixing.
 [[nodiscard]] std::uint64_t canonical_hash(const TaskSet& ts,
                                            Device device) noexcept;
-
-/// Hash of a legacy composite *configuration*. A cached verdict is only
-/// valid for the exact analyzer lineup + per-test options that produced it —
-/// GN1 is unsound for EDF-FkF, so serving a cached EDF-NF acceptance to a
-/// for_fkf caller would be a deadline-safety bug, not a stale diagnostic.
-///
-/// Implemented as AnalysisEngine(request_from_composite(...)).fingerprint()
-/// — it resolves a throwaway engine, so it allocates and is not noexcept;
-/// a legacy caller and an engine caller with the equivalent selection share
-/// cache lines. Engine-native callers should use the engine's cached
-/// fingerprint() directly (see svc::verdict_cache_key).
-[[nodiscard]] std::uint64_t options_fingerprint(const CompositeOptions& options,
-                                                bool for_fkf);
 
 }  // namespace reconf::analysis

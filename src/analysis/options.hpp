@@ -53,15 +53,4 @@ struct Gn2Options {
   bool bak2_middle_branch = false;
 };
 
-/// Options for the composite "apply all tests together" strategy the paper
-/// recommends in Section 6.
-struct CompositeOptions {
-  bool use_dp = true;
-  bool use_gn1 = true;
-  bool use_gn2 = true;
-  DpOptions dp;
-  Gn1Options gn1;
-  Gn2Options gn2;
-};
-
 }  // namespace reconf::analysis

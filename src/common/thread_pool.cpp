@@ -4,11 +4,6 @@
 #include <atomic>
 #include <exception>
 
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#endif
-
 #include "common/contracts.hpp"
 #include "common/stopwatch.hpp"
 #include "obs/metrics.hpp"
@@ -95,30 +90,11 @@ void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body,
   loop.rethrow_if_failed();
 }
 
-ThreadPool::ThreadPool(unsigned threads, bool pin_cores) {
+ThreadPool::ThreadPool(unsigned threads) {
   const unsigned n = effective_threads(threads);
   workers_.reserve(n);
-  pinned_cpus_.assign(n, -1);
   for (unsigned t = 0; t < n; ++t) {
     workers_.emplace_back([this] { worker_loop(); });
-#if defined(__linux__)
-    // Pinning from the constructor (on the native handle) instead of inside
-    // the worker keeps pinned_cpus_ a write-once value no stats() call can
-    // race with.
-    if (pin_cores) {
-      const unsigned cores = std::max(1u, std::thread::hardware_concurrency());
-      const int cpu = static_cast<int>(t % cores);
-      cpu_set_t set;
-      CPU_ZERO(&set);
-      CPU_SET(cpu, &set);
-      if (::pthread_setaffinity_np(workers_.back().native_handle(),
-                                   sizeof set, &set) == 0) {
-        pinned_cpus_[t] = cpu;
-      }
-    }
-#else
-    (void)pin_cores;
-#endif
   }
 }
 
@@ -178,7 +154,6 @@ PoolStats ThreadPool::stats() const {
   }
   out.jobs_executed = jobs_executed_.load(std::memory_order_relaxed);
   out.busy_ns = busy_ns_.load(std::memory_order_relaxed);
-  out.pinned_cpus = pinned_cpus_;
   return out;
 }
 

@@ -24,9 +24,6 @@ struct PoolStats {
                                       ///< accumulated while obs::enabled()
   std::size_t queue_depth = 0;        ///< jobs waiting right now
   std::size_t max_queue_depth = 0;    ///< high-water mark since construction
-  /// CPU id each worker is pinned to, worker-index order; -1 = unpinned
-  /// (pinning off, non-Linux platform, or the affinity call failed).
-  std::vector<int> pinned_cpus;
 
   /// Fraction of `threads` worker capacity spent inside jobs over
   /// `elapsed_seconds` of wall time. Meaningful only when busy_ns was
@@ -64,12 +61,8 @@ void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body,
 /// order, and results are identical for any pool size.
 class ThreadPool {
  public:
-  /// Starts `threads` workers (0 selects the hardware concurrency). With
-  /// `pin_cores`, worker t is pinned to core t mod cores via
-  /// pthread_setaffinity_np — a no-op (all workers report unpinned) off
-  /// Linux or when the affinity call fails; serving throughput work wants
-  /// the scheduler to stop migrating workers across cores mid-wave.
-  explicit ThreadPool(unsigned threads = 0, bool pin_cores = false);
+  /// Starts `threads` workers (0 selects the hardware concurrency).
+  explicit ThreadPool(unsigned threads = 0);
 
   /// Drains nothing: outstanding jobs are finished, queued jobs still run,
   /// then workers join.
@@ -119,7 +112,6 @@ class ThreadPool {
   std::deque<std::function<void()>> queue_;
   std::vector<std::thread> workers_;
   bool stopping_ = false;
-  std::vector<int> pinned_cpus_;       ///< written once in the constructor
   std::uint64_t jobs_submitted_ = 0;   ///< guarded by mutex_
   std::size_t max_queue_depth_ = 0;    ///< guarded by mutex_
   std::atomic<std::uint64_t> jobs_executed_{0};

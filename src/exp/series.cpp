@@ -3,7 +3,6 @@
 #include <memory>
 #include <utility>
 
-#include "analysis/composite.hpp"
 #include "partition/partitioned.hpp"
 #include "sim/engine.hpp"
 
@@ -61,9 +60,8 @@ SeriesSpec gn2_series(analysis::Gn2Options options) {
   return one_test_series("GN2", "gn2", std::move(config));
 }
 
-SeriesSpec any_test_series(analysis::CompositeOptions options) {
-  return engine_series(
-      "ANY", analysis::request_from_composite(options, /*for_fkf=*/false));
+SeriesSpec any_test_series() {
+  return engine_series("ANY", analysis::AnalysisRequest{});
 }
 
 SeriesSpec sim_series(sim::SchedulerKind scheduler, sim::SimConfig base) {

@@ -35,8 +35,8 @@ struct SeriesSpec {
 [[nodiscard]] SeriesSpec gn1_series(analysis::Gn1Options options = {});
 [[nodiscard]] SeriesSpec gn2_series(analysis::Gn2Options options = {});
 
-/// Section 6 recommendation: accept when any bound accepts.
-[[nodiscard]] SeriesSpec any_test_series(analysis::CompositeOptions options = {});
+/// Section 6 recommendation: accept when any of the paper's bounds accepts.
+[[nodiscard]] SeriesSpec any_test_series();
 
 /// Simulation upper bound (synchronous release at t = 0), for the given
 /// scheduler. `base` carries horizon and placement settings; its scheduler
@@ -47,8 +47,8 @@ struct SeriesSpec {
 /// Partitioned-EDF baseline (Danne & Platzner RAW'06).
 [[nodiscard]] SeriesSpec partitioned_series();
 
-/// The figure line-up used by the paper (DP, GN1, GN2 + simulation) plus the
-/// composite; `sim_base` configures the simulation horizon.
+/// The figure line-up used by the paper (DP, GN1, GN2 + simulation) plus
+/// ANY; `sim_base` configures the simulation horizon.
 [[nodiscard]] std::vector<SeriesSpec> paper_series(sim::SimConfig sim_base = {},
                                                    bool include_any = true,
                                                    bool include_fkf_sim = true);

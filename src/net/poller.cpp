@@ -1,5 +1,6 @@
 #include "net/poller.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -55,8 +56,10 @@ void Poller::add(int fd, std::uint64_t tag, bool want_read, bool want_write) {
     struct epoll_event ev = {};
     ev.events = (want_read ? EPOLLIN : 0u) | (want_write ? EPOLLOUT : 0u);
     ev.data.fd = fd;
-    const int rc = ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev);
-    RECONF_ASSERT(rc == 0);
+    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) != 0) {
+      RECONF_ASSERT(errno == EPERM);  // a regular file or /dev/null
+      always_ready_.push_back(fd);
+    }
   }
 #endif
 }
@@ -64,10 +67,15 @@ void Poller::add(int fd, std::uint64_t tag, bool want_read, bool want_write) {
 void Poller::update(int fd, bool want_read, bool want_write) {
   const auto it = entries_.find(fd);
   RECONF_ASSERT(it != entries_.end());
+  if (it->second.want_read == want_read &&
+      it->second.want_write == want_write) {
+    return;
+  }
   it->second.want_read = want_read;
   it->second.want_write = want_write;
 #if defined(__linux__)
-  if (use_epoll_) {
+  if (use_epoll_ && std::find(always_ready_.begin(), always_ready_.end(),
+                              fd) == always_ready_.end()) {
     struct epoll_event ev = {};
     ev.events = (want_read ? EPOLLIN : 0u) | (want_write ? EPOLLOUT : 0u);
     ev.data.fd = fd;
@@ -79,6 +87,9 @@ void Poller::update(int fd, bool want_read, bool want_write) {
 
 void Poller::remove(int fd) {
   entries_.erase(fd);
+  always_ready_.erase(
+      std::remove(always_ready_.begin(), always_ready_.end(), fd),
+      always_ready_.end());
 #if defined(__linux__)
   if (use_epoll_) ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
 #endif
@@ -88,18 +99,30 @@ int Poller::wait(std::vector<PollEvent>& out, int timeout_ms) {
   out.clear();
 #if defined(__linux__)
   if (use_epoll_) {
+    // Always-ready fds with interest must not sleep behind the timeout.
+    for (const int fd : always_ready_) {
+      const Entry& entry = entries_[fd];
+      if (!entry.want_read && !entry.want_write) continue;
+      PollEvent ev;
+      ev.tag = entry.tag;
+      ev.fd = fd;
+      ev.readable = entry.want_read;
+      ev.writable = entry.want_write;
+      out.push_back(ev);
+    }
+    if (!out.empty()) timeout_ms = 0;
     struct epoll_event events[128];
     const int n = ::epoll_wait(epoll_fd_, events, 128, timeout_ms);
-    if (n <= 0) return 0;  // timeout or EINTR
-    out.reserve(static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i) {
+    for (int i = 0; i < n; ++i) {  // n < 0: EINTR, treated as a timeout
       const auto it = entries_.find(events[i].data.fd);
       if (it == entries_.end()) continue;  // removed since the wait began
       PollEvent ev;
       ev.tag = it->second.tag;
+      ev.fd = events[i].data.fd;
       ev.readable = (events[i].events & EPOLLIN) != 0;
       ev.writable = (events[i].events & EPOLLOUT) != 0;
-      ev.error = (events[i].events & (EPOLLERR | EPOLLHUP)) != 0;
+      ev.error = (events[i].events & EPOLLERR) != 0;
+      ev.hangup = (events[i].events & EPOLLHUP) != 0;
       out.push_back(ev);
     }
     return static_cast<int>(out.size());
@@ -124,9 +147,11 @@ int Poller::wait(std::vector<PollEvent>& out, int timeout_ms) {
     if (it == entries_.end()) continue;
     PollEvent ev;
     ev.tag = it->second.tag;
+    ev.fd = p.fd;
     ev.readable = (p.revents & POLLIN) != 0;
     ev.writable = (p.revents & POLLOUT) != 0;
-    ev.error = (p.revents & (POLLERR | POLLHUP | POLLNVAL)) != 0;
+    ev.error = (p.revents & (POLLERR | POLLNVAL)) != 0;
+    ev.hangup = (p.revents & POLLHUP) != 0;
     out.push_back(ev);
   }
   return static_cast<int>(out.size());

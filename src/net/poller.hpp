@@ -9,14 +9,20 @@ namespace reconf::net {
 
 /// Readiness event for one registered fd. `tag` is the caller's opaque
 /// cookie from add() — the server uses connection ids, never raw fds, so a
-/// closed-and-reused fd can't be confused with its predecessor.
+/// closed-and-reused fd can't be confused with its predecessor. `fd` tells
+/// the two fds of a connection with separate input and output apart.
 struct PollEvent {
   std::uint64_t tag = 0;
+  int fd = -1;
   bool readable = false;
   bool writable = false;
-  /// Error/hangup: the fd should be torn down. Delivered even when the
-  /// caller asked for neither direction.
+  /// Error condition (a write end whose reader is gone, an invalid fd).
+  /// Delivered even when the caller asked for neither direction.
   bool error = false;
+  /// Hangup: a socket with both directions shut, or a pipe whose writer
+  /// closed — which may still hold data to read up to EOF. Also delivered
+  /// regardless of the interest set.
+  bool hangup = false;
 };
 
 /// Level-triggered readiness poller: epoll on Linux, portable poll(2)
@@ -26,6 +32,10 @@ struct PollEvent {
 /// (bounded work per tick, flow control), and a level-triggered poller
 /// simply reports the fd again instead of requiring the drain-to-EAGAIN
 /// discipline edge triggering imposes.
+///
+/// Regular files and /dev/null cannot be registered with epoll (EPERM);
+/// they are always ready, so the poller reports them ready on every wait —
+/// without sleeping — while they have interest, exactly as poll(2) does.
 ///
 /// Not thread-safe; one Poller per I/O thread.
 class Poller {
@@ -64,6 +74,7 @@ class Poller {
   bool use_epoll_ = false;
   int epoll_fd_ = -1;
   std::unordered_map<int, Entry> entries_;  ///< fd -> interest (both backends)
+  std::vector<int> always_ready_;  ///< epoll refused these fds (EPERM)
 };
 
 // ------------------------------------------------------- socket helpers ----

@@ -8,7 +8,9 @@
 #include <mutex>
 #include <thread>
 #include <unordered_map>
+#include <utility>
 
+#include <fcntl.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -87,17 +89,22 @@ struct WakePipe {
 
 /// A queued response waiting for its turn in the connection's emit order.
 /// Stats requests are materialized at emission time — the snapshot then
-/// reflects every request answered before it on that connection, matching
-/// the stdio frontend's "stats answered in stream position" semantics.
+/// reflects every request answered before it on that connection.
 struct PendingOut {
   bool is_stats = false;
   std::string text;  ///< formatted line, or the request id when is_stats
 };
 
-/// Per-connection state, owned by exactly one io thread.
+/// Per-connection state, owned by exactly one io thread. A TCP connection
+/// reads and writes one socket; a stream (start_stream) reads `fd` and
+/// writes `out_fd`.
 struct Conn {
   int fd = -1;
+  int out_fd = -1;
   std::uint64_t id = 0;
+  /// Stream only: `fd` is registered with the poller (while reading is
+  /// wanted).
+  bool in_watched = true;
   svc::StreamFramer framer;
   std::uint64_t next_seq = 0;   ///< seq for the next parsed line
   std::uint64_t next_emit = 0;  ///< seq the next emitted response must have
@@ -113,6 +120,8 @@ struct Conn {
   /// Reading is paused until it fits (or the drain sheds it).
   std::unique_ptr<RequestMsg> blocked;
   std::uint32_t blocked_shard = 0;
+
+  [[nodiscard]] bool stream() const noexcept { return fd != out_fd; }
 };
 
 }  // namespace
@@ -135,17 +144,24 @@ struct AsyncServer::Impl {
   std::vector<std::vector<std::unique_ptr<SpscRing<RequestMsg>>>> requests;
   std::vector<std::vector<std::unique_ptr<SpscRing<ResponseMsg>>>> responses;
   std::vector<std::unique_ptr<Parker>> shard_parkers;
+  /// kicks[io][shard]: io thread `io` pushed to `shard` since its last
+  /// kick_shards(). Each vector is touched by its own io thread only.
+  std::vector<std::vector<char>> kicks;
   std::vector<std::unique_ptr<WakePipe>> wakes;  ///< one per io thread
 
   std::vector<std::unique_ptr<svc::ShardCache>> caches;
   std::vector<std::atomic<int>> pinned;  ///< cpu id per shard, -1 = none
 
-  /// New fds accepted by io thread 0, handed to their owner thread.
+  /// New connections handed to their owner io thread as (in, out) fds:
+  /// sockets accepted by io thread 0 (in == out) and the stream.
   struct Inbox {
     std::mutex mutex;
-    std::vector<int> fds;
+    std::vector<std::pair<int, int>> fds;
   };
   std::vector<std::unique_ptr<Inbox>> inboxes;
+
+  /// The stream's fds and their file-status flags before start_stream.
+  std::vector<std::pair<int, int>> stream_flags;
 
   std::vector<std::thread> io_threads;
   std::vector<std::thread> shard_threads;
@@ -219,8 +235,9 @@ struct AsyncServer::Impl {
       for (unsigned io = 0; io < io_count; ++io) {
         SpscRing<RequestMsg>& in = *requests[io][shard];
         SpscRing<ResponseMsg>& out = *responses[shard][io];
+        bool answered = false;
         while (in.try_pop(msg)) {
-          did_work = true;
+          answered = true;
           ResponseMsg reply;
           reply.conn = msg.conn;
           reply.seq = msg.seq;
@@ -232,6 +249,11 @@ struct AsyncServer::Impl {
             wakes[io]->notify();
             std::this_thread::yield();
           }
+        }
+        // One wake-up per drained batch: the io thread takes every answer
+        // in the ring when it runs.
+        if (answered) {
+          did_work = true;
           wakes[io]->notify();
         }
       }
@@ -316,7 +338,7 @@ struct AsyncServer::Impl {
     WakePipe& wake = *wakes[io];
     poller.add(wake.fds[0], kWakeTag, /*want_read=*/true,
                /*want_write=*/false);
-    if (io == 0) {
+    if (io == 0 && listen_fd >= 0) {
       poller.add(listen_fd, kListenTag, /*want_read=*/true,
                  /*want_write=*/false);
     }
@@ -325,6 +347,7 @@ struct AsyncServer::Impl {
     std::uint64_t pending = 0;  ///< pushed-to-shard, response not yet popped
     std::vector<PollEvent> events;
     std::vector<std::uint64_t> dead;
+    std::vector<std::uint64_t> answered;
     bool announced_stop = false;
     char buf[kReadChunk];
 
@@ -332,6 +355,9 @@ struct AsyncServer::Impl {
         "reconf_svc_shed_total{reason=\"queue\"}");
 
     for (;;) {
+      // Adopt handed-over connections first: the stream is in the inbox
+      // before the first wait, and must not sit out a poll timeout.
+      adopt_new(poller, conns, io);
       poller.wait(events, 10);
 
       for (const PollEvent& ev : events) {
@@ -346,18 +372,22 @@ struct AsyncServer::Impl {
         const auto it = conns.find(ev.tag);
         if (it == conns.end()) continue;  // closed earlier in this batch
         Conn& conn = *it->second;
-        if (ev.error) {
+        // An error, or a hangup of the output side (for a socket: both
+        // directions shut), means the peer is gone.
+        if (ev.error || (ev.hangup && ev.fd == conn.out_fd)) {
           teardown(poller, conns, conn.id);
           continue;
         }
-        if (ev.writable) {
+        if (ev.writable && ev.fd == conn.out_fd) {
           if (!flush_out(poller, conn)) {
             teardown(poller, conns, conn.id);
             continue;
           }
         }
-        if (ev.readable && !conn.paused && !conn.read_closed &&
-            !stop.load(std::memory_order_acquire)) {
+        // A hangup of a stream's input is a pipe whose writer closed: what
+        // it still holds is read up to EOF like any readable input.
+        if ((ev.readable || ev.hangup) && ev.fd == conn.fd && !conn.paused &&
+            !conn.read_closed && !stop.load(std::memory_order_acquire)) {
           if (!read_conn(poller, conn, buf, io, pending, shed_queue)) {
             teardown(poller, conns, conn.id);
             continue;
@@ -366,11 +396,11 @@ struct AsyncServer::Impl {
         maybe_close(poller, conns, conn.id);
       }
 
-      // Adopt connections the acceptor handed over.
-      adopt_new(poller, conns, io);
-
-      // Drain every shard's response ring into per-connection emit order.
+      // Drain every shard's response ring into per-connection emit order,
+      // then emit once per connection that got answers: one write per
+      // tick, not one per answer.
       ResponseMsg reply;
+      answered.clear();
       for (unsigned shard = 0; shard < shard_count; ++shard) {
         while (responses[shard][io]->try_pop(reply)) {
           --pending;
@@ -380,12 +410,22 @@ struct AsyncServer::Impl {
           --conn.inflight;
           conn.done.emplace(reply.seq,
                             PendingOut{false, std::move(reply.text)});
-          if (!emit_ready(poller, conn)) {
-            teardown(poller, conns, conn.id);
-            continue;
+          if (answered.empty() || answered.back() != conn.id) {
+            answered.push_back(conn.id);
           }
-          maybe_close(poller, conns, conn.id);
         }
+      }
+      std::sort(answered.begin(), answered.end());
+      answered.erase(std::unique(answered.begin(), answered.end()),
+                     answered.end());
+      for (const std::uint64_t id : answered) {
+        const auto it = conns.find(id);
+        if (it == conns.end()) continue;
+        if (!emit_ready(poller, *it->second)) {
+          teardown(poller, conns, id);
+          continue;
+        }
+        maybe_close(poller, conns, id);
       }
 
       // Retry block-mode parked requests; their connections resume reading
@@ -417,7 +457,7 @@ struct AsyncServer::Impl {
             dead.push_back(id);
             continue;
           }
-          update_read_interest(poller, *conn);
+          update_interest(poller, *conn);
         }
       }
       for (const std::uint64_t id : dead) teardown(poller, conns, id);
@@ -429,14 +469,12 @@ struct AsyncServer::Impl {
       if (stop.load(std::memory_order_acquire)) {
         if (!announced_stop) {
           announced_stop = true;
-          if (io == 0) poller.remove(listen_fd);
+          if (io == 0 && listen_fd >= 0) poller.remove(listen_fd);
           // Stop reading every connection: drain answers what was already
-          // parsed, nothing more (mirrors the stdio frontend dropping
-          // unread input on SIGINT).
+          // parsed, nothing more; unread input is dropped.
           for (auto& [id, conn] : conns) {
             if (!conn->read_closed && !conn->paused) {
-              conn->paused = true;
-              update_read_interest(poller, *conn);
+              update_interest(poller, *conn);
             }
           }
         }
@@ -459,10 +497,7 @@ struct AsyncServer::Impl {
     for (unsigned shard = 0; shard < shard_count; ++shard) {
       shard_parkers[shard]->notify();
     }
-    for (auto& [id, conn] : conns) {
-      poller.remove(conn->fd);
-      ::close(conn->fd);
-    }
+    for (auto& [id, conn] : conns) release(poller, *conn);
     poller.remove(wake.fds[0]);
   }
 
@@ -485,13 +520,12 @@ struct AsyncServer::Impl {
         continue;
       }
       set_tcp_nodelay(fd);
-      connections.fetch_add(1, std::memory_order_relaxed);
       // Round-robin handoff; io thread 0 takes its share through the same
       // inbox so connection adoption has one code path.
       const unsigned target = rr_next_++ % io_count;
       {
         const std::lock_guard<std::mutex> lock(inboxes[target]->mutex);
-        inboxes[target]->fds.push_back(fd);
+        inboxes[target]->fds.emplace_back(fd, fd);
       }
       if (target != 0) wakes[target]->notify();
     }
@@ -501,48 +535,54 @@ struct AsyncServer::Impl {
                  std::unordered_map<std::uint64_t, std::unique_ptr<Conn>>&
                      conns,
                  unsigned io) {
-    std::vector<int> fds;
+    std::vector<std::pair<int, int>> fds;
     {
       const std::lock_guard<std::mutex> lock(inboxes[io]->mutex);
       fds.swap(inboxes[io]->fds);
     }
-    for (const int fd : fds) {
+    for (const auto& [in, out] : fds) {
+      auto conn = std::make_unique<Conn>();
+      conn->fd = in;
+      conn->out_fd = out;
       if (stop.load(std::memory_order_acquire)) {
-        ::close(fd);  // accepted but never served: drain refuses new work
+        // Accepted but never served: drain refuses new work.
+        if (!conn->stream()) ::close(in);
         continue;
       }
-      auto conn = std::make_unique<Conn>();
-      conn->fd = fd;
+      connections.fetch_add(1, std::memory_order_relaxed);
       conn->id = next_conn_id.fetch_add(1, std::memory_order_relaxed);
-      poller.add(fd, conn->id, /*want_read=*/true, /*want_write=*/false);
+      poller.add(in, conn->id, /*want_read=*/true, /*want_write=*/false);
+      if (conn->stream()) {
+        poller.add(out, conn->id, /*want_read=*/false, /*want_write=*/false);
+      }
       conns.emplace(conn->id, std::move(conn));
     }
   }
 
-  /// Reads until EAGAIN (level-triggered: stopping early for flow control
-  /// is always safe), framing and dispatching complete lines as they land.
+  /// One read per readiness event, framing and dispatching the complete
+  /// lines it holds. The poller is level-triggered, so unread input is
+  /// reported again on the next tick — after the responses this read
+  /// produced were drained and written. Reading to EAGAIN instead lets a
+  /// writer that keeps the pipe full hold the io thread here, parsing into
+  /// the rings, while no answer goes out.
   bool read_conn(Poller& poller, Conn& conn, char* buf, unsigned io,
                  std::uint64_t& pending, obs::Counter& shed_queue) {
-    for (;;) {
-      const ssize_t n = ::read(conn.fd, buf, kReadChunk);
-      if (n > 0) {
-        conn.framer.feed(buf, static_cast<std::size_t>(n));
-        if (!pump_conn(poller, conn, io, pending, shed_queue)) return false;
-        if (conn.paused || conn.blocked != nullptr) return true;
-        continue;
-      }
-      if (n == 0) {
-        conn.read_closed = true;
-        if (conn.blocked == nullptr) {
-          return finish_eof(poller, conn, io, pending, shed_queue);
-        }
-        return true;  // final line handled once the parked request clears
-      }
-      if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) {
-        return true;
-      }
-      return false;  // ECONNRESET and friends: tear down
+    const ssize_t n = ::read(conn.fd, buf, kReadChunk);
+    if (n > 0) {
+      conn.framer.feed(buf, static_cast<std::size_t>(n));
+      return pump_conn(poller, conn, io, pending, shed_queue);
     }
+    if (n == 0) {
+      conn.read_closed = true;
+      if (conn.blocked == nullptr) {
+        return finish_eof(poller, conn, io, pending, shed_queue);
+      }
+      return true;  // final line handled once the parked request clears
+    }
+    if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) {
+      return true;
+    }
+    return false;  // ECONNRESET and friends: tear down
   }
 
   /// Pops framed lines and routes them, until the connection blocks (full
@@ -554,11 +594,12 @@ struct AsyncServer::Impl {
     while (conn.blocked == nullptr && conn.framer.next(line, status)) {
       if (!handle_line(conn, line, status, io, pending, shed_queue)) break;
     }
+    kick_shards(io);
     if (conn.read_closed && !conn.eof_flushed && conn.blocked == nullptr) {
       if (!finish_eof(poller, conn, io, pending, shed_queue)) return false;
     }
     if (!emit_ready(poller, conn)) return false;
-    update_read_interest(poller, conn);
+    update_interest(poller, conn);
     return true;
   }
 
@@ -568,6 +609,7 @@ struct AsyncServer::Impl {
     svc::LineStatus status;
     if (!conn.eof_flushed && conn.framer.finish(line, status)) {
       handle_line(conn, line, status, io, pending, shed_queue);
+      kick_shards(io);
     }
     // A parked final line keeps eof_flushed false so the next pump retries.
     if (conn.blocked == nullptr) conn.eof_flushed = true;
@@ -622,12 +664,12 @@ struct AsyncServer::Impl {
     if (requests[io][shard]->try_push(std::move(msg))) {
       ++conn.inflight;
       ++pending;
-      shard_parkers[shard]->notify();
+      kicks[io][shard] = 1;
       return true;
     }
     if (config.shed_on_overload) {
-      // Same policy as the stdio frontend's bounded queue: drop the work,
-      // answer {"shed":"queue"} in stream order, keep reading.
+      // Drop the work, answer {"shed":"queue"} in stream order, keep
+      // reading.
       sheds.fetch_add(1, std::memory_order_relaxed);
       shed_queue.inc();
       local_response(conn, msg.seq,
@@ -642,6 +684,19 @@ struct AsyncServer::Impl {
     conn.blocked = std::make_unique<RequestMsg>(std::move(msg));
     conn.blocked_shard = shard;
     return false;
+  }
+
+  /// Wakes every shard that handle_line() pushed to since the last call:
+  /// once per read, not once per line. A per-line wake lets a shard park
+  /// and be woken again between two lines (a futex call on this thread
+  /// and two context switches per request).
+  void kick_shards(unsigned io) {
+    for (unsigned shard = 0; shard < shard_count; ++shard) {
+      if (kicks[io][shard] != 0) {
+        kicks[io][shard] = 0;
+        shard_parkers[shard]->notify();
+      }
+    }
   }
 
   void local_response(Conn& conn, std::uint64_t seq, PendingOut out) {
@@ -670,10 +725,17 @@ struct AsyncServer::Impl {
 
   /// Writes the buffered output, handling partial writes; keeps the write
   /// interest and read-side flow control in sync with the buffer level.
+  /// Sockets are written with MSG_NOSIGNAL: a client that closes before
+  /// reading its answers is an EPIPE here, not a SIGPIPE that kills the
+  /// process. A stream is written with write(2) (send fails on a pipe or
+  /// file); its owner decides what SIGPIPE does.
   bool flush_out(Poller& poller, Conn& conn) {
     while (conn.out_off < conn.outbuf.size()) {
-      const ssize_t n = ::write(conn.fd, conn.outbuf.data() + conn.out_off,
-                                conn.outbuf.size() - conn.out_off);
+      const char* data = conn.outbuf.data() + conn.out_off;
+      const std::size_t size = conn.outbuf.size() - conn.out_off;
+      const ssize_t n = conn.stream()
+                            ? ::write(conn.out_fd, data, size)
+                            : ::send(conn.fd, data, size, MSG_NOSIGNAL);
       if (n > 0) {
         conn.out_off += static_cast<std::size_t>(n);
         continue;
@@ -689,21 +751,36 @@ struct AsyncServer::Impl {
       conn.out_off = 0;
     }
     conn.want_write = conn.out_off < conn.outbuf.size();
-    update_read_interest(poller, conn);
+    update_interest(poller, conn);
     return true;
   }
 
   /// One place computes the poller interest set from the connection state:
-  /// read while not paused/blocked/closed and the write buffer is within
+  /// read while not blocked/closed/stopping and the write buffer is within
   /// bounds; write while the buffer has unsent bytes.
-  void update_read_interest(Poller& poller, Conn& conn) {
+  void update_interest(Poller& poller, Conn& conn) {
     const bool backlogged =
         conn.outbuf.size() - conn.out_off > config.max_outbuf;
     const bool stopping_now = stop.load(std::memory_order_acquire);
     const bool want_read = !conn.read_closed && conn.blocked == nullptr &&
                            !backlogged && !stopping_now;
     conn.paused = !want_read && !conn.read_closed;
-    poller.update(conn.fd, want_read, conn.want_write);
+    if (!conn.stream()) {
+      poller.update(conn.fd, want_read, conn.want_write);
+      return;
+    }
+    // A stream's input is registered only while reading is wanted: a pipe
+    // whose writer closed reports a hangup whatever the interest set, which
+    // would spin this loop while reading is paused or done.
+    if (want_read != conn.in_watched) {
+      if (want_read) {
+        poller.add(conn.fd, conn.id, /*want_read=*/true, /*want_write=*/false);
+      } else {
+        poller.remove(conn.fd);
+      }
+      conn.in_watched = want_read;
+    }
+    poller.update(conn.out_fd, /*want_read=*/false, conn.want_write);
   }
 
   void maybe_close(
@@ -727,11 +804,43 @@ struct AsyncServer::Impl {
       std::uint64_t id) {
     const auto it = conns.find(id);
     if (it == conns.end()) return;
-    poller.remove(it->second->fd);
-    ::close(it->second->fd);
+    // The stream is the whole job: once it is done, so is the server.
+    if (it->second->stream()) stop.store(true, std::memory_order_release);
+    release(poller, *it->second);
     // Responses still in flight for this connection are dropped when they
     // surface — the conns lookup fails — and `pending` still decrements.
     conns.erase(it);
+  }
+
+  /// Deregisters a connection's fds; closes a socket (the stream's fds
+  /// belong to the start_stream caller).
+  static void release(Poller& poller, const Conn& conn) {
+    poller.remove(conn.fd);
+    if (conn.stream()) {
+      poller.remove(conn.out_fd);
+    } else {
+      ::close(conn.fd);
+    }
+  }
+
+  /// Opens the wake pipes and spawns the threads: io threads first, so the
+  /// first read does not wait behind the shard worker spawns (a shard ring
+  /// simply holds requests until its worker runs).
+  bool launch(std::string* error) {
+    for (auto& wake : wakes) {
+      if (!wake->open()) {
+        if (error != nullptr) *error = "cannot create wake pipe";
+        return false;
+      }
+    }
+    for (unsigned io = 0; io < io_count; ++io) {
+      io_threads.emplace_back([this, io] { io_main(io); });
+    }
+    for (unsigned s = 0; s < shard_count; ++s) {
+      shard_threads.emplace_back([this, s] { shard_main(s); });
+      maybe_pin(s, shard_threads.back());
+    }
+    return true;
   }
 
   void publish_stats() {
@@ -776,18 +885,21 @@ AsyncServer::AsyncServer(ServerConfig config)
   impl_->pinned = std::vector<std::atomic<int>>(impl_->shard_count);
   for (auto& p : impl_->pinned) p.store(-1, std::memory_order_relaxed);
 
+  // --max-queue is a budget per io thread, split across its shard rings.
+  const std::size_t ring_capacity = std::max<std::size_t>(
+      1, impl_->config.max_queue / impl_->shard_count);
   impl_->requests.resize(impl_->io_count);
   for (unsigned io = 0; io < impl_->io_count; ++io) {
     for (unsigned s = 0; s < impl_->shard_count; ++s) {
-      impl_->requests[io].push_back(std::make_unique<SpscRing<RequestMsg>>(
-          impl_->config.ring_capacity));
+      impl_->requests[io].push_back(
+          std::make_unique<SpscRing<RequestMsg>>(ring_capacity));
     }
   }
   impl_->responses.resize(impl_->shard_count);
   for (unsigned s = 0; s < impl_->shard_count; ++s) {
     for (unsigned io = 0; io < impl_->io_count; ++io) {
-      impl_->responses[s].push_back(std::make_unique<SpscRing<ResponseMsg>>(
-          impl_->config.ring_capacity));
+      impl_->responses[s].push_back(
+          std::make_unique<SpscRing<ResponseMsg>>(ring_capacity));
     }
     impl_->shard_parkers.push_back(std::make_unique<Parker>());
   }
@@ -796,6 +908,8 @@ AsyncServer::AsyncServer(ServerConfig config)
     impl_->inboxes.push_back(std::make_unique<Impl::Inbox>());
   }
   impl_->fp_memo.resize(impl_->io_count);
+  impl_->kicks.assign(impl_->io_count,
+                      std::vector<char>(impl_->shard_count, 0));
   impl_->default_fp =
       analysis::AnalysisEngine(impl_->config.options.request).fingerprint();
 }
@@ -803,45 +917,39 @@ AsyncServer::AsyncServer(ServerConfig config)
 AsyncServer::~AsyncServer() { stop(); }
 
 bool AsyncServer::start(std::string* error) {
-  for (auto& wake : impl_->wakes) {
-    if (!wake->open()) {
-      if (error != nullptr) *error = "cannot create wake pipe";
-      return false;
-    }
-  }
   std::uint16_t bound = 0;
   impl_->listen_fd =
       listen_tcp(impl_->config.host, impl_->config.port, &bound, error);
   if (impl_->listen_fd < 0) return false;
   port_ = bound;
+  return impl_->launch(error);
+}
 
-  for (unsigned s = 0; s < impl_->shard_count; ++s) {
-    impl_->shard_threads.emplace_back([this, s] { impl_->shard_main(s); });
-    impl_->maybe_pin(s, impl_->shard_threads.back());
+bool AsyncServer::start_stream(int in_fd, int out_fd, std::string* error) {
+  RECONF_EXPECTS(in_fd != out_fd);
+  // Read both flag sets before changing either: stdin and stdout may share
+  // one open file description (a terminal).
+  for (const int fd : {in_fd, out_fd}) {
+    const int flags = ::fcntl(fd, F_GETFL, 0);
+    if (flags < 0) {
+      if (error != nullptr) {
+        *error = "fd " + std::to_string(fd) + ": " + std::strerror(errno);
+      }
+      return false;
+    }
+    impl_->stream_flags.emplace_back(fd, flags);
   }
-  for (unsigned io = 0; io < impl_->io_count; ++io) {
-    impl_->io_threads.emplace_back([this, io] { impl_->io_main(io); });
-  }
-  return true;
+  for (const int fd : {in_fd, out_fd}) set_nonblocking(fd);
+  impl_->inboxes[0]->fds.emplace_back(in_fd, out_fd);
+  return impl_->launch(error);
 }
 
 void AsyncServer::request_stop() noexcept {
   impl_->stop.store(true, std::memory_order_release);
 }
 
-bool AsyncServer::stopping() const noexcept {
-  return impl_->stop.load(std::memory_order_acquire);
-}
-
-void AsyncServer::stop() {
+void AsyncServer::wait() {
   if (impl_->stopped_joined) return;
-  impl_->stop.store(true, std::memory_order_release);
-  // Parked threads self-heal within the Parker/poller 10ms backstop even
-  // without these nudges; they just shorten the tail.
-  for (auto& wake : impl_->wakes) {
-    if (wake->fds[1] >= 0) wake->notify();
-  }
-  for (auto& parker : impl_->shard_parkers) parker->notify();
   for (std::thread& t : impl_->io_threads) {
     if (t.joinable()) t.join();
   }
@@ -855,7 +963,24 @@ void AsyncServer::stop() {
     impl_->listen_fd = -1;
   }
   for (auto& wake : impl_->wakes) wake->close_fds();
+  for (auto it = impl_->stream_flags.rbegin();
+       it != impl_->stream_flags.rend(); ++it) {
+    ::fcntl(it->first, F_SETFL, it->second);
+  }
+  impl_->stream_flags.clear();
   impl_->stopped_joined = true;
+}
+
+void AsyncServer::stop() {
+  if (impl_->stopped_joined) return;
+  request_stop();
+  // Parked threads self-heal within the Parker/poller 10ms backstop even
+  // without these nudges; they just shorten the tail.
+  for (auto& wake : impl_->wakes) {
+    if (wake->fds[1] >= 0) wake->notify();
+  }
+  for (auto& parker : impl_->shard_parkers) parker->notify();
+  wait();
 }
 
 ServerTotals AsyncServer::totals() const {

@@ -12,14 +12,17 @@
 
 namespace reconf::net {
 
-/// Configuration of the async serving tier (reconf_serve --listen).
+/// Configuration of the serving core (reconf_serve, over stdio or TCP).
 struct ServerConfig {
   std::string host = "127.0.0.1";
   std::uint16_t port = 0;     ///< 0 = ephemeral (tests); port() reports it
   unsigned io_threads = 1;    ///< epoll/poll reader loops (parse + frame)
   unsigned shards = 0;        ///< shard workers; 0 = hardware concurrency
   std::size_t cache_capacity = 65536;  ///< split across shards; 0 disables
-  std::size_t ring_capacity = 4096;    ///< per (io, shard) request ring
+  /// Parsed requests one io thread may have queued toward the shard
+  /// workers, split evenly across its shard rings (max(1, max_queue /
+  /// shards) each).
+  std::size_t max_queue = 4096;
   bool shed_on_overload = false;  ///< full ring: shed (true) or flow-control
                                   ///< the connection (false)
   long long request_timeout_ms = 0;  ///< 0 = no per-request deadline
@@ -29,7 +32,7 @@ struct ServerConfig {
   svc::BatchOptions options;  ///< pipeline analysis configuration
 };
 
-/// Monotonic serving totals (mirrors the stdio frontend's --stats line).
+/// Monotonic serving totals (reconf_serve's --stats line).
 struct ServerTotals {
   std::uint64_t connections = 0;
   std::uint64_t served = 0;    ///< responses emitted (verdict/error/shed/stats)
@@ -38,12 +41,14 @@ struct ServerTotals {
   std::uint64_t sheds = 0;
 };
 
-/// Multi-core NDJSON admission-control server.
+/// Multi-core NDJSON admission-control server — the one serving core
+/// behind both of reconf_serve's transports: TCP connections (start) and a
+/// pre-adopted byte stream such as stdin/stdout (start_stream).
 ///
 /// Architecture (one box per thread):
 ///
 ///   accept ─▶ [ io thread 0..I )  level-triggered epoll (poll fallback)
-///              frame NDJSON lines (1 MiB cap), parse, cache-key route
+///   stream ─▶  frame NDJSON lines (1 MiB cap), parse, cache-key route
 ///                 │  SPSC ring per (io, shard): requests
 ///                 ▼
 ///            [ shard worker 0..S )  consistent-hash owner of its key range
@@ -63,9 +68,7 @@ struct ServerTotals {
 /// connection before writing — the wire contract (responses in request
 /// order) survives out-of-order shard completion. Stats requests are
 /// answered by the io thread at emission time, after everything ahead of
-/// them on their connection. Overload behavior, per-request deadlines,
-/// graceful drain, obs counters/spans and cache snapshots all match the
-/// stdio frontend.
+/// them on their connection.
 class AsyncServer {
  public:
   explicit AsyncServer(ServerConfig config);
@@ -74,24 +77,36 @@ class AsyncServer {
   AsyncServer(const AsyncServer&) = delete;
   AsyncServer& operator=(const AsyncServer&) = delete;
 
-  /// Binds and spawns the io threads and shard workers. Returns false with
-  /// `error` set on bind failure.
+  /// Binds the TCP listener and spawns the io threads and shard workers.
+  /// Returns false with `error` set on bind failure.
   bool start(std::string* error);
+
+  /// Serves one pre-adopted byte stream — `in_fd` read, `out_fd` written
+  /// (reconf_serve: stdin and stdout) — as a connection of io thread 0,
+  /// with no listener. Pipes, sockets, terminals, regular files and
+  /// /dev/null all work. Both fds are made nonblocking; wait() gives them
+  /// back their original file-status flags. The caller keeps ownership of
+  /// the fds. The server stops by itself once the stream is done: input at
+  /// EOF and every answer written, or the output closed by its reader.
+  bool start_stream(int in_fd, int out_fd, std::string* error);
 
   /// The bound port (after start(); useful with config.port = 0).
   [[nodiscard]] std::uint16_t port() const noexcept { return port_; }
 
   /// Requests a graceful drain: stop accepting and reading, answer
-  /// everything already parsed, flush, then stop. Async-signal-safe-ish
-  /// (one relaxed store); the actual teardown happens in stop().
+  /// everything already parsed, flush, then stop. Async-signal-safe (one
+  /// lock-free atomic store); the io threads observe it within one poll
+  /// tick.
   void request_stop() noexcept;
 
-  /// Blocks until the drain completes and every thread has joined. Safe to
-  /// call once; implied by the destructor.
-  void stop();
+  /// Blocks until the server has stopped — request_stop(), a finished
+  /// stream, or a fatal accept error — and drained, and every thread has
+  /// joined.
+  void wait();
 
-  /// True once request_stop() was called (or a fatal accept error).
-  [[nodiscard]] bool stopping() const noexcept;
+  /// request_stop() + wait(). Safe to call more than once; implied by the
+  /// destructor.
+  void stop();
 
   [[nodiscard]] ServerTotals totals() const;
 
@@ -109,13 +124,13 @@ class AsyncServer {
 
   /// Warm-restores the per-shard caches from a v1 snapshot file, routing
   /// every key into the CURRENT shard count regardless of the writer's
-  /// topology. Call before start(). Missing file = cold start (returns
-  /// true, 0 restored); a malformed file is refused.
+  /// topology. Call before start()/start_stream(). Missing file = cold
+  /// start (returns true, 0 restored); a malformed file is refused.
   bool load_cache_snapshot(const std::string& path, std::size_t* restored,
                            std::string* error);
 
   /// Writes the merged per-shard caches as a v1 snapshot. Call after
-  /// stop() (workers quiesced).
+  /// wait() or stop() (workers quiesced).
   bool save_cache_snapshot(const std::string& path, std::string* error);
 
  private:

@@ -1,12 +1,13 @@
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
+#include <memory>
 #include <mutex>
 #include <utility>
-#include <vector>
 
 namespace reconf::net {
 
@@ -17,30 +18,44 @@ namespace reconf::net {
 /// loads, one acquire load and one release store per operation — no locks,
 /// no CAS, no contention beyond the unavoidable cache-line handoff.
 ///
-/// Capacity is rounded up to a power of two. A full ring fails the push
-/// (the caller decides: shed the request or flow-control the connection);
-/// an empty ring fails the pop (the caller parks — see Parker below).
+/// The ring holds exactly `capacity` values (its storage is rounded up to a
+/// power of two for masking). A full ring fails the push (the caller
+/// decides: shed the request or flow-control the connection); an empty
+/// ring fails the pop (the caller parks — see Parker below).
+///
+/// Slot storage is allocated uninitialized: a value is constructed on push
+/// and destroyed on pop, so a ring costs no page touches until it carries
+/// traffic — a server with a deep ring per (io, shard) pair starts as fast
+/// as one with shallow rings.
 template <typename T>
 class SpscRing {
  public:
-  explicit SpscRing(std::size_t capacity) {
-    std::size_t cap = 1;
-    while (cap < capacity) cap <<= 1;
-    slots_.resize(cap);
-    mask_ = cap - 1;
+  explicit SpscRing(std::size_t capacity)
+      : capacity_(std::max<std::size_t>(1, capacity)) {
+    std::size_t slots = 1;
+    while (slots < capacity_) slots <<= 1;
+    slots_ = std::allocator<T>().allocate(slots);
+    mask_ = slots - 1;
+  }
+
+  ~SpscRing() {
+    for (std::size_t i = head_.load(); i != tail_.load(); ++i) {
+      std::destroy_at(&slots_[i & mask_]);
+    }
+    std::allocator<T>().deallocate(slots_, mask_ + 1);
   }
 
   SpscRing(const SpscRing&) = delete;
   SpscRing& operator=(const SpscRing&) = delete;
 
-  /// Producer thread only.
+  /// Producer thread only. A full ring leaves `value` untouched.
   [[nodiscard]] bool try_push(T&& value) {
     const std::size_t tail = tail_.load(std::memory_order_relaxed);
-    if (tail - head_cache_ > mask_) {
+    if (tail - head_cache_ >= capacity_) {
       head_cache_ = head_.load(std::memory_order_acquire);
-      if (tail - head_cache_ > mask_) return false;  // full
+      if (tail - head_cache_ >= capacity_) return false;  // full
     }
-    slots_[tail & mask_] = std::move(value);
+    std::construct_at(&slots_[tail & mask_], std::move(value));
     tail_.store(tail + 1, std::memory_order_release);
     return true;
   }
@@ -52,7 +67,9 @@ class SpscRing {
       tail_cache_ = tail_.load(std::memory_order_acquire);
       if (head == tail_cache_) return false;  // empty
     }
-    out = std::move(slots_[head & mask_]);
+    T& slot = slots_[head & mask_];
+    out = std::move(slot);
+    std::destroy_at(&slot);
     head_.store(head + 1, std::memory_order_release);
     return true;
   }
@@ -70,10 +87,11 @@ class SpscRing {
     return tail - head;
   }
 
-  [[nodiscard]] std::size_t capacity() const noexcept { return mask_ + 1; }
+  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
 
  private:
-  std::vector<T> slots_;
+  std::size_t capacity_;
+  T* slots_ = nullptr;
   std::size_t mask_ = 0;
   alignas(64) std::atomic<std::size_t> head_{0};  ///< consumer cursor
   alignas(64) std::atomic<std::size_t> tail_{0};  ///< producer cursor

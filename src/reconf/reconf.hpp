@@ -27,14 +27,16 @@
 //   // Section 6 recommendation: run the paper trio, accept if any accepts.
 //   const analysis::AnalysisEngine engine(analysis::AnalysisRequest{});
 //   const auto verdict = engine.run(ts, fpga);          // per-test reports
-//   // Or the one-call legacy shim over the same engine:
-//   const auto any = analysis::composite_test(ts, fpga);
+//   // Or the verdict alone, through the allocation-free fast path:
+//   const bool any = analysis::AnalysisEngine(analysis::fast_any_request())
+//                        .decide(ts, fpga).accepted();
 //
 //   const auto run = sim::simulate(ts, fpga);           // validate by sim
 //
 // The svc/ layer (AdmissionSession, run_batch, NDJSON codec) serves engine
-// verdicts at scale behind a sharded LRU VerdictCache keyed by the
-// canonical taskset hash mixed with the engine fingerprint.
+// verdicts at scale behind an LRU verdict cache keyed by the canonical
+// taskset hash mixed with the engine fingerprint; net/ is the serving core
+// behind reconf_serve.
 //
 // The rt/ layer turns the analyzer into an online scheduler: rt::run_scenario
 // replays a timed arrival/departure/mode-change workload (rt/scenario.hpp)
@@ -42,7 +44,6 @@
 // reconfiguration port (rt/prefetch.hpp), with the shared reconfiguration
 // cost model (reconf/cost_model.hpp) charging every placement.
 
-#include "analysis/composite.hpp"
 #include "analysis/dp.hpp"
 #include "analysis/engine.hpp"
 #include "analysis/gn1.hpp"

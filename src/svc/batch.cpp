@@ -3,7 +3,6 @@
 #include <map>
 #include <utility>
 
-#include "analysis/composite.hpp"
 #include "analysis/hash.hpp"
 #include "common/stopwatch.hpp"
 #include "obs/metrics.hpp"
@@ -131,13 +130,6 @@ std::uint64_t verdict_cache_key(const TaskSet& ts, Device device,
     noexcept {
   return analysis::mix64(analysis::canonical_hash(ts, device) ^
                          engine.fingerprint());
-}
-
-std::uint64_t verdict_cache_key(const TaskSet& ts, Device device,
-                                const analysis::CompositeOptions& options,
-                                bool for_fkf) {
-  return analysis::mix64(analysis::canonical_hash(ts, device) ^
-                         analysis::options_fingerprint(options, for_fkf));
 }
 
 BatchVerdict evaluate_request(const BatchRequest& request, VerdictStore* cache,

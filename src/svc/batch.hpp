@@ -17,7 +17,7 @@ namespace reconf::svc {
 
 /// One independent analysis request in a batch: decide schedulability of
 /// `taskset` on `device`. `id` is an opaque caller tag echoed back in the
-/// response (the NDJSON frontend uses the request's "id" field).
+/// response (the NDJSON codec fills it from the request's "id" field).
 struct BatchRequest {
   std::string id;
   TaskSet taskset;
@@ -28,8 +28,8 @@ struct BatchRequest {
   /// validates at parse time so malformed requests never reach the pool.
   std::vector<std::string> tests;
   /// True for a `{"id":...,"stats":true}` introspection request: no taskset
-  /// to analyze; the frontend answers with a metrics snapshot (see
-  /// svc/stats_surface.hpp) instead of routing it through the pipeline.
+  /// to analyze; the serving core's io thread answers it with a metrics
+  /// snapshot (see svc/stats_surface.hpp) instead of routing it to a shard.
   bool stats = false;
   /// Per-request deadline (hardening): epoch (the default) means none. A
   /// request whose deadline has passed when a worker picks it up is shed —
@@ -70,12 +70,12 @@ struct BatchVerdict {
   /// Non-empty when the request could not be analyzed at all — e.g. its
   /// analyzer selection filtered down to nothing under the pipeline's
   /// scheduler restriction. A verdict with an error is NOT "inconclusive";
-  /// the frontend answers with an error line instead of a verdict.
+  /// the server answers with an error line instead of a verdict.
   std::string error;
   /// Non-empty when the server chose not to evaluate the request (reason:
-  /// "deadline" here; the frontend adds "queue" for bounded-queue
-  /// overflow). Answered with a distinct {"id":...,"shed":"..."} line —
-  /// shed work is retryable, errored work is not.
+  /// "deadline" here; the serving core adds "queue" for a full shard ring).
+  /// Answered with a distinct {"id":...,"shed":"..."} line — shed work is
+  /// retryable, errored work is not.
   std::string shed;
 };
 
@@ -120,27 +120,19 @@ struct BatchOptions {
     const TaskSet& ts, Device device,
     const analysis::AnalysisEngine& engine) noexcept;
 
-/// Legacy-composite spelling of the same key (bridges pre-engine callers;
-/// equal to the engine overload for the equivalent request). Resolves a
-/// throwaway engine for the fingerprint — prefer the engine overload on
-/// hot paths.
-[[nodiscard]] std::uint64_t verdict_cache_key(
-    const TaskSet& ts, Device device,
-    const analysis::CompositeOptions& options, bool for_fkf);
-
 /// Evaluates every request, fanning out across `pool` and consulting/filling
-/// `cache` (nullptr to always analyze; any VerdictStore — the striped-lock
-/// VerdictCache for pool workers, a per-shard ShardCache in the async
-/// tier). Results are indexed by request — response order never depends on
-/// completion order. The shared engine for default-lineup requests is built
-/// once per batch.
+/// `cache` (nullptr to always analyze; shared by the pool workers, so a
+/// thread-safe VerdictCache). Results are indexed by request — order never
+/// depends on completion order. The shared engine for default-lineup
+/// requests is built once per batch. The in-process batch API
+/// (bench_service, bench_report); reconf_serve serves through the shard
+/// workers of net::AsyncServer instead.
 [[nodiscard]] std::vector<BatchVerdict> run_batch(
     std::span<const BatchRequest> requests, VerdictStore* cache,
     ThreadPool& pool, const BatchOptions& options = {});
 
-/// Single-request path sharing the cache logic of `run_batch` (used by the
-/// streaming frontend when batching is disabled, by the async tier's shard
-/// workers, and by run_batch itself).
+/// Single-request path sharing the cache logic of `run_batch`: resolves the
+/// request's engine (its own `tests`, or `options`) per call.
 [[nodiscard]] BatchVerdict evaluate_request(const BatchRequest& request,
                                             VerdictStore* cache,
                                             const BatchOptions& options = {});
@@ -148,9 +140,9 @@ struct BatchOptions {
 /// Core evaluation against a caller-held engine: cache lookup keyed by
 /// (canonical taskset hash, engine fingerprint), analysis on miss. The
 /// request's `tests` field is NOT consulted — the caller already resolved
-/// the engine. This is the one verdict-producing path in the serving tier;
-/// every frontend (batch pipeline, async shard workers) funnels through it,
-/// which is what makes sharded-vs-striped verdict parity a structural
+/// the engine. This is the one verdict-producing path: the serving core's
+/// shard workers, the batch pipeline and evaluate_request all funnel
+/// through it, which is what makes verdict parity across them a structural
 /// property rather than a test-enforced one.
 [[nodiscard]] BatchVerdict evaluate_with_engine(
     const analysis::AnalysisEngine& engine, const BatchRequest& request,

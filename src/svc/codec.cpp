@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <istream>
 #include <limits>
 #include <utility>
 #include <vector>
@@ -187,26 +186,6 @@ BatchRequest parse_request_members(const JsonValue& doc, std::string id) {
 }
 
 }  // namespace
-
-LineStatus read_bounded_line(std::istream& in, std::string& line,
-                             std::size_t max_len) {
-  line.clear();
-  bool overflow = false;
-  bool any = false;
-  int ch;
-  while ((ch = in.get()) != std::char_traits<char>::eof()) {
-    any = true;
-    if (ch == '\n') return overflow ? LineStatus::kOversized : LineStatus::kLine;
-    if (line.size() >= max_len) {
-      overflow = true;  // keep the prefix, drain the rest unbuffered
-      continue;
-    }
-    line.push_back(static_cast<char>(ch));
-  }
-  if (!any) return LineStatus::kEof;
-  // Final line without a trailing newline: still a request.
-  return overflow ? LineStatus::kOversized : LineStatus::kLine;
-}
 
 void StreamFramer::feed(const char* data, std::size_t n) {
   std::size_t i = 0;

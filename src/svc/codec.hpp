@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstddef>
-#include <iosfwd>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -17,28 +16,20 @@ namespace reconf::svc {
 /// stream cannot grow server memory without bound.
 inline constexpr std::size_t kMaxRequestLine = 1u << 20;
 
-/// Result of read_bounded_line: a complete (or final, unterminated) line, a
-/// line that blew the cap (its first kMaxRequestLine bytes are kept so the
-/// id stays recoverable, the rest is discarded unbuffered), or end of
-/// stream with nothing read.
+/// A framed line: complete (or final, unterminated), or one that blew the
+/// cap (its first max_len bytes are kept so the id stays recoverable, the
+/// rest is discarded unbuffered).
 enum class LineStatus {
   kLine,
   kOversized,
-  kEof,
 };
 
-/// Reads one '\n'-terminated line from `in` with bounded memory. A final
-/// line without a trailing newline is still returned as kLine — a client
-/// that exits after its last request must not have that request dropped.
-LineStatus read_bounded_line(std::istream& in, std::string& line,
-                             std::size_t max_len = kMaxRequestLine);
-
-/// Incremental NDJSON line framing over byte chunks — the socket-side
-/// sibling of read_bounded_line, with identical cap semantics: a line of
-/// exactly max_len bytes is still kLine; one byte more flips it to
-/// kOversized, keeping the first max_len bytes (so the id stays
-/// recoverable) and discarding the rest of the line unbuffered. Memory is
-/// bounded by max_len regardless of what the peer sends.
+/// Incremental NDJSON line framing over byte chunks — the one line framer,
+/// for sockets, pipes and files alike. A line of exactly max_len bytes is
+/// still kLine; one byte more flips it to kOversized, keeping the first
+/// max_len bytes (so the id stays recoverable) and discarding the rest of
+/// the line unbuffered. Memory is bounded by max_len regardless of what the
+/// peer sends.
 ///
 ///   framer.feed(buf, n);              // after every read()
 ///   while (framer.next(line, status)) // complete lines, in order
@@ -76,8 +67,8 @@ class StreamFramer {
 };
 
 /// Thrown by `parse_request_line` on malformed input. The message names the
-/// offending field or byte offset; the streaming frontend turns it into an
-/// error response instead of dropping the connection. `id()` carries the
+/// offending field or byte offset; the server turns it into an error
+/// response instead of dropping the connection. `id()` carries the
 /// request's id whenever the line was valid JSON with a readable id, so
 /// error responses stay correlatable for pipelining clients.
 class CodecError : public std::runtime_error {

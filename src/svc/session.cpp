@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "analysis/composite.hpp"
 #include "common/contracts.hpp"
 #include "svc/batch.hpp"
 
@@ -13,12 +12,6 @@ AdmissionSession::AdmissionSession(Device device, VerdictCache* cache,
     : device_(device), cache_(cache), engine_(std::move(request)) {
   RECONF_EXPECTS(device.valid());
 }
-
-AdmissionSession::AdmissionSession(Device device, VerdictCache* cache,
-                                   analysis::CompositeOptions options,
-                                   bool for_fkf)
-    : AdmissionSession(device, cache,
-                       analysis::request_from_composite(options, for_fkf)) {}
 
 AdmissionDecision AdmissionSession::try_admit(const Task& t) {
   ++stats_.attempts;

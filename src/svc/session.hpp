@@ -69,11 +69,6 @@ class AdmissionSession {
   explicit AdmissionSession(Device device, VerdictCache* cache = nullptr,
                             analysis::AnalysisRequest request = {});
 
-  /// Legacy-composite spelling: DP/GN1/GN2 by use_* flags plus the for_fkf
-  /// scheduler restriction (bridged via request_from_composite).
-  AdmissionSession(Device device, VerdictCache* cache,
-                   analysis::CompositeOptions options, bool for_fkf = false);
-
   /// Decides task `t` against the currently admitted set; on acceptance the
   /// task becomes part of the set.
   AdmissionDecision try_admit(const Task& t);

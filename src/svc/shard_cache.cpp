@@ -6,29 +6,33 @@
 
 namespace reconf::svc {
 
-bool save_shard_snapshot(const std::vector<ShardCache*>& shards,
-                         const std::string& path, std::string* error) {
-  // Same global-recency approximation as VerdictCache::save_snapshot:
-  // interleave the shards' LRU lists rank-by-rank from the least-recent
-  // end, so a capacity-limited restore (under any topology) keeps the most
-  // recently used entries.
-  std::vector<std::vector<ShardCache::Entry>> per_shard;
-  per_shard.reserve(shards.size());
+std::vector<SnapshotEntry> interleave_by_recency(
+    const std::vector<std::vector<SnapshotEntry>>& partitions) {
   std::size_t total = 0;
   std::size_t longest = 0;
-  for (const ShardCache* cache : shards) {
-    per_shard.push_back(cache->entries_lru_to_mru());
-    total += per_shard.back().size();
-    longest = std::max(longest, per_shard.back().size());
+  for (const auto& p : partitions) {
+    total += p.size();
+    longest = std::max(longest, p.size());
   }
   std::vector<SnapshotEntry> merged;
   merged.reserve(total);
   for (std::size_t rank = 0; rank < longest; ++rank) {
-    for (const auto& v : per_shard) {
-      if (rank < v.size()) merged.push_back({v[rank].key, v[rank].verdict});
+    for (const auto& p : partitions) {
+      if (rank < p.size()) merged.push_back(p[rank]);
     }
   }
-  return write_snapshot_entries(path, merged, error);
+  return merged;
+}
+
+bool save_shard_snapshot(const std::vector<ShardCache*>& shards,
+                         const std::string& path, std::string* error) {
+  std::vector<std::vector<SnapshotEntry>> partitions;
+  partitions.reserve(shards.size());
+  for (const ShardCache* cache : shards) {
+    partitions.push_back(cache->entries_lru_to_mru());
+  }
+  return write_snapshot_entries(path, interleave_by_recency(partitions),
+                                error);
 }
 
 bool load_shard_snapshot(const std::vector<ShardCache*>& shards,

@@ -14,11 +14,11 @@
 
 namespace reconf::svc {
 
-/// Single-owner, contention-free LRU verdict cache: the per-shard partition
-/// of the async serving tier. One shard worker owns one ShardCache
-/// exclusively; lookup/insert take no locks and touch no shared state, so
-/// the striped mutexes of VerdictCache disappear from the hot path
-/// entirely. Correctness of the partitioning is the router's job
+/// Single-owner LRU verdict cache — the one LRU implementation. A shard
+/// worker of the async serving tier owns one ShardCache exclusively, so
+/// lookup/insert take no locks and touch no shared state; VerdictCache
+/// wraps one per lock stripe for callers that share a cache across
+/// threads. Correctness of the async partitioning is the router's job
 /// (svc/shard_route.hpp): every key is routed to exactly one shard, so two
 /// workers can never race on the same entry by construction.
 ///
@@ -28,9 +28,9 @@ namespace reconf::svc {
 /// nobody else writes costs the same as a plain add.
 class ShardCache : public VerdictStore {
  public:
-  explicit ShardCache(std::size_t capacity) : capacity_(capacity) {
-    if (capacity_ > 0) index_.reserve(capacity_ * 2);
-  }
+  /// No reserve: the index grows with the traffic, so an idle cache costs
+  /// no memory and a server starts without touching capacity-sized tables.
+  explicit ShardCache(std::size_t capacity) : capacity_(capacity) {}
 
   ShardCache(const ShardCache&) = delete;
   ShardCache& operator=(const ShardCache&) = delete;
@@ -46,7 +46,7 @@ class ShardCache : public VerdictStore {
     }
     hits_.fetch_add(1, std::memory_order_relaxed);
     lru_.splice(lru_.begin(), lru_, it->second);  // refresh recency
-    return it->second->second;
+    return it->second->verdict;
   }
 
   /// Owner-thread only. Inserts or refreshes `key`, evicting the least
@@ -55,16 +55,16 @@ class ShardCache : public VerdictStore {
     if (capacity_ == 0) return;
     const auto it = index_.find(key);
     if (it != index_.end()) {
-      it->second->second = std::move(verdict);
+      it->second->verdict = std::move(verdict);
       lru_.splice(lru_.begin(), lru_, it->second);
       return;
     }
     if (lru_.size() >= capacity_) {
-      index_.erase(lru_.back().first);
+      index_.erase(lru_.back().key);
       lru_.pop_back();
       evictions_.fetch_add(1, std::memory_order_relaxed);
     }
-    lru_.emplace_front(key, std::move(verdict));
+    lru_.push_front({key, std::move(verdict)});
     index_.emplace(key, lru_.begin());
     insertions_.fetch_add(1, std::memory_order_relaxed);
     entries_.store(lru_.size(), std::memory_order_relaxed);
@@ -85,23 +85,13 @@ class ShardCache : public VerdictStore {
   [[nodiscard]] bool enabled() const noexcept { return capacity_ > 0; }
 
   /// Owner-thread only (or worker quiesced — the snapshot path runs after
-  /// drain). Resident entries from least to most recently used.
+  /// drain).
   [[nodiscard]] std::size_t size() const noexcept { return lru_.size(); }
-
-  struct Entry {
-    std::uint64_t key = 0;
-    CachedVerdict verdict;
-  };
 
   /// Owner-thread only / quiesced. Entries least-recent first — the order a
   /// capacity-limited restore wants to replay them in.
-  [[nodiscard]] std::vector<Entry> entries_lru_to_mru() const {
-    std::vector<Entry> out;
-    out.reserve(lru_.size());
-    for (auto it = lru_.rbegin(); it != lru_.rend(); ++it) {
-      out.push_back({it->first, it->second});
-    }
-    return out;
+  [[nodiscard]] std::vector<SnapshotEntry> entries_lru_to_mru() const {
+    return {lru_.rbegin(), lru_.rend()};
   }
 
   /// Owner-thread only / quiesced.
@@ -114,10 +104,8 @@ class ShardCache : public VerdictStore {
  private:
   std::size_t capacity_ = 0;
   /// Front = most recently used; the map points into this list.
-  std::list<std::pair<std::uint64_t, CachedVerdict>> lru_;
-  std::unordered_map<
-      std::uint64_t,
-      std::list<std::pair<std::uint64_t, CachedVerdict>>::iterator>
+  std::list<SnapshotEntry> lru_;
+  std::unordered_map<std::uint64_t, std::list<SnapshotEntry>::iterator>
       index_;
   std::atomic<std::uint64_t> hits_{0};
   std::atomic<std::uint64_t> misses_{0};
@@ -126,15 +114,24 @@ class ShardCache : public VerdictStore {
   std::atomic<std::size_t> entries_{0};
 };
 
+/// The topology-free snapshot order of a set of LRU partitions: the
+/// partitions' entry lists (each least-recent first) interleaved rank by
+/// rank. Recency is only ordered within a partition, so the round-robin
+/// merge is the best global order available — a restore into a different
+/// partition count, or a smaller capacity, keeps approximately the most
+/// recent entries instead of whichever partition was written last. Both
+/// snapshot writers (save_shard_snapshot, VerdictCache::save_snapshot) use
+/// it.
+[[nodiscard]] std::vector<SnapshotEntry> interleave_by_recency(
+    const std::vector<std::vector<SnapshotEntry>>& partitions);
+
 /// Snapshot glue for a fleet of per-shard caches (the async tier's
-/// `--cache-snapshot`). The on-disk format is VerdictCache's v1 snapshot —
-/// the two cache worlds share warm-restore files — and restore routes every
-/// key through svc::shard_for_key into the CURRENT shard count, so a
-/// snapshot taken at S shards restores correctly at S' shards instead of
-/// assuming the writer's topology. Entries are written interleaved across
-/// shards by LRU rank (a global-recency approximation), so a
-/// capacity-limited restore keeps the most recently used entries. All
-/// functions require the workers to be quiesced (startup / after drain).
+/// `--cache-snapshot`). The on-disk format is the v1 snapshot that
+/// VerdictCache also reads and writes, and restore routes every key through
+/// svc::shard_for_key into the CURRENT shard count, so a snapshot taken at
+/// S shards restores correctly at S' shards instead of assuming the
+/// writer's topology. All functions require the workers to be quiesced
+/// (startup / after drain).
 bool save_shard_snapshot(const std::vector<ShardCache*>& shards,
                          const std::string& path,
                          std::string* error = nullptr);

@@ -11,30 +11,6 @@
 
 namespace reconf::svc {
 
-void publish_cache_stats(const VerdictCache& cache) {
-  obs::MetricsRegistry& metrics = obs::MetricsRegistry::instance();
-  const CacheStats total = cache.stats();
-  metrics.gauge("reconf_cache_entries")
-      .set(static_cast<double>(total.entries));
-  metrics.gauge("reconf_cache_capacity")
-      .set(static_cast<double>(cache.capacity()));
-  metrics.gauge("reconf_cache_hit_rate").set(total.hit_rate());
-  metrics.gauge("reconf_cache_shard_imbalance").set(cache.load_imbalance());
-
-  const std::vector<CacheStats> shards = cache.shard_stats();
-  for (std::size_t s = 0; s < shards.size(); ++s) {
-    const std::string label = "{shard=\"" + std::to_string(s) + "\"}";
-    metrics.gauge("reconf_cache_shard_hits" + label)
-        .set(static_cast<double>(shards[s].hits));
-    metrics.gauge("reconf_cache_shard_misses" + label)
-        .set(static_cast<double>(shards[s].misses));
-    metrics.gauge("reconf_cache_shard_evictions" + label)
-        .set(static_cast<double>(shards[s].evictions));
-    metrics.gauge("reconf_cache_shard_entries" + label)
-        .set(static_cast<double>(shards[s].entries));
-  }
-}
-
 void publish_shard_cache_stats(const std::vector<CacheStats>& shards,
                                std::size_t total_capacity) {
   obs::MetricsRegistry& metrics = obs::MetricsRegistry::instance();
@@ -71,30 +47,6 @@ void publish_shard_cache_stats(const std::vector<CacheStats>& shards,
         .set(static_cast<double>(shards[s].evictions));
     metrics.gauge("reconf_cache_shard_entries" + label)
         .set(static_cast<double>(shards[s].entries));
-  }
-}
-
-void publish_pool_stats(const ThreadPool& pool, double elapsed_seconds) {
-  obs::MetricsRegistry& metrics = obs::MetricsRegistry::instance();
-  const PoolStats stats = pool.stats();
-  metrics.gauge("reconf_pool_threads")
-      .set(static_cast<double>(pool.thread_count()));
-  metrics.gauge("reconf_pool_queue_depth")
-      .set(static_cast<double>(stats.queue_depth));
-  metrics.gauge("reconf_pool_max_queue_depth")
-      .set(static_cast<double>(stats.max_queue_depth));
-  metrics.gauge("reconf_pool_jobs_submitted")
-      .set(static_cast<double>(stats.jobs_submitted));
-  metrics.gauge("reconf_pool_jobs_executed")
-      .set(static_cast<double>(stats.jobs_executed));
-  metrics.gauge("reconf_pool_busy_seconds")
-      .set(static_cast<double>(stats.busy_ns) * 1e-9);
-  metrics.gauge("reconf_pool_utilization")
-      .set(stats.utilization(elapsed_seconds, pool.thread_count()));
-  for (std::size_t t = 0; t < stats.pinned_cpus.size(); ++t) {
-    metrics.gauge("reconf_pool_thread_cpu{thread=\"" + std::to_string(t) +
-                  "\"}")
-        .set(static_cast<double>(stats.pinned_cpus[t]));
   }
 }
 

@@ -4,41 +4,27 @@
 #include <string>
 #include <vector>
 
-#include "common/thread_pool.hpp"
 #include "svc/verdict_cache.hpp"
 
 namespace reconf::svc {
 
-/// The serving tier's exposition glue: cache and pool accounting are kept in
-/// their owning objects (shard counters under shard mutexes, PoolStats
-/// atomics) rather than double-counted on the hot path; these helpers copy a
-/// snapshot into the process MetricsRegistry as gauges at exposition time —
-/// a `stats` NDJSON request or a --metrics-out dump — where a few mutex
-/// acquisitions are irrelevant.
+/// The serving tier's exposition glue: cache accounting is kept in the
+/// caches' own relaxed counters rather than double-counted on the hot path;
+/// this copies a snapshot into the process MetricsRegistry as gauges at
+/// exposition time — a `stats` NDJSON request or a --metrics-out dump.
 
-/// Publishes `reconf_cache_*` gauges: aggregate entries/capacity/hit-rate,
-/// the lookup-traffic imbalance across shards, and per-shard
-/// hits/misses/evictions/entries labelled `{shard="N"}`.
-void publish_cache_stats(const VerdictCache& cache);
-
-/// The async tier's spelling of publish_cache_stats: the same
-/// `reconf_cache_*` gauge names fed from a fleet of per-shard caches
-/// (shard-index order), so a `stats` response has the same shape whichever
-/// serving frontend answered it. `total_capacity` is the configured
-/// capacity across all shards; imbalance is peak/mean shard lookups, as in
-/// VerdictCache::load_imbalance.
+/// Publishes `reconf_cache_*` gauges fed from a fleet of per-shard caches
+/// (shard-index order): aggregate entries/capacity/hit-rate, the
+/// lookup-traffic imbalance across shards (peak/mean shard lookups, as in
+/// VerdictCache::load_imbalance), and per-shard
+/// hits/misses/evictions/entries labelled `{shard="N"}`. `total_capacity`
+/// is the configured capacity across all shards.
 void publish_shard_cache_stats(const std::vector<CacheStats>& shards,
                                std::size_t total_capacity);
 
-/// Publishes `reconf_pool_*` gauges: thread count, current and high-water
-/// queue depth, submitted/executed job counts, busy time and the worker
-/// utilization over `elapsed_seconds` of wall time (meaningful only while
-/// obs::enabled() — busy time is not accumulated otherwise).
-void publish_pool_stats(const ThreadPool& pool, double elapsed_seconds);
-
 /// Response line for a `{"id":...,"stats":true}` request:
 ///   {"id":"...","stats":<MetricsRegistry json_snapshot>}
-/// Call the publish helpers first so the embedded gauges are current.
+/// Publish the gauges first so the embedded values are current.
 [[nodiscard]] std::string format_stats_line(const std::string& id);
 
 }  // namespace reconf::svc

@@ -3,9 +3,10 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <mutex>
 #include <sstream>
 
-#include "common/contracts.hpp"
+#include "svc/shard_cache.hpp"
 
 namespace reconf::svc {
 
@@ -19,83 +20,59 @@ std::size_t round_up_pow2(std::size_t x) {
 
 }  // namespace
 
+struct VerdictCache::Stripe {
+  explicit Stripe(std::size_t capacity) : cache(capacity) {}
+  std::mutex mutex;
+  ShardCache cache;
+};
+
 VerdictCache::VerdictCache(std::size_t capacity, std::size_t shards)
     : capacity_(capacity) {
-  // Never more shards than capacity slots: a 3-entry cache with 16 shards
+  // Never more stripes than capacity slots: a 3-entry cache with 16 stripes
   // would otherwise degrade to per-key direct-mapped eviction.
   std::size_t want = round_up_pow2(std::max<std::size_t>(1, shards));
   if (capacity_ > 0) {
     while (want > 1 && want > capacity_) want >>= 1;
   }
-  shard_mask_ = want - 1;
-  shards_.reserve(want);
+  stripe_mask_ = want - 1;
+  const std::size_t per_stripe =
+      capacity_ == 0 ? 0 : (capacity_ + want - 1) / want;
+  stripes_.reserve(want);
   for (std::size_t s = 0; s < want; ++s) {
-    shards_.push_back(std::make_unique<Shard>());
+    stripes_.push_back(std::make_unique<Stripe>(per_stripe));
   }
-  per_shard_capacity_ = capacity_ == 0 ? 0 : (capacity_ + want - 1) / want;
 }
 
+VerdictCache::~VerdictCache() = default;
+
 std::optional<CachedVerdict> VerdictCache::lookup(std::uint64_t key) {
-  Shard& sh = shard_for(key);
-  const std::lock_guard<std::mutex> lock(sh.mutex);
-  const auto it = sh.index.find(key);
-  if (it == sh.index.end()) {
-    ++sh.misses;
-    return std::nullopt;
-  }
-  ++sh.hits;
-  sh.lru.splice(sh.lru.begin(), sh.lru, it->second);  // refresh recency
-  return it->second->second;
+  Stripe& st = stripe_for(key);
+  const std::lock_guard<std::mutex> lock(st.mutex);
+  return st.cache.lookup(key);
 }
 
 void VerdictCache::insert(std::uint64_t key, CachedVerdict verdict) {
-  if (per_shard_capacity_ == 0) return;  // cache disabled
-  Shard& sh = shard_for(key);
-  const std::lock_guard<std::mutex> lock(sh.mutex);
-  const auto it = sh.index.find(key);
-  if (it != sh.index.end()) {
-    it->second->second = std::move(verdict);
-    sh.lru.splice(sh.lru.begin(), sh.lru, it->second);
-    return;
-  }
-  if (sh.lru.size() >= per_shard_capacity_) {
-    const auto& victim = sh.lru.back();
-    sh.index.erase(victim.first);
-    sh.lru.pop_back();
-    ++sh.evictions;
-  }
-  sh.lru.emplace_front(key, std::move(verdict));
-  sh.index.emplace(key, sh.lru.begin());
-  ++sh.insertions;
-  RECONF_ENSURES(sh.lru.size() == sh.index.size());
+  Stripe& st = stripe_for(key);
+  const std::lock_guard<std::mutex> lock(st.mutex);
+  st.cache.insert(key, std::move(verdict));
 }
 
 CacheStats VerdictCache::stats() const {
   CacheStats out;
-  for (const auto& sh : shards_) {
-    const std::lock_guard<std::mutex> lock(sh->mutex);
-    out.hits += sh->hits;
-    out.misses += sh->misses;
-    out.insertions += sh->insertions;
-    out.evictions += sh->evictions;
-    out.entries += sh->lru.size();
+  for (const CacheStats& s : shard_stats()) {
+    out.hits += s.hits;
+    out.misses += s.misses;
+    out.insertions += s.insertions;
+    out.evictions += s.evictions;
+    out.entries += s.entries;
   }
   return out;
 }
 
 std::vector<CacheStats> VerdictCache::shard_stats() const {
   std::vector<CacheStats> out;
-  out.reserve(shards_.size());
-  for (const auto& sh : shards_) {
-    const std::lock_guard<std::mutex> lock(sh->mutex);
-    CacheStats s;
-    s.hits = sh->hits;
-    s.misses = sh->misses;
-    s.insertions = sh->insertions;
-    s.evictions = sh->evictions;
-    s.entries = sh->lru.size();
-    out.push_back(s);
-  }
+  out.reserve(stripes_.size());
+  for (const auto& st : stripes_) out.push_back(st->cache.stats());
   return out;
 }
 
@@ -115,18 +92,17 @@ double VerdictCache::load_imbalance() const {
 
 std::size_t VerdictCache::size() const {
   std::size_t n = 0;
-  for (const auto& sh : shards_) {
-    const std::lock_guard<std::mutex> lock(sh->mutex);
-    n += sh->lru.size();
+  for (const auto& st : stripes_) {
+    const std::lock_guard<std::mutex> lock(st->mutex);
+    n += st->cache.size();
   }
   return n;
 }
 
 void VerdictCache::clear() {
-  for (const auto& sh : shards_) {
-    const std::lock_guard<std::mutex> lock(sh->mutex);
-    sh->lru.clear();
-    sh->index.clear();
+  for (const auto& st : stripes_) {
+    const std::lock_guard<std::mutex> lock(st->mutex);
+    st->cache.clear();
   }
 }
 
@@ -217,36 +193,15 @@ bool read_snapshot_entries(const std::string& path,
 
 bool VerdictCache::save_snapshot(const std::string& path,
                                  std::string* error) const {
-  // Serialize under the shard locks into memory first (no I/O while
-  // locked), each shard least recently used first.
-  std::vector<std::vector<SnapshotEntry>> per_shard(shards_.size());
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    const auto& sh = shards_[s];
-    const std::lock_guard<std::mutex> lock(sh->mutex);
-    per_shard[s].reserve(sh->lru.size());
-    for (auto it = sh->lru.rbegin(); it != sh->lru.rend(); ++it) {
-      per_shard[s].push_back({it->first, it->second});
-    }
+  // Copy each stripe under its lock; no I/O while locked.
+  std::vector<std::vector<SnapshotEntry>> partitions;
+  partitions.reserve(stripes_.size());
+  for (const auto& st : stripes_) {
+    const std::lock_guard<std::mutex> lock(st->mutex);
+    partitions.push_back(st->cache.entries_lru_to_mru());
   }
-  // Interleave shards rank-by-rank from the least-recent end: recency is
-  // only ordered within a shard, so the round-robin merge is the best
-  // topology-free global order available — a restore into a different
-  // shard count (or a smaller capacity) keeps approximately the most
-  // recent entries instead of whichever shard was serialized last.
-  std::vector<SnapshotEntry> merged;
-  std::size_t total = 0;
-  std::size_t longest = 0;
-  for (const auto& v : per_shard) {
-    total += v.size();
-    longest = std::max(longest, v.size());
-  }
-  merged.reserve(total);
-  for (std::size_t rank = 0; rank < longest; ++rank) {
-    for (const auto& v : per_shard) {
-      if (rank < v.size()) merged.push_back(v[rank]);
-    }
-  }
-  return write_snapshot_entries(path, merged, error);
+  return write_snapshot_entries(path, interleave_by_recency(partitions),
+                                error);
 }
 
 bool VerdictCache::load_snapshot(const std::string& path,

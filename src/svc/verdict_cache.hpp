@@ -2,12 +2,9 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <list>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace reconf::svc {
@@ -44,14 +41,13 @@ struct CacheStats {
   }
 };
 
-/// The verdict-cache contract the batch pipeline and the serving tiers
-/// evaluate against: a keyed store of CachedVerdict. Two implementations
-/// exist — the thread-safe striped-lock VerdictCache below (shared across a
-/// pool of workers) and the single-owner, contention-free ShardCache
-/// (svc/shard_cache.hpp) that the async serving tier gives each shard
-/// worker. The evaluation path (svc/batch.cpp evaluate_with) is written
-/// against this interface so the two worlds cannot drift: identical
-/// verdicts for identical request logs is a tested invariant.
+/// The verdict-cache contract the batch pipeline, the admission session and
+/// the serving tier evaluate against: a keyed store of CachedVerdict. The
+/// LRU itself is the single-owner ShardCache (svc/shard_cache.hpp) that the
+/// async serving tier gives each shard worker; VerdictCache below is a
+/// thread-safe striped wrapper around ShardCaches for callers that share
+/// one cache across threads. The evaluation path (svc/batch.cpp
+/// evaluate_with_engine) is written against this interface.
 class VerdictStore {
  public:
   virtual ~VerdictStore() = default;
@@ -64,23 +60,25 @@ class VerdictStore {
   virtual void insert(std::uint64_t key, CachedVerdict verdict) = 0;
 };
 
-/// Sharded, striped-lock LRU cache from analysis-problem key to verdict.
+/// Thread-safe verdict cache: lock stripes, each a mutex around one
+/// ShardCache LRU partition.
 ///
 /// Keys are `svc::verdict_cache_key` values (canonical taskset hash mixed
 /// with the test-configuration fingerprint) — already uniformly mixed, so
-/// the shard index is just the low bits and the intra-shard hash map can use
-/// the identity hash. Each shard holds an independent LRU list under its own
-/// mutex; concurrent lookups on different shards never contend, and the
-/// verdict-serving hot path (bench_service) scales with the shard count.
+/// the stripe index is just the low bits. Concurrent lookups on different
+/// stripes never contend, and the verdict-serving hot path (bench_service)
+/// scales with the stripe count.
 ///
 /// A capacity of 0 disables the cache: lookups miss, inserts are dropped.
-/// Total capacity is split evenly across shards, so per-shard eviction
+/// Total capacity is split evenly across stripes, so per-stripe eviction
 /// approximates (not exactly equals) global LRU — the standard trade-off.
 class VerdictCache : public VerdictStore {
  public:
-  /// `shards` is rounded up to a power of two; at most one shard per
-  /// capacity slot is kept so tiny caches still evict in LRU order.
+  /// `shards` (the stripe count) is rounded up to a power of two; at most
+  /// one stripe per capacity slot is kept so tiny caches still evict in LRU
+  /// order.
   explicit VerdictCache(std::size_t capacity, std::size_t shards = 16);
+  ~VerdictCache() override;
 
   VerdictCache(const VerdictCache&) = delete;
   VerdictCache& operator=(const VerdictCache&) = delete;
@@ -109,7 +107,7 @@ class VerdictCache : public VerdictStore {
   [[nodiscard]] std::size_t size() const;
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
   [[nodiscard]] std::size_t shard_count() const noexcept {
-    return shards_.size();
+    return stripes_.size();
   }
   [[nodiscard]] bool enabled() const noexcept { return capacity_ > 0; }
 
@@ -126,15 +124,12 @@ class VerdictCache : public VerdictStore {
   ///   count <N>
   ///   <%016x key> <0|1 accepted> <accepted_by or "-">
   ///
-  /// The format is topology-free: entries carry no shard index, and are
-  /// ordered by interleaving the shards' LRU lists rank-by-rank from the
-  /// least-recent end — a global-recency approximation. load_snapshot()
-  /// replays them through insert(), which routes by the RESTORING cache's
-  /// shard map, so a snapshot taken at S shards restores correctly into S'
-  /// shards and a capacity-limited restore keeps (approximately) the most
-  /// recently used entries rather than whichever shard happened to be
-  /// written last. Save → load → re-query is bit-identical (same verdicts
-  /// for the same keys).
+  /// The format is topology-free: entries carry no stripe index, and are
+  /// ordered by svc::interleave_by_recency. load_snapshot() replays them
+  /// through insert(), which routes by the RESTORING cache's stripe map, so
+  /// a snapshot taken at S stripes (or by the async tier's shard fleet)
+  /// restores correctly into S' stripes. Save → load → re-query is
+  /// bit-identical (same verdicts for the same keys).
   bool save_snapshot(const std::string& path,
                      std::string* error = nullptr) const;
 
@@ -148,33 +143,20 @@ class VerdictCache : public VerdictStore {
                      std::string* error = nullptr);
 
  private:
-  struct Shard {
-    mutable std::mutex mutex;
-    /// Front = most recently used. The map points into this list.
-    std::list<std::pair<std::uint64_t, CachedVerdict>> lru;
-    std::unordered_map<std::uint64_t,
-                       std::list<std::pair<std::uint64_t, CachedVerdict>>::
-                           iterator>
-        index;
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t insertions = 0;
-    std::uint64_t evictions = 0;
-  };
+  struct Stripe;  ///< {mutex, ShardCache}; defined in verdict_cache.cpp
 
-  [[nodiscard]] Shard& shard_for(std::uint64_t key) noexcept {
-    return *shards_[key & shard_mask_];
+  [[nodiscard]] Stripe& stripe_for(std::uint64_t key) const noexcept {
+    return *stripes_[key & stripe_mask_];
   }
 
   std::size_t capacity_ = 0;
-  std::size_t per_shard_capacity_ = 0;
-  std::uint64_t shard_mask_ = 0;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  std::uint64_t stripe_mask_ = 0;
+  std::vector<std::unique_ptr<Stripe>> stripes_;
 };
 
-/// One line of the v1 snapshot format — shared between VerdictCache and the
-/// async tier's per-shard caches (svc/shard_cache.hpp) so a snapshot taken
-/// by either world warm-restores the other.
+/// One cache entry: an LRU list node of ShardCache and one line of the v1
+/// snapshot format, which VerdictCache and the async tier's shard fleet
+/// share so a snapshot taken by either warm-restores the other.
 struct SnapshotEntry {
   std::uint64_t key = 0;
   CachedVerdict verdict;

@@ -11,8 +11,8 @@
 
 #include <gtest/gtest.h>
 
-#include "analysis/composite.hpp"
 #include "analysis/dp.hpp"
+#include "analysis/engine.hpp"
 #include "analysis/gn1.hpp"
 #include "analysis/gn2.hpp"
 #include "analysis/overhead.hpp"
@@ -146,30 +146,32 @@ TEST(PaperTable3, ExactPathsAgreeWithDoublePaths) {
 // ------------------------------------------------------------- composite --
 TEST(Composite, AcceptsAllThreePaperTables) {
   // Section 6: "determine that a taskset is unschedulable only if all tests
-  // fail" — each table is accepted by exactly one test, so the composite
+  // fail" — each table is accepted by exactly one test, so the paper trio
   // accepts all three.
+  const AnalysisEngine trio{AnalysisRequest{}};
   for (const TaskSet& ts : {paper_table1(), paper_table2(), paper_table3()}) {
-    const auto r = composite_test(ts, paper_device_small());
-    EXPECT_TRUE(r.accepted());
+    EXPECT_TRUE(trio.run(ts, paper_device_small()).accepted());
   }
 }
 
 TEST(Composite, ReportsWhichTestAccepted) {
-  EXPECT_EQ(composite_test(paper_table1(), paper_device_small()).accepted_by(),
-            "DP");
-  EXPECT_EQ(composite_test(paper_table2(), paper_device_small()).accepted_by(),
-            "GN1");
-  EXPECT_EQ(composite_test(paper_table3(), paper_device_small()).accepted_by(),
-            "GN2");
+  const AnalysisEngine trio{AnalysisRequest{}};
+  EXPECT_EQ(trio.run(paper_table1(), paper_device_small()).accepted_by(),
+            "dp");
+  EXPECT_EQ(trio.run(paper_table2(), paper_device_small()).accepted_by(),
+            "gn1");
+  EXPECT_EQ(trio.run(paper_table3(), paper_device_small()).accepted_by(),
+            "gn2");
 }
 
 TEST(Composite, FkfModeExcludesGn1) {
-  // GN1 is only sound for EDF-NF; the EDF-FkF composite must not use it,
-  // so Table 2 (accepted only by GN1) becomes inconclusive.
-  const auto r = composite_test(paper_table2(), paper_device_small(), {},
-                                /*for_fkf=*/true);
+  // GN1 is only sound for EDF-NF; the EDF-FkF lineup must not use it, so
+  // Table 2 (accepted only by GN1) becomes inconclusive.
+  AnalysisRequest fkf;
+  fkf.scheduler = Scheduler::kEdfFkF;
+  const auto r = AnalysisEngine(fkf).run(paper_table2(), paper_device_small());
   EXPECT_FALSE(r.accepted());
-  EXPECT_EQ(r.sub_reports.size(), 2u);
+  EXPECT_EQ(r.outcomes.size(), 2u);
 }
 
 // ------------------------------------------------------ variant behaviour --

@@ -1,11 +1,11 @@
 // Directed coverage of the option matrix of the three tests: every variant
 // flag documented in DESIGN.md §2 is exercised against hand-computed
-// expectations, plus composite-option toggles and diagnostic contracts.
+// expectations, plus engine lineup toggles and diagnostic contracts.
 
 #include <gtest/gtest.h>
 
-#include "analysis/composite.hpp"
 #include "analysis/dp.hpp"
+#include "analysis/engine.hpp"
 #include "analysis/gn1.hpp"
 #include "analysis/gn2.hpp"
 #include "task/fixtures.hpp"
@@ -151,42 +151,36 @@ TEST(Gn2Variants, SaturatedLambdaCandidatesAreSkipped) {
   EXPECT_EQ(*r.first_failing_task, 0u);
 }
 
-// --------------------------------------------------------- composite opts --
-TEST(CompositeVariants, DisabledMembersAreSkipped) {
-  CompositeOptions only_gn2;
-  only_gn2.use_dp = false;
-  only_gn2.use_gn1 = false;
+// ---------------------------------------------------------- engine lineup --
+TEST(LineupVariants, DeselectedMembersAreSkipped) {
+  AnalysisRequest only_gn2;
+  only_gn2.tests = {"gn2"};
   const auto r =
-      composite_test(paper_table1(), paper_device_small(), only_gn2);
-  EXPECT_EQ(r.sub_reports.size(), 1u);
-  EXPECT_EQ(r.sub_reports[0].test_name, "GN2");
+      AnalysisEngine(only_gn2).run(paper_table1(), paper_device_small());
+  ASSERT_EQ(r.outcomes.size(), 1u);
+  EXPECT_EQ(r.outcomes[0].report.test_name, "GN2");
   EXPECT_FALSE(r.accepted());  // Table 1 is only DP-accepted
 }
 
-TEST(CompositeVariants, MemberOptionsPropagate) {
-  CompositeOptions printed;
-  printed.gn2.non_strict_condition2 = true;
-  printed.use_dp = false;
-  printed.use_gn1 = false;
+TEST(LineupVariants, MemberOptionsPropagate) {
   // With the printed '≤' GN2 accepts Table 1 in exact arithmetic; in the
   // double path the tolerance-guarded strict comparison stays rejecting,
   // so toggle through the option to confirm it reaches the evaluator.
-  CompositeOptions gn2_only;
-  gn2_only.use_dp = false;
-  gn2_only.use_gn1 = false;
+  AnalysisRequest gn2_only;
+  gn2_only.tests = {"gn2"};
   const auto strict =
-      composite_test(paper_table1(), paper_device_small(), gn2_only);
+      AnalysisEngine(gn2_only).run(paper_table1(), paper_device_small());
   EXPECT_FALSE(strict.accepted());
   // (Exact-path behaviour of the printed inequality is covered in
   // analysis_tables_test.)
 }
 
-TEST(CompositeVariants, EmptyLineupIsInconclusive) {
-  CompositeOptions none;
-  none.use_dp = none.use_gn1 = none.use_gn2 = false;
-  const auto r = composite_test(paper_table3(), paper_device_small(), none);
+TEST(LineupVariants, EmptyLineupIsInconclusive) {
+  AnalysisRequest none;
+  none.tests.clear();
+  const auto r = AnalysisEngine(none).run(paper_table3(), paper_device_small());
   EXPECT_FALSE(r.accepted());
-  EXPECT_TRUE(r.sub_reports.empty());
+  EXPECT_TRUE(r.outcomes.empty());
   EXPECT_TRUE(r.accepted_by().empty());
 }
 

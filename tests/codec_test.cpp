@@ -1,7 +1,9 @@
 // Tests for the NDJSON request/response codec of the admission service.
 
-#include <sstream>
+#include <algorithm>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -314,33 +316,106 @@ TEST(CodecHardening, TruncatedRequestsErrorPerKind) {
                svc::CodecError);
 }
 
-TEST(CodecHardening, ReadBoundedLineSplitsAndCaps) {
-  std::istringstream in("short\n\nlast-no-newline");
+// ------------------------------------------------------------ framing ----
+
+using Framed = std::vector<std::pair<std::string, svc::LineStatus>>;
+
+/// Frames `text` through one StreamFramer fed in `chunk`-byte pieces, then
+/// drains finish(); every line in order. `peak` (when non-null) receives
+/// the most bytes the framer ever buffered.
+Framed frame(const std::string& text, std::size_t chunk, std::size_t max_len,
+             std::size_t* peak = nullptr) {
+  svc::StreamFramer framer(max_len);
+  Framed out;
   std::string line;
-  EXPECT_EQ(svc::read_bounded_line(in, line), svc::LineStatus::kLine);
-  EXPECT_EQ(line, "short");
-  EXPECT_EQ(svc::read_bounded_line(in, line), svc::LineStatus::kLine);
-  EXPECT_EQ(line, "");
-  // The final unterminated line is still a line — a stream ending without a
-  // trailing newline must not lose its last request.
-  EXPECT_EQ(svc::read_bounded_line(in, line), svc::LineStatus::kLine);
-  EXPECT_EQ(line, "last-no-newline");
-  EXPECT_EQ(svc::read_bounded_line(in, line), svc::LineStatus::kEof);
+  svc::LineStatus status;
+  for (std::size_t off = 0; off < text.size(); off += chunk) {
+    framer.feed(text.data() + off, std::min(chunk, text.size() - off));
+    if (peak != nullptr) *peak = std::max(*peak, framer.buffered());
+    while (framer.next(line, status)) out.emplace_back(line, status);
+  }
+  while (framer.finish(line, status)) out.emplace_back(line, status);
+  return out;
 }
 
-TEST(CodecHardening, ReadBoundedLineDrainsOversizedWithBoundedMemory) {
-  std::string text(100, 'a');
-  text += '\n';
-  text += "after";
-  std::istringstream in(text);
+/// Each case runs twice: the whole text in one feed, and one byte at a time.
+std::vector<std::size_t> chunkings(const std::string& text) {
+  return {std::max<std::size_t>(1, text.size()), 1};
+}
+
+constexpr svc::LineStatus kLine = svc::LineStatus::kLine;
+constexpr svc::LineStatus kOversized = svc::LineStatus::kOversized;
+
+TEST(StreamFramer, SplitsLinesAndKeepsEmptyLines) {
+  const std::string text = "short\n\nlast\n";
+  for (const std::size_t chunk : chunkings(text)) {
+    EXPECT_EQ(frame(text, chunk, 64),
+              (Framed{{"short", kLine}, {"", kLine}, {"last", kLine}}))
+        << "chunk " << chunk;
+  }
+}
+
+TEST(StreamFramer, FinalUnterminatedLineComesFromFinish) {
+  // A stream ending without a trailing newline must not lose its last
+  // request — but only finish() (end of stream) may release it.
+  const std::string text = "first\nlast-no-newline";
+  for (const std::size_t chunk : chunkings(text)) {
+    svc::StreamFramer framer(64);
+    std::string line;
+    svc::LineStatus status;
+    for (std::size_t off = 0; off < text.size(); off += chunk) {
+      framer.feed(text.data() + off, std::min(chunk, text.size() - off));
+    }
+    ASSERT_TRUE(framer.next(line, status));
+    EXPECT_EQ(line, "first");
+    EXPECT_FALSE(framer.next(line, status)) << "partial line released early";
+    ASSERT_TRUE(framer.finish(line, status));
+    EXPECT_EQ(line, "last-no-newline");
+    EXPECT_EQ(status, kLine);
+    EXPECT_FALSE(framer.finish(line, status));
+  }
+  svc::StreamFramer empty(64);
   std::string line;
+  svc::LineStatus status;
+  EXPECT_FALSE(empty.finish(line, status));
+}
+
+TEST(StreamFramer, LineOfExactlyMaxLenIsALine) {
+  const std::string cap(10, 'x');
+  for (const std::string& text : {cap + "\n", cap}) {
+    for (const std::size_t chunk : chunkings(text)) {
+      EXPECT_EQ(frame(text, chunk, 10), (Framed{{cap, kLine}}))
+          << "chunk " << chunk << (text.back() == '\n' ? "" : ", at EOF");
+    }
+  }
+}
+
+TEST(StreamFramer, OneByteOverMaxLenIsOversizedAndNextLineRecovers) {
   // Cap of 10: the kept prefix is exactly the cap, the rest of the line is
-  // drained, and the next read continues at the following line.
-  EXPECT_EQ(svc::read_bounded_line(in, line, 10), svc::LineStatus::kOversized);
-  EXPECT_EQ(line, std::string(10, 'a'));
-  EXPECT_EQ(svc::read_bounded_line(in, line, 10), svc::LineStatus::kLine);
-  EXPECT_EQ(line, "after");
-  EXPECT_EQ(svc::read_bounded_line(in, line, 10), svc::LineStatus::kEof);
+  // discarded unbuffered, and framing resumes at the following line.
+  const std::string one_over = "0123456789X\nafter\n";
+  const std::string far_over = std::string(100, 'a') + "\nafter";
+  for (const std::size_t chunk : chunkings(one_over)) {
+    EXPECT_EQ(frame(one_over, chunk, 10),
+              (Framed{{"0123456789", kOversized}, {"after", kLine}}))
+        << "chunk " << chunk;
+  }
+  for (const std::size_t chunk : chunkings(far_over)) {
+    std::size_t peak = 0;
+    EXPECT_EQ(frame(far_over, chunk, 10, &peak),
+              (Framed{{std::string(10, 'a'), kOversized}, {"after", kLine}}))
+        << "chunk " << chunk;
+    if (chunk == 1) {
+      EXPECT_LE(peak, 10u) << "over-cap bytes were buffered";
+    }
+  }
+  // An over-cap final line without a newline still surfaces at EOF.
+  const std::string tail = std::string(30, 'z');
+  for (const std::size_t chunk : chunkings(tail)) {
+    EXPECT_EQ(frame(tail, chunk, 10),
+              (Framed{{std::string(10, 'z'), kOversized}}))
+        << "chunk " << chunk;
+  }
 }
 
 }  // namespace

@@ -1,9 +1,8 @@
 // Tests for the Analyzer registry and the AnalysisEngine: registration
 // rules, capability filtering, deterministic cheapest-first ordering,
-// configuration fingerprints — and the parity suite proving the engine (and
-// the composite_test shim layered on it) bit-identical to the legacy
-// hard-wired DP/GN1/GN2 composite across generated tasksets under every
-// option combination.
+// configuration fingerprints — and the parity suite proving the engine
+// bit-identical to the legacy hard-wired DP/GN1/GN2 composite across
+// generated tasksets under every option combination.
 
 #include <algorithm>
 #include <cmath>
@@ -15,7 +14,6 @@
 
 #include <gtest/gtest.h>
 
-#include "analysis/composite.hpp"
 #include "analysis/dp.hpp"
 #include "analysis/engine.hpp"
 #include "analysis/gn1.hpp"
@@ -37,8 +35,6 @@ using analysis::Analyzer;
 using analysis::AnalyzerConfig;
 using analysis::AnalyzerRegistry;
 using analysis::Capabilities;
-using analysis::CompositeOptions;
-using analysis::CompositeReport;
 using analysis::CostClass;
 using analysis::Scheduler;
 using analysis::TestReport;
@@ -344,21 +340,52 @@ TEST(EngineFingerprint, SchedulerFilterFoldedViaSelection) {
   EXPECT_EQ(fp(fkf), fp(dp_gn2));
 }
 
-TEST(EngineFingerprint, LegacyOptionsFingerprintMatchesEngine) {
-  const CompositeOptions options;
-  for (const bool for_fkf : {false, true}) {
-    const AnalysisEngine engine(
-        analysis::request_from_composite(options, for_fkf));
-    EXPECT_EQ(analysis::options_fingerprint(options, for_fkf),
-              engine.fingerprint());
-  }
-}
-
 // ------------------------------------------------------- parity suite ----
 
-/// The pre-engine composite_test, reimplemented verbatim from PR 1 — the
-/// reference the engine (and the shim now layered on it) must match
-/// bit-for-bit.
+/// The pre-engine composite configuration: DP/GN1/GN2 toggled by use_*
+/// flags, plus each test's options.
+struct CompositeOptions {
+  bool use_dp = true;
+  bool use_gn1 = true;
+  bool use_gn2 = true;
+  analysis::DpOptions dp;
+  analysis::Gn1Options gn1;
+  analysis::Gn2Options gn2;
+};
+
+/// The pre-engine composite result: union verdict plus the reports of the
+/// tests that ran.
+struct CompositeReport {
+  Verdict verdict = Verdict::kInconclusive;
+  std::vector<TestReport> sub_reports;
+
+  /// The first accepting test's name ("DP"/"GN1"/"GN2"), or empty.
+  [[nodiscard]] std::string accepted_by() const {
+    for (const TestReport& r : sub_reports) {
+      if (r.accepted()) return r.test_name;
+    }
+    return {};
+  }
+};
+
+/// The engine request equivalent to a legacy configuration: for_fkf is the
+/// EDF-FkF capability filter (which drops GN1), every enabled test runs.
+AnalysisRequest request_for(const CompositeOptions& options, bool for_fkf) {
+  AnalysisRequest request;
+  request.tests.clear();
+  if (options.use_dp) request.tests.emplace_back("dp");
+  if (options.use_gn1) request.tests.emplace_back("gn1");
+  if (options.use_gn2) request.tests.emplace_back("gn2");
+  if (for_fkf) request.scheduler = Scheduler::kEdfFkF;
+  request.config.dp = options.dp;
+  request.config.gn1 = options.gn1;
+  request.config.gn2 = options.gn2;
+  request.measure = false;
+  return request;
+}
+
+/// The pre-engine composite_test, reimplemented verbatim — the reference
+/// the engine must match bit-for-bit.
 CompositeReport legacy_composite(const TaskSet& ts, Device device,
                                  const CompositeOptions& options,
                                  bool for_fkf) {
@@ -403,8 +430,8 @@ void expect_reports_identical(const TestReport& a, const TestReport& b) {
 
 /// ≥1k generated tasksets (mixed sizes and loads, implicit and constrained
 /// deadlines) × every use-flag combination × for_fkf × option variants:
-/// engine verdicts, shim verdicts and the legacy composite must agree
-/// bit-for-bit, and early-exit must never change a verdict.
+/// engine verdicts and the legacy composite must agree bit-for-bit, and
+/// early-exit must never change a verdict.
 TEST(EngineParity, BitIdenticalToLegacyCompositeAcrossGeneratedTasksets) {
   const Device dev{100};
 
@@ -460,7 +487,7 @@ TEST(EngineParity, BitIdenticalToLegacyCompositeAcrossGeneratedTasksets) {
   std::uint64_t compared = 0;
   for (const CompositeOptions& options : configs) {
     for (const bool for_fkf : {false, true}) {
-      const auto request = analysis::request_from_composite(options, for_fkf);
+      const auto request = request_for(options, for_fkf);
       const AnalysisEngine engine(request);
       AnalysisRequest eager = request;
       eager.early_exit = true;
@@ -482,17 +509,6 @@ TEST(EngineParity, BitIdenticalToLegacyCompositeAcrossGeneratedTasksets) {
         }
         ASSERT_EQ(ran, expected.sub_reports.size());
 
-        // Shim path.
-        const CompositeReport shim =
-            analysis::composite_test(ts, dev, options, for_fkf);
-        ASSERT_EQ(shim.verdict, expected.verdict);
-        ASSERT_EQ(shim.accepted_by(), expected.accepted_by());
-        ASSERT_EQ(shim.sub_reports.size(), expected.sub_reports.size());
-        for (std::size_t i = 0; i < shim.sub_reports.size(); ++i) {
-          expect_reports_identical(shim.sub_reports[i],
-                                   expected.sub_reports[i]);
-        }
-
         // Early exit: same verdict and accepting analyzer, by construction.
         const auto fast = eager_engine.run(ts, dev);
         ASSERT_EQ(fast.verdict, expected.verdict);
@@ -507,15 +523,15 @@ TEST(EngineParity, BitIdenticalToLegacyCompositeAcrossGeneratedTasksets) {
 }
 
 TEST(EngineParity, PaperTablesAcceptedByMatchesLegacyNames) {
-  // The shim keeps the legacy test_name-based accepted_by ("DP"/"GN1"/
-  // "GN2") while the engine reports registry ids — both must point at the
-  // same analyzer for the paper's Table 3.
+  // The legacy composite names the accepting test by test_name ("DP"/
+  // "GN1"/"GN2") while the engine reports registry ids — both must point at
+  // the same analyzer for the paper's Table 3.
   const TaskSet ts = table3_taskset();
   const Device dev{10};
-  const auto shim = analysis::composite_test(ts, dev);
+  const auto legacy = legacy_composite(ts, dev, {}, /*for_fkf=*/false);
   const AnalysisEngine engine{AnalysisRequest{}};
   const auto report = engine.run(ts, dev);
-  EXPECT_EQ(shim.accepted_by(), "GN2");
+  EXPECT_EQ(legacy.accepted_by(), "GN2");
   EXPECT_EQ(report.accepted_by(), "gn2");
 }
 

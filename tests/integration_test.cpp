@@ -29,13 +29,14 @@ TEST(Integration, GlobalEdfBeatsPartitioningOnStaggeredSet) {
 }
 
 TEST(Integration, PartitionedWinsOnTable2WhileFkFBoundsFail) {
-  // Paper Table 2 under the EDF-FkF-sound composite (DP+GN2) is
+  // Paper Table 2 under the EDF-FkF-sound lineup (DP+GN2) is
   // inconclusive, but partitioning proves it schedulable — the two
   // approaches are incomparable, as the paper notes citing Danne RAW'06.
   const TaskSet ts = fixtures::paper_table2();
   const Device dev = fixtures::paper_device_small();
-  EXPECT_FALSE(analysis::composite_test(ts, dev, {}, /*for_fkf=*/true)
-                   .accepted());
+  analysis::AnalysisRequest fkf;
+  fkf.scheduler = analysis::Scheduler::kEdfFkF;
+  EXPECT_FALSE(analysis::AnalysisEngine(fkf).run(ts, dev).accepted());
   EXPECT_TRUE(partition::partitioned_schedulable(ts, dev));
 }
 
@@ -49,7 +50,8 @@ TEST(Integration, GeneratedAcceptedTasksetSurvivesFullPipeline) {
     req.seed = seed;
     const auto ts = gen::generate_with_retries(req);
     if (!ts) continue;
-    const auto verdict = analysis::composite_test(*ts, dev);
+    const auto verdict =
+        analysis::AnalysisEngine(analysis::AnalysisRequest{}).run(*ts, dev);
     if (!verdict.accepted()) continue;
     ++verified;
 

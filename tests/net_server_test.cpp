@@ -1,28 +1,32 @@
-// Socket-level integration tests for the async serving tier (src/net/):
-// pipelined and fragmented NDJSON over real TCP connections, byte-compared
-// against a single-process replay through the same evaluate_with_engine
-// funnel; oversized/malformed line recovery; concurrent connections;
-// snapshot topology portability (save under one shard count, warm-restore
-// under another); core pinning; graceful EOF flush; and the poll(2)
-// fallback backend selected via RECONF_NET_POLL=1.
+// Integration tests for the serving core (src/net/): pipelined and
+// fragmented NDJSON over real TCP connections, byte-compared against a
+// single-process replay through the same evaluate_with_engine funnel;
+// oversized/malformed line recovery; concurrent connections; clients that
+// close before reading; snapshot topology portability (save under one shard
+// count, warm-restore under another); core pinning; graceful EOF flush; the
+// poll(2) fallback backend selected via RECONF_NET_POLL=1; and the stream
+// transport (reconf_serve's stdio) on pipes, regular files and /dev/null,
+// answering one request log byte-identically to TCP.
 
 #include <algorithm>
 #include <cctype>
+#include <csignal>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include <fcntl.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
 
-#include "analysis/composite.hpp"
-#include "common/thread_pool.hpp"
 #include "net/poller.hpp"
 #include "net/server.hpp"
 #include "svc/batch.hpp"
@@ -352,7 +356,7 @@ TEST(NetServer, StatsRequestAnsweredInStreamOrder) {
 
 TEST(NetServer, ShedModeAnswersEveryRequest) {
   net::ServerConfig config = test_config(1);
-  config.ring_capacity = 4;  // tiny ring forces the overload path
+  config.max_queue = 4;  // one shard: a 4-slot ring forces the overload path
   config.shed_on_overload = true;
   net::AsyncServer server(config);
   std::string error;
@@ -445,7 +449,7 @@ TEST(NetServer, SnapshotWarmRestoreAcrossShardCounts) {
     EXPECT_EQ(stats.misses, 0u);
   }
 
-  // The same v1 snapshot also warm-starts the striped stdio cache — the
+  // The same v1 snapshot also warm-starts a striped VerdictCache — the
   // format is topology-free in both directions.
   {
     svc::VerdictCache striped(4096);
@@ -478,21 +482,283 @@ TEST(NetServer, PinCoresReportsShardCpus) {
   server.stop();
 }
 
-TEST(ThreadPoolPinning, StatsReportPinnedCpus) {
-  ThreadPool pinned(2, /*pin_cores=*/true);
-  const PoolStats stats = pinned.stats();
-  ASSERT_EQ(stats.pinned_cpus.size(), 2u);
-#if defined(__linux__)
-  const int cores =
-      static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
-  EXPECT_EQ(stats.pinned_cpus[0], 0);
-  EXPECT_EQ(stats.pinned_cpus[1], 1 % cores);
-#else
-  EXPECT_EQ(stats.pinned_cpus[0], -1);
-#endif
+// ----------------------------------------------- clients gone early ----
 
-  ThreadPool unpinned(2);
-  for (const int cpu : unpinned.stats().pinned_cpus) EXPECT_EQ(cpu, -1);
+TEST(NetServer, ClientsClosingBeforeReadingDoNotKillTheServer) {
+  // Each client pipelines its requests, half-closes, and resets the
+  // connection without reading its answers: the server's writes then fail
+  // with EPIPE/ECONNRESET. A plain write(2) there raises SIGPIPE, whose
+  // default action kills the whole process (this test binary included).
+  net::AsyncServer server(test_config(2));
+  std::string error;
+  ASSERT_TRUE(server.start(&error)) << error;
+  std::string wire;
+  for (std::uint64_t i = 0; i < 2000; ++i) {
+    wire += request_line(i, "p" + std::to_string(i)) + "\n";
+  }
+  for (int c = 0; c < 4; ++c) {
+    const int fd = must_connect(server.port());
+    send_all(fd, wire);
+    ::shutdown(fd, SHUT_WR);
+    EXPECT_FALSE(read_lines(fd, 1).empty());  // the server is answering
+    const linger reset{1, 0};
+    ::setsockopt(fd, SOL_SOCKET, SO_LINGER, &reset, sizeof reset);
+    ::close(fd);
+  }
+  const int fd = must_connect(server.port());
+  send_all(fd, request_line(7, "later") + "\n");
+  ::shutdown(fd, SHUT_WR);
+  const std::vector<std::string> got = read_lines(fd, 1);
+  ::close(fd);
+  server.stop();
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_NE(got[0].find("\"id\":\"later\""), std::string::npos) << got[0];
+}
+
+// ------------------------------------------------ stream transport ----
+
+std::vector<std::string> split_lines(const std::string& text) {
+  std::vector<std::string> lines;
+  std::istringstream in(text);
+  std::string line;
+  while (std::getline(in, line)) lines.push_back(line);
+  return lines;
+}
+
+std::string read_file(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream out;
+  out << in.rdbuf();
+  return out.str();
+}
+
+/// A log with everything a transport could mangle: duplicates, custom
+/// lineups, malformed lines, a line over the 1 MiB cap, a stats request, an
+/// empty line (not answered) and a final line without a newline.
+std::string transport_log() {
+  std::string log;
+  for (std::uint64_t g = 0; g < 30; ++g) {
+    log += request_line(g, "u" + std::to_string(g)) + "\n";
+  }
+  log += request_line(3, "dup-a") + "\n" + request_line(17, "dup-b") + "\n";
+  const std::string lineup =
+      "\"device\":100,\"tasks\":[{\"c\":10,\"d\":700,\"t\":700,\"a\":9}]";
+  log += "{\"id\":\"dp-only\",\"tests\":[\"dp\"]," + lineup + "}\n";
+  log += "{\"id\":\"gn2-dp\",\"tests\":[\"gn2\",\"dp\"]," + lineup + "}\n";
+  log += "{\"id\":\"dp-again\",\"tests\":[\"dp\"]," + lineup + "}\n";
+  log += "{\"id\":\"bad-1\",\"device\":100,\"tasks\":17}\n";
+  log += "not json at all\n";
+  log += "{\"id\":\"huge\",\"device\":100,\"tasks\":[";
+  log.append(svc::kMaxRequestLine + 4096, ' ');
+  log += "]}\n";
+  log += "\n";
+  log += "{\"id\":\"snap\",\"stats\":true}\n";
+  log += request_line(3, "dup-c") + "\n";
+  log += request_line(40, "last-no-newline");
+  return log;
+}
+
+constexpr std::size_t kTransportAnswers = 30 + 2 + 3 + 2 + 1 + 1 + 2;
+
+/// stdio on pipes: a writer thread feeds the log and closes, a reader
+/// thread collects the answers. Also checks that the pipe fds get their
+/// blocking mode back.
+std::vector<std::string> serve_over_pipes(const std::string& log) {
+  int in[2];
+  int out[2];
+  EXPECT_EQ(::pipe(in), 0);
+  EXPECT_EQ(::pipe(out), 0);
+  const int in_flags = ::fcntl(in[0], F_GETFL);
+  const int out_flags = ::fcntl(out[1], F_GETFL);
+  net::AsyncServer server(test_config(3));
+  std::string error;
+  EXPECT_TRUE(server.start_stream(in[0], out[1], &error)) << error;
+  std::thread writer([&] {
+    send_all(in[1], log);
+    ::close(in[1]);
+  });
+  std::vector<std::string> got;
+  std::thread reader([&] { got = read_lines(out[0], SIZE_MAX); });
+  writer.join();
+  server.wait();  // input drained and answered: the server stops by itself
+  EXPECT_EQ(::fcntl(in[0], F_GETFL), in_flags);
+  EXPECT_EQ(::fcntl(out[1], F_GETFL), out_flags);
+  ::close(out[1]);  // the reader sees EOF
+  reader.join();
+  ::close(in[0]);
+  ::close(out[0]);
+  return got;
+}
+
+/// stdio on regular files in and out — fds epoll refuses (EPERM).
+std::vector<std::string> serve_over_files(const std::string& log) {
+  TempDir dir;
+  const auto in_path = dir.path / "requests.ndjson";
+  const auto out_path = dir.path / "responses.ndjson";
+  std::ofstream(in_path, std::ios::binary) << log;
+  const int in = ::open(in_path.c_str(), O_RDONLY);
+  const int out = ::open(out_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  EXPECT_GE(in, 0);
+  EXPECT_GE(out, 0);
+  net::AsyncServer server(test_config(3));
+  std::string error;
+  EXPECT_TRUE(server.start_stream(in, out, &error)) << error;
+  server.wait();
+  ::close(in);
+  ::close(out);
+  return split_lines(read_file(out_path));
+}
+
+std::vector<std::string> serve_over_tcp(const std::string& log) {
+  net::AsyncServer server(test_config(3));
+  std::string error;
+  EXPECT_TRUE(server.start(&error)) << error;
+  const int fd = must_connect(server.port());
+  std::thread writer([&] {
+    send_all(fd, log);
+    ::shutdown(fd, SHUT_WR);
+  });
+  // The server closes the connection once it answered everything.
+  const std::vector<std::string> got = read_lines(fd, SIZE_MAX);
+  writer.join();
+  ::close(fd);
+  server.stop();
+  return got;
+}
+
+TEST(NetServerStream, ThreeTransportsAnswerOneLogIdentically) {
+  const std::string log = transport_log();
+  const std::vector<std::string> pipes = serve_over_pipes(log);
+  const std::vector<std::string> files = serve_over_files(log);
+  const std::vector<std::string> tcp = serve_over_tcp(log);
+  ASSERT_EQ(pipes.size(), kTransportAnswers);
+  ASSERT_EQ(files.size(), kTransportAnswers);
+  ASSERT_EQ(tcp.size(), kTransportAnswers);
+  const std::string stats_prefix = "{\"id\":\"snap\",\"stats\":{";
+  std::size_t stats_lines = 0;
+  for (std::size_t i = 0; i < kTransportAnswers; ++i) {
+    if (pipes[i].rfind(stats_prefix, 0) == 0) {
+      // The metrics payload differs run to run; its place does not.
+      ++stats_lines;
+      EXPECT_EQ(files[i].rfind(stats_prefix, 0), 0u) << files[i];
+      EXPECT_EQ(tcp[i].rfind(stats_prefix, 0), 0u) << tcp[i];
+      continue;
+    }
+    EXPECT_EQ(files[i], pipes[i]) << "line " << i;
+    EXPECT_EQ(tcp[i], pipes[i]) << "line " << i;
+  }
+  EXPECT_EQ(stats_lines, 1u);
+  // Spot checks on the shared answer: duplicates hit, the oversized line
+  // and the malformed ones are correlated errors, the final line counts.
+  EXPECT_NE(pipes[30].find("\"id\":\"dup-a\""), std::string::npos);
+  EXPECT_NE(pipes[30].find("\"cache\":\"hit\""), std::string::npos);
+  EXPECT_NE(pipes[34].find("\"cache\":\"hit\""), std::string::npos)
+      << "same custom lineup, same key";
+  EXPECT_NE(pipes[35].find("\"id\":\"bad-1\",\"error\""), std::string::npos);
+  EXPECT_NE(pipes[37].find("\"id\":\"huge\",\"error\""), std::string::npos);
+  EXPECT_NE(pipes.back().find("\"id\":\"last-no-newline\""),
+            std::string::npos);
+}
+
+TEST(NetServerStream, AnswersEverythingLeftInAPipeWhoseWriterClosed) {
+  // `cat log | reconf_serve`: the writer may be gone before the server
+  // first reads, so the pipe reports a hangup along with the data.
+  int in[2];
+  int out[2];
+  ASSERT_EQ(::pipe(in), 0);
+  ASSERT_EQ(::pipe(out), 0);
+  std::string wire;
+  for (std::uint64_t g = 0; g < 300; ++g) {
+    wire += request_line(g, "h" + std::to_string(g)) + "\n";
+  }
+  ASSERT_LT(wire.size(), 60'000u);  // fits the pipe buffer
+  send_all(in[1], wire);
+  ::close(in[1]);
+  net::AsyncServer server(test_config(2));
+  std::string error;
+  ASSERT_TRUE(server.start_stream(in[0], out[1], &error)) << error;
+  std::vector<std::string> got;
+  std::thread reader([&] { got = read_lines(out[0], SIZE_MAX); });
+  server.wait();
+  ::close(out[1]);
+  reader.join();
+  ::close(in[0]);
+  ::close(out[0]);
+  ASSERT_EQ(got.size(), 300u);
+  EXPECT_NE(got.back().find("\"id\":\"h299\""), std::string::npos);
+}
+
+TEST(NetServerStream, DevNullInAndOut) {
+  // `reconf_serve < /dev/null`: nothing to answer, the server just ends.
+  {
+    const int in = ::open("/dev/null", O_RDONLY);
+    int out[2];
+    ASSERT_EQ(::pipe(out), 0);
+    net::AsyncServer server(test_config(2));
+    std::string error;
+    ASSERT_TRUE(server.start_stream(in, out[1], &error)) << error;
+    server.wait();
+    EXPECT_EQ(server.totals().served, 0u);
+    ::close(in);
+    ::close(out[0]);
+    ::close(out[1]);
+  }
+  // `reconf_serve requests.ndjson > /dev/null`: everything is answered.
+  {
+    TempDir dir;
+    const auto in_path = dir.path / "requests.ndjson";
+    std::ofstream(in_path) << request_line(1, "a") << "\n"
+                           << request_line(2, "b") << "\n";
+    const int in = ::open(in_path.c_str(), O_RDONLY);
+    const int out = ::open("/dev/null", O_WRONLY);
+    net::AsyncServer server(test_config(2));
+    std::string error;
+    ASSERT_TRUE(server.start_stream(in, out, &error)) << error;
+    server.wait();
+    EXPECT_EQ(server.totals().served, 2u);
+    ::close(in);
+    ::close(out);
+  }
+}
+
+TEST(NetServerStream, RequestStopDrainsAnOpenStream) {
+  // SIGINT/SIGTERM in reconf_serve: the input stays open, yet the server
+  // answers what it read and stops.
+  int in[2];
+  int out[2];
+  ASSERT_EQ(::pipe(in), 0);
+  ASSERT_EQ(::pipe(out), 0);
+  net::AsyncServer server(test_config(2));
+  std::string error;
+  ASSERT_TRUE(server.start_stream(in[0], out[1], &error)) << error;
+  std::string wire;
+  for (std::uint64_t g = 0; g < 20; ++g) {
+    wire += request_line(g, "s" + std::to_string(g)) + "\n";
+  }
+  send_all(in[1], wire);
+  EXPECT_EQ(read_lines(out[0], 20).size(), 20u);
+  server.request_stop();
+  server.wait();
+  EXPECT_EQ(server.totals().served, 20u);
+  for (const int fd : {in[0], in[1], out[0], out[1]}) ::close(fd);
+}
+
+TEST(NetServerStream, ClosedOutputEndsTheServer) {
+  // `reconf_serve | head -1`: once the reader is gone the answers have
+  // nowhere to go. reconf_serve ignores SIGPIPE; so does this test.
+  const auto previous = std::signal(SIGPIPE, SIG_IGN);
+  int in[2];
+  int out[2];
+  ASSERT_EQ(::pipe(in), 0);
+  ASSERT_EQ(::pipe(out), 0);
+  ::close(out[0]);
+  net::AsyncServer server(test_config(2));
+  std::string error;
+  ASSERT_TRUE(server.start_stream(in[0], out[1], &error)) << error;
+  send_all(in[1], request_line(1, "x") + "\n");
+  server.wait();  // returns although the input is still open
+  for (const int fd : {in[0], in[1], out[1]}) ::close(fd);
+  std::signal(SIGPIPE, previous);
 }
 
 }  // namespace

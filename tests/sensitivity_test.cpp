@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
-#include "analysis/composite.hpp"
 #include "analysis/dp.hpp"
+#include "analysis/engine.hpp"
 #include "analysis/sensitivity.hpp"
 #include "sim/engine.hpp"
 #include "task/fixtures.hpp"
@@ -91,10 +91,11 @@ TEST(MinWidth, NulloptWhenCapTooSmall) {
 
 TEST(MinWidth, CompositeNeedsNoMoreThanAnyMember) {
   const TaskSet ts = fixtures::paper_table3();
+  const AnalysisEngine trio{AnalysisRequest{}};
   const auto any = min_feasible_width(
       ts,
-      [](const TaskSet& t, Device d) {
-        return composite_test(t, d).accepted();
+      [&trio](const TaskSet& t, Device d) {
+        return trio.run(t, d).accepted();
       },
       200);
   const auto dp_only = min_feasible_width(ts, dp_pred(), 200);

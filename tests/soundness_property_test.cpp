@@ -17,7 +17,6 @@
 
 #include <gtest/gtest.h>
 
-#include "analysis/composite.hpp"
 #include "analysis/dp.hpp"
 #include "analysis/gn1.hpp"
 #include "analysis/gn2.hpp"

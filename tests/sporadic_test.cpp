@@ -5,7 +5,7 @@
 
 #include <gtest/gtest.h>
 
-#include "analysis/composite.hpp"
+#include "analysis/engine.hpp"
 #include "gen/generator.hpp"
 #include "sim/engine.hpp"
 #include "task/fixtures.hpp"
@@ -59,6 +59,7 @@ TEST(Sporadic, DeterministicPerSeed) {
 
 TEST(Sporadic, AcceptedTasksetsSurviveJitteredArrivals) {
   const Device dev{100};
+  const analysis::AnalysisEngine trio{analysis::AnalysisRequest{}};
   int checked = 0;
   for (std::uint64_t seed = 0; seed < 30 && checked < 8; ++seed) {
     gen::GenRequest req;
@@ -66,7 +67,7 @@ TEST(Sporadic, AcceptedTasksetsSurviveJitteredArrivals) {
     req.target_system_util = 15.0;
     req.seed = seed;
     const auto ts = gen::generate_with_retries(req);
-    if (!ts || !analysis::composite_test(*ts, dev).accepted()) continue;
+    if (!ts || !trio.run(*ts, dev).accepted()) continue;
     ++checked;
 
     for (std::uint64_t arrival_seed = 0; arrival_seed < 3; ++arrival_seed) {

@@ -1,5 +1,6 @@
 // Tests for the admission-control service subsystem: canonical hashing,
-// the sharded LRU verdict cache, the incremental AdmissionSession, and the
+// the LRU verdict caches (the single-owner ShardCache and the striped
+// VerdictCache built from it), the incremental AdmissionSession, and the
 // batch pipeline's determinism contract.
 
 #include <algorithm>
@@ -15,7 +16,7 @@
 
 #include <gtest/gtest.h>
 
-#include "analysis/composite.hpp"
+#include "analysis/engine.hpp"
 #include "analysis/hash.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
@@ -187,17 +188,17 @@ TEST(VerdictCache, ConcurrentMixedLoadStaysConsistent) {
 
 // ------------------------------------------------------------ session ----
 
-TEST(AdmissionSession, MatchesDirectCompositeTest) {
+TEST(AdmissionSession, MatchesDirectEngineRun) {
   const Device dev{10};
   svc::AdmissionSession session(dev);
   const auto ts = table3_taskset();
+  const analysis::AnalysisEngine trio{analysis::AnalysisRequest{}};
 
   std::vector<Task> admitted_so_far;
   for (const Task& t : ts) {
     std::vector<Task> trial = admitted_so_far;
     trial.push_back(t);
-    const bool expect =
-        analysis::composite_test(TaskSet(trial), dev).accepted();
+    const bool expect = trio.run(TaskSet(trial), dev).accepted();
     const auto decision = session.try_admit(t);
     EXPECT_EQ(decision.admitted, expect);
     EXPECT_FALSE(decision.cache_hit);
@@ -256,19 +257,21 @@ TEST(AdmissionSession, RemoveMatchesFullIdentity) {
 
 TEST(AdmissionSession, SharedCacheIsolatesTestConfigurations) {
   // A cached EDF-NF acceptance (GN1 is in the lineup) must never be served
-  // to a for_fkf session — GN1 is unsound for EDF-FkF. The cache key mixes
-  // in the configuration fingerprint, so the for_fkf session re-analyzes.
+  // to an EDF-FkF session — GN1 is unsound for EDF-FkF. The cache key mixes
+  // in the configuration fingerprint, so the EDF-FkF session re-analyzes.
   const Device dev{20};
   svc::VerdictCache cache(64);
   svc::AdmissionSession nf(dev, &cache);
-  svc::AdmissionSession fkf(dev, &cache, {}, /*for_fkf=*/true);
+  analysis::AnalysisRequest fkf_request;
+  fkf_request.scheduler = analysis::Scheduler::kEdfFkF;
+  svc::AdmissionSession fkf(dev, &cache, fkf_request);
 
   const auto ts = table3_taskset();
   for (const Task& t : ts) {
     const auto nf_decision = nf.try_admit(t);
     const auto fkf_decision = fkf.try_admit(t);
     EXPECT_FALSE(fkf_decision.cache_hit)
-        << "for_fkf verdicts must not come from the EDF-NF cache lines";
+        << "EDF-FkF verdicts must not come from the EDF-NF cache lines";
     EXPECT_NE(nf_decision.hash, fkf_decision.hash);
     // The FkF-sound subset excludes GN1 entirely.
     if (fkf_decision.admitted) {

@@ -1,22 +1,25 @@
-// reconf_serve — streaming admission-control frontend: reads NDJSON analysis
-// requests from a file or stdin, answers each with an NDJSON verdict line on
-// stdout, and keeps a sharded LRU verdict cache so repeated tasksets skip
-// re-analysis entirely (see src/svc/).
+// reconf_serve — the admission-control service: answers NDJSON analysis
+// requests with NDJSON verdict lines, keeping an LRU verdict cache so
+// repeated tasksets skip re-analysis entirely (see src/svc/). One serving
+// core (net::AsyncServer, src/net/server.hpp) behind two transports: stdio
+// by default — requests from a file or stdin, answers on stdout — or TCP
+// with --listen.
 //
-//   reconf_serve [<requests.ndjson>] [--threads=N] [--batch=N]
-//                [--cache-capacity=N] [--no-cache] [--shards=N]
+//   reconf_serve [<requests.ndjson>] [--shards=N]
+//                [--cache-capacity=N] [--no-cache]
 //                [--tests=LIST] [--fkf] [--explain] [--stats]
 //                [--max-queue=N] [--overload=block|shed]
 //                [--request-timeout-ms=N] [--cache-snapshot=PATH]
 //                [--metrics-out=PATH] [--trace-out=PATH]
-//                [--listen=[HOST:]PORT] [--io-threads=N] [--pin-cores]
+//                [--listen=[HOST:]PORT] [--port-file=PATH]
+//                [--io-threads=N] [--pin-cores]
 //
-//   --threads=N         worker threads for the batch pipeline (0 = cores)
-//   --batch=N           requests evaluated per pipeline wave (default 256;
-//                       1 degenerates to sequential request/response)
-//   --cache-capacity=N  verdict cache entries (default 65536)
+//   --shards=N          shard workers (default 0 = cores). Requests are
+//                       routed by consistent hash of their cache key, so
+//                       each shard owns a private lock-free cache partition
+//   --cache-capacity=N  verdict cache entries, split across the shards
+//                       (default 65536)
 //   --no-cache          disable the cache (every request re-analyzes)
-//   --shards=N          cache shard count (default 16)
 //   --tests=LIST        default analyzer lineup, comma-separated registry
 //                       ids (default dp,gn1,gn2); per-request "tests"
 //                       override it. Unknown ids abort with the registered
@@ -29,15 +32,18 @@
 //                       answers the verdict only — identical verdicts, ~an
 //                       order of magnitude more throughput on misses
 //   --stats             print throughput and cache statistics to stderr
-//   --max-queue=N       bounded ingest queue: at most N parsed-but-unserved
-//                       request lines are held (default 4096)
-//   --overload=MODE     what a full queue does to the reader: "block"
-//                       (default) applies back-pressure to the input;
-//                       "shed" drops the request text and answers
-//                       {"id":...,"shed":"queue"} in stream order
+//   --max-queue=N       parsed requests an io thread may have queued toward
+//                       the shard workers, split evenly across its shard
+//                       rings (default 4096)
+//   --overload=MODE     what a full shard ring does to the connection that
+//                       filled it: "block" (default) pauses reading it —
+//                       back-pressure on the pipe or socket; "shed" drops
+//                       the request and answers {"id":...,"shed":"queue"}
+//                       in stream order
 //   --request-timeout-ms=N  per-request deadline from the moment the line is
-//                       read; a request still unserved when a worker picks
-//                       it up is answered {"id":...,"shed":"deadline"}
+//                       parsed; a request still unserved when its shard
+//                       worker picks it up is answered
+//                       {"id":...,"shed":"deadline"}
 //   --cache-snapshot=PATH  warm-restore the verdict cache from PATH at
 //                       startup (missing file = cold start) and write a
 //                       crash-safe snapshot back to PATH at exit
@@ -46,42 +52,34 @@
 //                       ("-" = stderr) — the file a scraper's textfile
 //                       collector picks up
 //   --trace-out=PATH    record spans (engine runs, analyzer invocations,
-//                       cache lookups, batch waves) for the whole process
-//                       and write Chrome trace-event JSON to PATH at exit;
-//                       load it in Perfetto (ui.perfetto.dev) or
-//                       chrome://tracing
-//
-// TCP mode (the multi-core serving tier, src/net/server.hpp):
-//
-//   --listen=[HOST:]PORT  serve NDJSON over TCP instead of stdio: a
-//                       level-triggered epoll event loop (poll(2) fallback;
-//                       RECONF_NET_POLL=1 forces it) feeds shard workers
-//                       over SPSC rings, requests routed by
-//                       consistent-hash of the canonical taskset hash so
-//                       each shard owns a private lock-free cache
-//                       partition. PORT 0 binds an ephemeral port (printed
-//                       on stderr as "listening on HOST:PORT ..."). In this
-//                       mode --shards=N sets the shard worker count
-//                       (default 0 = cores), --max-queue=N the per-ring
-//                       depth, and --overload the full-ring policy: "block"
-//                       pauses reading the offending connection (TCP
-//                       back-pressure), "shed" answers {"shed":"queue"}.
-//                       --batch and --threads are stdio-mode flags and are
-//                       ignored here.
-//   --io-threads=N      event-loop threads framing/parsing connections
-//                       (TCP mode; default 1)
+//                       cache lookups) for the whole process and write
+//                       Chrome trace-event JSON to PATH at exit; load it in
+//                       Perfetto (ui.perfetto.dev) or chrome://tracing
+//   --listen=[HOST:]PORT  serve TCP connections instead of stdio. PORT 0
+//                       binds an ephemeral port (printed on stderr as
+//                       "listening on HOST:PORT ..."). Runs until SIGINT or
+//                       SIGTERM
 //   --port-file=PATH    after binding, write the actual port to PATH —
 //                       how scripts pair --listen=127.0.0.1:0 with a
 //                       reconf_loadgen --port=$(cat PATH)
-//   --pin-cores         pin shard workers (TCP mode) or pool workers
-//                       (stdio mode) to cores via pthread_setaffinity_np;
-//                       a no-op off Linux. Pinned ids surface in PoolStats
-//                       / the reconf_net_shard_cpu gauges
+//   --io-threads=N      event-loop threads framing and parsing (default 1).
+//                       TCP connections are spread over them; stdio is one
+//                       connection, served by the first
+//   --pin-cores         pin shard workers to cores via
+//                       pthread_setaffinity_np; a no-op off Linux. Pinned
+//                       ids surface in the reconf_net_shard_cpu gauges
+//
+// The io threads run a level-triggered epoll loop (poll(2) fallback;
+// RECONF_NET_POLL=1 forces it). stdin may be a pipe, a terminal, a socket,
+// a regular file or /dev/null, and stdout a pipe or a file; both get their
+// original file-status flags back at exit. Responses come back in request
+// order for any --shards/--io-threads combination.
 //
 // A request line of {"id":"...","stats":true} is answered in stream order
 // with a live metrics snapshot ({"id":...,"stats":{...}}) instead of a
 // verdict: per-analyzer verdict counters and latency percentiles, cache
-// hit/miss/imbalance gauges, pool utilization — see src/svc/stats_surface.hpp.
+// hit/miss/imbalance gauges, serving-core gauges — see
+// src/svc/stats_surface.hpp.
 //
 // Request/response format: see src/svc/codec.hpp. Malformed lines produce
 // an {"id":...,"error":...} response and the stream continues — one bad
@@ -90,75 +88,71 @@
 // error carrying a best-effort id. A final line without a trailing newline
 // is still served.
 //
-// SIGINT/SIGTERM shut down gracefully: the reader stops, every request
-// already queued is drained through the pipeline and answered, metrics /
-// trace / cache-snapshot files are flushed, and the exit status is 0.
+// stdio mode ends once stdin is drained and every answer is written, or
+// when the stdout reader goes away. SIGINT/SIGTERM shut down gracefully in
+// both modes: reading stops, every request already parsed is answered,
+// metrics / trace / cache-snapshot files are written, and the exit status
+// is 0. SIGPIPE is ignored: a closed pipe or socket ends that connection,
+// never the process.
 //
 //   $ echo '{"id":"q","device":100,"tasks":[{"c":126,"a":9,...}]}' | ./reconf_serve --stats
 
-#include <chrono>
-#include <condition_variable>
+#include <atomic>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
-#include <deque>
 #include <fstream>
-#include <iostream>
-#include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
-#include <utility>
 #include <vector>
+
+#include <fcntl.h>
+#include <unistd.h>
 
 #include "analysis/engine.hpp"
 #include "analysis/registry.hpp"
 #include "common/stopwatch.hpp"
-#include "common/thread_pool.hpp"
 #include "net/poller.hpp"
 #include "net/server.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "svc/batch.hpp"
-#include "svc/codec.hpp"
 #include "svc/stats_surface.hpp"
-#include "svc/verdict_cache.hpp"
 
 namespace {
 
 using namespace reconf;
 
-volatile std::sig_atomic_t g_stop = 0;
+/// The running server, for the signal handler: request_stop() is one
+/// lock-free atomic store.
+std::atomic<net::AsyncServer*> g_server{nullptr};
 
-void on_signal(int) { g_stop = 1; }
+void on_signal(int) {
+  if (net::AsyncServer* server = g_server.load()) server->request_stop();
+}
 
-/// Installs `on_signal` without SA_RESTART: a reader blocked on a quiet
-/// stdin must get EINTR (read fails, loop observes g_stop) instead of the
-/// kernel transparently restarting the read — std::signal's BSD semantics
-/// would leave the process stuck until the next input line.
 void install_signal_handlers() {
   struct sigaction sa = {};
   sa.sa_handler = on_signal;
   sigemptyset(&sa.sa_mask);
-  sa.sa_flags = 0;
   sigaction(SIGINT, &sa, nullptr);
   sigaction(SIGTERM, &sa, nullptr);
+  // A reader that went away is an EPIPE on that connection, not a kill.
+  std::signal(SIGPIPE, SIG_IGN);
 }
 
 int usage() {
   std::fprintf(stderr,
-               "usage: reconf_serve [<requests.ndjson>] [--threads=N] "
-               "[--batch=N]\n"
-               "                    [--cache-capacity=N] [--no-cache] "
-               "[--shards=N]\n"
+               "usage: reconf_serve [<requests.ndjson>] [--shards=N]\n"
+               "                    [--cache-capacity=N] [--no-cache]\n"
                "                    [--tests=LIST] [--fkf] [--explain] "
                "[--stats]\n"
                "                    [--max-queue=N] [--overload=block|shed]\n"
                "                    [--request-timeout-ms=N] "
                "[--cache-snapshot=PATH]\n"
                "                    [--metrics-out=PATH] [--trace-out=PATH]\n"
-               "                    [--listen=[HOST:]PORT] [--io-threads=N] "
-               "[--pin-cores]\n"
+               "                    [--listen=[HOST:]PORT] [--port-file=PATH]\n"
+               "                    [--io-threads=N] [--pin-cores]\n"
                "see the header of tools/reconf_serve.cpp for details\n");
   return 2;
 }
@@ -240,118 +234,8 @@ bool has_flag(const std::vector<std::string>& args, const std::string& name) {
   return false;
 }
 
-/// One entry of the bounded ingest queue.
-struct QueueItem {
-  enum class Kind {
-    kRequest,    ///< payload = full request line
-    kShed,       ///< payload = best-effort id; text dropped on overflow
-    kOversized,  ///< payload = best-effort id from the kept prefix
-  };
-  Kind kind = Kind::kRequest;
-  std::string payload;
-  std::chrono::steady_clock::time_point deadline{};
-};
-
-/// Bounded MPSC-ish ingest queue (one reader thread, one consumer). The
-/// bound counts only kRequest entries — the expensive payloads; shed and
-/// oversized markers carry a short id and must still be queued so responses
-/// keep stream order.
-struct IngestQueue {
-  std::mutex mutex;
-  std::condition_variable pushed;
-  std::condition_variable popped;
-  std::deque<QueueItem> items;
-  std::size_t queued_requests = 0;
-  bool done = false;
-};
-
-struct PendingLine {
-  std::string id;          // best-effort id for error/shed responses
-  std::string error;       // parse failure, when non-empty
-  std::string shed;        // shed reason, when non-empty
-  svc::BatchRequest request;
-};
-
-/// Parses one input line; on CodecError the response slot carries the error
-/// plus whatever id the codec could recover, keeping error responses
-/// correlatable for pipelining clients.
-PendingLine ingest(const QueueItem& item) {
-  PendingLine p;
-  try {
-    p.request = svc::parse_request_line(item.payload);
-    p.request.deadline = item.deadline;
-    p.id = p.request.id;
-  } catch (const svc::CodecError& e) {
-    p.error = e.what();
-    p.id = e.id();
-  }
-  return p;
-}
-
-void reader_loop(std::istream& in, IngestQueue& q, std::size_t max_queue,
-                 bool shed_on_overload, long long timeout_ms) {
-  std::string text;
-  for (;;) {
-    if (g_stop) break;
-    const svc::LineStatus status = svc::read_bounded_line(in, text);
-    if (status == svc::LineStatus::kEof) break;
-    // A signal mid-read leaves a possibly-partial line; shutdown means
-    // "stop reading", so drop it rather than answer a spurious error.
-    if (g_stop) break;
-    if (status == svc::LineStatus::kLine && text.empty()) continue;
-    QueueItem item;
-    if (timeout_ms > 0) {
-      item.deadline = std::chrono::steady_clock::now() +
-                      std::chrono::milliseconds(timeout_ms);
-    }
-    if (status == svc::LineStatus::kOversized) {
-      item.kind = QueueItem::Kind::kOversized;
-      item.payload = svc::recover_request_id(text);
-    } else {
-      item.kind = QueueItem::Kind::kRequest;
-      item.payload = std::move(text);
-      text = std::string();
-    }
-    {
-      std::unique_lock<std::mutex> lock(q.mutex);
-      if (item.kind == QueueItem::Kind::kRequest &&
-          q.queued_requests >= max_queue) {
-        if (shed_on_overload) {
-          // Overload shedding: the request text is dropped (bounded
-          // memory); only the id survives for the {"shed":"queue"} answer.
-          item.kind = QueueItem::Kind::kShed;
-          item.payload = svc::recover_request_id(item.payload);
-        } else {
-          // Back-pressure: stop reading until the pipeline catches up.
-          q.popped.wait(lock, [&] {
-            return q.queued_requests < max_queue || g_stop != 0;
-          });
-          if (g_stop && q.queued_requests >= max_queue) break;
-        }
-      }
-      if (item.kind == QueueItem::Kind::kRequest) ++q.queued_requests;
-      q.items.push_back(std::move(item));
-    }
-    q.pushed.notify_one();
-  }
-  {
-    const std::lock_guard<std::mutex> lock(q.mutex);
-    q.done = true;
-  }
-  q.pushed.notify_all();
-}
-
-/// TCP serving mode: the async multi-core tier (src/net/server.hpp) behind
-/// the same flag surface and exit artifacts as the stdio pipeline.
-int run_listen_mode(const std::string& listen,
-                    const std::vector<std::string>& args,
-                    const svc::BatchOptions& options,
-                    long long cache_capacity, long long shards,
-                    long long io_threads, long long max_queue,
-                    long long timeout_ms, bool shed_on_overload,
-                    const std::string& metrics_out,
-                    const std::string& trace_out,
-                    const std::string& cache_snapshot) {
+/// Parses --listen=[HOST:]PORT into `config`; false when malformed.
+bool parse_listen(const std::string& listen, net::ServerConfig& config) {
   std::string host = "127.0.0.1";
   std::string port_text = listen;
   const std::size_t colon = listen.rfind(':');
@@ -366,23 +250,126 @@ int run_listen_mode(const std::string& listen,
     if (used != port_text.size()) port = -1;
   } catch (const std::exception&) {
   }
-  if (port < 0 || port > 65'535 || host.empty()) {
+  if (port < 0 || port > 65'535 || host.empty()) return false;
+  config.host = host;
+  config.port = static_cast<std::uint16_t>(port);
+  return true;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  std::vector<std::string> args;
+  std::string input_path;
+  for (int i = 1; i < argc; ++i) {
+    const std::string a = argv[i];
+    if (a.rfind("--", 0) == 0) {
+      static const char* known[] = {"--cache-capacity=", "--shards=",
+                                    "--tests=",          "--no-cache",
+                                    "--fkf",             "--stats",
+                                    "--explain",         "--metrics-out=",
+                                    "--trace-out=",      "--max-queue=",
+                                    "--overload=",       "--request-timeout-ms=",
+                                    "--cache-snapshot=", "--listen=",
+                                    "--io-threads=",     "--pin-cores",
+                                    "--port-file="};
+      bool ok = false;
+      for (const char* k : known) {
+        const std::string key = k;
+        ok = ok || a == key || (key.back() == '=' && a.rfind(key, 0) == 0);
+      }
+      if (!ok) {
+        std::fprintf(stderr, "unknown flag: %s\n", a.c_str());
+        return usage();
+      }
+      args.push_back(a);
+    } else if (input_path.empty()) {
+      input_path = a;
+    } else {
+      return usage();
+    }
+  }
+
+  const std::string listen = flag_str(args, "listen");
+  const long long cache_capacity =
+      has_flag(args, "no-cache") ? 0
+                                 : flag_int(args, "cache-capacity")
+                                       .value_or(65536);
+  const long long shards = flag_int(args, "shards").value_or(0);
+  const long long io_threads = flag_int(args, "io-threads").value_or(1);
+  const long long max_queue = flag_int(args, "max-queue").value_or(4096);
+  const long long timeout_ms =
+      flag_int(args, "request-timeout-ms").value_or(0);
+  const std::string overload = flag_str(args, "overload");
+  if (!overload.empty() && overload != "block" && overload != "shed") {
+    std::fprintf(stderr, "invalid --overload mode '%s' (block|shed)\n",
+                 overload.c_str());
+    return usage();
+  }
+  // Upper bounds keep absurd values from turning into a thread-spawn storm.
+  if (cache_capacity < 0 || shards < 0 || shards > 65'536 ||
+      io_threads <= 0 || io_threads > 256 || max_queue <= 0 ||
+      max_queue > 10'000'000 || timeout_ms < 0) {
+    return usage();
+  }
+  if (!listen.empty() && !input_path.empty()) {
+    std::fprintf(stderr, "--listen serves TCP; a request file is stdio-mode "
+                         "only\n");
+    return usage();
+  }
+
+  net::ServerConfig config;
+  if (!listen.empty() && !parse_listen(listen, config)) {
     std::fprintf(stderr, "invalid --listen '%s' ([HOST:]PORT expected)\n",
                  listen.c_str());
     return 2;
   }
-
-  net::ServerConfig config;
-  config.host = host;
-  config.port = static_cast<std::uint16_t>(port);
   config.io_threads = static_cast<unsigned>(io_threads);
   config.shards = static_cast<unsigned>(shards);
   config.cache_capacity = static_cast<std::size_t>(cache_capacity);
-  config.ring_capacity = static_cast<std::size_t>(max_queue);
-  config.shed_on_overload = shed_on_overload;
+  config.max_queue = static_cast<std::size_t>(max_queue);
+  config.shed_on_overload = overload == "shed";
   config.request_timeout_ms = timeout_ms;
   config.pin_cores = has_flag(args, "pin-cores");
-  config.options = options;
+  for (const std::string& a : args) {
+    const std::string prefix = "--tests=";
+    if (a.rfind(prefix, 0) == 0) {
+      config.options.request.tests =
+          analysis::split_id_list(a.substr(prefix.size()));
+      if (config.options.request.tests.empty()) {
+        std::fprintf(stderr,
+                     "--tests needs at least one analyzer id; registered "
+                     "analyzers: %s\n",
+                     analysis::AnalyzerRegistry::instance().id_list().c_str());
+        return 2;
+      }
+    }
+  }
+  if (has_flag(args, "explain")) {
+    // Diagnostics mode: evaluate through the full reference evaluators and
+    // carry per-analyzer sub-verdicts + timings in every fresh response.
+    // The default decides through the allocation-free SoA fast path.
+    config.options.request.diagnostics = true;
+    config.options.request.measure = true;
+  }
+  if (has_flag(args, "fkf")) {
+    config.options.request.scheduler = analysis::Scheduler::kEdfFkF;
+  }
+  validate_default_lineup(config.options);
+
+  const std::string metrics_out = flag_str(args, "metrics-out");
+  const std::string trace_out = flag_str(args, "trace-out");
+  const std::string cache_snapshot = flag_str(args, "cache-snapshot");
+  if (!trace_out.empty()) obs::Tracer::instance().start();
+
+  int in_fd = STDIN_FILENO;
+  if (!input_path.empty()) {
+    in_fd = ::open(input_path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (in_fd < 0) {
+      std::fprintf(stderr, "cannot open %s\n", input_path.c_str());
+      return 1;
+    }
+  }
 
   net::AsyncServer server(config);
   if (!cache_snapshot.empty() && cache_capacity > 0) {
@@ -402,32 +389,35 @@ int run_listen_mode(const std::string& listen,
     }  // missing file: cold start, snapshot written at exit
   }
 
+  g_server.store(&server);
   install_signal_handlers();
   Stopwatch clock;
   std::string error;
-  if (!server.start(&error)) {
-    std::fprintf(stderr, "cannot listen: %s\n", error.c_str());
-    return 1;
+  if (listen.empty()) {
+    if (!server.start_stream(in_fd, STDOUT_FILENO, &error)) {
+      std::fprintf(stderr, "cannot serve stdio: %s\n", error.c_str());
+      return 1;
+    }
+  } else {
+    if (!server.start(&error)) {
+      std::fprintf(stderr, "cannot listen: %s\n", error.c_str());
+      return 1;
+    }
+    std::fprintf(stderr,
+                 "listening on %s:%u (%s, %zu shard workers, %lld io "
+                 "threads)\n",
+                 config.host.c_str(), static_cast<unsigned>(server.port()),
+                 net::Poller().backend(), server.shard_cache_stats().size(),
+                 io_threads);
+    const std::string port_file = flag_str(args, "port-file");
+    if (!port_file.empty()) {
+      // Scripts (the CI perf-smoke job) bind port 0 and read the real port
+      // from here instead of scraping stderr.
+      std::ofstream pf(port_file);
+      pf << server.port() << "\n";
+    }
   }
-  std::fprintf(stderr,
-               "listening on %s:%u (%s, %zu shard workers, %lld io "
-               "threads)\n",
-               host.c_str(), static_cast<unsigned>(server.port()),
-               net::Poller().backend(), server.shard_cache_stats().size(),
-               io_threads);
-  const std::string port_file = flag_str(args, "port-file");
-  if (!port_file.empty()) {
-    // Scripts (the CI perf-smoke job) bind port 0 and read the real port
-    // from here instead of scraping stderr.
-    std::ofstream pf(port_file);
-    pf << server.port() << "\n";
-  }
-
-  while (g_stop == 0 && !server.stopping()) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  }
-  server.request_stop();
-  server.stop();
+  server.wait();
 
   if (has_flag(args, "stats")) {
     const double secs = clock.seconds();
@@ -471,299 +461,6 @@ int run_listen_mode(const std::string& listen,
     write_text_file(trace_out, obs::Tracer::instance().chrome_json(),
                     "trace");
   }
-  return 0;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  std::vector<std::string> args;
-  std::string input_path;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a.rfind("--", 0) == 0) {
-      static const char* known[] = {"--threads=",        "--batch=",
-                                    "--cache-capacity=", "--shards=",
-                                    "--tests=",          "--no-cache",
-                                    "--fkf",             "--stats",
-                                    "--explain",         "--metrics-out=",
-                                    "--trace-out=",      "--max-queue=",
-                                    "--overload=",       "--request-timeout-ms=",
-                                    "--cache-snapshot=", "--listen=",
-                                    "--io-threads=",     "--pin-cores",
-                                    "--port-file="};
-      bool ok = false;
-      for (const char* k : known) {
-        const std::string key = k;
-        ok = ok || a == key || (key.back() == '=' && a.rfind(key, 0) == 0);
-      }
-      if (!ok) {
-        std::fprintf(stderr, "unknown flag: %s\n", a.c_str());
-        return usage();
-      }
-      args.push_back(a);
-    } else if (input_path.empty()) {
-      input_path = a;
-    } else {
-      return usage();
-    }
-  }
-
-  const std::string listen = flag_str(args, "listen");
-  const long long batch_size = flag_int(args, "batch").value_or(256);
-  const long long cache_capacity =
-      has_flag(args, "no-cache") ? 0
-                                 : flag_int(args, "cache-capacity")
-                                       .value_or(65536);
-  // In stdio mode --shards is the striped cache's shard count; in TCP mode
-  // it is the shard worker count (0 = hardware concurrency).
-  const long long shards =
-      flag_int(args, "shards").value_or(listen.empty() ? 16 : 0);
-  const long long threads = flag_int(args, "threads").value_or(0);
-  const long long io_threads = flag_int(args, "io-threads").value_or(1);
-  const long long max_queue = flag_int(args, "max-queue").value_or(4096);
-  const long long timeout_ms =
-      flag_int(args, "request-timeout-ms").value_or(0);
-  const std::string overload = flag_str(args, "overload");
-  if (!overload.empty() && overload != "block" && overload != "shed") {
-    std::fprintf(stderr, "invalid --overload mode '%s' (block|shed)\n",
-                 overload.c_str());
-    return usage();
-  }
-  // Upper bounds keep absurd values from turning into an uncaught
-  // length_error (batch reserve) or a thread-spawn storm.
-  if (batch_size <= 0 || batch_size > 1'000'000 || cache_capacity < 0 ||
-      shards < 0 || shards > 65'536 || (listen.empty() && shards == 0) ||
-      threads < 0 || threads > 4'096 || io_threads <= 0 ||
-      io_threads > 256 || max_queue <= 0 || max_queue > 10'000'000 ||
-      timeout_ms < 0) {
-    return usage();
-  }
-  if (!listen.empty() && !input_path.empty()) {
-    std::fprintf(stderr, "--listen serves TCP; a request file is stdio-mode "
-                         "only\n");
-    return usage();
-  }
-
-  svc::BatchOptions options;
-  for (const std::string& a : args) {
-    const std::string prefix = "--tests=";
-    if (a.rfind(prefix, 0) == 0) {
-      options.request.tests =
-          analysis::split_id_list(a.substr(prefix.size()));
-      if (options.request.tests.empty()) {
-        std::fprintf(stderr,
-                     "--tests needs at least one analyzer id; registered "
-                     "analyzers: %s\n",
-                     analysis::AnalyzerRegistry::instance().id_list().c_str());
-        return 2;
-      }
-    }
-  }
-  if (has_flag(args, "explain")) {
-    // Diagnostics mode: evaluate through the full reference evaluators and
-    // carry per-analyzer sub-verdicts + timings in every fresh response.
-    // The default decides through the allocation-free SoA fast path.
-    options.request.diagnostics = true;
-    options.request.measure = true;
-  }
-  if (has_flag(args, "fkf")) {
-    options.request.scheduler = analysis::Scheduler::kEdfFkF;
-  }
-  validate_default_lineup(options);
-
-  const std::string metrics_out = flag_str(args, "metrics-out");
-  const std::string trace_out = flag_str(args, "trace-out");
-  const std::string cache_snapshot = flag_str(args, "cache-snapshot");
-  if (!trace_out.empty()) obs::Tracer::instance().start();
-
-  if (!listen.empty()) {
-    return run_listen_mode(listen, args, options, cache_capacity, shards,
-                           io_threads, max_queue, timeout_ms,
-                           overload == "shed", metrics_out, trace_out,
-                           cache_snapshot);
-  }
-
-  std::ifstream file;
-  if (!input_path.empty()) {
-    file.open(input_path);
-    if (!file) {
-      std::fprintf(stderr, "cannot open %s\n", input_path.c_str());
-      return 1;
-    }
-  }
-  std::istream& in = input_path.empty() ? std::cin : file;
-
-  svc::VerdictCache cache(static_cast<std::size_t>(cache_capacity),
-                          static_cast<std::size_t>(shards));
-  svc::VerdictCache* cache_ptr = cache.enabled() ? &cache : nullptr;
-  ThreadPool pool(static_cast<unsigned>(threads), has_flag(args, "pin-cores"));
-  if (!cache_snapshot.empty() && cache.enabled()) {
-    std::size_t restored = 0;
-    std::string snap_error;
-    std::ifstream probe(cache_snapshot);
-    if (probe.good()) {
-      probe.close();
-      if (cache.load_snapshot(cache_snapshot, &restored, &snap_error)) {
-        std::fprintf(stderr, "cache: warm-restored %zu entries from %s\n",
-                     restored, cache_snapshot.c_str());
-      } else {
-        std::fprintf(stderr, "cache: snapshot refused (%s); cold start\n",
-                     snap_error.c_str());
-      }
-    }  // missing file: cold start, snapshot written at exit
-  }
-
-  install_signal_handlers();
-
-  Stopwatch clock;
-  std::uint64_t served = 0;
-  std::uint64_t errors = 0;
-  std::uint64_t accepted = 0;
-  std::uint64_t sheds = 0;
-  obs::Counter& shed_queue_metric = obs::MetricsRegistry::instance().counter(
-      "reconf_svc_shed_total{reason=\"queue\"}");
-
-  IngestQueue queue;
-  std::thread reader([&] {
-    reader_loop(in, queue, static_cast<std::size_t>(max_queue),
-                overload == "shed", timeout_ms);
-  });
-
-  std::vector<QueueItem> wave_items;
-  std::vector<PendingLine> wave;
-  for (;;) {
-    wave_items.clear();
-    {
-      std::unique_lock<std::mutex> lock(queue.mutex);
-      queue.pushed.wait(lock,
-                        [&] { return !queue.items.empty() || queue.done; });
-      while (!queue.items.empty() &&
-             wave_items.size() < static_cast<std::size_t>(batch_size)) {
-        if (queue.items.front().kind == QueueItem::Kind::kRequest) {
-          --queue.queued_requests;
-        }
-        wave_items.push_back(std::move(queue.items.front()));
-        queue.items.pop_front();
-      }
-      if (wave_items.empty() && queue.done) break;
-    }
-    queue.popped.notify_all();
-
-    // Parsing is pure per line, so it fans out across the pool too — at
-    // high cache-hit rates the JSON decode, not the analysis, dominates.
-    wave.assign(wave_items.size(), PendingLine{});
-    pool.parallel_for(wave_items.size(), [&](std::size_t i) {
-      const QueueItem& item = wave_items[i];
-      switch (item.kind) {
-        case QueueItem::Kind::kRequest:
-          wave[i] = ingest(item);
-          break;
-        case QueueItem::Kind::kShed:
-          wave[i].id = item.payload;
-          wave[i].shed = "queue";
-          break;
-        case QueueItem::Kind::kOversized:
-          wave[i].id = item.payload;
-          wave[i].error = "bad request: line exceeds " +
-                          std::to_string(svc::kMaxRequestLine) + " bytes";
-          break;
-      }
-    });
-
-    // Only well-formed analysis lines enter the pipeline; responses are
-    // emitted in input order regardless of completion order. Stats requests
-    // are answered in their stream position but AFTER the wave's analysis —
-    // a snapshot taken mid-wave would race the workers for no benefit.
-    std::vector<svc::BatchRequest> requests;
-    for (PendingLine& p : wave) {
-      if (p.error.empty() && p.shed.empty() && !p.request.stats) {
-        requests.push_back(std::move(p.request));
-      }
-    }
-    const auto verdicts =
-        svc::run_batch(requests, cache_ptr, pool, options);
-
-    // `requests`/`verdicts` hold the well-formed analysis lines in wave
-    // order, so a single cursor maps them back.
-    std::size_t next_verdict = 0;
-    for (const PendingLine& p : wave) {
-      if (!p.shed.empty()) {
-        std::cout << svc::format_shed_line(p.id, p.shed) << "\n";
-        ++sheds;
-        shed_queue_metric.inc();
-      } else if (!p.error.empty()) {
-        std::cout << svc::format_error_line(p.id, p.error) << "\n";
-        ++errors;
-      } else if (p.request.stats) {
-        svc::publish_cache_stats(cache);
-        svc::publish_pool_stats(pool, clock.seconds());
-        std::cout << svc::format_stats_line(p.id) << "\n";
-      } else {
-        const svc::BatchVerdict& v = verdicts[next_verdict];
-        if (!v.shed.empty()) {
-          // Deadline expired before a worker picked it up: shed, distinct
-          // from an error — the client may retry.
-          std::cout << svc::format_shed_line(v.id, v.shed) << "\n";
-          ++sheds;
-        } else if (!v.error.empty()) {
-          // Analyzable selection collapsed to nothing (e.g. per-request
-          // "tests":["gn1"] under --fkf): an error line, not a fake
-          // inconclusive.
-          std::cout << svc::format_error_line(v.id, v.error) << "\n";
-          ++errors;
-        } else {
-          std::cout << svc::format_verdict_line(
-                           v, &requests[next_verdict].taskset)
-                    << "\n";
-          accepted += v.accepted ? 1 : 0;
-        }
-        ++next_verdict;
-      }
-      ++served;
-    }
-    std::cout.flush();
-  }
-  reader.join();
-
-  if (has_flag(args, "stats")) {
-    const double secs = clock.seconds();
-    const auto cs = cache.stats();
-    std::fprintf(stderr,
-                 "served %llu requests (%llu schedulable, %llu errors, "
-                 "%llu shed) in %.3fs — %.0f req/s\n",
-                 static_cast<unsigned long long>(served),
-                 static_cast<unsigned long long>(accepted),
-                 static_cast<unsigned long long>(errors),
-                 static_cast<unsigned long long>(sheds), secs,
-                 secs > 0 ? static_cast<double>(served) / secs : 0.0);
-    std::fprintf(stderr,
-                 "cache: capacity=%zu shards=%zu size=%zu hits=%llu "
-                 "misses=%llu evictions=%llu hit_rate=%.1f%%\n",
-                 cache.capacity(), cache.shard_count(), cache.size(),
-                 static_cast<unsigned long long>(cs.hits),
-                 static_cast<unsigned long long>(cs.misses),
-                 static_cast<unsigned long long>(cs.evictions),
-                 100.0 * cs.hit_rate());
-  }
-  if (!cache_snapshot.empty() && cache.enabled()) {
-    std::string snap_error;
-    if (!cache.save_snapshot(cache_snapshot, &snap_error)) {
-      std::fprintf(stderr, "cache: snapshot not written (%s)\n",
-                   snap_error.c_str());
-    }
-  }
-  if (!metrics_out.empty()) {
-    svc::publish_cache_stats(cache);
-    svc::publish_pool_stats(pool, clock.seconds());
-    write_text_file(metrics_out,
-                    obs::MetricsRegistry::instance().prometheus_text(),
-                    "metrics");
-  }
-  if (!trace_out.empty()) {
-    obs::Tracer::instance().stop();
-    write_text_file(trace_out, obs::Tracer::instance().chrome_json(),
-                    "trace");
-  }
+  g_server.store(nullptr);
   return 0;
 }
