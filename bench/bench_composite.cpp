@@ -4,11 +4,13 @@
 // shared AnalysisEngine (run-all, so every sub-verdict is observed),
 // measures the composite (ANY) acceptance against each individual test and
 // counts tasksets accepted by exactly one test — the incomparability the
-// paper demonstrates with Tables 1-3, at population scale. The engine's
-// cumulative per-analyzer stats close the report.
+// paper demonstrates with Tables 1-3, at population scale. Per-analyzer
+// runs, accepts and time, tallied from the engine's reports, close it.
 
 #include <atomic>
+#include <cmath>
 #include <cstdio>
+#include <vector>
 
 #include "analysis/engine.hpp"
 #include "bench_common.hpp"
@@ -38,6 +40,12 @@ int main() {
   // unique-win accounting needs every sub-verdict, not just the first
   // acceptance.
   const analysis::AnalysisEngine engine{analysis::AnalysisRequest{}};
+  struct Tally {
+    std::atomic<std::uint64_t> runs{0};
+    std::atomic<std::uint64_t> accepts{0};
+    std::atomic<std::uint64_t> nanos{0};
+  };
+  std::vector<Tally> tallies(engine.analyzer_count());  // execution order
 
   std::printf("=== composite test: union coverage and unique wins ===\n\n");
   std::printf("%-24s %8s %8s %8s %8s | %8s %8s %8s | %s\n", "workload", "DP",
@@ -72,6 +80,17 @@ int main() {
           samples.fetch_add(1, std::memory_order_relaxed);
 
           const auto report = engine.run(*ts, dev);
+          for (std::size_t i = 0; i < report.outcomes.size(); ++i) {
+            const analysis::AnalyzerOutcome& o = report.outcomes[i];
+            if (!o.ran) continue;
+            tallies[i].runs.fetch_add(1, std::memory_order_relaxed);
+            if (o.report.accepted()) {
+              tallies[i].accepts.fetch_add(1, std::memory_order_relaxed);
+            }
+            tallies[i].nanos.fetch_add(
+                static_cast<std::uint64_t>(std::llround(o.seconds * 1e9)),
+                std::memory_order_relaxed);
+          }
           const auto ok = [&report](const char* id) {
             const auto* r = report.report_for(id);
             return r != nullptr && r->accepted();
@@ -106,17 +125,20 @@ int main() {
   }
 
   std::printf("\nper-analyzer engine stats (all workloads):\n");
-  for (const auto& [id, s] : engine.stats()) {
+  const std::vector<std::string> ids = engine.execution_order();
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    const std::uint64_t runs = tallies[i].runs.load();
+    const std::uint64_t accepts = tallies[i].accepts.load();
+    const double seconds = static_cast<double>(tallies[i].nanos.load()) / 1e9;
     std::printf("  %-4s: %10llu runs, %9llu accepts (%5.2f%%), %8.1f ms "
                 "total (%.2f us/run)\n",
-                id.c_str(), static_cast<unsigned long long>(s.runs),
-                static_cast<unsigned long long>(s.accepts),
-                s.runs == 0 ? 0.0
-                            : 100.0 * static_cast<double>(s.accepts) /
-                                  static_cast<double>(s.runs),
-                s.seconds * 1e3,
-                s.runs == 0 ? 0.0 : s.seconds * 1e6 /
-                                        static_cast<double>(s.runs));
+                ids[i].c_str(), static_cast<unsigned long long>(runs),
+                static_cast<unsigned long long>(accepts),
+                runs == 0 ? 0.0
+                          : 100.0 * static_cast<double>(accepts) /
+                                static_cast<double>(runs),
+                seconds * 1e3,
+                runs == 0 ? 0.0 : seconds * 1e6 / static_cast<double>(runs));
   }
 
   std::printf("\nreading: ANY dominates every individual column (it is their "

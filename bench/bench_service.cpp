@@ -81,8 +81,6 @@ struct RunResult {
   double hit_rate = 0;
   std::uint64_t accepted = 0;
   std::vector<svc::BatchVerdict> verdicts;
-  PoolStats pool;           ///< work accounting of this run's ThreadPool
-  unsigned pool_threads = 0;
 };
 
 RunResult run(const std::vector<svc::BatchRequest>& stream, bool with_cache,
@@ -96,8 +94,6 @@ RunResult run(const std::vector<svc::BatchRequest>& stream, bool with_cache,
   out.seconds = clock.seconds();
   out.hit_rate = cache.stats().hit_rate();
   for (const auto& v : out.verdicts) out.accepted += v.accepted ? 1 : 0;
-  out.pool = pool.stats();
-  out.pool_threads = pool.thread_count();
   return out;
 }
 
@@ -160,14 +156,6 @@ int main() {
     std::printf("%-8.2f %12.0f %12.0f %8.1fx %8.1f%% %10" PRIu64 "\n", dup,
                 rps_off, rps_on, rps_on / rps_off, 100.0 * on.hit_rate,
                 on.accepted);
-    // Pool accounting of the cache-on run (busy time, and therefore
-    // utilization, is only accumulated while obs::enabled() — set
-    // RECONF_OBS=0 to see the counters go quiet).
-    std::printf("         pool: jobs=%" PRIu64 " max_queue_depth=%zu "
-                "busy=%.3fs utilization=%.1f%%\n",
-                on.pool.jobs_executed, on.pool.max_queue_depth,
-                static_cast<double>(on.pool.busy_ns) * 1e-9,
-                100.0 * on.pool.utilization(on.seconds, on.pool_threads));
   }
 
   std::printf("\ncache-on verdicts matched cache-off and 1-thread runs "

@@ -419,8 +419,6 @@ AnalysisEngine::AnalysisEngine(AnalysisRequest request,
   }
   fingerprint_ = h;
 
-  stats_ = std::make_unique<StatsCell[]>(analyzers_.size());
-
   // Metric handles are shared per analyzer id across every engine instance;
   // get-or-create here (mutex + string build, once per engine) buys
   // lock-free increments on every verdict thereafter.
@@ -500,15 +498,6 @@ AnalysisReport AnalysisEngine::run(const TaskSet& ts, Device device) const {
     }
     outcome.ran = true;
 
-    StatsCell& cell = stats_[i];
-    cell.runs.fetch_add(1, std::memory_order_relaxed);
-    if (outcome.report.accepted()) {
-      cell.accepts.fetch_add(1, std::memory_order_relaxed);
-    }
-    cell.nanos.fetch_add(
-        static_cast<std::uint64_t>(std::llround(outcome.seconds * 1e9)),
-        std::memory_order_relaxed);
-
     const ObsCell& oc = obs_[i];
     if (outcome.report.accepted()) {
       oc.accept->inc();
@@ -556,17 +545,6 @@ Decision AnalysisEngine::decide(const TaskSet& ts, Device device) const {
       }
     }
 
-    StatsCell& cell = stats_[i];
-    cell.runs.fetch_add(1, std::memory_order_relaxed);
-    if (v.verdict == Verdict::kSchedulable) {
-      cell.accepts.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (request_.measure) {
-      cell.nanos.fetch_add(
-          static_cast<std::uint64_t>(std::llround(seconds * 1e9)),
-          std::memory_order_relaxed);
-    }
-
     // The hot-path telemetry promise: one relaxed increment per analyzer
     // verdict (FastVerdict cannot see refusals — those count inconclusive).
     const ObsCell& oc = obs_[i];
@@ -598,22 +576,6 @@ std::vector<std::string> AnalysisEngine::execution_order() const {
   out.reserve(analyzers_.size());
   for (const Analyzer* analyzer : analyzers_) {
     out.emplace_back(analyzer->id());
-  }
-  return out;
-}
-
-std::vector<std::pair<std::string, AnalyzerStats>> AnalysisEngine::stats()
-    const {
-  std::vector<std::pair<std::string, AnalyzerStats>> out;
-  out.reserve(analyzers_.size());
-  for (std::size_t i = 0; i < analyzers_.size(); ++i) {
-    AnalyzerStats s;
-    s.runs = stats_[i].runs.load(std::memory_order_relaxed);
-    s.accepts = stats_[i].accepts.load(std::memory_order_relaxed);
-    s.seconds =
-        static_cast<double>(stats_[i].nanos.load(std::memory_order_relaxed)) /
-        1e9;
-    out.emplace_back(std::string(analyzers_[i]->id()), s);
   }
   return out;
 }

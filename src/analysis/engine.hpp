@@ -1,13 +1,10 @@
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "analysis/options.hpp"
@@ -252,13 +249,6 @@ struct AnalysisReport {
   [[nodiscard]] const TestReport* report_for(std::string_view id) const;
 };
 
-/// Cumulative per-analyzer counters over an engine's lifetime.
-struct AnalyzerStats {
-  std::uint64_t runs = 0;
-  std::uint64_t accepts = 0;
-  double seconds = 0.0;
-};
-
 /// A resolved, immutable analysis pipeline: ids are looked up in the
 /// registry once, the scheduler capability filter is applied once, and the
 /// execution order (cheapest cost class first, id as tie-break) plus the
@@ -286,8 +276,9 @@ class AnalysisEngine {
   /// the same verdict and accepting analyzer as run() for every input, with
   /// zero heap allocation per call once the calling thread's arena is warm
   /// (analyzers without a fast path fall back to run() internally and do
-  /// allocate). Stats accumulate as for run() with early_exit — analyzers
-  /// skipped after the deciding acceptance are not counted as runs.
+  /// allocate). The reconf_engine_verdicts_total counters move as for run()
+  /// with early_exit — analyzers skipped after the deciding acceptance are
+  /// not counted.
   [[nodiscard]] Decision decide(const TaskSet& ts, Device device) const;
 
   /// Fingerprint of the resolved configuration: the ordered analyzer ids
@@ -319,17 +310,7 @@ class AnalysisEngine {
   }
   [[nodiscard]] bool empty() const noexcept { return analyzers_.empty(); }
 
-  /// Cumulative (runs, accepts, seconds) per analyzer id, execution order.
-  [[nodiscard]] std::vector<std::pair<std::string, AnalyzerStats>> stats()
-      const;
-
  private:
-  struct StatsCell {
-    std::atomic<std::uint64_t> runs{0};
-    std::atomic<std::uint64_t> accepts{0};
-    std::atomic<std::uint64_t> nanos{0};
-  };
-
   /// Pre-resolved process-wide metric handles for one analyzer — resolved
   /// once at engine construction so run()/decide() pay one relaxed
   /// increment per verdict, never a registry lookup. Metrics are keyed by
@@ -358,8 +339,7 @@ class AnalysisEngine {
   AnalysisRequest request_;
   std::vector<const Analyzer*> analyzers_;  ///< execution order
   std::uint64_t fingerprint_ = 0;
-  std::unique_ptr<StatsCell[]> stats_;  ///< one cell per analyzer
-  std::vector<ObsCell> obs_;            ///< one cell per analyzer
+  std::vector<ObsCell> obs_;  ///< one cell per analyzer
 };
 
 }  // namespace reconf::analysis

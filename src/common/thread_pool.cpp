@@ -5,8 +5,6 @@
 #include <exception>
 
 #include "common/contracts.hpp"
-#include "common/stopwatch.hpp"
-#include "obs/metrics.hpp"
 
 namespace reconf {
 
@@ -112,8 +110,6 @@ void ThreadPool::enqueue(std::function<void()> job) {
     const std::lock_guard<std::mutex> lock(mutex_);
     RECONF_EXPECTS(!stopping_);
     queue_.push_back(std::move(job));
-    ++jobs_submitted_;
-    max_queue_depth_ = std::max(max_queue_depth_, queue_.size());
   }
   wake_.notify_one();
 }
@@ -128,33 +124,8 @@ void ThreadPool::worker_loop() {
       job = std::move(queue_.front());
       queue_.pop_front();
     }
-    // Busy-time accounting costs two clock reads per job (jobs are chunky:
-    // batch waves, parallel_for chunk helpers), skipped when the
-    // observability layer is off.
-    if (obs::enabled()) {
-      Stopwatch watch;
-      job();
-      busy_ns_.fetch_add(
-          static_cast<std::uint64_t>(watch.seconds() * 1e9),
-          std::memory_order_relaxed);
-    } else {
-      job();
-    }
-    jobs_executed_.fetch_add(1, std::memory_order_relaxed);
+    job();
   }
-}
-
-PoolStats ThreadPool::stats() const {
-  PoolStats out;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    out.jobs_submitted = jobs_submitted_;
-    out.queue_depth = queue_.size();
-    out.max_queue_depth = max_queue_depth_;
-  }
-  out.jobs_executed = jobs_executed_.load(std::memory_order_relaxed);
-  out.busy_ns = busy_ns_.load(std::memory_order_relaxed);
-  return out;
 }
 
 void ThreadPool::parallel_for(std::size_t n,

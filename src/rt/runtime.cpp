@@ -21,80 +21,61 @@ namespace reconf::rt {
 
 namespace {
 
-/// Pre-resolved process-wide metric handles (satellite of the obs layer):
-/// resolved once per run, written lock-free from the event loop, surfaced
-/// unchanged through the serving tier's {"stats":true} snapshot.
-struct RtMetrics {
-  obs::Counter* admitted;
-  obs::Counter* rejected;
-  obs::Histogram* admission_ns;
-  obs::Counter* releases;
-  obs::Counter* completions;
-  obs::Counter* misses;
-  obs::Counter* stall_ticks;
-  obs::Counter* hidden_ticks;
-  obs::Counter* loads_cold;
-  obs::Counter* loads_warm;
-  obs::Counter* loads_prefetch;
-  obs::Counter* prefetch_started;
-  obs::Counter* prefetch_completed;
-  obs::Counter* prefetch_aborted;
-  obs::Counter* evictions;
+/// The admission gate's latency histogram: a per-gate sample, so the one
+/// metric the event loop writes itself.
+obs::Histogram& admission_latency() {
+  static obs::Histogram& histogram =
+      obs::MetricsRegistry::instance().histogram(
+          "reconf_rt_admission_latency_ns");
+  return histogram;
+}
 
-  obs::Counter* fault_wcet;
-  obs::Counter* fault_port;
-  obs::Counter* fault_slow;
-  obs::Counter* fault_fabric;
-  obs::Counter* recovered_abort;
-  obs::Counter* recovered_skip;
-  obs::Counter* recovered_retry;
-  obs::Counter* recovered_reload;
-  obs::Counter* degraded_long;
-  obs::Counter* degraded_shed;
-  obs::Counter* degraded_load_abort;
-
-  RtMetrics() {
-    auto& reg = obs::MetricsRegistry::instance();
-    admitted = &reg.counter("reconf_rt_admissions_total{verdict=\"admitted\"}");
-    rejected = &reg.counter("reconf_rt_admissions_total{verdict=\"rejected\"}");
-    admission_ns = &reg.histogram("reconf_rt_admission_latency_ns");
-    releases = &reg.counter("reconf_rt_releases_total");
-    completions = &reg.counter("reconf_rt_completions_total");
-    misses = &reg.counter("reconf_rt_deadline_misses_total");
-    stall_ticks = &reg.counter("reconf_rt_stall_ticks_total");
-    hidden_ticks = &reg.counter("reconf_rt_prefetch_hidden_ticks_total");
-    loads_cold = &reg.counter("reconf_rt_config_loads_total{kind=\"cold\"}");
-    loads_warm = &reg.counter("reconf_rt_config_loads_total{kind=\"warm\"}");
-    loads_prefetch =
-        &reg.counter("reconf_rt_config_loads_total{kind=\"prefetch\"}");
-    prefetch_started =
-        &reg.counter("reconf_rt_prefetch_total{event=\"started\"}");
-    prefetch_completed =
-        &reg.counter("reconf_rt_prefetch_total{event=\"completed\"}");
-    prefetch_aborted =
-        &reg.counter("reconf_rt_prefetch_total{event=\"aborted\"}");
-    evictions = &reg.counter("reconf_rt_evictions_total");
-
-    fault_wcet = &reg.counter("reconf_fault_injected_total{kind=\"wcet\"}");
-    fault_port = &reg.counter("reconf_fault_injected_total{kind=\"port\"}");
-    fault_slow = &reg.counter("reconf_fault_injected_total{kind=\"slow\"}");
-    fault_fabric =
-        &reg.counter("reconf_fault_injected_total{kind=\"fabric\"}");
-    recovered_abort =
-        &reg.counter("reconf_fault_recovered_total{action=\"abort\"}");
-    recovered_skip =
-        &reg.counter("reconf_fault_recovered_total{action=\"skip\"}");
-    recovered_retry =
-        &reg.counter("reconf_fault_recovered_total{action=\"retry\"}");
-    recovered_reload =
-        &reg.counter("reconf_fault_recovered_total{action=\"reload\"}");
-    degraded_long =
-        &reg.counter("reconf_fault_degraded_total{mode=\"overrun\"}");
-    degraded_shed = &reg.counter("reconf_fault_degraded_total{mode=\"shed\"}");
-    degraded_load_abort =
-        &reg.counter("reconf_fault_degraded_total{mode=\"load-abort\"}");
+/// Adds one finished run's ledger to the process-wide counters. The
+/// RuntimeResult is where a run counts; obs only exposes the totals, so
+/// the counters move once per run, never per event. Handles are resolved
+/// on the first call.
+void publish_counters(const RuntimeResult& r) {
+  const FaultRecoveryStats& f = r.faults;
+  const auto ticks = [](Ticks t) { return static_cast<std::uint64_t>(t); };
+  const std::pair<const char*, std::uint64_t> counts[] = {
+      {"reconf_rt_admissions_total{verdict=\"admitted\"}", r.admitted},
+      {"reconf_rt_admissions_total{verdict=\"rejected\"}", r.rejected},
+      {"reconf_rt_releases_total", r.releases},
+      {"reconf_rt_completions_total", r.completions},
+      {"reconf_rt_deadline_misses_total", r.deadline_misses},
+      {"reconf_rt_stall_ticks_total", ticks(r.stall_ticks)},
+      {"reconf_rt_prefetch_hidden_ticks_total", ticks(r.hidden_ticks)},
+      {"reconf_rt_config_loads_total{kind=\"cold\"}", r.cold_loads},
+      {"reconf_rt_config_loads_total{kind=\"warm\"}", r.warm_hits},
+      {"reconf_rt_config_loads_total{kind=\"prefetch\"}", r.prefetch_hits},
+      {"reconf_rt_prefetch_total{event=\"started\"}", r.prefetch_started},
+      {"reconf_rt_prefetch_total{event=\"completed\"}", r.prefetch_completed},
+      {"reconf_rt_prefetch_total{event=\"aborted\"}", r.prefetch_aborted},
+      {"reconf_rt_evictions_total", r.evictions},
+      {"reconf_fault_injected_total{kind=\"wcet\"}", f.wcet_overruns},
+      {"reconf_fault_injected_total{kind=\"port\"}", f.port_failures},
+      {"reconf_fault_injected_total{kind=\"slow\"}", f.port_slowed_loads},
+      {"reconf_fault_injected_total{kind=\"fabric\"}", f.fabric_faults},
+      {"reconf_fault_recovered_total{action=\"abort\"}", f.overrun_aborts},
+      {"reconf_fault_recovered_total{action=\"skip\"}", f.overrun_skips},
+      {"reconf_fault_recovered_total{action=\"retry\"}",
+       f.load_retries + f.prefetch_refails},
+      {"reconf_fault_recovered_total{action=\"reload\"}", f.fabric_reloads},
+      {"reconf_fault_degraded_total{mode=\"overrun\"}", f.overrun_degrades},
+      {"reconf_fault_degraded_total{mode=\"shed\"}", f.sheds},
+      {"reconf_fault_degraded_total{mode=\"load-abort\"}", f.load_aborts},
+  };
+  static const std::vector<obs::Counter*> handles = [&counts] {
+    std::vector<obs::Counter*> out;
+    for (const auto& entry : counts) {
+      out.push_back(&obs::MetricsRegistry::instance().counter(entry.first));
+    }
+    return out;
+  }();
+  for (std::size_t i = 0; i < handles.size(); ++i) {
+    handles[i]->inc(counts[i].second);
   }
-};
+}
 
 /// One admitted task generation. A mode change opens a new slot and drains
 /// the old one, so slots (and hence job task_index / trace rows) are
@@ -181,6 +162,7 @@ class Runtime {
       now = next;
     }
     finish();
+    publish_counters(result_);
     return std::move(result_);
   }
 
@@ -215,8 +197,7 @@ class Runtime {
             std::chrono::steady_clock::now() - t0)
             .count());
     result_.admission_nanos += ns;
-    metrics_.admission_ns->record(ns);
-    (d.admitted ? metrics_.admitted : metrics_.rejected)->inc();
+    admission_latency().record(ns);
     if (d.admitted) {
       ++result_.admitted;
       result_.peak_admitted_system_util =
@@ -320,7 +301,6 @@ class Runtime {
         ++s.acct.missed;
         if (s.acct.first_miss == kNoTick) s.acct.first_miss = now;
         --s.outstanding;
-        metrics_.misses->inc();
         if (checker_ != nullptr) {
           checker_->on_deadline_miss(now, a.job.task_index);
         }
@@ -357,14 +337,12 @@ class Runtime {
     if (injector_ == nullptr) return;
     for (const fault::FaultEvent* e : injector_->take_fabric_faults(now)) {
       obs::Span span("rt.fabric_fault", "fault");
-      metrics_.fault_fabric->inc();
       for (std::size_t i = 0; i < slots_.size(); ++i) {
         Slot& s = slots_[i];
         if (!e->name.empty() && s.acct.name != e->name) continue;
         if (port_.active && port_.slot == i) {
           port_.active = false;
           ++result_.prefetch_aborted;
-          metrics_.prefetch_aborted->inc();
           ++result_.faults.fabric_invalidations;
         }
         if (!s.resident) continue;
@@ -376,9 +354,7 @@ class Runtime {
           a.reconfig_remaining += reload;
           result_.stall_ticks += reload;
           s.acct.stall_ticks += reload;
-          metrics_.stall_ticks->inc(static_cast<std::uint64_t>(reload));
           ++result_.faults.fabric_reloads;
-          metrics_.recovered_reload->inc();
         }
         if (!running_job) {
           s.resident = false;
@@ -407,18 +383,13 @@ class Runtime {
         a.job.remaining = s.task.wcet;
         a.job.area = s.task.area;
         if (injector_ != nullptr) {
-          const Ticks extra = injector_->wcet_overrun(s.acct.name, a.job.release);
-          if (extra > 0) {
-            a.overrun_left = extra;
-            metrics_.fault_wcet->inc();
-          }
+          a.overrun_left = injector_->wcet_overrun(s.acct.name, a.job.release);
         }
         active_.push_back(a);
         s.next_release += s.task.period;
         ++s.outstanding;
         ++s.acct.released;
         ++result_.releases;
-        metrics_.releases->inc();
       }
     }
   }
@@ -438,11 +409,8 @@ class Runtime {
           ++result_.prefetch_hits;
           result_.hidden_ticks += load;
           s.acct.hidden_ticks += load;
-          metrics_.hidden_ticks->inc(static_cast<std::uint64_t>(load));
-          metrics_.loads_prefetch->inc();
         } else {
           ++result_.warm_hits;
-          metrics_.loads_warm->inc();
         }
       }
       s.loaded_by_prefetch = false;
@@ -460,13 +428,12 @@ class Runtime {
       const Ticks hidden = std::max<Ticks>(0, load - stall);
       result_.hidden_ticks += hidden;
       s.acct.hidden_ticks += hidden;
-      metrics_.hidden_ticks->inc(static_cast<std::uint64_t>(hidden));
     } else if (load > 0) {
       if (injector_ != nullptr) {
         const Ticks slowed = load * injector_->load_factor(now);
         if (slowed > load) {
+          ++result_.faults.port_slowed_loads;
           result_.faults.port_slow_ticks += slowed - load;
-          metrics_.fault_slow->inc();
         }
         stall = slowed;
         // Demand-side port failures: each failed attempt costs the full
@@ -476,27 +443,22 @@ class Runtime {
         int failures = 0;
         while (injector_->load_fails(now)) {
           ++failures;
-          metrics_.fault_port->inc();
           if (failures > config_.recovery.max_load_retries) {
             a.abandoned = true;
             ++result_.faults.load_aborts;
-            metrics_.degraded_load_abort->inc();
             return;
           }
           const Ticks backoff = config_.recovery.backoff_after(failures);
           ++result_.faults.load_retries;
           result_.faults.retry_backoff_ticks += backoff;
           stall += slowed + backoff;
-          metrics_.recovered_retry->inc();
         }
       }
       ++result_.cold_loads;
-      metrics_.loads_cold->inc();
     }
     a.reconfig_remaining = stall;
     result_.stall_ticks += stall;
     s.acct.stall_ticks += stall;
-    metrics_.stall_ticks->inc(static_cast<std::uint64_t>(stall));
     s.resident = true;  // loading as part of the job's occupancy
     s.loaded_by_prefetch = false;
   }
@@ -516,7 +478,6 @@ class Runtime {
       }
     }
     ++result_.evictions;
-    metrics_.evictions->inc();
   }
 
   /// Enforces fabric capacity after a dispatch: running areas plus
@@ -572,7 +533,6 @@ class Runtime {
         extra -= slots_[port_.slot].task.area;
         port_.active = false;
         ++result_.prefetch_aborted;
-        metrics_.prefetch_aborted->inc();
         continue;
       }
       // Last resort: preempted jobs' kept configurations, least urgent
@@ -774,13 +734,12 @@ class Runtime {
     if (injector_ != nullptr) {
       const Ticks slowed = c.load_ticks * injector_->load_factor(now);
       if (slowed > c.load_ticks) {
+        ++result_.faults.port_slowed_loads;
         result_.faults.port_slow_ticks += slowed - c.load_ticks;
-        metrics_.fault_slow->inc();
         port_.remaining = slowed;
       }
     }
     ++result_.prefetch_started;
-    metrics_.prefetch_started->inc();
   }
 
   [[nodiscard]] Ticks next_event_time(Ticks now, Ticks horizon) const {
@@ -842,7 +801,6 @@ class Runtime {
         if (injector_ != nullptr && injector_->load_fails(done_at)) {
           // Speculative load failed at completion: nothing lands on the
           // fabric; back the port off and let start_prefetch re-issue.
-          metrics_.fault_port->inc();
           ++result_.faults.prefetch_refails;
           ++consecutive_prefetch_failures_;
           const Ticks backoff =
@@ -850,15 +808,12 @@ class Runtime {
           result_.faults.retry_backoff_ticks += backoff;
           port_retry_at_ = done_at + backoff;
           ++result_.prefetch_aborted;
-          metrics_.prefetch_aborted->inc();
-          metrics_.recovered_retry->inc();
         } else {
           Slot& s = slots_[port_.slot];
           s.resident = true;
           s.loaded_by_prefetch = true;
           consecutive_prefetch_failures_ = 0;
           ++result_.prefetch_completed;
-          metrics_.prefetch_completed->inc();
         }
       }
     }
@@ -895,18 +850,15 @@ class Runtime {
           switch (action) {
             case OverrunAction::kAbort:
               ++result_.faults.overrun_aborts;
-              metrics_.recovered_abort->inc();
               break;
             case OverrunAction::kSkipNext:
               ++result_.faults.overrun_skips;
-              metrics_.recovered_skip->inc();
               if (s.next_release != kNoTick) {
                 s.next_release += s.task.period;
               }
               break;
             case OverrunAction::kDegrade:
               ++result_.faults.overrun_degrades;
-              metrics_.degraded_long->inc();
               a.job.remaining = a.overrun_left;
               a.overrun_left = 0;
               a.degraded = true;
@@ -926,7 +878,6 @@ class Runtime {
         s.acct.max_response = std::max(s.acct.max_response, response);
         --s.outstanding;
         ++result_.completions;
-        metrics_.completions->inc();
         active_.erase(active_.begin() + static_cast<std::ptrdiff_t>(i));
         continue;
       }
@@ -968,7 +919,6 @@ class Runtime {
     if (checker_ != nullptr) checker_->mark_shed(index, now);
     ++result_.faults.sheds;
     if (revalidation_reject) ++result_.faults.shed_revalidation_rejects;
-    metrics_.degraded_shed->inc();
     ShedRecord rec;
     rec.at = now;
     rec.name = s.acct.name;
@@ -1064,7 +1014,6 @@ class Runtime {
   PrefetchPolicy* policy_ = nullptr;
   std::unique_ptr<PrefetchPolicy> owned_policy_;
   std::unique_ptr<sim::InvariantChecker> checker_;
-  RtMetrics metrics_;
 
   std::size_t next_event_ = 0;
   std::vector<Slot> slots_;

@@ -107,6 +107,9 @@ struct FaultRecoveryStats {
   Ticks retry_backoff_ticks = 0;       ///< total backoff waited
 
   std::uint64_t port_slow_events = 0;  ///< slow windows that bit a load
+  /// Loads a slow window stretched (one window can slow many). Not in
+  /// summary_json(), so the pinned corpus lines stay byte-identical.
+  std::uint64_t port_slowed_loads = 0;
   Ticks port_slow_ticks = 0;           ///< extra load ticks the windows cost
 
   std::uint64_t fabric_faults = 0;         ///< transient fabric events fired
@@ -127,10 +130,12 @@ struct ShedRecord {
   bool revalidation_reject = false;
 };
 
-/// Everything one runtime run produces. Deterministic: a pure function of
-/// (scenario, RuntimeConfig) — summary_json() is byte-stable across runs and
-/// platforms (integers only), which is what the committed replay corpus
-/// pins.
+/// Everything one runtime run produces, and the run's only ledger: the
+/// process-wide reconf_rt_* / reconf_fault_* counters are this struct added
+/// once per finished run, never bumped per event. Deterministic: a pure
+/// function of (scenario, RuntimeConfig) — summary_json() is byte-stable
+/// across runs and platforms (integers only), which is what the committed
+/// replay corpus pins.
 struct RuntimeResult {
   std::string scenario;
   Ticks horizon = 0;

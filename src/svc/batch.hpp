@@ -90,23 +90,7 @@ struct BatchVerdict {
 /// array with per-analyzer sub-verdicts and timings; verdicts are identical
 /// in both modes, so cached entries are shared.
 struct BatchOptions {
-  [[nodiscard]] static analysis::AnalysisRequest default_request() {
-    analysis::AnalysisRequest request;
-    request.early_exit = true;
-    request.measure = false;
-    request.diagnostics = false;
-    return request;
-  }
-
-  /// The diagnostic spelling of the serving default: full reference
-  /// evaluators, per-analyzer timings, sub-verdicts.
-  [[nodiscard]] static analysis::AnalysisRequest explain_request() {
-    analysis::AnalysisRequest request;
-    request.early_exit = true;
-    return request;
-  }
-
-  analysis::AnalysisRequest request = default_request();
+  analysis::AnalysisRequest request = analysis::fast_any_request();
 };
 
 /// The VerdictCache key for analyzing `ts` on `device` under `engine`:

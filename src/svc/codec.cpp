@@ -265,14 +265,6 @@ bool StreamFramer::finish(std::string& line, LineStatus& status) {
   return false;
 }
 
-std::size_t StreamFramer::buffered() const noexcept {
-  std::size_t total = partial_.size() + oversized_prefix_.size();
-  for (std::size_t i = ready_head_; i < ready_.size(); ++i) {
-    total += ready_[i].first.size();
-  }
-  return total;
-}
-
 BatchRequest parse_request_line(const std::string& line) {
   if (line.size() > kMaxRequestLine) {
     throw CodecError("bad request: line exceeds " +

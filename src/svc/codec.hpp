@@ -53,10 +53,6 @@ class StreamFramer {
   /// dropped. Returns false when nothing was pending.
   bool finish(std::string& line, LineStatus& status);
 
-  /// Bytes currently buffered (partial line; complete lines not yet
-  /// popped). Flow-control input for the server.
-  [[nodiscard]] std::size_t buffered() const noexcept;
-
  private:
   std::size_t max_len_;
   std::string partial_;               ///< bytes of the in-progress line

@@ -119,15 +119,13 @@ class ShardCache : public VerdictStore {
 /// rank. Recency is only ordered within a partition, so the round-robin
 /// merge is the best global order available — a restore into a different
 /// partition count, or a smaller capacity, keeps approximately the most
-/// recent entries instead of whichever partition was written last. Both
-/// snapshot writers (save_shard_snapshot, VerdictCache::save_snapshot) use
-/// it.
+/// recent entries instead of whichever partition was written last.
 [[nodiscard]] std::vector<SnapshotEntry> interleave_by_recency(
     const std::vector<std::vector<SnapshotEntry>>& partitions);
 
 /// Snapshot glue for a fleet of per-shard caches (the async tier's
-/// `--cache-snapshot`). The on-disk format is the v1 snapshot that
-/// VerdictCache also reads and writes, and restore routes every key through
+/// `--cache-snapshot`). The on-disk format is the v1 snapshot of
+/// write_snapshot_entries, and restore routes every key through
 /// svc::shard_for_key into the CURRENT shard count, so a snapshot taken at
 /// S shards restores correctly at S' shards instead of assuming the
 /// writer's topology. All functions require the workers to be quiesced

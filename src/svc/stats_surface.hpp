@@ -15,8 +15,8 @@ namespace reconf::svc {
 
 /// Publishes `reconf_cache_*` gauges fed from a fleet of per-shard caches
 /// (shard-index order): aggregate entries/capacity/hit-rate, the
-/// lookup-traffic imbalance across shards (peak/mean shard lookups, as in
-/// VerdictCache::load_imbalance), and per-shard
+/// lookup-traffic imbalance across shards (peak/mean shard lookups; 1.0 =
+/// balanced, 0.0 before any lookup), and per-shard
 /// hits/misses/evictions/entries labelled `{shard="N"}`. `total_capacity`
 /// is the configured capacity across all shards.
 void publish_shard_cache_stats(const std::vector<CacheStats>& shards,

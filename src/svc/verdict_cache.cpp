@@ -76,20 +76,6 @@ std::vector<CacheStats> VerdictCache::shard_stats() const {
   return out;
 }
 
-double VerdictCache::load_imbalance() const {
-  const std::vector<CacheStats> per_shard = shard_stats();
-  std::uint64_t total = 0;
-  std::uint64_t peak = 0;
-  for (const CacheStats& s : per_shard) {
-    total += s.lookups();
-    peak = std::max(peak, s.lookups());
-  }
-  if (total == 0) return 0.0;
-  const double mean = static_cast<double>(total) /
-                      static_cast<double>(per_shard.size());
-  return static_cast<double>(peak) / mean;
-}
-
 std::size_t VerdictCache::size() const {
   std::size_t n = 0;
   for (const auto& st : stripes_) {
@@ -188,32 +174,6 @@ bool read_snapshot_entries(const std::string& path,
                                 std::to_string(entries.size()) + " of " +
                                 std::to_string(count) + " entries)");
   }
-  return true;
-}
-
-bool VerdictCache::save_snapshot(const std::string& path,
-                                 std::string* error) const {
-  // Copy each stripe under its lock; no I/O while locked.
-  std::vector<std::vector<SnapshotEntry>> partitions;
-  partitions.reserve(stripes_.size());
-  for (const auto& st : stripes_) {
-    const std::lock_guard<std::mutex> lock(st->mutex);
-    partitions.push_back(st->cache.entries_lru_to_mru());
-  }
-  return write_snapshot_entries(path, interleave_by_recency(partitions),
-                                error);
-}
-
-bool VerdictCache::load_snapshot(const std::string& path,
-                                 std::size_t* restored, std::string* error) {
-  if (restored != nullptr) *restored = 0;
-  std::vector<SnapshotEntry> entries;
-  if (!read_snapshot_entries(path, entries, error)) return false;
-  // Replayed through insert(), which routes by THIS cache's shard map and
-  // enforces its capacity — a snapshot written under any topology restores
-  // into the current one exactly as live traffic would have populated it.
-  for (SnapshotEntry& e : entries) insert(e.key, std::move(e.verdict));
-  if (restored != nullptr) *restored = entries.size();
   return true;
 }
 

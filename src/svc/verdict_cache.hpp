@@ -99,11 +99,6 @@ class VerdictCache : public VerdictStore {
   /// view shows it).
   [[nodiscard]] std::vector<CacheStats> shard_stats() const;
 
-  /// Lookup-traffic imbalance across shards: max over shards of
-  /// lookups(shard) / mean. 1.0 = perfectly balanced; the shard count =
-  /// fully serialized on one shard. 0.0 when no lookups yet.
-  [[nodiscard]] double load_imbalance() const;
-
   [[nodiscard]] std::size_t size() const;
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
   [[nodiscard]] std::size_t shard_count() const noexcept {
@@ -113,34 +108,6 @@ class VerdictCache : public VerdictStore {
 
   /// Drops all entries; statistics counters are kept.
   void clear();
-
-  /// Crash-safe snapshot of the cache contents (not the statistics) to
-  /// `path`: a versioned text format written to `path`.tmp and atomically
-  /// renamed over the target — a crash mid-write never corrupts a previous
-  /// good snapshot. Returns false (with `error` set when non-null) on I/O
-  /// failure.
-  ///
-  ///   reconf-verdict-cache v1
-  ///   count <N>
-  ///   <%016x key> <0|1 accepted> <accepted_by or "-">
-  ///
-  /// The format is topology-free: entries carry no stripe index, and are
-  /// ordered by svc::interleave_by_recency. load_snapshot() replays them
-  /// through insert(), which routes by the RESTORING cache's stripe map, so
-  /// a snapshot taken at S stripes (or by the async tier's shard fleet)
-  /// restores correctly into S' stripes. Save → load → re-query is
-  /// bit-identical (same verdicts for the same keys).
-  bool save_snapshot(const std::string& path,
-                     std::string* error = nullptr) const;
-
-  /// Restores entries from a save_snapshot() file via plain insert()s (so
-  /// capacity limits and statistics behave exactly as live traffic).
-  /// Refuses — returning false, restoring nothing past the error point —
-  /// truncated or malformed files: a half-written snapshot must not warm
-  /// the cache with silently missing entries. `restored` (when non-null)
-  /// receives the number of entries inserted.
-  bool load_snapshot(const std::string& path, std::size_t* restored = nullptr,
-                     std::string* error = nullptr);
 
  private:
   struct Stripe;  ///< {mutex, ShardCache}; defined in verdict_cache.cpp
@@ -155,15 +122,21 @@ class VerdictCache : public VerdictStore {
 };
 
 /// One cache entry: an LRU list node of ShardCache and one line of the v1
-/// snapshot format, which VerdictCache and the async tier's shard fleet
-/// share so a snapshot taken by either warm-restores the other.
+/// snapshot format the async tier's shard fleet writes and reads
+/// (save_shard_snapshot / load_shard_snapshot in svc/shard_cache.hpp).
 struct SnapshotEntry {
   std::uint64_t key = 0;
   CachedVerdict verdict;
 };
 
-/// Writes `entries` (least-recent first) as a crash-safe v1 snapshot
-/// (tmp + rename). Returns false with `error` set on I/O failure.
+/// Writes `entries` (least-recent first) as a crash-safe v1 snapshot:
+/// written to `path`.tmp and atomically renamed over the target, so a crash
+/// mid-write never corrupts a previous good snapshot. Returns false with
+/// `error` set on I/O failure.
+///
+///   reconf-verdict-cache v1
+///   count <N>
+///   <%016x key> <0|1 accepted> <accepted_by or "-">
 bool write_snapshot_entries(const std::string& path,
                             const std::vector<SnapshotEntry>& entries,
                             std::string* error = nullptr);

@@ -321,17 +321,14 @@ TEST(CodecHardening, TruncatedRequestsErrorPerKind) {
 using Framed = std::vector<std::pair<std::string, svc::LineStatus>>;
 
 /// Frames `text` through one StreamFramer fed in `chunk`-byte pieces, then
-/// drains finish(); every line in order. `peak` (when non-null) receives
-/// the most bytes the framer ever buffered.
-Framed frame(const std::string& text, std::size_t chunk, std::size_t max_len,
-             std::size_t* peak = nullptr) {
+/// drains finish(); every line in order.
+Framed frame(const std::string& text, std::size_t chunk, std::size_t max_len) {
   svc::StreamFramer framer(max_len);
   Framed out;
   std::string line;
   svc::LineStatus status;
   for (std::size_t off = 0; off < text.size(); off += chunk) {
     framer.feed(text.data() + off, std::min(chunk, text.size() - off));
-    if (peak != nullptr) *peak = std::max(*peak, framer.buffered());
     while (framer.next(line, status)) out.emplace_back(line, status);
   }
   while (framer.finish(line, status)) out.emplace_back(line, status);
@@ -401,13 +398,9 @@ TEST(StreamFramer, OneByteOverMaxLenIsOversizedAndNextLineRecovers) {
         << "chunk " << chunk;
   }
   for (const std::size_t chunk : chunkings(far_over)) {
-    std::size_t peak = 0;
-    EXPECT_EQ(frame(far_over, chunk, 10, &peak),
+    EXPECT_EQ(frame(far_over, chunk, 10),
               (Framed{{std::string(10, 'a'), kOversized}, {"after", kLine}}))
         << "chunk " << chunk;
-    if (chunk == 1) {
-      EXPECT_LE(peak, 10u) << "over-cap bytes were buffered";
-    }
   }
   // An over-cap final line without a newline still surfaces at EOF.
   const std::string tail = std::string(30, 'z');

@@ -1,12 +1,18 @@
 #include <atomic>
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
 #include <numeric>
+#include <sstream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/env.hpp"
+#include "common/flags.hpp"
+#include "common/report_merge.hpp"
 #include "common/thread_pool.hpp"
 #include "common/types.hpp"
 
@@ -99,6 +105,85 @@ TEST(Env, Int64RejectsGarbage) {
   ::setenv("RECONF_TEST_KNOB", "12x", 1);
   EXPECT_EQ(env_int64("RECONF_TEST_KNOB", 7), 7);
   ::unsetenv("RECONF_TEST_KNOB");
+}
+
+// ------------------------------------------------------------- flags ----
+
+TEST(Flags, ParseIntIsStrictDecimalOrHex) {
+  EXPECT_EQ(parse_int("42"), 42);
+  EXPECT_EQ(parse_int("-7"), -7);
+  EXPECT_EQ(parse_int("0xC4A05"), 0xC4A05);
+  EXPECT_EQ(parse_int("0XFF"), 255);
+  EXPECT_EQ(parse_int("010"), 10);  // decimal, never octal
+  for (const char* bad : {"", "abc", "12abc", " 12", "+12", "0x", "0x-5",
+                          "1e3", "99999999999999999999"}) {
+    EXPECT_FALSE(parse_int(bad).has_value()) << "'" << bad << "'";
+  }
+}
+
+TEST(Flags, LookupMatchesTheWholeName) {
+  const std::vector<std::string> args = {"--n=5", "--name=x", "--quick",
+                                         "--seed=0x10", "--n=6", "file"};
+  EXPECT_EQ(flag_value(args, "n"), "5");  // first match wins
+  EXPECT_EQ(flag_str(args, "name"), "x");
+  EXPECT_FALSE(flag_value(args, "nam").has_value());
+  EXPECT_EQ(flag_str(args, "absent"), "");
+  EXPECT_EQ(flag_int(args, "seed"), 16);
+  EXPECT_FALSE(flag_int(args, "absent").has_value());
+  EXPECT_TRUE(has_flag(args, "quick"));
+  EXPECT_FALSE(has_flag(args, "qui"));
+  EXPECT_FALSE(has_flag(args, "n"));  // takes a value, so never bare
+}
+
+TEST(Flags, KnownFlagTableSeparatesValuedAndBareFlags) {
+  static const char* const known[] = {"--port=", "--quick"};
+  EXPECT_TRUE(is_known_flag("--port=80", known));
+  EXPECT_TRUE(is_known_flag("--quick", known));
+  EXPECT_FALSE(is_known_flag("--port", known));
+  EXPECT_FALSE(is_known_flag("--quick=1", known));
+  EXPECT_FALSE(is_known_flag("--label=x", known));
+  EXPECT_FALSE(is_known_flag("file", known));
+}
+
+TEST(FlagsDeathTest, BadIntegerExitsTwoWithAMessage) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const std::vector<std::string> args = {"--n=abc"};
+  EXPECT_EXIT((void)flag_int(args, "n"), ::testing::ExitedWithCode(2),
+              "invalid value for --n: 'abc'");
+}
+
+// ------------------------------------------------------- report merge ----
+
+std::string read_text(const std::string& path) {
+  std::ifstream in(path);
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
+
+TEST(ReportMerge, ArraySectionJoinsAnObjectSectionAndBothSurvive) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "reconf_merge_test.json")
+          .string();
+  std::filesystem::remove(path);
+  // An object section whose nested "mode" key and "}" inside a string must
+  // not be mistaken for top-level structure.
+  const std::string runtime = "{\"mode\": \"nested\", \"note\": \"a } b\"}";
+  ASSERT_TRUE(merge_report_section(path, "runtime", runtime));
+  ASSERT_TRUE(merge_report_section(path, "analysis", "[\n    {\"n\": 4}\n  ]"));
+  ASSERT_TRUE(merge_report_section(path, "mode", "\"quick\""));
+  // Replacing each value in place leaves the other sections untouched.
+  ASSERT_TRUE(merge_report_section(path, "analysis", "[{\"n\": 8}]"));
+  ASSERT_TRUE(merge_report_section(path, "mode", "\"full\""));
+  EXPECT_EQ(read_text(path), "{\n  \"runtime\": " + runtime +
+                                 ",\n  \"analysis\": [{\"n\": 8}],"
+                                 "\n  \"mode\": \"full\"\n}\n");
+
+  std::ofstream(path) << "[1, 2]\n";
+  std::string error;
+  EXPECT_FALSE(merge_report_section(path, "mode", "\"full\"", &error));
+  EXPECT_NE(error.find("not a JSON object"), std::string::npos) << error;
+  std::filesystem::remove(path);
 }
 
 }  // namespace

@@ -23,6 +23,7 @@
 #include "gen/generator.hpp"
 #include "gen/rng.hpp"
 #include "mp/mp_tests.hpp"
+#include "obs/metrics.hpp"
 #include "task/fixtures.hpp"
 #include "task/task.hpp"
 
@@ -242,22 +243,39 @@ TEST(AnalysisEngine, ReportLookupHelpers) {
   EXPECT_EQ(report.report_for("partition"), nullptr);
 }
 
-TEST(AnalysisEngine, StatsAccumulateAcrossRuns) {
+TEST(AnalysisEngine, VerdictCountersAccumulateAcrossRuns) {
+  // The obs verdict counters are the engine's only ledger.
+  const auto count = [](const std::string& analyzer, const char* verdict) {
+    return obs::MetricsRegistry::instance()
+        .counter("reconf_engine_verdicts_total{analyzer=\"" + analyzer +
+                 "\",verdict=\"" + verdict + "\"}")
+        .value();
+  };
+  const auto verdicts = [&](const std::string& analyzer) {
+    std::uint64_t total = 0;
+    for (const char* v : {"accept", "reject", "refuse", "inconclusive"}) {
+      total += count(analyzer, v);
+    }
+    return total;
+  };
+  const std::uint64_t dp_accepts = count("dp", "accept");
+  const std::uint64_t dp = verdicts("dp");
+  const std::uint64_t gn1 = verdicts("gn1");
+  const std::uint64_t gn2 = verdicts("gn2");
+
   AnalysisRequest request;
   request.early_exit = true;
   const AnalysisEngine engine(std::move(request));
+  ASSERT_EQ(engine.execution_order().front(), "dp");
   const TaskSet ts = feather_taskset();
   for (int i = 0; i < 5; ++i) {
     (void)engine.run(ts, Device{100});
   }
-  const auto stats = engine.stats();
-  ASSERT_EQ(stats.size(), 3u);
-  EXPECT_EQ(stats[0].first, "dp");
-  EXPECT_EQ(stats[0].second.runs, 5u);
-  EXPECT_EQ(stats[0].second.accepts, 5u);
+  EXPECT_EQ(count("dp", "accept") - dp_accepts, 5u);
+  EXPECT_EQ(verdicts("dp") - dp, 5u);
   // Early exit: the tail never ran.
-  EXPECT_EQ(stats[1].second.runs, 0u);
-  EXPECT_EQ(stats[2].second.runs, 0u);
+  EXPECT_EQ(verdicts("gn1"), gn1);
+  EXPECT_EQ(verdicts("gn2"), gn2);
 }
 
 TEST(AnalysisEngine, MpAnalyzersGuardUnitArea) {

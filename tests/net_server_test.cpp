@@ -31,6 +31,7 @@
 #include "net/server.hpp"
 #include "svc/batch.hpp"
 #include "svc/codec.hpp"
+#include "svc/shard_cache.hpp"
 #include "svc/verdict_cache.hpp"
 
 namespace reconf {
@@ -449,14 +450,18 @@ TEST(NetServer, SnapshotWarmRestoreAcrossShardCounts) {
     EXPECT_EQ(stats.misses, 0u);
   }
 
-  // The same v1 snapshot also warm-starts a striped VerdictCache — the
-  // format is topology-free in both directions.
+  // The same v1 snapshot also warm-starts a bare fleet of shard caches
+  // outside any server — the format carries no topology.
   {
-    svc::VerdictCache striped(4096);
+    svc::ShardCache a(4096);
+    svc::ShardCache b(4096);
+    const std::vector<svc::ShardCache*> fleet = {&a, &b};
     std::size_t restored = 0;
     std::string error;
-    ASSERT_TRUE(striped.load_snapshot(snap, &restored, &error)) << error;
+    ASSERT_TRUE(svc::load_shard_snapshot(fleet, snap, &restored, &error))
+        << error;
     EXPECT_EQ(restored, 30u);
+    EXPECT_EQ(a.size() + b.size(), 30u);
   }
 }
 

@@ -13,7 +13,9 @@
 //    traces across families and prefetch policies;
 //  * replay stability — the committed corpus scenarios under
 //    tests/corpus/scenarios/ reproduce their recorded summary_json
-//    byte-for-byte, per prefetch policy.
+//    byte-for-byte, per prefetch policy;
+//  * one ledger — every reconf_rt_* / reconf_fault_* counter moves by
+//    exactly its RuntimeResult field per run, fault corpus included.
 //
 // Corpus file format: canonical scenario NDJSON (bit-exact under
 // format_scenario) followed by "#expect <policy> <summary_json>" comment
@@ -24,6 +26,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -31,6 +34,7 @@
 #include <gtest/gtest.h>
 
 #include "analysis/engine.hpp"
+#include "fault/chaos.hpp"
 #include "obs/metrics.hpp"
 #include "rt/runtime.hpp"
 #include "rt/scenario.hpp"
@@ -435,6 +439,127 @@ TEST(Metrics, RuntimeCountersLandInTheSharedRegistry) {
         "reconf_rt_admission_latency_ns"}) {
     EXPECT_NE(text.find(metric), std::string::npos) << metric;
   }
+}
+
+/// Every reconf_rt_* / reconf_fault_* counter in the shared registry. The
+/// admission-latency histogram is a per-gate sample, not a ledger copy.
+std::map<std::string, std::uint64_t> ledger_counters() {
+  std::map<std::string, std::uint64_t> out;
+  std::istringstream lines(obs::MetricsRegistry::instance().prometheus_text());
+  std::string line;
+  while (std::getline(lines, line)) {
+    if (line.rfind("reconf_rt_", 0) != 0 &&
+        line.rfind("reconf_fault_", 0) != 0) {
+      continue;
+    }
+    if (line.rfind("reconf_rt_admission_latency_ns", 0) == 0) continue;
+    const std::size_t sp = line.rfind(' ');
+    out[line.substr(0, sp)] = std::stoull(line.substr(sp + 1));
+  }
+  return out;
+}
+
+/// How far each counter must move for the run that produced `r`.
+std::map<std::string, std::uint64_t> expected_moves(const RuntimeResult& r) {
+  const FaultRecoveryStats& f = r.faults;
+  const auto ticks = [](Ticks t) { return static_cast<std::uint64_t>(t); };
+  return {
+      {"reconf_rt_admissions_total{verdict=\"admitted\"}", r.admitted},
+      {"reconf_rt_admissions_total{verdict=\"rejected\"}", r.rejected},
+      {"reconf_rt_releases_total", r.releases},
+      {"reconf_rt_completions_total", r.completions},
+      {"reconf_rt_deadline_misses_total", r.deadline_misses},
+      {"reconf_rt_stall_ticks_total", ticks(r.stall_ticks)},
+      {"reconf_rt_prefetch_hidden_ticks_total", ticks(r.hidden_ticks)},
+      {"reconf_rt_config_loads_total{kind=\"cold\"}", r.cold_loads},
+      {"reconf_rt_config_loads_total{kind=\"warm\"}", r.warm_hits},
+      {"reconf_rt_config_loads_total{kind=\"prefetch\"}", r.prefetch_hits},
+      {"reconf_rt_prefetch_total{event=\"started\"}", r.prefetch_started},
+      {"reconf_rt_prefetch_total{event=\"completed\"}", r.prefetch_completed},
+      {"reconf_rt_prefetch_total{event=\"aborted\"}", r.prefetch_aborted},
+      {"reconf_rt_evictions_total", r.evictions},
+      {"reconf_fault_injected_total{kind=\"wcet\"}", f.wcet_overruns},
+      {"reconf_fault_injected_total{kind=\"port\"}", f.port_failures},
+      {"reconf_fault_injected_total{kind=\"slow\"}", f.port_slowed_loads},
+      {"reconf_fault_injected_total{kind=\"fabric\"}", f.fabric_faults},
+      {"reconf_fault_recovered_total{action=\"abort\"}", f.overrun_aborts},
+      {"reconf_fault_recovered_total{action=\"skip\"}", f.overrun_skips},
+      {"reconf_fault_recovered_total{action=\"retry\"}",
+       f.load_retries + f.prefetch_refails},
+      {"reconf_fault_recovered_total{action=\"reload\"}", f.fabric_reloads},
+      {"reconf_fault_degraded_total{mode=\"overrun\"}", f.overrun_degrades},
+      {"reconf_fault_degraded_total{mode=\"shed\"}", f.sheds},
+      {"reconf_fault_degraded_total{mode=\"load-abort\"}", f.load_aborts},
+  };
+}
+
+/// Runs `scenario` and checks that the counters moved by exactly the
+/// result's fields — no counter missing, none extra.
+RuntimeResult run_and_check_ledger(const std::string& what,
+                                   const Scenario& scenario,
+                                   const RuntimeConfig& config) {
+  const std::map<std::string, std::uint64_t> before = ledger_counters();
+  RuntimeResult r = run_scenario(scenario, config);
+  const std::map<std::string, std::uint64_t> after = ledger_counters();
+  const std::map<std::string, std::uint64_t> expected = expected_moves(r);
+  EXPECT_EQ(after.size(), expected.size()) << what;
+  for (const auto& [name, value] : after) {
+    const auto want = expected.find(name);
+    if (want == expected.end()) {
+      ADD_FAILURE() << what << ": counter " << name << " has no ledger field";
+      continue;
+    }
+    const auto prev = before.find(name);
+    const std::uint64_t moved =
+        value - (prev == before.end() ? 0 : prev->second);
+    EXPECT_EQ(moved, want->second) << what << ": " << name;
+  }
+  return r;
+}
+
+TEST(Metrics, CountersMoveByExactlyTheResultLedger) {
+  for (const CorpusScenario& c : load_corpus_scenarios()) {
+    for (const PrefetchKind policy :
+         {PrefetchKind::kNone, PrefetchKind::kStatic, PrefetchKind::kHybrid}) {
+      RuntimeConfig config;
+      config.prefetch = policy;
+      config.record_trace = false;
+      (void)run_and_check_ledger(
+          c.path.filename().string() + " " + to_string(policy), c.scenario,
+          config);
+    }
+  }
+
+  std::vector<std::filesystem::path> files;
+  for (const auto& entry : std::filesystem::directory_iterator(
+           std::filesystem::path(RECONF_CORPUS_DIR) / "faults")) {
+    if (entry.path().extension() == ".chaos") files.push_back(entry.path());
+  }
+  ASSERT_EQ(files.size(), 4u);
+  FaultRecoveryStats fired;
+  for (const auto& path : files) {
+    const fault::ChaosCase c = fault::parse_chaos_case(read_file(path));
+    for (const fault::ChaosExpect& e : c.expects) {
+      const std::size_t slash = e.config.find('/');
+      const auto action = overrun_action_from(e.config.substr(0, slash));
+      const auto prefetch = prefetch_kind_from(e.config.substr(slash + 1));
+      ASSERT_TRUE(action.has_value() && prefetch.has_value()) << e.config;
+      RuntimeConfig config;
+      config.prefetch = *prefetch;
+      config.recovery.overrun = *action;
+      config.faults = &c.plan;
+      config.record_trace = false;
+      const RuntimeResult r = run_and_check_ledger(
+          path.filename().string() + " " + e.config, c.scenario, config);
+      fired.port_slowed_loads += r.faults.port_slowed_loads;
+      fired.sheds += r.faults.sheds;
+      fired.fabric_reloads += r.faults.fabric_reloads;
+    }
+  }
+  // The fault corpus must reach the fault counters, or the check is vacuous.
+  EXPECT_GT(fired.port_slowed_loads, 0u);
+  EXPECT_GT(fired.sheds, 0u);
+  EXPECT_GT(fired.fabric_reloads, 0u);
 }
 
 }  // namespace

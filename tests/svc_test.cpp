@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -23,11 +24,22 @@
 #include "gen/generator.hpp"
 #include "svc/batch.hpp"
 #include "svc/session.hpp"
+#include "svc/shard_cache.hpp"
+#include "svc/shard_route.hpp"
 #include "svc/verdict_cache.hpp"
 #include "task/task.hpp"
 
 namespace reconf {
 namespace {
+
+/// The diagnostic spelling of the serving default (reconf_serve --explain):
+/// full reference evaluators, per-analyzer timings, sub-verdicts.
+svc::BatchOptions explain_options() {
+  svc::BatchOptions options;
+  options.request.diagnostics = true;
+  options.request.measure = true;
+  return options;
+}
 
 TaskSet table3_taskset() {
   return TaskSet({make_task(2.10, 5, 5, 7, "t1"), make_task(2.00, 7, 7, 7, "t2"),
@@ -323,8 +335,7 @@ TEST(BatchPipeline, PerRequestTestsOverrideThePipelineDefault) {
   dp_only.tests = {"dp"};
 
   svc::VerdictCache cache(64);
-  svc::BatchOptions explain;
-  explain.request = svc::BatchOptions::explain_request();
+  const svc::BatchOptions explain = explain_options();
   const auto a = svc::evaluate_request(full, &cache, explain);
   const auto b = svc::evaluate_request(dp_only, &cache, explain);
   EXPECT_NE(a.hash, b.hash)
@@ -378,8 +389,7 @@ TEST(BatchPipeline, ExplainModeCarriesSubReportsInExecutionOrder) {
   request.taskset = table3_taskset();
   request.device = Device{20};
 
-  svc::BatchOptions explain;
-  explain.request = svc::BatchOptions::explain_request();
+  const svc::BatchOptions explain = explain_options();
   const auto verdict = svc::evaluate_request(request, nullptr, explain);
   ASSERT_EQ(verdict.sub.size(), 3u);
   EXPECT_EQ(verdict.sub[0].test, "dp");   // cheapest first
@@ -403,8 +413,7 @@ TEST(BatchPipeline, FastDefaultMatchesExplainVerdictsWithoutSubReports) {
   const auto fast = svc::evaluate_request(request, nullptr, {});
   EXPECT_TRUE(fast.sub.empty());
 
-  svc::BatchOptions explain;
-  explain.request = svc::BatchOptions::explain_request();
+  const svc::BatchOptions explain = explain_options();
   const auto full = svc::evaluate_request(request, nullptr, explain);
   EXPECT_EQ(fast.accepted, full.accepted);
   EXPECT_EQ(fast.accepted_by, full.accepted_by);
@@ -516,34 +525,54 @@ TEST(BatchPipeline, ExpiredDeadlineShedsInsteadOfAnalyzing) {
 
 // ----------------------------------------------------- cache snapshot ----
 
-TEST(VerdictCacheSnapshot, SaveRestoreRequeryIsBitIdentical) {
+/// `count` single-owner shard caches of `capacity` entries each, and the
+/// pointer view the snapshot functions take.
+struct Fleet {
+  Fleet(std::size_t count, std::size_t capacity) {
+    for (std::size_t i = 0; i < count; ++i) {
+      owned.push_back(std::make_unique<svc::ShardCache>(capacity));
+      shards.push_back(owned.back().get());
+    }
+  }
+  std::vector<std::unique_ptr<svc::ShardCache>> owned;
+  std::vector<svc::ShardCache*> shards;
+};
+
+TEST(ShardSnapshot, SaveRestoreRequeryIsBitIdentical) {
   const std::string path =
       (std::filesystem::temp_directory_path() / "reconf_cache_snap_test.v1")
           .string();
-  svc::VerdictCache cache(64, 4);
+  // Written by 4 shards, restored into 3: the format is topology-free.
+  Fleet fleet(4, 64);
   for (std::uint64_t k = 1; k <= 40; ++k) {
-    cache.insert(k * 0x9E3779B97F4A7C15ull,
-                 svc::CachedVerdict{k % 3 != 0, k % 2 == 0 ? "dp" : "gn2"});
+    const std::uint64_t key = k * 0x9E3779B97F4A7C15ull;
+    fleet.shards[svc::shard_for_key(key, 4)]->insert(
+        key, svc::CachedVerdict{k % 3 != 0, k % 2 == 0 ? "dp" : "gn2"});
   }
   std::string error;
-  ASSERT_TRUE(cache.save_snapshot(path, &error)) << error;
+  ASSERT_TRUE(svc::save_shard_snapshot(fleet.shards, path, &error)) << error;
 
-  svc::VerdictCache restored(64, 4);
+  Fleet restored(3, 64);
   std::size_t count = 0;
-  ASSERT_TRUE(restored.load_snapshot(path, &count, &error)) << error;
-  EXPECT_EQ(count, cache.size());
+  ASSERT_TRUE(svc::load_shard_snapshot(restored.shards, path, &count, &error))
+      << error;
+  EXPECT_EQ(count, 40u);
   for (std::uint64_t k = 1; k <= 40; ++k) {
-    const auto a = cache.lookup(k * 0x9E3779B97F4A7C15ull);
-    const auto b = restored.lookup(k * 0x9E3779B97F4A7C15ull);
+    const std::uint64_t key = k * 0x9E3779B97F4A7C15ull;
+    const auto a = fleet.shards[svc::shard_for_key(key, 4)]->lookup(key);
+    const auto b = restored.shards[svc::shard_for_key(key, 3)]->lookup(key);
     ASSERT_TRUE(a.has_value());
     ASSERT_TRUE(b.has_value()) << "entry " << k << " lost in restore";
     EXPECT_EQ(a->accepted, b->accepted);
     EXPECT_EQ(a->accepted_by, b->accepted_by);
   }
-  // Save the restored cache again: the snapshot is canonical, so the bytes
-  // must match the first file exactly.
+  // Restored under the writer's topology the snapshot is canonical: saving
+  // it again reproduces the file byte for byte.
+  Fleet same(4, 64);
+  ASSERT_TRUE(svc::load_shard_snapshot(same.shards, path, &count, &error))
+      << error;
   const std::string path2 = path + ".again";
-  ASSERT_TRUE(restored.save_snapshot(path2, &error)) << error;
+  ASSERT_TRUE(svc::save_shard_snapshot(same.shards, path2, &error)) << error;
   std::ifstream f1(path), f2(path2);
   std::stringstream s1, s2;
   s1 << f1.rdbuf();
@@ -553,13 +582,15 @@ TEST(VerdictCacheSnapshot, SaveRestoreRequeryIsBitIdentical) {
   std::filesystem::remove(path2);
 }
 
-TEST(VerdictCacheSnapshot, RefusesTruncatedAndMalformedFiles) {
+TEST(ShardSnapshot, RefusesTruncatedMalformedAndMissingFiles) {
   const auto dir = std::filesystem::temp_directory_path();
   const std::string good = (dir / "reconf_snap_good.v1").string();
-  svc::VerdictCache cache(32, 2);
-  cache.insert(0xABCDull, svc::CachedVerdict{true, "dp"});
-  cache.insert(0x1234ull, svc::CachedVerdict{false, ""});
-  ASSERT_TRUE(cache.save_snapshot(good));
+  Fleet fleet(2, 16);
+  fleet.shards[svc::shard_for_key(0xABCDull, 2)]->insert(
+      0xABCDull, svc::CachedVerdict{true, "dp"});
+  fleet.shards[svc::shard_for_key(0x1234ull, 2)]->insert(
+      0x1234ull, svc::CachedVerdict{false, ""});
+  ASSERT_TRUE(svc::save_shard_snapshot(fleet.shards, good));
 
   // Truncate: drop the last line so `count` no longer matches.
   std::ifstream in(good);
@@ -570,36 +601,22 @@ TEST(VerdictCacheSnapshot, RefusesTruncatedAndMalformedFiles) {
   const std::string bad = (dir / "reconf_snap_bad.v1").string();
   std::ofstream(bad) << text;
 
-  svc::VerdictCache victim(32, 2);
+  Fleet victim(2, 16);
   std::string error;
-  EXPECT_FALSE(victim.load_snapshot(bad, nullptr, &error));
+  EXPECT_FALSE(svc::load_shard_snapshot(victim.shards, bad, nullptr, &error));
   EXPECT_NE(error.find("truncated"), std::string::npos) << error;
 
   std::ofstream(bad) << "not a snapshot\n";
-  EXPECT_FALSE(victim.load_snapshot(bad, nullptr, &error));
+  EXPECT_FALSE(svc::load_shard_snapshot(victim.shards, bad, nullptr, &error));
   std::ofstream(bad) << "reconf-verdict-cache v1\ncount 1\nzzzz 5 dp\n";
-  EXPECT_FALSE(victim.load_snapshot(bad, nullptr, &error));
-  EXPECT_FALSE(victim.load_snapshot((dir / "reconf_absent.v1").string(),
-                                    nullptr, &error));
+  EXPECT_FALSE(svc::load_shard_snapshot(victim.shards, bad, nullptr, &error));
+  EXPECT_FALSE(svc::load_shard_snapshot(
+      victim.shards, (dir / "reconf_absent.v1").string(), nullptr, &error));
   std::filesystem::remove(good);
   std::filesystem::remove(bad);
 }
 
 // -------------------------------------------------------- thread pool ----
-
-TEST(ThreadPoolClass, SubmitReturnsFutureResult) {
-  ThreadPool pool(2);
-  auto f1 = pool.submit([] { return 41 + 1; });
-  auto f2 = pool.submit([] { return std::string("ok"); });
-  EXPECT_EQ(f1.get(), 42);
-  EXPECT_EQ(f2.get(), "ok");
-}
-
-TEST(ThreadPoolClass, SubmitPropagatesExceptions) {
-  ThreadPool pool(1);
-  auto f = pool.submit([]() -> int { throw std::runtime_error("boom"); });
-  EXPECT_THROW(f.get(), std::runtime_error);
-}
 
 TEST(ThreadPoolClass, ParallelForVisitsEveryIndexOnce) {
   ThreadPool pool(4);

@@ -1,13 +1,16 @@
-// bench_report — machine-readable perf baseline for the analysis kernels
-// and the svc batch pipeline. Self-timed (no google-benchmark dependency),
-// so it runs everywhere the library builds, including the CI smoke job.
+// bench_report — machine-readable perf baseline for the analysis kernels.
+// Self-timed (no google-benchmark dependency), so it runs everywhere the
+// library builds, including the CI smoke job. End-to-end serving numbers
+// are not here: the repository benchmark (perfbench/) owns those.
 //
 //   bench_report [--out=BENCH_perf.json] [--quick]
 //
-//   --out=PATH   where to write the JSON report (default BENCH_perf.json
-//                in the current directory); "-" prints to stdout only
-//   --quick      CI smoke sizing: fewer repetitions, smaller request
-//                stream — trend-quality numbers in ~a second
+//   --out=PATH   the JSON report to update (default BENCH_perf.json in the
+//                current directory): only this tool's members are
+//                replaced, so bench_runtime's "runtime" and "fault"
+//                sections survive; "-" prints to stdout only
+//   --quick      CI smoke sizing: fewer repetitions, shorter percentile
+//                pass — trend-quality numbers in ~a second
 //
 // Measurements:
 //   * ns/op for the reference evaluators (dp_test/gn1_test/gn2_test, the
@@ -16,17 +19,15 @@
 //     N ∈ {4, 8, 16, 32, 64}, median of R repetitions;
 //   * the log2(t(64)/t(32)) complexity exponent per series — the fast GN2
 //     sweep must stay visibly below the reference's ~3;
-//   * svc batch throughput (req/s) at 0% and 90% duplicate rates with the
-//     fast serving default, single-threaded for machine comparability;
 //   * latency percentiles (p50/p95/p99, nanoseconds) from the obs
 //     histograms: per-analyzer decide() latency in measured mode and the
-//     svc request latency over a mixed-duplicate stream. The ns/op and
-//     throughput series above run with obs DISABLED (baseline
-//     comparability — the committed baseline predates src/obs/); the
-//     percentile pass then re-enables it.
+//     svc request latency over a mixed-duplicate stream. The ns/op series
+//     above run with obs DISABLED (baseline comparability — the committed
+//     baseline predates src/obs/); the percentile pass then re-enables it.
 //
-// The committed BENCH_perf.json at the repo root is the baseline this tool
-// last produced on the reference container; regenerate with
+// The committed BENCH_perf.json at the repo root holds the numbers this
+// tool (and bench_runtime) last produced on the reference container;
+// refresh this tool's members with
 //   cmake --build build -j && ./build/bench_report --out=BENCH_perf.json
 // and commit the diff alongside any change that moves the numbers.
 
@@ -35,12 +36,14 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/dp.hpp"
 #include "analysis/engine.hpp"
 #include "analysis/gn1.hpp"
 #include "analysis/gn2.hpp"
+#include "common/report_merge.hpp"
 #include "common/rng.hpp"
 #include "common/stopwatch.hpp"
 #include "common/thread_pool.hpp"
@@ -145,58 +148,6 @@ std::vector<Series> run_analysis_benches(int reps, double min_rep_ns) {
   return out;
 }
 
-struct ServicePoint {
-  double dup = 0.0;
-  double req_per_s = 0.0;
-  double hit_rate = 0.0;
-};
-
-std::vector<ServicePoint> run_service_bench(std::size_t requests) {
-  // Mirrors bench_service's stream shape: a pool spread across the
-  // schedulability cliff, duplicates drawn from a hot set.
-  const std::size_t hot = 128;
-  std::vector<TaskSet> pool;
-  pool.reserve(hot + requests);
-  for (std::size_t i = 0; pool.size() < hot + requests; ++i) {
-    gen::GenRequest req;
-    req.profile = gen::GenProfile::unconstrained(12);
-    req.seed = derive_seed(0xBE5EC0DE, i);
-    req.target_system_util = 5.0 + 90.0 * static_cast<double>(i % 64) / 63.0;
-    req.target_tolerance = 2.0;
-    if (auto ts = gen::generate(req)) pool.push_back(std::move(*ts));
-  }
-
-  std::vector<ServicePoint> out;
-  for (const double dup : {0.0, 0.9}) {
-    std::vector<svc::BatchRequest> stream;
-    stream.reserve(requests);
-    std::size_t fresh = hot;
-    for (std::size_t i = 0; i < requests; ++i) {
-      Xoshiro256ss rng(derive_seed(0xD0BE5EC0, i));
-      svc::BatchRequest r;
-      r.id = std::to_string(i);
-      r.device = Device{100};
-      if (rng.uniform01() < dup || fresh >= pool.size()) {
-        r.taskset = pool[static_cast<std::size_t>(rng.uniform_int(
-            0, static_cast<std::int64_t>(hot) - 1))];
-      } else {
-        r.taskset = pool[fresh++];
-      }
-      stream.push_back(std::move(r));
-    }
-
-    svc::VerdictCache cache(1 << 16);
-    ThreadPool workers(1);  // single-threaded: machine-comparable numbers
-    Stopwatch clock;
-    const auto verdicts = svc::run_batch(stream, &cache, workers, {});
-    const double seconds = clock.seconds();
-    RECONF_ASSERT(verdicts.size() == requests);
-    out.push_back({dup, static_cast<double>(requests) / seconds,
-                   cache.stats().hit_rate()});
-  }
-  return out;
-}
-
 struct Percentiles {
   std::string name;  ///< "dp" / "gn1" / "gn2" / "svc_request"
   std::uint64_t p50 = 0;
@@ -265,14 +216,18 @@ std::vector<Percentiles> run_percentile_pass(std::size_t iters,
   return out;
 }
 
-std::string to_json(const std::vector<Series>& analysis,
-                    const std::vector<ServicePoint>& service,
-                    const std::vector<Percentiles>& percentiles, bool quick) {
+/// This tool's members of the report, in file order, as (key, JSON value).
+/// The report's other members belong to other tools (bench_runtime writes
+/// "runtime" and "fault").
+std::vector<std::pair<std::string, std::string>> report_members(
+    const std::vector<Series>& analysis,
+    const std::vector<Percentiles>& percentiles, bool quick) {
   char buf[256];
-  std::string json = "{\n  \"schema\": \"reconf-bench-perf/1\",\n";
-  json += quick ? "  \"mode\": \"quick\",\n" : "  \"mode\": \"full\",\n";
+  std::vector<std::pair<std::string, std::string>> members;
+  members.emplace_back("schema", "\"reconf-bench-perf/1\"");
+  members.emplace_back("mode", quick ? "\"quick\"" : "\"full\"");
 
-  json += "  \"analysis\": [\n";
+  std::string json = "[\n";
   for (std::size_t s = 0; s < analysis.size(); ++s) {
     const Series& series = analysis[s];
     for (std::size_t p = 0; p < series.ns_per_op.size(); ++p) {
@@ -287,14 +242,20 @@ std::string to_json(const std::vector<Series>& analysis,
       json += buf;
     }
   }
-  json += "  ],\n  \"complexity_exponents\": {";
+  json += "  ]";
+  members.emplace_back("analysis", json);
+
+  json = "{";
   for (std::size_t s = 0; s < analysis.size(); ++s) {
     std::snprintf(buf, sizeof buf, "%s\"%s_%s\": %.2f",
                   s == 0 ? "" : ", ", analysis[s].test.c_str(),
                   analysis[s].path.c_str(), analysis[s].exponent());
     json += buf;
   }
-  json += "},\n  \"speedup\": {";
+  json += "}";
+  members.emplace_back("complexity_exponents", json);
+
+  json = "{";
   // fast vs reference at the largest N, per test.
   bool first = true;
   for (const Series& ref : analysis) {
@@ -308,16 +269,10 @@ std::string to_json(const std::vector<Series>& analysis,
       first = false;
     }
   }
-  json += "},\n  \"service\": [\n";
-  for (std::size_t i = 0; i < service.size(); ++i) {
-    std::snprintf(buf, sizeof buf,
-                  "    {\"dup\": %.2f, \"req_per_s\": %.0f, "
-                  "\"cache_hit_rate\": %.3f}%s\n",
-                  service[i].dup, service[i].req_per_s, service[i].hit_rate,
-                  i + 1 == service.size() ? "" : ",");
-    json += buf;
-  }
-  json += "  ],\n  \"latency_percentiles_ns\": [\n";
+  json += "}";
+  members.emplace_back("speedup", json);
+
+  json = "[\n";
   for (std::size_t i = 0; i < percentiles.size(); ++i) {
     const Percentiles& p = percentiles[i];
     std::snprintf(buf, sizeof buf,
@@ -330,8 +285,9 @@ std::string to_json(const std::vector<Series>& analysis,
                   i + 1 == percentiles.size() ? "" : ",");
     json += buf;
   }
-  json += "  ]\n}\n";
-  return json;
+  json += "  ]";
+  members.emplace_back("latency_percentiles_ns", json);
+  return members;
 }
 
 }  // namespace
@@ -354,7 +310,6 @@ int main(int argc, char** argv) {
 
   const int reps = quick ? 3 : 7;
   const double min_rep_ns = quick ? 2e6 : 2e7;
-  const std::size_t requests = quick ? 2000 : 10000;
 
   // Baseline series run with obs disabled: the committed BENCH_perf.json
   // predates src/obs/, and the CI guardrails below must keep judging the
@@ -362,27 +317,28 @@ int main(int argc, char** argv) {
   obs::set_enabled(false);
   std::fprintf(stderr, "bench_report: measuring analysis kernels...\n");
   const auto analysis_series = run_analysis_benches(reps, min_rep_ns);
-  std::fprintf(stderr, "bench_report: measuring batch throughput...\n");
-  const auto service = run_service_bench(requests);
   std::fprintf(stderr, "bench_report: collecting latency percentiles...\n");
   const auto percentiles =
       run_percentile_pass(quick ? 500 : 5000, quick ? 500 : 2000);
 
-  const std::string json = to_json(analysis_series, service, percentiles,
-                                   quick);
-  if (out_path == "-") {
-    std::fputs(json.c_str(), stdout);
-  } else {
-    std::FILE* f = std::fopen(out_path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-      return 1;
-    }
-    std::fputs(json.c_str(), f);
-    std::fclose(f);
-    std::fprintf(stderr, "bench_report: wrote %s\n", out_path.c_str());
-    std::fputs(json.c_str(), stdout);
+  const auto members = report_members(analysis_series, percentiles, quick);
+  std::string json = "{\n";
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    json += "  \"" + members[i].first + "\": " + members[i].second +
+            (i + 1 == members.size() ? "\n" : ",\n");
   }
+  json += "}\n";
+  if (out_path != "-") {
+    for (const auto& [key, value] : members) {
+      std::string error;
+      if (!merge_report_section(out_path, key, value, &error)) {
+        std::fprintf(stderr, "%s\n", error.c_str());
+        return 1;
+      }
+    }
+    std::fprintf(stderr, "bench_report: updated %s\n", out_path.c_str());
+  }
+  std::fputs(json.c_str(), stdout);
 
   // Smoke guardrails: the fast GN2 path must beat the reference at N=64
   // and grow below cubic — CI fails loudly when a regression lands.

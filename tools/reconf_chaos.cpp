@@ -47,6 +47,7 @@
 #include <string>
 #include <vector>
 
+#include "common/flags.hpp"
 #include "fault/chaos.hpp"
 #include "fault/plan.hpp"
 #include "gen/rng.hpp"
@@ -73,43 +74,6 @@ int usage() {
       "                    [--configs=A/P,...]\n"
       "see the header of tools/reconf_chaos.cpp for details\n");
   return 2;
-}
-
-std::optional<long long> flag_int(const std::vector<std::string>& args,
-                                  const std::string& name) {
-  const std::string prefix = "--" + name + "=";
-  for (const std::string& a : args) {
-    if (a.rfind(prefix, 0) == 0) {
-      const std::string value = a.substr(prefix.size());
-      try {
-        std::size_t used = 0;
-        const long long parsed = std::stoll(value, &used, 0);  // 0x ok
-        if (used == value.size()) return parsed;
-      } catch (const std::exception&) {
-      }
-      std::fprintf(stderr, "invalid value for --%s: '%s'\n", name.c_str(),
-                   value.c_str());
-      std::exit(2);
-    }
-  }
-  return std::nullopt;
-}
-
-std::string flag_str(const std::vector<std::string>& args,
-                     const std::string& name) {
-  const std::string prefix = "--" + name + "=";
-  for (const std::string& a : args) {
-    if (a.rfind(prefix, 0) == 0) return a.substr(prefix.size());
-  }
-  return {};
-}
-
-bool has_flag(const std::vector<std::string>& args, const std::string& name) {
-  const std::string bare = "--" + name;
-  for (const std::string& a : args) {
-    if (a == bare) return true;
-  }
-  return false;
 }
 
 /// Decodes a "<overrun-action>/<prefetch>" chaos config string.
@@ -458,19 +422,11 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
     if (a.rfind("--", 0) == 0) {
-      static const char* known[] = {"--count=",  "--seed=",    "--arrivals=",
-                                    "--device=", "--faults=",  "--corpus-dir=",
-                                    "--replay=", "--emit",     "--family=",
-                                    "--rho=",    "--configs=", "--pin="};
-      bool ok = false;
-      for (const char* k : known) {
-        const std::string key = k;
-        if (key.back() == '=' ? a.rfind(key, 0) == 0 : a == key) {
-          ok = true;
-          break;
-        }
-      }
-      if (!ok) {
+      static const char* const known[] = {
+          "--count=",  "--seed=",       "--arrivals=", "--device=",
+          "--faults=", "--corpus-dir=", "--replay=",   "--emit",
+          "--family=", "--rho=",        "--configs=",  "--pin="};
+      if (!is_known_flag(a, known)) {
         std::fprintf(stderr, "unknown flag: %s\n", a.c_str());
         return usage();
       }

@@ -16,15 +16,19 @@
 //
 // Taskset file format: see task/io.hpp (also produced by `generate`).
 
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "common/flags.hpp"
 #include "reconf/reconf.hpp"
 
 namespace {
@@ -38,22 +42,22 @@ int usage() {
   return 2;
 }
 
-std::optional<std::string> flag_value(const std::vector<std::string>& args,
-                                      const std::string& name) {
-  const std::string prefix = "--" + name + "=";
-  for (const std::string& a : args) {
-    if (a.rfind(prefix, 0) == 0) return a.substr(prefix.size());
+/// `--name=N` as an integer in [lo, hi], `fallback` when absent. A bad or
+/// out-of-range value exits 2 with a message — never a silent default, an
+/// uncaught exception or a tripped precondition further in.
+long long int_flag(const std::vector<std::string>& args, const char* name,
+                   long long fallback, long long lo, long long hi) {
+  const long long value = flag_int(args, name).value_or(fallback);
+  if (value < lo || value > hi) {
+    std::fprintf(stderr, "--%s must be in [%lld, %lld], got %lld\n", name, lo,
+                 hi, value);
+    std::exit(2);
   }
-  return std::nullopt;
+  return value;
 }
 
-bool has_flag(const std::vector<std::string>& args, const std::string& name) {
-  const std::string bare = "--" + name;
-  for (const std::string& a : args) {
-    if (a == bare) return true;
-  }
-  return false;
-}
+constexpr long long kMaxInt = std::numeric_limits<int>::max();
+constexpr long long kMaxLong = std::numeric_limits<long long>::max();
 
 std::optional<io::ParsedTaskSet> load(const std::string& path) {
   std::ifstream file(path);
@@ -170,19 +174,16 @@ int cmd_simulate(const std::vector<std::string>& args) {
     else if (*s == "worst") cfg.strategy = placement::Strategy::kWorstFit;
     else if (*s != "first") return usage();
   }
-  if (const auto h = flag_value(args, "horizon-periods")) {
-    cfg.horizon_periods = std::stoi(*h);
-  }
-  if (const auto r = flag_value(args, "rho")) {
-    cfg.reconf.per_column = std::stoll(*r);
-  }
+  cfg.horizon_periods = static_cast<int>(
+      int_flag(args, "horizon-periods", cfg.horizon_periods, 1, kMaxInt));
+  cfg.reconf.per_column =
+      int_flag(args, "rho", cfg.reconf.per_column, 0, kMaxLong);
   if (const auto a = flag_value(args, "arrivals")) {
     if (*a == "sporadic") cfg.arrivals = sim::ArrivalModel::kSporadic;
     else if (*a != "periodic") return usage();
   }
-  if (const auto s = flag_value(args, "seed")) {
-    cfg.arrival_seed = std::stoull(*s);
-  }
+  cfg.arrival_seed = static_cast<std::uint64_t>(int_flag(
+      args, "seed", static_cast<long long>(cfg.arrival_seed), 0, kMaxLong));
   cfg.record_trace = has_flag(args, "gantt");
   cfg.check_invariants = true;
   cfg.stop_on_first_miss = false;
@@ -218,8 +219,7 @@ int cmd_simulate(const std::vector<std::string>& args) {
 
 int cmd_generate(const std::vector<std::string>& args) {
   gen::GenRequest req;
-  int n = 10;
-  if (const auto v = flag_value(args, "n")) n = std::stoi(*v);
+  const int n = static_cast<int>(int_flag(args, "n", 10, 1, kMaxInt));
   req.profile = gen::GenProfile::unconstrained(n);
   if (const auto v = flag_value(args, "profile")) {
     if (*v == "heavy-area") {
@@ -231,13 +231,19 @@ int cmd_generate(const std::vector<std::string>& args) {
     }
   }
   if (const auto v = flag_value(args, "us")) {
-    req.target_system_util = std::stod(*v);
+    char* end = nullptr;
+    const double us = std::strtod(v->c_str(), &end);
+    if (v->empty() || *end != '\0' || !std::isfinite(us) || us <= 0.0) {
+      std::fprintf(stderr, "--us must be a positive number, got '%s'\n",
+                   v->c_str());
+      return 2;
+    }
+    req.target_system_util = us;
   }
-  if (const auto v = flag_value(args, "seed")) req.seed = std::stoull(*v);
-  Area width = 100;
-  if (const auto v = flag_value(args, "width")) {
-    width = static_cast<Area>(std::stoi(*v));
-  }
+  req.seed = static_cast<std::uint64_t>(
+      int_flag(args, "seed", static_cast<long long>(req.seed), 0, kMaxLong));
+  const auto width =
+      static_cast<Area>(int_flag(args, "width", 100, 1, kMaxInt));
 
   const auto ts = gen::generate_with_retries(req);
   if (!ts) {

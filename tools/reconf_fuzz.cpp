@@ -30,12 +30,15 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "analysis/registry.hpp"
+#include "common/flags.hpp"
 #include "common/stopwatch.hpp"
 #include "common/thread_pool.hpp"
 #include "gen/rng.hpp"
@@ -66,94 +69,95 @@ struct Options {
   bool list = false;
 };
 
-std::uint64_t parse_u64(const std::string& text, const char* what) {
-  try {
-    return std::stoull(text, nullptr, 0);
-  } catch (const std::exception&) {
-    std::fprintf(stderr, "reconf_fuzz: bad %s '%s'\n", what, text.c_str());
+[[noreturn]] void usage() {
+  std::fprintf(stderr,
+               "usage: reconf_fuzz [--count=N] [--seed=S] "
+               "[--families=a,b] [--tasks=LO..HI] [--tests=a,b] "
+               "[--threads=K] [--horizon-periods=P] [--offset-trials=K] "
+               "[--corpus-dir=DIR] [--out=PATH] [--inject=MODE] "
+               "[--list]\n");
+  std::exit(2);
+}
+
+/// `--name=N` as a non-negative integer (decimal or 0x hex), `fallback`
+/// when absent; exits 2 on anything else.
+std::uint64_t flag_count(const std::vector<std::string>& args,
+                         const char* name, std::uint64_t fallback) {
+  const std::optional<long long> value = flag_int(args, name);
+  if (!value) return fallback;
+  if (*value < 0) {
+    std::fprintf(stderr, "reconf_fuzz: bad --%s '%lld'\n", name, *value);
     std::exit(2);
   }
+  return static_cast<std::uint64_t>(*value);
 }
 
 Options parse_args(int argc, char** argv) {
+  const std::vector<std::string> args(argv + 1, argv + argc);
+  static const char* const known[] = {
+      "--count=",           "--seed=",          "--families=",
+      "--tasks=",           "--tests=",         "--threads=",
+      "--horizon-periods=", "--offset-trials=", "--corpus-dir=",
+      "--out=",             "--inject=",        "--list"};
+  for (const std::string& a : args) {
+    if (!is_known_flag(a, known)) usage();
+  }
+
   Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    const auto value = [&](const char* prefix) -> std::string {
-      return a.substr(std::string(prefix).size());
-    };
-    if (a.rfind("--count=", 0) == 0) {
-      opt.count = parse_u64(value("--count="), "count");
-    } else if (a.rfind("--seed=", 0) == 0) {
-      opt.seed = parse_u64(value("--seed="), "seed");
-    } else if (a.rfind("--families=", 0) == 0) {
-      opt.families.clear();
-      for (const std::string& name :
-           analysis::split_id_list(value("--families="))) {
-        const auto family = oracle::family_from_string(name);
-        if (!family) {
-          std::fprintf(stderr, "reconf_fuzz: unknown family '%s'\n",
-                       name.c_str());
-          std::exit(2);
-        }
-        opt.families.push_back(*family);
-      }
-      if (opt.families.empty()) {
-        std::fprintf(stderr, "reconf_fuzz: --families= selects nothing\n");
+  opt.count = flag_count(args, "count", opt.count);
+  opt.seed = flag_count(args, "seed", opt.seed);
+  if (const auto families = flag_value(args, "families")) {
+    opt.families.clear();
+    for (const std::string& name : analysis::split_id_list(*families)) {
+      const auto family = oracle::family_from_string(name);
+      if (!family) {
+        std::fprintf(stderr, "reconf_fuzz: unknown family '%s'\n",
+                     name.c_str());
         std::exit(2);
       }
-    } else if (a.rfind("--tasks=", 0) == 0) {
-      const std::string range = value("--tasks=");
-      const std::size_t dots = range.find("..");
-      if (dots == std::string::npos) {
-        opt.tasks_lo = opt.tasks_hi =
-            static_cast<int>(parse_u64(range, "tasks"));
-      } else {
-        opt.tasks_lo =
-            static_cast<int>(parse_u64(range.substr(0, dots), "tasks"));
-        opt.tasks_hi =
-            static_cast<int>(parse_u64(range.substr(dots + 2), "tasks"));
-      }
-      if (opt.tasks_lo < 1 || opt.tasks_hi < opt.tasks_lo) {
-        std::fprintf(stderr, "reconf_fuzz: bad --tasks range\n");
-        std::exit(2);
-      }
-    } else if (a.rfind("--tests=", 0) == 0) {
-      opt.tests = analysis::split_id_list(value("--tests="));
-    } else if (a.rfind("--threads=", 0) == 0) {
-      opt.threads =
-          static_cast<unsigned>(parse_u64(value("--threads="), "threads"));
-    } else if (a.rfind("--horizon-periods=", 0) == 0) {
-      opt.oracle.horizon_periods = static_cast<int>(
-          parse_u64(value("--horizon-periods="), "horizon-periods"));
-    } else if (a.rfind("--offset-trials=", 0) == 0) {
-      opt.oracle.offset_trials = static_cast<int>(
-          parse_u64(value("--offset-trials="), "offset-trials"));
-    } else if (a.rfind("--corpus-dir=", 0) == 0) {
-      opt.corpus_dir = value("--corpus-dir=");
-    } else if (a.rfind("--out=", 0) == 0) {
-      opt.out_path = value("--out=");
-    } else if (a.rfind("--inject=", 0) == 0) {
-      const auto mode = oracle::inject_mode_from_string(value("--inject="));
-      if (!mode) {
-        std::fprintf(stderr,
-                     "reconf_fuzz: --inject must be none|over-accept|"
-                     "fast-slow\n");
-        std::exit(2);
-      }
-      opt.inject = *mode;
-    } else if (a == "--list") {
-      opt.list = true;
-    } else {
-      std::fprintf(stderr,
-                   "usage: reconf_fuzz [--count=N] [--seed=S] "
-                   "[--families=a,b] [--tasks=LO..HI] [--tests=a,b] "
-                   "[--threads=K] [--horizon-periods=P] [--offset-trials=K] "
-                   "[--corpus-dir=DIR] [--out=PATH] [--inject=MODE] "
-                   "[--list]\n");
+      opt.families.push_back(*family);
+    }
+    if (opt.families.empty()) {
+      std::fprintf(stderr, "reconf_fuzz: --families= selects nothing\n");
       std::exit(2);
     }
   }
+  if (const auto range = flag_value(args, "tasks")) {
+    const std::size_t dots = range->find("..");
+    const auto lo = parse_int(range->substr(0, dots));
+    const auto hi =
+        dots == std::string::npos ? lo : parse_int(range->substr(dots + 2));
+    if (!lo || !hi || *lo < 1 || *hi < *lo ||
+        *hi > std::numeric_limits<int>::max()) {
+      std::fprintf(stderr, "reconf_fuzz: bad --tasks range\n");
+      std::exit(2);
+    }
+    opt.tasks_lo = static_cast<int>(*lo);
+    opt.tasks_hi = static_cast<int>(*hi);
+  }
+  if (const auto tests = flag_value(args, "tests")) {
+    opt.tests = analysis::split_id_list(*tests);
+  }
+  opt.threads = static_cast<unsigned>(flag_count(args, "threads", 0));
+  opt.oracle.horizon_periods = static_cast<int>(flag_count(
+      args, "horizon-periods",
+      static_cast<std::uint64_t>(opt.oracle.horizon_periods)));
+  opt.oracle.offset_trials = static_cast<int>(flag_count(
+      args, "offset-trials",
+      static_cast<std::uint64_t>(opt.oracle.offset_trials)));
+  opt.corpus_dir = flag_str(args, "corpus-dir");
+  opt.out_path = flag_str(args, "out");
+  if (const auto inject = flag_value(args, "inject")) {
+    const auto mode = oracle::inject_mode_from_string(*inject);
+    if (!mode) {
+      std::fprintf(stderr,
+                   "reconf_fuzz: --inject must be none|over-accept|"
+                   "fast-slow\n");
+      std::exit(2);
+    }
+    opt.inject = *mode;
+  }
+  opt.list = has_flag(args, "list");
   return opt;
 }
 

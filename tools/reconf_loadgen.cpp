@@ -1,13 +1,15 @@
-// reconf_loadgen — multi-connection load driver for the async serving tier
-// (reconf_serve --listen): opens N TCP connections, pipelines NDJSON
+// reconf_loadgen — ad-hoc multi-connection load driver for the serving
+// tier (reconf_serve --listen): opens N TCP connections, pipelines NDJSON
 // analysis requests over each without waiting for responses (open loop up
-// to a bounded in-flight window), and measures end-to-end throughput and
-// exact p50/p95/p99 response latency.
+// to a bounded in-flight window), and prints end-to-end throughput and
+// exact p50/p95/p99 response latency to stderr. It records nothing: the
+// repository benchmark (perfbench/, see perfbench/README.md) is the
+// end-to-end performance record. This driver is for servers started with
+// non-default flags (--io-threads, --shards, --explain) that the benchmark
+// does not run.
 //
 //   reconf_loadgen --port=N [--host=ADDR] [--connections=N] [--requests=N]
 //                  [--dup-ratio=PCT] [--stats-every=N] [--window=N]
-//                  [--label=NAME] [--merge=BENCH_perf.json]
-//                  [--baseline=BENCH_perf.json] [--baseline-tolerance=PCT]
 //
 //   --port=N            server port (required; pair with reconf_serve
 //                       --listen=127.0.0.1:0 --port-file=...)
@@ -24,16 +26,9 @@
 //   --window=N          max responses a connection may be behind before its
 //                       writer pauses (default 1024) — bounds client memory
 //                       while keeping the server's input saturated
-//   --label=NAME        key inside the service_async section for this run
-//                       (default "uncached" when --dup-ratio=0, else
-//                       "dupNN")
-//   --merge=PATH        merge a {"label": {...}} run record into the
-//                       service_async section of the JSON report at PATH
-//                       (created when missing)
-//   --baseline=PATH     read service_async.<label>.rps from a committed
-//                       report and exit 1 when this run regresses by more
-//                       than --baseline-tolerance (default 30) percent —
-//                       the CI perf-smoke gate
+//
+// Exit status: 0 clean, 1 on a failed connection or any error line from
+// the server, 2 on a usage error (unknown flag, bad value).
 //
 // Responses come back in request order per connection (the server
 // guarantees it), so latency needs no id correlation: the k-th response on
@@ -51,9 +46,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <optional>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -61,7 +53,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include "common/report_merge.hpp"
+#include "common/flags.hpp"
 #include "net/poller.hpp"
 #include "svc/codec.hpp"
 
@@ -70,34 +62,14 @@ namespace {
 using namespace reconf;
 using Clock = std::chrono::steady_clock;
 
-std::optional<long long> flag_int(int argc, char** argv,
-                                  const std::string& name) {
-  const std::string prefix = "--" + name + "=";
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a.rfind(prefix, 0) == 0) {
-      const std::string value = a.substr(prefix.size());
-      try {
-        std::size_t used = 0;
-        const long long parsed = std::stoll(value, &used);
-        if (used == value.size()) return parsed;
-      } catch (const std::exception&) {
-      }
-      std::fprintf(stderr, "invalid value for --%s: '%s'\n", name.c_str(),
-                   value.c_str());
-      std::exit(2);
-    }
-  }
-  return std::nullopt;
-}
-
-std::string flag_str(int argc, char** argv, const std::string& name) {
-  const std::string prefix = "--" + name + "=";
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a.rfind(prefix, 0) == 0) return a.substr(prefix.size());
-  }
-  return {};
+int usage() {
+  std::fprintf(stderr,
+               "usage: reconf_loadgen --port=N [--host=ADDR] "
+               "[--connections=N] [--requests=N]\n"
+               "                      [--dup-ratio=PCT] [--stats-every=N] "
+               "[--window=N]\n"
+               "see the header of tools/reconf_loadgen.cpp\n");
+  return 2;
 }
 
 /// Request body for the g-th globally unique workload index: a 3-task set
@@ -300,66 +272,35 @@ std::uint64_t percentile(std::vector<std::uint64_t>& sorted, double p) {
   return sorted[rank];
 }
 
-/// Reads service_async.<label>.rps from a committed report with the same
-/// pragmatic scanning the report writer uses — locate the section, then the
-/// label, then the "rps" number.
-std::optional<double> read_baseline_rps(const std::string& path,
-                                        const std::string& label) {
-  std::ifstream in(path);
-  if (!in) return std::nullopt;
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  const std::string text = ss.str();
-  std::size_t at = text.find("\"service_async\"");
-  if (at == std::string::npos) return std::nullopt;
-  at = text.find("\"" + label + "\"", at);
-  if (at == std::string::npos) return std::nullopt;
-  at = text.find("\"rps\"", at);
-  if (at == std::string::npos) return std::nullopt;
-  at = text.find(':', at);
-  if (at == std::string::npos) return std::nullopt;
-  try {
-    return std::stod(text.substr(at + 1));
-  } catch (const std::exception&) {
-    return std::nullopt;
-  }
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  const long long port = flag_int(argc, argv, "port").value_or(0);
-  if (port <= 0 || port > 65'535) {
-    std::fprintf(stderr, "usage: reconf_loadgen --port=N [--host=ADDR] "
-                         "[--connections=N] [--requests=N] [--dup-ratio=PCT] "
-                         "[--stats-every=N] [--window=N] [--label=NAME] "
-                         "[--merge=PATH] [--baseline=PATH] "
-                         "[--baseline-tolerance=PCT]\n"
-                         "see the header of tools/reconf_loadgen.cpp\n");
-    return 2;
+  const std::vector<std::string> args(argv + 1, argv + argc);
+  static const char* const known[] = {
+      "--port=",      "--host=",        "--connections=", "--requests=",
+      "--dup-ratio=", "--stats-every=", "--window="};
+  for (const std::string& a : args) {
+    if (!is_known_flag(a, known)) {
+      std::fprintf(stderr, "unknown flag: %s\n", a.c_str());
+      return usage();
+    }
   }
+  const long long port = flag_int(args, "port").value_or(0);
+  if (port <= 0 || port > 65'535) return usage();
   RunConfig config;
-  config.host = flag_str(argc, argv, "host");
+  config.host = flag_str(args, "host");
   if (config.host.empty()) config.host = "127.0.0.1";
   config.port = static_cast<std::uint16_t>(port);
-  config.connections = static_cast<unsigned>(
-      std::clamp<long long>(flag_int(argc, argv, "connections").value_or(4),
-                            1, 1024));
-  config.requests = static_cast<std::uint64_t>(std::max<long long>(
-      1, flag_int(argc, argv, "requests").value_or(200'000)));
+  config.connections = static_cast<unsigned>(std::clamp<long long>(
+      flag_int(args, "connections").value_or(4), 1, 1024));
+  config.requests = static_cast<std::uint64_t>(
+      std::max<long long>(1, flag_int(args, "requests").value_or(200'000)));
   config.dup_pct = static_cast<unsigned>(
-      std::clamp<long long>(flag_int(argc, argv, "dup-ratio").value_or(0), 0,
-                            100));
+      std::clamp<long long>(flag_int(args, "dup-ratio").value_or(0), 0, 100));
   config.stats_every = static_cast<std::uint64_t>(
-      std::max<long long>(0, flag_int(argc, argv, "stats-every").value_or(0)));
+      std::max<long long>(0, flag_int(args, "stats-every").value_or(0)));
   config.window = static_cast<std::uint64_t>(std::clamp<long long>(
-      flag_int(argc, argv, "window").value_or(1024), 1, 1'000'000));
-
-  std::string label = flag_str(argc, argv, "label");
-  if (label.empty()) {
-    label = config.dup_pct == 0 ? "uncached"
-                                : "dup" + std::to_string(config.dup_pct);
-  }
+      flag_int(args, "window").value_or(1024), 1, 1'000'000));
 
   const std::uint64_t per_conn = config.requests / config.connections;
   if (per_conn == 0) {
@@ -412,13 +353,12 @@ int main(int argc, char** argv) {
   const std::uint64_t p99 = percentile(total.latencies_ns, 0.99);
 
   std::fprintf(stderr,
-               "%s: %llu responses over %u connections in %.3fs — %.0f "
-               "req/s\n"
+               "reconf_loadgen: %llu responses over %u connections in %.3fs "
+               "— %.0f req/s (dup-ratio %u%%)\n"
                "  verdicts=%llu cache_hits=%llu sheds=%llu stats=%llu\n"
                "  latency p50=%.1fus p95=%.1fus p99=%.1fus\n",
-               label.c_str(),
                static_cast<unsigned long long>(total.responses),
-               config.connections, seconds, rps,
+               config.connections, seconds, rps, config.dup_pct,
                static_cast<unsigned long long>(total.verdicts),
                static_cast<unsigned long long>(total.cache_hits),
                static_cast<unsigned long long>(total.sheds),
@@ -426,112 +366,5 @@ int main(int argc, char** argv) {
                static_cast<double>(p50) * 1e-3,
                static_cast<double>(p95) * 1e-3,
                static_cast<double>(p99) * 1e-3);
-
-  char record[768];
-  std::snprintf(
-      record, sizeof record,
-      "{\n      \"connections\": %u,\n      \"requests\": %llu,\n"
-      "      \"dup_ratio_pct\": %u,\n      \"rps\": %.0f,\n"
-      "      \"cache_hits\": %llu,\n      \"sheds\": %llu,\n"
-      "      \"p50_ns\": %llu,\n      \"p95_ns\": %llu,\n"
-      "      \"p99_ns\": %llu\n    }",
-      config.connections,
-      static_cast<unsigned long long>(total.responses), config.dup_pct, rps,
-      static_cast<unsigned long long>(total.cache_hits),
-      static_cast<unsigned long long>(total.sheds),
-      static_cast<unsigned long long>(p50),
-      static_cast<unsigned long long>(p95),
-      static_cast<unsigned long long>(p99));
-
-  const std::string merge_path = flag_str(argc, argv, "merge");
-  if (!merge_path.empty()) {
-    // Nested merge: fetch/extend the service_async section with this run's
-    // label. Two passes through the shared helper keep it one-key simple:
-    // first ensure the section exists, then splice the label inside it by
-    // treating "service_async" as the file-level key and re-merging the
-    // updated section text.
-    std::ifstream in(merge_path);
-    std::string text;
-    if (in) {
-      std::ostringstream ss;
-      ss << in.rdbuf();
-      text = ss.str();
-    }
-    std::string section;
-    const std::size_t at = text.find("\"service_async\"");
-    if (at != std::string::npos) {
-      const std::size_t open = text.find('{', at);
-      int depth = 0;
-      std::size_t end = open;
-      for (; end < text.size(); ++end) {
-        if (text[end] == '{') ++depth;
-        if (text[end] == '}' && --depth == 0) break;
-      }
-      section = text.substr(open, end + 1 - open);
-    } else {
-      section = "{\n    \"schema\": \"reconf-bench-service-async/1\"\n  }";
-    }
-    // Splice the label into the section (replace or append before final }).
-    const std::string quoted_label = "\"" + label + "\"";
-    const std::size_t lab = section.find(quoted_label);
-    const std::string entry = quoted_label + ": " + record;
-    if (lab != std::string::npos) {
-      const std::size_t open = section.find('{', lab);
-      int depth = 0;
-      std::size_t end = open;
-      for (; end < section.size(); ++end) {
-        if (section[end] == '{') ++depth;
-        if (section[end] == '}' && --depth == 0) break;
-      }
-      section.replace(lab, end + 1 - lab, entry);
-    } else {
-      const std::size_t close = section.rfind('}');
-      std::size_t tail = close;
-      while (tail > 0 &&
-             (section[tail - 1] == '\n' || section[tail - 1] == ' ')) {
-        --tail;
-      }
-      const bool empty_section =
-          section.find(':') == std::string::npos;  // "{}" or "{\n}"
-      section.replace(tail, close - tail,
-                      (empty_section ? "\n    " : ",\n    ") + entry + "\n  ");
-    }
-    std::string error;
-    if (!merge_report_section(merge_path, "service_async", section,
-                              &error)) {
-      std::fprintf(stderr, "%s\n", error.c_str());
-      return 1;
-    }
-    std::fprintf(stderr, "merged service_async.%s into %s\n", label.c_str(),
-                 merge_path.c_str());
-  }
-
-  const std::string baseline_path = flag_str(argc, argv, "baseline");
-  if (!baseline_path.empty()) {
-    const long long tolerance =
-        std::clamp<long long>(
-            flag_int(argc, argv, "baseline-tolerance").value_or(30), 0, 100);
-    const std::optional<double> baseline =
-        read_baseline_rps(baseline_path, label);
-    if (!baseline) {
-      std::fprintf(stderr,
-                   "no service_async.%s.rps baseline in %s — skipping gate\n",
-                   label.c_str(), baseline_path.c_str());
-      return 0;
-    }
-    const double floor =
-        *baseline * (1.0 - static_cast<double>(tolerance) / 100.0);
-    if (rps < floor) {
-      std::fprintf(stderr,
-                   "REGRESSION: %.0f req/s is more than %lld%% below the "
-                   "committed %s baseline of %.0f req/s\n",
-                   rps, tolerance, label.c_str(), *baseline);
-      return 1;
-    }
-    std::fprintf(stderr,
-                 "baseline gate ok: %.0f req/s vs committed %.0f (floor "
-                 "%.0f)\n",
-                 rps, *baseline, floor);
-  }
   return 0;
 }

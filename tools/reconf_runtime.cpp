@@ -38,11 +38,11 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
-#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/flags.hpp"
 #include "obs/metrics.hpp"
 #include "rt/runtime.hpp"
 #include "rt/scenario.hpp"
@@ -69,43 +69,6 @@ int usage() {
   return 2;
 }
 
-std::optional<long long> flag_int(const std::vector<std::string>& args,
-                                  const std::string& name) {
-  const std::string prefix = "--" + name + "=";
-  for (const std::string& a : args) {
-    if (a.rfind(prefix, 0) == 0) {
-      const std::string value = a.substr(prefix.size());
-      try {
-        std::size_t used = 0;
-        const long long parsed = std::stoll(value, &used);
-        if (used == value.size()) return parsed;
-      } catch (const std::exception&) {
-      }
-      std::fprintf(stderr, "invalid value for --%s: '%s'\n", name.c_str(),
-                   value.c_str());
-      std::exit(2);
-    }
-  }
-  return std::nullopt;
-}
-
-std::string flag_str(const std::vector<std::string>& args,
-                     const std::string& name) {
-  const std::string prefix = "--" + name + "=";
-  for (const std::string& a : args) {
-    if (a.rfind(prefix, 0) == 0) return a.substr(prefix.size());
-  }
-  return {};
-}
-
-bool has_flag(const std::vector<std::string>& args, const std::string& name) {
-  const std::string bare = "--" + name;
-  for (const std::string& a : args) {
-    if (a == bare) return true;
-  }
-  return false;
-}
-
 void write_text_file(const std::string& path, const std::string& text,
                      const char* what) {
   if (path == "-") {
@@ -128,21 +91,13 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
     if (a.rfind("--", 0) == 0) {
-      static const char* known[] = {
+      static const char* const known[] = {
           "--policy=",     "--rho=",         "--fixed=",
           "--generate=",   "--seed=",        "--arrivals=",
           "--device=",     "--emit",         "--no-invariants",
           "--no-trace",    "--gantt",        "--tasks",
           "--admissions",  "--trace-out=",   "--metrics-out="};
-      bool ok = false;
-      for (const char* k : known) {
-        const std::string key = k;
-        if (key.back() == '=' ? a.rfind(key, 0) == 0 : a == key) {
-          ok = true;
-          break;
-        }
-      }
-      if (!ok) {
+      if (!is_known_flag(a, known)) {
         std::fprintf(stderr, "unknown flag: %s\n", a.c_str());
         return usage();
       }

@@ -6,8 +6,8 @@
 // with --listen.
 //
 //   reconf_serve [<requests.ndjson>] [--shards=N]
-//                [--cache-capacity=N] [--no-cache]
-//                [--tests=LIST] [--fkf] [--explain] [--stats]
+//                [--cache-capacity=N] [--tests=LIST] [--fkf]
+//                [--explain] [--stats]
 //                [--max-queue=N] [--overload=block|shed]
 //                [--request-timeout-ms=N] [--cache-snapshot=PATH]
 //                [--metrics-out=PATH] [--trace-out=PATH]
@@ -18,8 +18,8 @@
 //                       routed by consistent hash of their cache key, so
 //                       each shard owns a private lock-free cache partition
 //   --cache-capacity=N  verdict cache entries, split across the shards
-//                       (default 65536)
-//   --no-cache          disable the cache (every request re-analyzes)
+//                       (default 65536); 0 disables the cache (every
+//                       request re-analyzes)
 //   --tests=LIST        default analyzer lineup, comma-separated registry
 //                       ids (default dp,gn1,gn2); per-request "tests"
 //                       override it. Unknown ids abort with the registered
@@ -111,6 +111,7 @@
 
 #include "analysis/engine.hpp"
 #include "analysis/registry.hpp"
+#include "common/flags.hpp"
 #include "common/stopwatch.hpp"
 #include "net/poller.hpp"
 #include "net/server.hpp"
@@ -144,9 +145,9 @@ void install_signal_handlers() {
 int usage() {
   std::fprintf(stderr,
                "usage: reconf_serve [<requests.ndjson>] [--shards=N]\n"
-               "                    [--cache-capacity=N] [--no-cache]\n"
-               "                    [--tests=LIST] [--fkf] [--explain] "
-               "[--stats]\n"
+               "                    [--cache-capacity=N] [--tests=LIST] "
+               "[--fkf]\n"
+               "                    [--explain] [--stats]\n"
                "                    [--max-queue=N] [--overload=block|shed]\n"
                "                    [--request-timeout-ms=N] "
                "[--cache-snapshot=PATH]\n"
@@ -177,39 +178,6 @@ void validate_default_lineup(const svc::BatchOptions& options) {
   }
 }
 
-/// Returns the value of `--name=V`, nullopt when absent; exits with usage
-/// when V is not an integer (a typo'd value must not silently become the
-/// default).
-std::optional<long long> flag_int(const std::vector<std::string>& args,
-                                  const std::string& name) {
-  const std::string prefix = "--" + name + "=";
-  for (const std::string& a : args) {
-    if (a.rfind(prefix, 0) == 0) {
-      const std::string value = a.substr(prefix.size());
-      try {
-        std::size_t used = 0;
-        const long long parsed = std::stoll(value, &used);
-        if (used == value.size()) return parsed;
-      } catch (const std::exception&) {
-      }
-      std::fprintf(stderr, "invalid value for --%s: '%s'\n", name.c_str(),
-                   value.c_str());
-      std::exit(2);
-    }
-  }
-  return std::nullopt;
-}
-
-/// Returns the value of `--name=V` as a string, empty when absent.
-std::string flag_str(const std::vector<std::string>& args,
-                     const std::string& name) {
-  const std::string prefix = "--" + name + "=";
-  for (const std::string& a : args) {
-    if (a.rfind(prefix, 0) == 0) return a.substr(prefix.size());
-  }
-  return {};
-}
-
 /// Writes `text` to `path` ("-" = stderr); a failed open is reported but
 /// does not change the exit status — the verdicts already went out.
 void write_text_file(const std::string& path, const std::string& text,
@@ -226,14 +194,6 @@ void write_text_file(const std::string& path, const std::string& text,
   out << text;
 }
 
-bool has_flag(const std::vector<std::string>& args, const std::string& name) {
-  const std::string bare = "--" + name;
-  for (const std::string& a : args) {
-    if (a == bare) return true;
-  }
-  return false;
-}
-
 /// Parses --listen=[HOST:]PORT into `config`; false when malformed.
 bool parse_listen(const std::string& listen, net::ServerConfig& config) {
   std::string host = "127.0.0.1";
@@ -243,16 +203,10 @@ bool parse_listen(const std::string& listen, net::ServerConfig& config) {
     host = listen.substr(0, colon);
     port_text = listen.substr(colon + 1);
   }
-  long long port = -1;
-  try {
-    std::size_t used = 0;
-    port = std::stoll(port_text, &used);
-    if (used != port_text.size()) port = -1;
-  } catch (const std::exception&) {
-  }
-  if (port < 0 || port > 65'535 || host.empty()) return false;
+  const std::optional<long long> port = parse_int(port_text);
+  if (!port || *port < 0 || *port > 65'535 || host.empty()) return false;
   config.host = host;
-  config.port = static_cast<std::uint16_t>(port);
+  config.port = static_cast<std::uint16_t>(*port);
   return true;
 }
 
@@ -264,21 +218,14 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
     if (a.rfind("--", 0) == 0) {
-      static const char* known[] = {"--cache-capacity=", "--shards=",
-                                    "--tests=",          "--no-cache",
-                                    "--fkf",             "--stats",
-                                    "--explain",         "--metrics-out=",
-                                    "--trace-out=",      "--max-queue=",
-                                    "--overload=",       "--request-timeout-ms=",
-                                    "--cache-snapshot=", "--listen=",
-                                    "--io-threads=",     "--pin-cores",
-                                    "--port-file="};
-      bool ok = false;
-      for (const char* k : known) {
-        const std::string key = k;
-        ok = ok || a == key || (key.back() == '=' && a.rfind(key, 0) == 0);
-      }
-      if (!ok) {
+      static const char* const known[] = {
+          "--cache-capacity=", "--shards=",      "--tests=",
+          "--fkf",             "--stats",        "--explain",
+          "--metrics-out=",    "--trace-out=",   "--max-queue=",
+          "--overload=",       "--listen=",      "--request-timeout-ms=",
+          "--cache-snapshot=", "--io-threads=",  "--pin-cores",
+          "--port-file="};
+      if (!is_known_flag(a, known)) {
         std::fprintf(stderr, "unknown flag: %s\n", a.c_str());
         return usage();
       }
@@ -292,9 +239,7 @@ int main(int argc, char** argv) {
 
   const std::string listen = flag_str(args, "listen");
   const long long cache_capacity =
-      has_flag(args, "no-cache") ? 0
-                                 : flag_int(args, "cache-capacity")
-                                       .value_or(65536);
+      flag_int(args, "cache-capacity").value_or(65536);
   const long long shards = flag_int(args, "shards").value_or(0);
   const long long io_threads = flag_int(args, "io-threads").value_or(1);
   const long long max_queue = flag_int(args, "max-queue").value_or(4096);
@@ -331,18 +276,14 @@ int main(int argc, char** argv) {
   config.shed_on_overload = overload == "shed";
   config.request_timeout_ms = timeout_ms;
   config.pin_cores = has_flag(args, "pin-cores");
-  for (const std::string& a : args) {
-    const std::string prefix = "--tests=";
-    if (a.rfind(prefix, 0) == 0) {
-      config.options.request.tests =
-          analysis::split_id_list(a.substr(prefix.size()));
-      if (config.options.request.tests.empty()) {
-        std::fprintf(stderr,
-                     "--tests needs at least one analyzer id; registered "
-                     "analyzers: %s\n",
-                     analysis::AnalyzerRegistry::instance().id_list().c_str());
-        return 2;
-      }
+  if (const auto tests = flag_value(args, "tests")) {
+    config.options.request.tests = analysis::split_id_list(*tests);
+    if (config.options.request.tests.empty()) {
+      std::fprintf(stderr,
+                   "--tests needs at least one analyzer id; registered "
+                   "analyzers: %s\n",
+                   analysis::AnalyzerRegistry::instance().id_list().c_str());
+      return 2;
     }
   }
   if (has_flag(args, "explain")) {
