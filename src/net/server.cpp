@@ -40,6 +40,10 @@ constexpr std::uint64_t kFirstConnId = 2;
 
 constexpr std::size_t kReadChunk = 64 * 1024;
 
+/// Longest an io thread sleeps in its poller before re-checking the stop
+/// flag (and re-arming a listener paused on a full fd table).
+constexpr int kPollTimeoutMs = 10;
+
 /// One parsed request in flight from an io thread to its shard owner.
 struct RequestMsg {
   std::uint64_t conn = 0;
@@ -349,6 +353,12 @@ struct AsyncServer::Impl {
     std::vector<std::uint64_t> dead;
     std::vector<std::uint64_t> answered;
     bool announced_stop = false;
+    // Set while the listen fd has no read interest: the fd table was full
+    // (EMFILE/ENFILE), so a level-triggered poller would report the pending
+    // connections again at once, and forever. They wait in the kernel
+    // backlog until the listener is re-armed one poll timeout later.
+    bool accept_paused = false;
+    std::chrono::steady_clock::time_point accept_rearm_at;
     char buf[kReadChunk];
 
     obs::Counter& shed_queue = obs::MetricsRegistry::instance().counter(
@@ -358,7 +368,14 @@ struct AsyncServer::Impl {
       // Adopt handed-over connections first: the stream is in the inbox
       // before the first wait, and must not sit out a poll timeout.
       adopt_new(poller, conns, io);
-      poller.wait(events, 10);
+      poller.wait(events, kPollTimeoutMs);
+      if (accept_paused &&
+          std::chrono::steady_clock::now() >= accept_rearm_at) {
+        accept_paused = false;
+        if (!stop.load(std::memory_order_acquire)) {
+          poller.update(listen_fd, /*want_read=*/true, /*want_write=*/false);
+        }
+      }
 
       for (const PollEvent& ev : events) {
         if (ev.tag == kWakeTag) {
@@ -366,7 +383,13 @@ struct AsyncServer::Impl {
           continue;
         }
         if (ev.tag == kListenTag) {
-          if (!stop.load(std::memory_order_acquire)) accept_new();
+          if (!stop.load(std::memory_order_acquire) && !accept_new()) {
+            poller.update(listen_fd, /*want_read=*/false,
+                          /*want_write=*/false);
+            accept_paused = true;
+            accept_rearm_at = std::chrono::steady_clock::now() +
+                              std::chrono::milliseconds(kPollTimeoutMs);
+          }
           continue;
         }
         const auto it = conns.find(ev.tag);
@@ -503,17 +526,21 @@ struct AsyncServer::Impl {
 
   unsigned rr_next_ = 0;  ///< round-robin cursor; io thread 0 only
 
-  void accept_new() {
+  /// Accepts every pending connection. Returns false when the fd table is
+  /// full (EMFILE/ENFILE): the caller then drops read interest on the
+  /// listener until the next poll timeout.
+  bool accept_new() {
     for (;;) {
       const int fd = ::accept(listen_fd, nullptr, nullptr);
       if (fd < 0) {
-        if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) return;
-        if (errno == EMFILE || errno == ENFILE || errno == ECONNABORTED) {
-          return;  // transient; the listen socket stays registered
+        if (errno == EMFILE || errno == ENFILE) return false;
+        if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR ||
+            errno == ECONNABORTED) {
+          return true;
         }
         accept_failed.store(true, std::memory_order_release);
         stop.store(true, std::memory_order_release);
-        return;
+        return true;
       }
       if (!set_nonblocking(fd)) {
         ::close(fd);

@@ -1,10 +1,11 @@
 #include "svc/codec.hpp"
 
-#include <cctype>
-#include <cmath>
-#include <cstdio>
+#include <charconv>
 #include <cstring>
+#include <iterator>
 #include <limits>
+#include <optional>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -14,176 +15,350 @@
 
 namespace reconf::svc {
 
-namespace {
+// The request schema, read in one pass over json::Lexer straight into a
+// BatchRequest, and the response writer. The JSON grammar itself (and every
+// "json error at byte N" message) lives in svc/json.hpp.
 
-// The JSON value grammar lives in svc/json.hpp (shared with the oracle's
-// NDJSON repro reader); this file owns only the request/response schema.
-using JsonValue = json::Value;
+namespace {
 
 // ------------------------------------------------------------- request ----
 
-[[noreturn]] void bad_request(const std::string& what) {
-  throw CodecError("bad request: " + what);
+/// Per-thread staging for the tasks of the request being read: a request
+/// then costs one allocation for its tasks, the exactly-sized copy handed
+/// to its TaskSet. Released after a huge request.
+std::vector<Task>& staged_tasks() {
+  thread_local std::vector<Task> tasks;
+  return tasks;
 }
+constexpr std::size_t kStagedTasksKept = 4096;
 
-long long require_positive_int(const JsonValue& v, const std::string& what) {
-  if (v.kind != JsonValue::Kind::kNumber || !v.integral) {
-    bad_request(what + " must be an integer");
+/// Walks one request line in a single pass. Schema errors do not throw on
+/// the spot: the line must first turn out to be valid JSON (a syntax error
+/// anywhere wins, with no id), and the error reported is the one a reader
+/// validating members in this order would meet first:
+///
+///   1. the first "id" that is neither a string nor an integer (no id);
+///   2. in member order: an unknown key, a bad "tests", a bad "stats";
+///   3. "stats" mixed with anything; "taskset" mixed with "tasks"/"device",
+///      then the last "taskset" itself;
+///   4. a missing "device" or "tasks", then the last "device", then the
+///      last "tasks" — its items in index order, each item's members in
+///      order, then its missing keys and area range.
+///
+/// Once an error of rank 1 or 2 is known, nothing is built any more: the
+/// rest of the line is only syntax-checked (and searched for a first id).
+class RequestReader {
+ public:
+  explicit RequestReader(std::string_view line)
+      : lex_(line), tasks_(staged_tasks()) {
+    tasks_.clear();
   }
-  if (v.integer <= 0) bad_request(what + " must be positive");
-  return v.integer;
-}
 
-Task parse_task_object(const JsonValue& v, std::size_t index) {
-  const std::string where = "tasks[" + std::to_string(index) + "]";
-  if (v.kind != JsonValue::Kind::kObject) bad_request(where + " must be an object");
-  long long c = 0;
-  long long d = 0;
-  long long t = 0;
-  long long a = 0;
-  bool has_c = false;
-  bool has_d = false;
-  bool has_t = false;
-  bool has_a = false;
-  std::string name;
-  for (const auto& [key, val] : v.members) {
-    if (key == "c") {
-      c = require_positive_int(val, where + ".c");
-      has_c = true;
-    } else if (key == "d") {
-      d = require_positive_int(val, where + ".d");
-      has_d = true;
-    } else if (key == "t") {
-      t = require_positive_int(val, where + ".t");
-      has_t = true;
-    } else if (key == "a") {
-      a = require_positive_int(val, where + ".a");
-      has_a = true;
-    } else if (key == "name") {
-      if (val.kind != JsonValue::Kind::kString) {
-        bad_request(where + ".name must be a string");
-      }
-      name = val.text;
-    } else {
-      bad_request(where + " has unknown key '" + key + "'");
+  ~RequestReader() {
+    if (tasks_.capacity() > kStagedTasksKept) std::vector<Task>().swap(tasks_);
+  }
+
+  RequestReader(const RequestReader&) = delete;
+  RequestReader& operator=(const RequestReader&) = delete;
+
+  BatchRequest read() {
+    if (lex_.peek() != '{') {
+      lex_.skip_value();
+      lex_.finish();
+      throw CodecError("bad request: request line must be a JSON object");
     }
-  }
-  if (!has_c || !has_d || !has_t || !has_a) {
-    bad_request(where + " requires keys c, d, t, a");
-  }
-  try {
-    return io::make_task_checked(name.empty() ? "-" : name, c, d, t, a, where);
-  } catch (const std::exception& e) {
-    bad_request(e.what());
-  }
-}
-
-}  // namespace
-
-namespace {
-
-/// Validates a "tests" array: non-empty, strings only, every id registered.
-/// Unknown ids are rejected here — with the registered ids listed — so a
-/// typo'd lineup turns into a correlatable error response instead of an
-/// exception inside the batch pipeline.
-std::vector<std::string> parse_tests_array(const JsonValue& v) {
-  if (v.kind != JsonValue::Kind::kArray || v.items.empty()) {
-    bad_request("tests must be a non-empty array of analyzer ids");
-  }
-  const auto& registry = analysis::AnalyzerRegistry::instance();
-  std::vector<std::string> out;
-  out.reserve(v.items.size());
-  for (std::size_t i = 0; i < v.items.size(); ++i) {
-    const JsonValue& item = v.items[i];
-    if (item.kind != JsonValue::Kind::kString) {
-      bad_request("tests[" + std::to_string(i) + "] must be a string");
+    if (lex_.open('{')) {
+      do {
+        const std::string_view key = lex_.string(key_scratch_);
+        lex_.expect(':');
+        member(key);
+      } while (lex_.next('}'));
     }
-    if (registry.find(item.text) == nullptr) {
-      bad_request("unknown analyzer '" + item.text +
-                  "'; registered analyzers: " + registry.id_list());
-    }
-    out.push_back(item.text);
+    lex_.finish();
+    return result();
   }
-  return out;
-}
 
-/// Body of parse_request_line once the id is known; split out so every
-/// validation failure can be rethrown with the id attached.
-BatchRequest parse_request_members(const JsonValue& doc, std::string id) {
-  BatchRequest out;
-  out.id = std::move(id);
-  const JsonValue* device = nullptr;
-  const JsonValue* tasks = nullptr;
-  const JsonValue* taskset_text = nullptr;
-  for (const auto& [key, val] : doc.members) {
+ private:
+  /// An error of rank 1 or 2 decides the answer.
+  [[nodiscard]] bool decided() const noexcept {
+    return id_bad_ || !member_error_.empty();
+  }
+
+  void member(std::string_view key) {
     if (key == "id") {
-      // already extracted
+      read_id();
+    } else if (decided()) {
+      lex_.skip_value();
     } else if (key == "device") {
-      device = &val;
+      read_device();
     } else if (key == "tasks") {
-      tasks = &val;
+      read_tasks();
     } else if (key == "taskset") {
-      taskset_text = &val;
+      has_taskset_ = true;
+      taskset_is_string_ = lex_.peek() == '"';
+      if (taskset_is_string_) {
+        taskset_text_ = lex_.string(value_scratch_);
+      } else {
+        lex_.skip_value();
+      }
     } else if (key == "tests") {
-      out.tests = parse_tests_array(val);
+      read_tests();
     } else if (key == "stats") {
       // Introspection request: only {"id":...,"stats":true} is valid.
       // stats:false is rejected rather than treated as a no-op analysis
       // request — the caller clearly meant something, and guessing which
       // half is the same trap as a typo'd task key.
-      if (val.kind != JsonValue::Kind::kBool || !val.boolean) {
-        bad_request("stats must be the literal true");
+      const char c = lex_.peek();
+      if (c == 't' || c == 'f') {
+        if (lex_.boolean()) {
+          out_.stats = true;
+          return;
+        }
+      } else {
+        lex_.skip_value();
       }
-      out.stats = true;
+      member_error_ = "stats must be the literal true";
     } else {
-      bad_request("unknown key '" + key + "'");
+      member_error_ = "unknown key '" + std::string(key) + "'";
+      lex_.skip_value();
     }
   }
 
-  if (out.stats) {
-    if (device != nullptr || tasks != nullptr || taskset_text != nullptr ||
-        !out.tests.empty()) {
-      bad_request("'stats' excludes 'tasks'/'device'/'taskset'/'tests'");
+  /// The first id wins; later ones are only syntax-checked.
+  void read_id() {
+    if (id_seen_) {
+      lex_.skip_value();
+      return;
     }
-    return out;
+    id_seen_ = true;
+    if (lex_.peek() == '"') {
+      out_.id = lex_.string(value_scratch_);
+    } else if (const auto v = integer()) {
+      out_.id = std::to_string(*v);
+    } else {
+      id_bad_ = true;
+    }
   }
 
-  if (taskset_text != nullptr) {
-    if (tasks != nullptr || device != nullptr) {
-      bad_request("'taskset' excludes 'tasks'/'device'");
+  /// The next value as an integral number, else nullopt (value skipped).
+  std::optional<long long> integer() {
+    if (!lex_.at_number()) {
+      lex_.skip_value();
+      return std::nullopt;
     }
-    if (taskset_text->kind != JsonValue::Kind::kString) {
-      bad_request("taskset must be a string in the task/io.hpp v1 format");
-    }
-    try {
-      io::ParsedTaskSet parsed = io::from_string(taskset_text->text);
-      out.taskset = std::move(parsed.taskset);
-      out.device = parsed.device;
-    } catch (const std::exception& e) {
-      bad_request(e.what());
-    }
-    return out;
+    const json::Number n = lex_.number();
+    if (!n.integral) return std::nullopt;
+    return n.integer;
   }
 
-  if (device == nullptr || tasks == nullptr) {
-    bad_request("requires either 'taskset' or both 'device' and 'tasks'");
+  void read_device() {
+    has_device_ = true;
+    device_error_ = nullptr;
+    const auto v = integer();
+    if (!v) {
+      device_error_ = "device must be an integer";
+    } else if (*v <= 0) {
+      device_error_ = "device must be positive";
+    } else if (*v > std::numeric_limits<Area>::max()) {
+      device_error_ = "device width out of range";
+    } else {
+      out_.device = Device{static_cast<Area>(*v)};
+    }
   }
-  const long long width = require_positive_int(*device, "device");
-  if (width > std::numeric_limits<Area>::max()) {
-    bad_request("device width out of range");
+
+  /// Validates a "tests" array: non-empty, strings only, every id
+  /// registered. Unknown ids are rejected here — with the registered ids
+  /// listed — so a typo'd lineup turns into a correlatable error response
+  /// instead of an exception inside the batch pipeline.
+  void read_tests() {
+    static constexpr const char* kShape =
+        "tests must be a non-empty array of analyzer ids";
+    if (lex_.peek() != '[') {
+      lex_.skip_value();
+      member_error_ = kShape;
+      return;
+    }
+    if (!lex_.open('[')) {
+      member_error_ = kShape;
+      return;
+    }
+    const auto& registry = analysis::AnalyzerRegistry::instance();
+    std::vector<std::string> tests;
+    std::size_t i = 0;
+    do {
+      if (decided()) {
+        lex_.skip_value();
+      } else if (lex_.peek() != '"') {
+        lex_.skip_value();
+        member_error_ = "tests[" + std::to_string(i) + "] must be a string";
+      } else {
+        const std::string_view id = lex_.string(value_scratch_);
+        if (registry.find(id) == nullptr) {
+          member_error_ = "unknown analyzer '" + std::string(id) +
+                          "'; registered analyzers: " + registry.id_list();
+        } else {
+          tests.emplace_back(id);
+        }
+      }
+      ++i;
+    } while (lex_.next(']'));
+    if (!decided()) out_.tests = std::move(tests);
   }
-  out.device = Device{static_cast<Area>(width)};
-  if (tasks->kind != JsonValue::Kind::kArray) {
-    bad_request("tasks must be an array");
+
+  /// The last "tasks" wins: each one restarts the staging.
+  void read_tasks() {
+    has_tasks_ = true;
+    tasks_error_.clear();
+    tasks_.clear();
+    if (lex_.peek() != '[') {
+      lex_.skip_value();
+      tasks_error_ = "tasks must be an array";
+      return;
+    }
+    if (!lex_.open('[')) return;
+    std::size_t index = 0;
+    do {
+      if (tasks_error_.empty()) {
+        read_task(index++);
+      } else {
+        lex_.skip_value();
+      }
+    } while (lex_.next(']'));
   }
-  std::vector<Task> parsed;
-  parsed.reserve(tasks->items.size());
-  for (std::size_t i = 0; i < tasks->items.size(); ++i) {
-    parsed.push_back(parse_task_object(tasks->items[i], i));
+
+  void task_error(std::size_t index, std::string_view what) {
+    tasks_error_ = "tasks[" + std::to_string(index) + "]";
+    tasks_error_ += what;
   }
-  out.taskset = TaskSet(std::move(parsed));
-  return out;
-}
+
+  void read_task(std::size_t index) {
+    if (lex_.peek() != '{') {
+      lex_.skip_value();
+      task_error(index, " must be an object");
+      return;
+    }
+    long long fields[4] = {};  // c, d, t, a
+    bool seen[4] = {};
+    name_.clear();
+    if (lex_.open('{')) {
+      do {
+        const std::string_view key = lex_.string(key_scratch_);
+        lex_.expect(':');
+        if (!tasks_error_.empty()) {
+          lex_.skip_value();
+          continue;
+        }
+        const int slot = key.size() != 1 ? -1
+                         : key[0] == 'c'  ? 0
+                         : key[0] == 'd'  ? 1
+                         : key[0] == 't'  ? 2
+                         : key[0] == 'a'  ? 3
+                                          : -1;
+        if (slot >= 0) {
+          const auto v = integer();
+          if (!v) {
+            task_error(index, "." + std::string(key) + " must be an integer");
+          } else if (*v <= 0) {
+            task_error(index, "." + std::string(key) + " must be positive");
+          } else {
+            fields[slot] = *v;
+            seen[slot] = true;
+          }
+        } else if (key == "name") {
+          if (lex_.peek() == '"') {
+            name_ = lex_.string(value_scratch_);
+          } else {
+            lex_.skip_value();
+            task_error(index, ".name must be a string");
+          }
+        } else {
+          task_error(index, " has unknown key '" + std::string(key) + "'");
+          lex_.skip_value();
+        }
+      } while (lex_.next('}'));
+    }
+    if (!tasks_error_.empty()) return;
+    if (!seen[0] || !seen[1] || !seen[2] || !seen[3]) {
+      task_error(index, " requires keys c, d, t, a");
+      return;
+    }
+    // io::make_task_checked's range rule and message, without building its
+    // context string for every task.
+    if (fields[3] > std::numeric_limits<Area>::max()) {
+      task_error(index, ": area out of range");
+      return;
+    }
+    Task& t = tasks_.emplace_back();
+    t.wcet = fields[0];
+    t.deadline = fields[1];
+    t.period = fields[2];
+    t.area = static_cast<Area>(fields[3]);
+    if (name_ != "-") t.name = name_;  // "" and "-" both mean unnamed
+  }
+
+  [[noreturn]] void reject(std::string_view what) const {
+    std::string msg = "bad request: ";
+    msg += what;
+    throw CodecError(msg, out_.id);
+  }
+
+  BatchRequest result() {
+    if (id_bad_) {
+      throw CodecError("bad request: id must be a string or integer");
+    }
+    if (!member_error_.empty()) reject(member_error_);
+    if (out_.stats) {
+      if (has_device_ || has_tasks_ || has_taskset_ || !out_.tests.empty()) {
+        reject("'stats' excludes 'tasks'/'device'/'taskset'/'tests'");
+      }
+      return std::move(out_);
+    }
+    if (has_taskset_) {
+      if (has_tasks_ || has_device_) {
+        reject("'taskset' excludes 'tasks'/'device'");
+      }
+      if (!taskset_is_string_) {
+        reject("taskset must be a string in the task/io.hpp v1 format");
+      }
+      try {
+        io::ParsedTaskSet parsed = io::from_string(taskset_text_);
+        out_.taskset = std::move(parsed.taskset);
+        out_.device = parsed.device;
+      } catch (const std::exception& e) {
+        reject(e.what());
+      }
+      return std::move(out_);
+    }
+    if (!has_device_ || !has_tasks_) {
+      reject("requires either 'taskset' or both 'device' and 'tasks'");
+    }
+    if (device_error_ != nullptr) reject(device_error_);
+    if (!tasks_error_.empty()) reject(tasks_error_);
+    out_.taskset = TaskSet(std::vector<Task>(
+        std::make_move_iterator(tasks_.begin()),
+        std::make_move_iterator(tasks_.end())));
+    return std::move(out_);
+  }
+
+  json::Lexer lex_;
+  std::vector<Task>& tasks_;   ///< the last "tasks", staged
+  BatchRequest out_;
+  std::string key_scratch_;    ///< a key with escapes, decoded
+  std::string value_scratch_;  ///< a string value with escapes, decoded
+  std::string name_;           ///< the current task's last "name"
+
+  bool id_seen_ = false;
+  bool id_bad_ = false;
+  std::string member_error_;  ///< rank 2, first in member order
+
+  bool has_device_ = false;
+  const char* device_error_ = nullptr;  ///< of the last "device"
+  bool has_tasks_ = false;
+  std::string tasks_error_;  ///< first error of the last "tasks"
+  bool has_taskset_ = false;
+  bool taskset_is_string_ = false;
+  std::string taskset_text_;  ///< of the last "taskset"
+};
 
 }  // namespace
 
@@ -270,44 +445,27 @@ BatchRequest parse_request_line(const std::string& line) {
     throw CodecError("bad request: line exceeds " +
                      std::to_string(kMaxRequestLine) + " bytes");
   }
-  JsonValue doc;
   try {
-    doc = json::parse(line);
+    return RequestReader(line).read();
   } catch (const json::JsonError& e) {
     throw CodecError(e.what());
-  }
-  if (doc.kind != JsonValue::Kind::kObject) {
-    bad_request("request line must be a JSON object");
-  }
-
-  // Extract the id before any other validation, so every later failure can
-  // still be answered with a correlatable error response.
-  std::string id;
-  for (const auto& [key, val] : doc.members) {
-    if (key != "id") continue;
-    if (val.kind == JsonValue::Kind::kString) {
-      id = val.text;
-    } else if (val.kind == JsonValue::Kind::kNumber && val.integral) {
-      id = std::to_string(val.integer);
-    } else {
-      bad_request("id must be a string or integer");
-    }
-    break;
-  }
-
-  try {
-    return parse_request_members(doc, id);
-  } catch (const CodecError& e) {
-    throw CodecError(e.what(), id);
   }
 }
 
 // ------------------------------------------------------------ response ----
 
-std::string json_escape(const std::string& raw) {
-  std::string out;
-  out.reserve(raw.size() + 8);
-  for (const char c : raw) {
+namespace {
+
+/// Appends `raw` JSON-escaped (quotes, backslash, control characters),
+/// copying the runs that need no escape whole.
+void append_escaped(std::string& out, std::string_view raw) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < raw.size(); ++i) {
+    const auto c = static_cast<unsigned char>(raw[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(raw.data() + run, i - run);
+    run = i + 1;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
@@ -317,76 +475,106 @@ std::string json_escape(const std::string& raw) {
       case '\r': out += "\\r"; break;
       case '\t': out += "\\t"; break;
       default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
+        out += "\\u00";
+        out.push_back(kHex[c >> 4]);
+        out.push_back(kHex[c & 0xF]);
     }
   }
+  out.append(raw.data() + run, raw.size() - run);
+}
+
+/// Appends `value` as printf's "%.<precision>g" would print it — which is
+/// how the standard defines this to_chars overload.
+void append_general(std::string& out, double value, int precision) {
+  char buf[32];
+  const auto r = std::to_chars(buf, buf + sizeof buf, value,
+                               std::chars_format::general, precision);
+  out.append(buf, r.ptr);
+}
+
+/// "{"id":"<id>","<key>":"<text>"}", the error and shed line shape.
+std::string id_and_text_line(const std::string& id, std::string_view key,
+                             const std::string& text) {
+  std::string out;
+  out.reserve(16 + key.size() + id.size() + text.size());
+  out += "{\"id\":\"";
+  append_escaped(out, id);
+  out += "\",\"";
+  out += key;
+  out += "\":\"";
+  append_escaped(out, text);
+  out += "\"}";
+  return out;
+}
+
+}  // namespace
+
+std::string json_escape(const std::string& raw) {
+  std::string out;
+  out.reserve(raw.size());
+  append_escaped(out, raw);
   return out;
 }
 
 std::string format_verdict_line(const BatchVerdict& verdict,
                                 const TaskSet* taskset) {
-  char hash_hex[17];
-  std::snprintf(hash_hex, sizeof hash_hex, "%016llx",
-                static_cast<unsigned long long>(verdict.hash));
-
-  std::string out = "{\"id\":\"" + json_escape(verdict.id) + "\"";
-  out += ",\"verdict\":\"";
-  out += verdict.accepted ? "schedulable" : "inconclusive";
-  out += "\"";
+  std::string out;
+  out.reserve(160 + verdict.id.size() + 64 * verdict.sub.size());
+  out += "{\"id\":\"";
+  append_escaped(out, verdict.id);
+  out += verdict.accepted ? "\",\"verdict\":\"schedulable\""
+                          : "\",\"verdict\":\"inconclusive\"";
   if (!verdict.accepted_by.empty()) {
-    out += ",\"accepted_by\":\"" + json_escape(verdict.accepted_by) + "\"";
+    out += ",\"accepted_by\":\"";
+    append_escaped(out, verdict.accepted_by);
+    out += '"';
   }
-  out += ",\"cache\":\"";
-  out += verdict.cache_hit ? "hit" : "miss";
-  out += "\",\"hash\":\"";
-  out += hash_hex;
-  out += "\"";
+  out += verdict.cache_hit ? ",\"cache\":\"hit\",\"hash\":\""
+                           : ",\"cache\":\"miss\",\"hash\":\"";
+  static constexpr char kHex[] = "0123456789abcdef";
+  for (int shift = 60; shift >= 0; shift -= 4) {
+    out.push_back(kHex[(verdict.hash >> shift) & 0xF]);
+  }
+  out += '"';
   if (taskset != nullptr) {
-    char buf[96];
-    std::snprintf(buf, sizeof buf, ",\"n\":%zu,\"ut\":%.6g,\"us\":%.6g",
-                  taskset->size(), taskset->time_utilization(),
-                  taskset->system_utilization());
-    out += buf;
+    char buf[24];
+    out += ",\"n\":";
+    out.append(buf, std::to_chars(buf, buf + sizeof buf, taskset->size()).ptr);
+    out += ",\"ut\":";
+    append_general(out, taskset->time_utilization(), 6);
+    out += ",\"us\":";
+    append_general(out, taskset->system_utilization(), 6);
   }
   if (!verdict.sub.empty()) {
     out += ",\"sub\":[";
     for (std::size_t i = 0; i < verdict.sub.size(); ++i) {
       const SubVerdict& s = verdict.sub[i];
-      if (i != 0) out += ",";
-      out += "{\"test\":\"" + json_escape(s.test) + "\"";
+      if (i != 0) out += ',';
+      out += "{\"test\":\"";
+      append_escaped(out, s.test);
       if (!s.ran) {
-        out += ",\"skipped\":true}";
+        out += "\",\"skipped\":true}";
         continue;
       }
-      out += ",\"verdict\":\"";
-      out += s.accepted ? "schedulable" : "inconclusive";
-      char buf[48];
-      std::snprintf(buf, sizeof buf, "\",\"micros\":%.3g}", s.micros);
-      out += buf;
+      out += s.accepted ? "\",\"verdict\":\"schedulable\",\"micros\":"
+                        : "\",\"verdict\":\"inconclusive\",\"micros\":";
+      append_general(out, s.micros, 3);
+      out += '}';
     }
-    out += "]";
+    out += ']';
   }
-  out += "}";
+  out += '}';
   return out;
 }
 
 std::string format_error_line(const std::string& id,
                               const std::string& message) {
-  return "{\"id\":\"" + json_escape(id) + "\",\"error\":\"" +
-         json_escape(message) + "\"}";
+  return id_and_text_line(id, "error", message);
 }
 
 std::string format_shed_line(const std::string& id,
                              const std::string& reason) {
-  return "{\"id\":\"" + json_escape(id) + "\",\"shed\":\"" +
-         json_escape(reason) + "\"}";
+  return id_and_text_line(id, "shed", reason);
 }
 
 std::string recover_request_id(const std::string& text) {

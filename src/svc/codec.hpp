@@ -105,6 +105,33 @@ class CodecError : public std::runtime_error {
 /// Unknown top-level or per-task keys are rejected — a typo'd "perid" must
 /// not silently analyze a default, for the same reason the analysis refuses
 /// unsound configurations instead of guessing.
+///
+/// The line is read in one pass (json::Lexer) straight into the request;
+/// a well-formed request with a short id costs one allocation, its task
+/// vector. The contract a client can observe:
+///
+///   Syntax first. A line that is not one valid JSON value fails with the
+///   lexer's "json error at byte N: ..." and no id, even when a schema
+///   error comes earlier in the line.
+///
+///   Duplicate members. The first "id" wins; later ones are only
+///   syntax-checked. The last "device", "tasks" and "taskset" win;
+///   shadowed ones are only syntax-checked. Every "tests", "stats" and
+///   per-task "c"/"d"/"t"/"a"/"name" is validated; the last one wins.
+///
+///   Error precedence. Of several schema errors the one reported is: a
+///   first "id" that is neither a string nor an integer (no id attached);
+///   else, in member order, an unknown key, a bad "tests", a bad "stats";
+///   else "stats" mixed with other fields; else "taskset" mixed with
+///   "tasks"/"device", then the taskset text itself; else a missing
+///   "device" or "tasks"; else the device; else the tasks in index order
+///   (in each task: its members in order, then missing keys, then the area
+///   range). Every error but the id's carries the id when there is one.
+///
+///   Numbers. An optional '-', then digits and ".eE+-" with at least one
+///   digit, read with strtod/strtoll rules: "+5" and "007" are integers,
+///   "-0" is the integer 0 (not positive), "1e2" and integers beyond i64
+///   are not integers, "1e999" is an unparsable number (a syntax error).
 [[nodiscard]] BatchRequest parse_request_line(const std::string& line);
 
 /// Response line for one verdict:
@@ -119,7 +146,10 @@ class CodecError : public std::runtime_error {
 /// execution order ("skipped" = early-exit never ran it); cache hits store
 /// only the summary, so `sub` is omitted. `taskset` supplies the n/ut/us
 /// diagnostics; pass nullptr to omit them (e.g. when echoing a cached
-/// verdict without rebuilding the set).
+/// verdict without rebuilding the set). Numbers are written with
+/// std::to_chars into one reserved string: `hash` as 16 lowercase hex
+/// digits, `ut`/`us` as printf's "%.6g" and `micros` as "%.3g" would print
+/// them.
 [[nodiscard]] std::string format_verdict_line(const BatchVerdict& verdict,
                                               const TaskSet* taskset);
 

@@ -1,16 +1,48 @@
 // Tests for the NDJSON request/response codec of the admission service.
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <limits>
+#include <new>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "analysis/registry.hpp"
+#include "common/rng.hpp"
 #include "svc/batch.hpp"
 #include "svc/codec.hpp"
+#include "svc/json.hpp"
 #include "task/io.hpp"
 #include "task/task.hpp"
+
+// Counts heap allocations made by this test binary, so a test can pin how
+// many one parse costs.
+namespace {
+std::atomic<std::size_t> g_allocations{0};
+}  // namespace
+
+// GCC cannot see that this operator new allocates with malloc.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+#endif
+void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
 
 namespace reconf {
 namespace {
@@ -408,6 +440,638 @@ TEST(StreamFramer, OneByteOverMaxLenIsOversizedAndNextLineRecovers) {
     EXPECT_EQ(frame(tail, chunk, 10),
               (Framed{{std::string(10, 'z'), kOversized}}))
         << "chunk " << chunk;
+  }
+}
+
+
+// ---------------------------------------------------- parity contract ----
+
+std::string error_of(const std::string& line, std::string* id = nullptr) {
+  try {
+    (void)svc::parse_request_line(line);
+  } catch (const svc::CodecError& e) {
+    if (id != nullptr) *id = e.id();
+    return e.what();
+  }
+  return "";
+}
+
+TEST(CodecParse, DuplicateMembersFollowTheContract) {
+  const std::string task = R"({"c":126,"d":700,"t":700,"a":9})";
+  // The first id wins; later ones are not even type-checked.
+  EXPECT_EQ(svc::parse_request_line(R"({"id":"a","id":[1],"device":10,)"
+                                    R"("tasks":[]})")
+                .id,
+            "a");
+  std::string id = "unset";
+  EXPECT_EQ(error_of(R"({"id":1.5,"id":"b","device":10,"tasks":[]})", &id),
+            "bad request: id must be a string or integer");
+  EXPECT_EQ(id, "");
+  // The last device/tasks/taskset wins; shadowed values are only
+  // syntax-checked.
+  const auto last = svc::parse_request_line(
+      R"({"id":"d","device":0,"device":100,"tasks":[{"c":0}],"tasks":[)" +
+      task + "]}");
+  EXPECT_EQ(last.device.width, 100);
+  ASSERT_EQ(last.taskset.size(), 1u);
+  EXPECT_EQ(error_of(R"({"id":"d","device":100,"device":"x","tasks":[]})"),
+            "bad request: device must be an integer");
+  EXPECT_EQ(svc::parse_request_line(
+                R"({"taskset":7,"taskset":"taskset v1\ndevice 4\n"})")
+                .device.width,
+            4);
+  // Every tests/stats and per-task occurrence is validated; the last valid
+  // one wins.
+  EXPECT_EQ(svc::parse_request_line(R"({"device":10,"tasks":[],)"
+                                    R"("tests":["gn2"],"tests":["dp"]})")
+                .tests,
+            (std::vector<std::string>{"dp"}));
+  EXPECT_NE(error_of(R"({"device":10,"tasks":[],"tests":["dp"],"tests":[1]})"),
+            "");
+  EXPECT_EQ(error_of(R"({"id":"s","stats":true,"stats":false})"),
+            "bad request: stats must be the literal true");
+  const auto named = svc::parse_request_line(
+      R"({"device":100,"tasks":[{"c":1,"c":126,"d":700,"t":700,"a":9,)"
+      R"("name":"a","name":"b"}]})");
+  EXPECT_EQ(named.taskset[0].wcet, 126);
+  EXPECT_EQ(named.taskset[0].name, "b");
+  EXPECT_EQ(error_of(R"({"device":100,"tasks":[{"c":126,"c":-1,"d":700,)"
+                     R"("t":700,"a":9}]})"),
+            "bad request: tasks[0].c must be positive");
+}
+
+TEST(CodecParse, SchemaErrorPrecedence) {
+  // Member-loop errors (unknown key, tests, stats) in member order beat
+  // every device/tasks error, and keep the id even when it comes last.
+  std::string id;
+  EXPECT_EQ(error_of(R"({"device":0,"tests":"dp","zz":1,"id":"x"})", &id),
+            "bad request: tests must be a non-empty array of analyzer ids");
+  EXPECT_EQ(id, "x");
+  EXPECT_EQ(error_of(R"({"device":0,"tasks":[{"c":0}],"taskset":"x",)"
+                     R"("stats":true})"),
+            "bad request: 'stats' excludes "
+            "'tasks'/'device'/'taskset'/'tests'");
+  EXPECT_EQ(error_of(R"({"device":0,"tasks":[{"c":0},7]})"),
+            "bad request: device must be positive");
+  EXPECT_EQ(error_of(R"({"device":1,"tasks":[{"c":1,"d":2,"t":2,"a":1},)"
+                     R"({"c":0},7]})"),
+            "bad request: tasks[1].c must be positive");
+  // A syntax error after a schema error still wins, with no id.
+  id = "unset";
+  EXPECT_EQ(error_of(R"({"id":"x","zz":1,"device":1,"tasks":[],)", &id),
+            "json error at byte 39: unexpected end of input");
+  EXPECT_EQ(id, "");
+}
+
+TEST(CodecParse, NumberAcceptSet) {
+  const auto c_of = [](const std::string& number) {
+    return R"({"device":100,"tasks":[{"c":)" + number +
+           R"(,"d":700,"t":700,"a":9}]})";
+  };
+  EXPECT_EQ(svc::parse_request_line(c_of("+5")).taskset[0].wcet, 5);
+  EXPECT_EQ(svc::parse_request_line(c_of("007")).taskset[0].wcet, 7);
+  EXPECT_EQ(svc::parse_request_line(c_of("999999999999999999")).taskset[0].wcet,
+            999999999999999999);
+  EXPECT_EQ(error_of(c_of("-0")), "bad request: tasks[0].c must be positive");
+  EXPECT_EQ(error_of(c_of("1e2")),
+            "bad request: tasks[0].c must be an integer");
+  EXPECT_EQ(error_of(c_of("9999999999999999999")),
+            "bad request: tasks[0].c must be an integer");
+  EXPECT_EQ(error_of(c_of("1e999")),
+            "json error at byte 33: unparsable number '1e999'");
+  EXPECT_EQ(svc::parse_request_line(R"({"id":-0,"taskset":"taskset v1\n)"
+                                    R"(device 3\n"})")
+                .id,
+            "0");
+}
+
+TEST(CodecParse, WellFormedRequestAllocatesOnlyItsTasks) {
+  const std::string line =
+      R"({"id":"r1","device":100,"tasks":[{"c":126,"d":700,"t":700,"a":9},)"
+      R"({"c":40,"d":500,"t":500,"a":7},{"c":30,"d":900,"t":900,"a":5}]})";
+  (void)svc::parse_request_line(line);  // warms the per-thread staging
+  const std::size_t before = g_allocations.load();
+  const svc::BatchRequest req = svc::parse_request_line(line);
+  const std::size_t allocations = g_allocations.load() - before;
+  EXPECT_EQ(req.taskset.size(), 3u);
+  EXPECT_EQ(allocations, 1u) << "the task vector and nothing else";
+}
+
+// ------------------------------------------------ differential fuzzing ----
+
+// The schema walk over a json::Value document that parse_request_line used
+// before it read requests in one pass: the reference the single-pass reader
+// must match on every line, malformed or not.
+namespace reference {
+
+using JsonValue = svc::json::Value;
+
+[[noreturn]] void bad_request(const std::string& what) {
+  throw svc::CodecError("bad request: " + what);
+}
+
+long long require_positive_int(const JsonValue& v, const std::string& what) {
+  if (v.kind != JsonValue::Kind::kNumber || !v.integral) {
+    bad_request(what + " must be an integer");
+  }
+  if (v.integer <= 0) bad_request(what + " must be positive");
+  return v.integer;
+}
+
+Task parse_task_object(const JsonValue& v, std::size_t index) {
+  const std::string where = "tasks[" + std::to_string(index) + "]";
+  if (v.kind != JsonValue::Kind::kObject) {
+    bad_request(where + " must be an object");
+  }
+  long long f[4] = {};
+  bool has[4] = {};
+  std::string name;
+  for (const auto& [key, val] : v.members) {
+    const char* const keys[4] = {"c", "d", "t", "a"};
+    bool matched = false;
+    for (int k = 0; k < 4; ++k) {
+      if (key == keys[k]) {
+        f[k] = require_positive_int(val, where + "." + keys[k]);
+        has[k] = true;
+        matched = true;
+      }
+    }
+    if (matched) continue;
+    if (key == "name") {
+      if (val.kind != JsonValue::Kind::kString) {
+        bad_request(where + ".name must be a string");
+      }
+      name = val.text;
+    } else {
+      bad_request(where + " has unknown key '" + key + "'");
+    }
+  }
+  if (!has[0] || !has[1] || !has[2] || !has[3]) {
+    bad_request(where + " requires keys c, d, t, a");
+  }
+  try {
+    return io::make_task_checked(name.empty() ? "-" : name, f[0], f[1], f[2],
+                                 f[3], where);
+  } catch (const std::exception& e) {
+    bad_request(e.what());
+  }
+}
+
+std::vector<std::string> parse_tests_array(const JsonValue& v) {
+  if (v.kind != JsonValue::Kind::kArray || v.items.empty()) {
+    bad_request("tests must be a non-empty array of analyzer ids");
+  }
+  const auto& registry = analysis::AnalyzerRegistry::instance();
+  std::vector<std::string> out;
+  for (std::size_t i = 0; i < v.items.size(); ++i) {
+    const JsonValue& item = v.items[i];
+    if (item.kind != JsonValue::Kind::kString) {
+      bad_request("tests[" + std::to_string(i) + "] must be a string");
+    }
+    if (registry.find(item.text) == nullptr) {
+      bad_request("unknown analyzer '" + item.text +
+                  "'; registered analyzers: " + registry.id_list());
+    }
+    out.push_back(item.text);
+  }
+  return out;
+}
+
+svc::BatchRequest parse_members(const JsonValue& doc, std::string id) {
+  svc::BatchRequest out;
+  out.id = std::move(id);
+  const JsonValue* device = nullptr;
+  const JsonValue* tasks = nullptr;
+  const JsonValue* taskset_text = nullptr;
+  for (const auto& [key, val] : doc.members) {
+    if (key == "id") {
+    } else if (key == "device") {
+      device = &val;
+    } else if (key == "tasks") {
+      tasks = &val;
+    } else if (key == "taskset") {
+      taskset_text = &val;
+    } else if (key == "tests") {
+      out.tests = parse_tests_array(val);
+    } else if (key == "stats") {
+      if (val.kind != JsonValue::Kind::kBool || !val.boolean) {
+        bad_request("stats must be the literal true");
+      }
+      out.stats = true;
+    } else {
+      bad_request("unknown key '" + key + "'");
+    }
+  }
+  if (out.stats) {
+    if (device != nullptr || tasks != nullptr || taskset_text != nullptr ||
+        !out.tests.empty()) {
+      bad_request("'stats' excludes 'tasks'/'device'/'taskset'/'tests'");
+    }
+    return out;
+  }
+  if (taskset_text != nullptr) {
+    if (tasks != nullptr || device != nullptr) {
+      bad_request("'taskset' excludes 'tasks'/'device'");
+    }
+    if (taskset_text->kind != JsonValue::Kind::kString) {
+      bad_request("taskset must be a string in the task/io.hpp v1 format");
+    }
+    try {
+      io::ParsedTaskSet parsed = io::from_string(taskset_text->text);
+      out.taskset = std::move(parsed.taskset);
+      out.device = parsed.device;
+    } catch (const std::exception& e) {
+      bad_request(e.what());
+    }
+    return out;
+  }
+  if (device == nullptr || tasks == nullptr) {
+    bad_request("requires either 'taskset' or both 'device' and 'tasks'");
+  }
+  const long long width = require_positive_int(*device, "device");
+  if (width > std::numeric_limits<Area>::max()) {
+    bad_request("device width out of range");
+  }
+  out.device = Device{static_cast<Area>(width)};
+  if (tasks->kind != JsonValue::Kind::kArray) {
+    bad_request("tasks must be an array");
+  }
+  std::vector<Task> parsed;
+  for (std::size_t i = 0; i < tasks->items.size(); ++i) {
+    parsed.push_back(parse_task_object(tasks->items[i], i));
+  }
+  out.taskset = TaskSet(std::move(parsed));
+  return out;
+}
+
+svc::BatchRequest parse_request_line(const std::string& line) {
+  if (line.size() > svc::kMaxRequestLine) {
+    throw svc::CodecError("bad request: line exceeds " +
+                          std::to_string(svc::kMaxRequestLine) + " bytes");
+  }
+  JsonValue doc;
+  try {
+    doc = svc::json::parse(line);
+  } catch (const svc::json::JsonError& e) {
+    throw svc::CodecError(e.what());
+  }
+  if (doc.kind != JsonValue::Kind::kObject) {
+    bad_request("request line must be a JSON object");
+  }
+  std::string id;
+  for (const auto& [key, val] : doc.members) {
+    if (key != "id") continue;
+    if (val.kind == JsonValue::Kind::kString) {
+      id = val.text;
+    } else if (val.kind == JsonValue::Kind::kNumber && val.integral) {
+      id = std::to_string(val.integer);
+    } else {
+      bad_request("id must be a string or integer");
+    }
+    break;
+  }
+  try {
+    return parse_members(doc, id);
+  } catch (const svc::CodecError& e) {
+    throw svc::CodecError(e.what(), id);
+  }
+}
+
+}  // namespace reference
+
+/// Either the request (every field) or the error text and id, rendered as
+/// one comparable string.
+template <class Parse>
+std::string outcome(Parse parse, const std::string& line) {
+  std::string out;
+  try {
+    const svc::BatchRequest r = parse(line);
+    out = "ok id=" + r.id + " device=" + std::to_string(r.device.width) +
+          " stats=" + std::to_string(r.stats) + " tests=";
+    for (const std::string& t : r.tests) out += t + ",";
+    for (const Task& t : r.taskset) {
+      out += " [" + std::to_string(t.wcet) + " " + std::to_string(t.deadline) +
+             " " + std::to_string(t.period) + " " + std::to_string(t.area) +
+             " " + t.name + "]";
+    }
+  } catch (const svc::CodecError& e) {
+    out = std::string("error id=") + e.id() + " what=" + e.what();
+  }
+  return out;
+}
+
+/// Valid request lines of every form, the mutation seeds.
+std::vector<std::string> seed_lines() {
+  std::vector<std::string> seeds = {
+      R"({"id":"r1","device":100,"tasks":[{"c":126,"d":700,"t":700,"a":9},)"
+      R"({"c":40,"d":500,"t":500,"a":7},{"c":30,"d":900,"t":900,"a":5}]})",
+      R"({"id":7,"device":10,"tasks":[{"c":1,"d":2,"t":2,"a":1,"name":"fir"}],)"
+      R"("tests":["gn2","dp"]})",
+      R"({"id":"ts","taskset":"taskset v1\ndevice 10\ntask t1 210 500 500 7\n)"
+      R"(task - 3 9 9 2\n"})",
+      R"({"id":"s","stats":true})",
+      R"({"device":100,"tasks":[{"a":9,"t":700,"d":700,"c":126,)"
+      R"("name":"xyz"}],"id":"late"})",
+      R"( { "id" : "w\ts" , "device" : 64 , "tasks" : [ { "c" : 5 , "d" : 9 ,)"
+      R"( "t" : 9 , "a" : 1 } ] } )",
+  };
+  std::string wide = R"({"id":"n16","device":100,"tasks":[)";
+  for (int i = 0; i < 16; ++i) {
+    if (i != 0) wide += ',';
+    wide += R"({"c":)" + std::to_string(10 + 7 * i) + R"(,"d":)" +
+            std::to_string(400 + 13 * i) + R"(,"t":)" +
+            std::to_string(500 + 13 * i) + R"(,"a":)" +
+            std::to_string(1 + i % 9) + "}";
+  }
+  seeds.push_back(wide + R"(],"tests":["dp","gn1","gn2"]})");
+  return seeds;
+}
+
+/// Fragments spliced into seed lines: duplicate members of every kind,
+/// escapes, control bytes, edge-case numbers, literals and punctuation.
+const std::vector<std::string>& fragments() {
+  static const std::vector<std::string> kFragments = {
+      R"("id":"dup",)", R"("id":5,)", R"("id":1.5,)", R"("id":[1],)",
+      R"("device":0,)", R"("device":100,)", R"("device":"x",)",
+      R"("device":2147483648,)", R"("tasks":[],)", R"("tasks":{},)",
+      R"("tasks":[{"c":0}],)", R"("tasks":[7],)", R"("taskset":42,)",
+      R"("taskset":"taskset v1\ndevice 4\ntask - 1 2 2 1\n",)",
+      R"("taskset":"bogus",)", R"("tests":["dp"],)", R"("tests":[],)",
+      R"("tests":["nope"],)", R"("tests":[7],)", R"("stats":true,)",
+      R"("stats":false,)", R"("c":1,)", R"("c":-1,)", R"("a":3,)",
+      R"("a":2147483648,)", R"("name":"n",)", R"("name":"-",)",
+      R"("name":7,)", R"("zz":null,)", R"("c":4,)", R"("id":"e",)",
+      "[[[[[[[[", "]]]]", R"({"x":)", R"(\u0063)", R"(\ud800)",
+      R"(\u00e9)", R"(\u4e2d)", R"(\q)", "\\", "\"", "\x01", "\x1f", "\x7f", "\xc3\xa9",
+      "+5", "007", "-0", "1e999", "1e-999", "1e2", "9999999999999999999",
+      "999999999999999999", "-9223372036854775808", "9223372036854775807",
+      "0.5", "1-2", "--1", ".5", "1e", " ", "\t", "\r\n", "true", "false",
+      "null", "tru", "nul", ":", ",", "{}", "[]", "}", "]",
+  };
+  return kFragments;
+}
+
+std::string mutate(std::string line, Xoshiro256ss& rng) {
+  const auto pick = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+  };
+  const auto at = [&](const std::string& s) { return pick(s.size() + 1); };
+  // Mostly one mutation, and mostly a fragment where a member or an item
+  // may start, so that many mutants stay valid JSON and reach the schema.
+  // Deep nesting is rare: unwinding 64 frames dwarfs every other case.
+  static constexpr int kOperators[] = {0, 1, 2, 3, 4, 5, 5, 5, 5, 5, 5, 5, 5};
+  const int rounds = 1 + static_cast<int>(rng.uniform_int(0, 9) / 6);
+  for (int r = 0; r < rounds; ++r) {
+    const int op = rng.uniform_int(0, 39) == 0
+                       ? 6
+                       : kOperators[pick(std::size(kOperators))];
+    switch (op) {
+      case 0:  // truncation
+        line.resize(at(line));
+        break;
+      case 1: {  // deletion
+        const std::size_t from = at(line);
+        line.erase(from, 1 + pick(8));
+        break;
+      }
+      case 2:  // byte flip
+        if (!line.empty()) {
+          line[pick(line.size())] = static_cast<char>(rng.uniform_int(0, 255));
+        }
+        break;
+      case 3: {  // slice duplication
+        const std::size_t from = at(line);
+        const std::string slice = line.substr(from, 1 + pick(24));
+        line.insert(at(line), slice);
+        break;
+      }
+      case 4:  // a fragment anywhere
+        line.insert(at(line), fragments()[pick(fragments().size())]);
+        break;
+      case 5: {  // a fragment where a member or item may start
+        std::vector<std::size_t> starts;
+        for (std::size_t i = 0; i < line.size(); ++i) {
+          if (line[i] == '{' || line[i] == '[' || line[i] == ',') {
+            starts.push_back(i + 1);
+          }
+        }
+        const std::size_t where = starts.empty() ? 0 : starts[pick(starts.size())];
+        line.insert(where, fragments()[pick(fragments().size())]);
+        break;
+      }
+      default: {  // nesting around the depth cap
+        const std::size_t depth = 58 + pick(10);
+        std::string nest(depth, '[');
+        if (rng.uniform_int(0, 1) == 1) nest += std::string(depth, ']');
+        line.insert(at(line), nest);
+      }
+    }
+  }
+  return line;
+}
+
+std::string printable(const std::string& line) {
+  std::string out;
+  for (const char c : line) {
+    const auto u = static_cast<unsigned char>(c);
+    if (u < 0x20 || u >= 0x7f) {
+      char buf[8];
+      std::snprintf(buf, sizeof buf, "\\x%02x", u);
+      out += buf;
+    } else {
+      out.push_back(c);
+    }
+  }
+  return out;
+}
+
+TEST(CodecDifferential, MutatedLinesMatchTheReferenceSchemaWalk) {
+  const std::vector<std::string> seeds = seed_lines();
+  for (const std::string& seed : seeds) {
+    ASSERT_EQ(outcome(svc::parse_request_line, seed).rfind("ok ", 0), 0u)
+        << seed;
+  }
+  Xoshiro256ss rng(0x5EED0C0DEC);
+  constexpr std::size_t kLines = 100'000;
+  std::size_t diffs = 0;
+  std::size_t accepted = 0;
+  std::size_t schema_errors = 0;
+  std::size_t syntax_errors = 0;
+  const auto started = std::chrono::steady_clock::now();
+  for (std::size_t i = 0; i < kLines; ++i) {
+    const std::string line = mutate(seeds[i % seeds.size()], rng);
+    const std::string got = outcome(svc::parse_request_line, line);
+    const std::string want = outcome(reference::parse_request_line, line);
+    if (got != want) {
+      if (++diffs <= 5) {
+        ADD_FAILURE() << "line: " << printable(line)
+                      << "\n  reader:    " << printable(got)
+                      << "\n  reference: " << printable(want);
+      }
+      continue;
+    }
+    if (got.rfind("ok ", 0) == 0) ++accepted;
+    else if (got.find("what=bad request: ") != std::string::npos) ++schema_errors;
+    else ++syntax_errors;
+  }
+  const double seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - started)
+                             .count();
+  EXPECT_EQ(diffs, 0u);
+  // The mutations reach every outcome class, not just syntax errors.
+  EXPECT_GT(accepted, kLines / 50);
+  EXPECT_GT(schema_errors, kLines / 20);
+  EXPECT_GT(syntax_errors, kLines / 20);
+  std::printf("%zu mutated lines in %.2f s: %zu accepted, %zu schema errors, "
+              "%zu syntax errors, %zu differences\n",
+              kLines, seconds, accepted, schema_errors, syntax_errors, diffs);
+}
+
+// ------------------------------------------------ writer vs snprintf ----
+
+// The snprintf-based writer the to_chars one replaced: its output is the
+// wire format the to_chars writer must reproduce byte for byte.
+namespace reference {
+
+std::string json_escape(const std::string& raw) {
+  std::string out;
+  for (const char c : raw) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\b': out += "\\b"; break;
+      case '\f': out += "\\f"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof buf, "\\u%04x",
+                        static_cast<unsigned>(static_cast<unsigned char>(c)));
+          out += buf;
+        } else {
+          out.push_back(c);
+        }
+    }
+  }
+  return out;
+}
+
+std::string format_verdict_line(const svc::BatchVerdict& verdict,
+                                const TaskSet* taskset) {
+  char hash_hex[17];
+  std::snprintf(hash_hex, sizeof hash_hex, "%016llx",
+                static_cast<unsigned long long>(verdict.hash));
+  std::string out = "{\"id\":\"" + json_escape(verdict.id) + "\"";
+  out += ",\"verdict\":\"";
+  out += verdict.accepted ? "schedulable" : "inconclusive";
+  out += "\"";
+  if (!verdict.accepted_by.empty()) {
+    out += ",\"accepted_by\":\"" + json_escape(verdict.accepted_by) + "\"";
+  }
+  out += ",\"cache\":\"";
+  out += verdict.cache_hit ? "hit" : "miss";
+  out += "\",\"hash\":\"";
+  out += hash_hex;
+  out += "\"";
+  if (taskset != nullptr) {
+    char buf[96];
+    std::snprintf(buf, sizeof buf, ",\"n\":%zu,\"ut\":%.6g,\"us\":%.6g",
+                  taskset->size(), taskset->time_utilization(),
+                  taskset->system_utilization());
+    out += buf;
+  }
+  if (!verdict.sub.empty()) {
+    out += ",\"sub\":[";
+    for (std::size_t i = 0; i < verdict.sub.size(); ++i) {
+      const svc::SubVerdict& s = verdict.sub[i];
+      if (i != 0) out += ",";
+      out += "{\"test\":\"" + json_escape(s.test) + "\"";
+      if (!s.ran) {
+        out += ",\"skipped\":true}";
+        continue;
+      }
+      out += ",\"verdict\":\"";
+      out += s.accepted ? "schedulable" : "inconclusive";
+      char buf[48];
+      std::snprintf(buf, sizeof buf, "\",\"micros\":%.3g}", s.micros);
+      out += buf;
+    }
+    out += "]";
+  }
+  out += "}";
+  return out;
+}
+
+}  // namespace reference
+
+std::string random_text(Xoshiro256ss& rng) {
+  static const std::string kBytes =
+      std::string("abcXYZ019 -_.:/\"\\\b\f\n\r\t\x01\x1f\x7f\xc3\xa9") +
+      '\0';
+  std::string out;
+  const auto n = rng.uniform_int(0, 12);
+  for (std::int64_t i = 0; i < n; ++i) {
+    out.push_back(kBytes[static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(kBytes.size()) - 1))]);
+  }
+  return out;
+}
+
+/// A double spread over many decades, with rounding-boundary values.
+double random_magnitude(Xoshiro256ss& rng) {
+  static const double kEdges[] = {0.0,     -0.0,     0.0005,  0.00049999,
+                                  9.995,   9.9995,   99.95,   999.5,
+                                  999999.5, 1e15,    1.5e-7,  123456789.0};
+  if (rng.uniform_int(0, 9) == 0) {
+    return kEdges[rng.uniform_int(
+        0, static_cast<std::int64_t>(std::size(kEdges)) - 1)];
+  }
+  return rng.uniform01() * std::pow(10.0, rng.uniform(-8.0, 17.0));
+}
+
+TEST(CodecFormat, WriterMatchesSnprintfReference) {
+  Xoshiro256ss rng(0xF0F0A7);
+  const char* const kTests[] = {"dp", "gn1", "gn2", "mp-\"q\"", ""};
+  for (int i = 0; i < 20'000; ++i) {
+    svc::BatchVerdict v;
+    v.id = random_text(rng);
+    v.accepted = rng.uniform_int(0, 1) == 1;
+    v.accepted_by = rng.uniform_int(0, 2) == 0 ? "" : kTests[i % 4];
+    v.hash = rng.next() >> (rng.uniform_int(0, 15) * 4);
+    v.cache_hit = rng.uniform_int(0, 1) == 1;
+    const auto subs = rng.uniform_int(0, 4);
+    for (std::int64_t s = 0; s < subs; ++s) {
+      v.sub.push_back({kTests[rng.uniform_int(0, 4)], rng.uniform_int(0, 3) != 0,
+                       rng.uniform_int(0, 1) == 1, random_magnitude(rng)});
+    }
+    std::vector<Task> tasks;
+    const auto n = rng.uniform_int(0, 70);
+    for (std::int64_t k = 0; k < n; ++k) {
+      Task t;
+      t.period = rng.uniform_int(1, rng.uniform_int(0, 3) == 0
+                                        ? 1'000'000'000'000
+                                        : 5'000);
+      t.wcet = rng.uniform_int(1, t.period * 2);
+      t.deadline = t.period;
+      t.area = static_cast<Area>(rng.uniform_int(1, 1000));
+      tasks.push_back(t);
+    }
+    const TaskSet ts(std::move(tasks));
+    const TaskSet* with = rng.uniform_int(0, 3) == 0 ? nullptr : &ts;
+    ASSERT_EQ(svc::format_verdict_line(v, with),
+              reference::format_verdict_line(v, with))
+        << "verdict " << i;
+    const std::string text = random_text(rng);
+    ASSERT_EQ(svc::json_escape(text), reference::json_escape(text));
+    ASSERT_EQ(svc::format_error_line(v.id, text),
+              "{\"id\":\"" + reference::json_escape(v.id) + "\",\"error\":\"" +
+                  reference::json_escape(text) + "\"}");
+    ASSERT_EQ(svc::format_shed_line(v.id, text),
+              "{\"id\":\"" + reference::json_escape(v.id) + "\",\"shed\":\"" +
+                  reference::json_escape(text) + "\"}");
   }
 }
 

@@ -2,14 +2,17 @@
 // fragmented NDJSON over real TCP connections, byte-compared against a
 // single-process replay through the same evaluate_with_engine funnel;
 // oversized/malformed line recovery; concurrent connections; clients that
-// close before reading; snapshot topology portability (save under one shard
-// count, warm-restore under another); core pinning; graceful EOF flush; the
-// poll(2) fallback backend selected via RECONF_NET_POLL=1; and the stream
-// transport (reconf_serve's stdio) on pipes, regular files and /dev/null,
-// answering one request log byte-identically to TCP.
+// close before reading; a full fd table (accepts pause, no busy-spin);
+// snapshot topology portability (save under one shard count, warm-restore
+// under another); core pinning; graceful EOF flush; the poll(2) fallback
+// backend selected via RECONF_NET_POLL=1; and the stream transport
+// (reconf_serve's stdio) on pipes, regular files and /dev/null, answering
+// one request log byte-identically to TCP and the committed wire corpus
+// byte-identically to its recorded answers.
 
 #include <algorithm>
 #include <cctype>
+#include <chrono>
 #include <csignal>
 #include <cstdint>
 #include <cstdlib>
@@ -22,7 +25,11 @@
 #include <vector>
 
 #include <fcntl.h>
+#include <netinet/in.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
+#include <sys/time.h>
+#include <time.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
@@ -522,6 +529,94 @@ TEST(NetServer, ClientsClosingBeforeReadingDoNotKillTheServer) {
 
 // ------------------------------------------------ stream transport ----
 
+/// Lowers the soft RLIMIT_NOFILE for the life of the guard.
+struct FdLimitGuard {
+  rlimit saved{};
+  bool lowered = false;
+  explicit FdLimitGuard(rlim_t soft) {
+    EXPECT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
+    rlimit lower = saved;
+    lower.rlim_cur = soft;
+    lowered = ::setrlimit(RLIMIT_NOFILE, &lower) == 0;
+    EXPECT_TRUE(lowered) << std::strerror(errno);
+  }
+  ~FdLimitGuard() {
+    if (lowered) ::setrlimit(RLIMIT_NOFILE, &saved);
+  }
+};
+
+double process_cpu_seconds() {
+  timespec ts{};
+  ::clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) * 1e-9;
+}
+
+TEST(NetServer, FullFdTablePausesAcceptsInsteadOfSpinning) {
+  net::AsyncServer server(test_config(1));
+  std::string error;
+  ASSERT_TRUE(server.start(&error)) << error;
+  // Two served connections, then four sockets that will connect once the
+  // fd table is full: connect() needs no new fd, accept() does.
+  std::vector<int> held;
+  for (std::uint64_t g = 0; g < 2; ++g) {
+    held.push_back(must_connect(server.port()));
+    send_all(held.back(), request_line(g, "held") + "\n");
+    ASSERT_EQ(read_lines(held.back(), 1).size(), 1u);
+  }
+  std::vector<int> backlogged;
+  const timeval timeout{5, 0};
+  for (int i = 0; i < 4; ++i) {
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
+    backlogged.push_back(fd);
+  }
+  // Every fd below the lowest free one is taken: make that the limit.
+  const int lowest_free = ::open("/dev/null", O_RDONLY);
+  ASSERT_GE(lowest_free, 0);
+  ::close(lowest_free);
+  const FdLimitGuard limit(static_cast<rlim_t>(lowest_free));
+  ASSERT_TRUE(limit.lowered);
+  ASSERT_LT(::open("/dev/null", O_RDONLY), 0);
+  EXPECT_EQ(errno, EMFILE);
+
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(server.port());
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  for (const int fd : backlogged) {
+    ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                        sizeof addr),
+              0)
+        << std::strerror(errno);
+  }
+  // The listener stays readable while accept() fails; a server that keeps
+  // polling it spins a core for as long as the table stays full.
+  const double cpu_before = process_cpu_seconds();
+  const auto wall_before = std::chrono::steady_clock::now();
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  const double cpu = process_cpu_seconds() - cpu_before;
+  const double wall = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - wall_before)
+                          .count();
+  EXPECT_LT(cpu, 0.25 * wall) << "cpu " << cpu << " s over " << wall
+                              << " s of wall time";
+
+  // Closing clients frees fds; the backlogged connections are then served.
+  for (const int fd : held) ::close(fd);
+  for (std::size_t i = 0; i < backlogged.size(); ++i) {
+    send_all(backlogged[i],
+             request_line(10 + i, "late" + std::to_string(i)) + "\n");
+    const std::vector<std::string> got = read_lines(backlogged[i], 1);
+    ASSERT_EQ(got.size(), 1u) << "backlogged connection " << i;
+    EXPECT_NE(got[0].find("\"id\":\"late" + std::to_string(i) + "\""),
+              std::string::npos)
+        << got[0];
+  }
+  for (const int fd : backlogged) ::close(fd);
+  server.stop();
+}
+
 std::vector<std::string> split_lines(const std::string& text) {
   std::vector<std::string> lines;
   std::istringstream in(text);
@@ -663,6 +758,45 @@ TEST(NetServerStream, ThreeTransportsAnswerOneLogIdentically) {
   EXPECT_NE(pipes[37].find("\"id\":\"huge\",\"error\""), std::string::npos);
   EXPECT_NE(pipes.back().find("\"id\":\"last-no-newline\""),
             std::string::npos);
+}
+
+TEST(NetServerStream, WireCorpusAnswersAsRecorded) {
+  // tests/corpus/requests/wire.ndjson: the benchmark's request shapes,
+  // duplicates (renamed, reordered, reformatted), custom lineups, the
+  // taskset form and every malformed class the codec pins. wire.expected
+  // holds the answers, recorded byte for byte; duplicates of a key route to
+  // one shard's FIFO ring, so hit/miss is part of the record.
+  const std::filesystem::path dir =
+      std::filesystem::path(RECONF_CORPUS_DIR) / "requests";
+  TempDir out_dir;
+  const auto out_path = out_dir.path / "wire.out";
+  const int in = ::open((dir / "wire.ndjson").c_str(), O_RDONLY);
+  const int out = ::open(out_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  ASSERT_GE(in, 0);
+  ASSERT_GE(out, 0);
+  net::AsyncServer server(test_config(3));
+  std::string error;
+  ASSERT_TRUE(server.start_stream(in, out, &error)) << error;
+  server.wait();
+  ::close(in);
+  ::close(out);
+  const std::string expected = read_file(dir / "wire.expected");
+  const std::string got = read_file(out_path);
+  ASSERT_FALSE(expected.empty());
+  if (got != expected) {
+    const std::vector<std::string> want = split_lines(expected);
+    const std::vector<std::string> have = split_lines(got);
+    for (std::size_t i = 0; i < std::max(want.size(), have.size()); ++i) {
+      const std::string w = i < want.size() ? want[i] : "<missing>";
+      const std::string h = i < have.size() ? have[i] : "<missing>";
+      if (w != h) {
+        ADD_FAILURE() << "first difference at answer " << i << "\n  got:  "
+                      << h << "\n  want: " << w;
+        break;
+      }
+    }
+  }
+  EXPECT_EQ(got.size(), expected.size());
 }
 
 TEST(NetServerStream, AnswersEverythingLeftInAPipeWhoseWriterClosed) {
