@@ -3,12 +3,28 @@
 #include <sstream>
 #include <utility>
 
+#include "svc/json.hpp"
+
 namespace reconf::fault {
 
 namespace {
 
 constexpr const char kExpectPrefix[] = "#expect ";
 constexpr std::size_t kExpectPrefixLen = sizeof(kExpectPrefix) - 1;
+
+/// Whether `line` is the fault-plan header: a JSON object with a top-level
+/// "fault_plan" member. A scenario line that merely mentions the word (a
+/// task or scenario named "fault_plan") is not.
+bool is_plan_header(const std::string& line) {
+  if (line.find("\"fault_plan\"") == std::string::npos) return false;
+  try {
+    const svc::json::Value value = svc::json::parse(line);
+    return value.kind == svc::json::Value::Kind::kObject &&
+           value.find("fault_plan") != nullptr;
+  } catch (const svc::json::JsonError&) {
+    return false;  // not JSON: left for the section's own parser to report
+  }
+}
 
 }  // namespace
 
@@ -35,9 +51,7 @@ ChaosCase parse_chaos_case(const std::string& text) {
     }
     // The fault-plan header opens the second section; everything before it
     // (comments included) is the scenario's.
-    if (!in_plan && line.find("\"fault_plan\"") != std::string::npos) {
-      in_plan = true;
-    }
+    if (!in_plan && is_plan_header(line)) in_plan = true;
     (in_plan ? plan_text : scenario_text) += line;
     (in_plan ? plan_text : scenario_text) += '\n';
   }

@@ -26,8 +26,9 @@ struct ChaosCase {
 };
 
 /// Parses a combined `.chaos` file: scenario NDJSON first, then the fault
-/// plan (the `{"fault_plan":...}` header starts the second section), with
-/// `#expect <config> <summary_json>` comment lines collected from anywhere.
+/// plan (the first line whose object has a top-level "fault_plan" member
+/// starts the second section), with `#expect <config> <summary_json>`
+/// comment lines collected from anywhere.
 /// Throws rt::ScenarioError / FaultPlanError on malformed input.
 [[nodiscard]] ChaosCase parse_chaos_case(const std::string& text);
 

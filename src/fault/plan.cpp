@@ -6,8 +6,8 @@
 #include <utility>
 
 #include "common/contracts.hpp"
+#include "common/json_escape.hpp"
 #include "common/rng.hpp"
-#include "svc/codec.hpp"
 #include "svc/json.hpp"
 
 namespace reconf::fault {
@@ -164,13 +164,13 @@ FaultPlan parse_fault_plan(const std::string& text) {
 
 std::string format_fault_plan(const FaultPlan& plan) {
   std::string out =
-      "{\"fault_plan\":\"" + svc::json_escape(plan.name) + "\"}\n";
+      "{\"fault_plan\":\"" + json_escape(plan.name) + "\"}\n";
   for (const FaultEvent& e : plan.events) {
     out += "{\"at\":" + std::to_string(e.at) + ",\"fault\":\"" +
            to_string(e.kind) + "\"";
     switch (e.kind) {
       case FaultKind::kWcetOverrun:
-        out += ",\"name\":\"" + svc::json_escape(e.name) + "\"";
+        out += ",\"name\":\"" + json_escape(e.name) + "\"";
         out += ",\"extra\":" + std::to_string(e.extra);
         break;
       case FaultKind::kPortFail:
@@ -182,7 +182,7 @@ std::string format_fault_plan(const FaultPlan& plan) {
         break;
       case FaultKind::kFabric:
         if (!e.name.empty()) {
-          out += ",\"name\":\"" + svc::json_escape(e.name) + "\"";
+          out += ",\"name\":\"" + json_escape(e.name) + "\"";
         }
         break;
     }

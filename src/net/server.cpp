@@ -20,7 +20,6 @@
 #endif
 
 #include "analysis/engine.hpp"
-#include "analysis/hash.hpp"
 #include "common/contracts.hpp"
 #include "net/poller.hpp"
 #include "net/spsc_ring.hpp"
@@ -44,10 +43,12 @@ constexpr std::size_t kReadChunk = 64 * 1024;
 /// flag (and re-arming a listener paused on a full fd table).
 constexpr int kPollTimeoutMs = 10;
 
-/// One parsed request in flight from an io thread to its shard owner.
+/// One parsed request in flight from an io thread to its shard owner, with
+/// the engine its io thread resolved for its lineup.
 struct RequestMsg {
   std::uint64_t conn = 0;
   std::uint64_t seq = 0;
+  const analysis::AnalysisEngine* engine = nullptr;
   svc::BatchRequest request;
 };
 
@@ -184,40 +185,24 @@ struct AsyncServer::Impl {
 
   // ----------------------------------------------------------- routing ----
 
-  /// Engine fingerprint of the default analyzer lineup (set once before
-  /// the threads start), and a per-io-thread memo of custom-lineup
-  /// fingerprints (each map is touched only by its own io thread).
-  std::uint64_t default_fp = 0;
-  std::vector<std::map<std::vector<std::string>, std::uint64_t>> fp_memo;
+  /// One engine table per io thread, each touched only by its own thread.
+  /// Shard workers evaluate against the engines it hands out: an engine is
+  /// immutable, and its counters are process-wide per analyzer id.
+  std::vector<std::unique_ptr<svc::EngineTable>> engines;
 
-  [[nodiscard]] std::uint32_t route(const svc::BatchRequest& request,
-                                    unsigned io) {
-    // Consistent-hash of the verdict-cache key itself — the mix of the
-    // canonical taskset hash and the resolved engine fingerprint that
-    // evaluate_with_engine will look up. Using the cache key as the
-    // routing key makes placement a single function shared with snapshot
-    // restore (load_shard_snapshot routes stored entries by this same
-    // key), so a warm-restored verdict always lands on the shard its
-    // future duplicates are routed to. Duplicates of a (taskset, lineup)
-    // pair land on one shard, whose private cache partition is the only
-    // place that verdict can live.
-    std::uint64_t fp = default_fp;
-    if (!request.tests.empty()) {
-      auto& memo = fp_memo[io];
-      auto it = memo.find(request.tests);
-      if (it == memo.end()) {
-        analysis::AnalysisRequest custom = config.options.request;
-        custom.tests = request.tests;
-        it = memo
-                 .emplace(request.tests,
-                          analysis::AnalysisEngine(custom).fingerprint())
-                 .first;
-      }
-      fp = it->second;
-    }
+  /// Consistent-hash of the verdict-cache key itself — the key
+  /// evaluate_with_engine will look up. Using the cache key as the routing
+  /// key makes placement a single function shared with snapshot restore
+  /// (load_shard_snapshot routes stored entries by this same key), so a
+  /// warm-restored verdict always lands on the shard its future duplicates
+  /// are routed to. Duplicates of a (taskset, lineup) pair land on one
+  /// shard, whose private cache partition is the only place that verdict
+  /// can live.
+  [[nodiscard]] std::uint32_t route(
+      const svc::BatchRequest& request,
+      const analysis::AnalysisEngine& engine) const {
     return svc::shard_for_key(
-        analysis::mix64(
-            analysis::canonical_hash(request.taskset, request.device) ^ fp),
+        svc::verdict_cache_key(request.taskset, request.device, engine),
         shard_count);
   }
 
@@ -226,12 +211,6 @@ struct AsyncServer::Impl {
   void shard_main(std::uint32_t shard) {
     svc::ShardCache* cache =
         caches[shard]->enabled() ? caches[shard].get() : nullptr;
-    // One engine per shard: decide() is thread-safe, but a private engine
-    // keeps its stats cells out of cross-core traffic entirely. Custom
-    // lineups are resolved once per distinct `tests` vector per shard.
-    const analysis::AnalysisEngine shared(config.options.request);
-    std::map<std::vector<std::string>, analysis::AnalysisEngine> custom;
-
     Parker& parker = *shard_parkers[shard];
     RequestMsg msg;
     for (;;) {
@@ -245,7 +224,7 @@ struct AsyncServer::Impl {
           ResponseMsg reply;
           reply.conn = msg.conn;
           reply.seq = msg.seq;
-          reply.text = answer(shared, custom, msg.request, cache);
+          reply.text = answer(msg, cache);
           // The response ring can only be full when the io thread is busy;
           // it drains every tick, so yielding (never dropping — a dropped
           // response would wedge the connection's emit order) is enough.
@@ -282,25 +261,9 @@ struct AsyncServer::Impl {
     return true;
   }
 
-  std::string answer(
-      const analysis::AnalysisEngine& shared,
-      std::map<std::vector<std::string>, analysis::AnalysisEngine>& custom,
-      const svc::BatchRequest& request, svc::ShardCache* cache) {
-    const analysis::AnalysisEngine* engine = &shared;
-    if (!request.tests.empty()) {
-      auto it = custom.find(request.tests);
-      if (it == custom.end()) {
-        analysis::AnalysisRequest custom_request = config.options.request;
-        custom_request.tests = request.tests;
-        it = custom
-                 .emplace(request.tests,
-                          analysis::AnalysisEngine(std::move(custom_request)))
-                 .first;
-      }
-      engine = &it->second;
-    }
+  std::string answer(const RequestMsg& msg, svc::ShardCache* cache) {
     const svc::BatchVerdict v =
-        svc::evaluate_with_engine(*engine, request, cache);
+        svc::evaluate_with_engine(*msg.engine, msg.request, cache);
     if (!v.shed.empty()) {
       sheds.fetch_add(1, std::memory_order_relaxed);
       return svc::format_shed_line(v.id, v.shed);
@@ -310,7 +273,7 @@ struct AsyncServer::Impl {
       return svc::format_error_line(v.id, v.error);
     }
     if (v.accepted) accepted.fetch_add(1, std::memory_order_relaxed);
-    return svc::format_verdict_line(v, &request.taskset);
+    return svc::format_verdict_line(v, &msg.request.taskset);
   }
 
   /// Pins shard `shard`'s just-spawned worker to core shard % cores.
@@ -683,10 +646,11 @@ struct AsyncServer::Impl {
           std::chrono::milliseconds(config.request_timeout_ms);
     }
 
-    const std::uint32_t shard = route(request, io);
     RequestMsg msg;
     msg.conn = conn.id;
     msg.seq = conn.next_seq++;
+    msg.engine = &engines[io]->resolve(request.tests);
+    const std::uint32_t shard = route(request, *msg.engine);
     msg.request = std::move(request);
     if (requests[io][shard]->try_push(std::move(msg))) {
       ++conn.inflight;
@@ -933,12 +897,11 @@ AsyncServer::AsyncServer(ServerConfig config)
   for (unsigned io = 0; io < impl_->io_count; ++io) {
     impl_->wakes.push_back(std::make_unique<WakePipe>());
     impl_->inboxes.push_back(std::make_unique<Impl::Inbox>());
+    impl_->engines.push_back(
+        std::make_unique<svc::EngineTable>(impl_->config.options));
   }
-  impl_->fp_memo.resize(impl_->io_count);
   impl_->kicks.assign(impl_->io_count,
                       std::vector<char>(impl_->shard_count, 0));
-  impl_->default_fp =
-      analysis::AnalysisEngine(impl_->config.options.request).fingerprint();
 }
 
 AsyncServer::~AsyncServer() { stop(); }
@@ -1029,13 +992,7 @@ std::vector<svc::CacheStats> AsyncServer::shard_cache_stats() const {
 
 svc::CacheStats AsyncServer::cache_stats() const {
   svc::CacheStats total;
-  for (const svc::CacheStats& s : shard_cache_stats()) {
-    total.hits += s.hits;
-    total.misses += s.misses;
-    total.insertions += s.insertions;
-    total.evictions += s.evictions;
-    total.entries += s.entries;
-  }
+  for (const svc::CacheStats& s : shard_cache_stats()) total += s;
   return total;
 }
 

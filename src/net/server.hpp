@@ -48,22 +48,24 @@ struct ServerTotals {
 /// Architecture (one box per thread):
 ///
 ///   accept ─▶ [ io thread 0..I )  level-triggered epoll (poll fallback)
-///   stream ─▶  frame NDJSON lines (1 MiB cap), parse, cache-key route
-///                 │  SPSC ring per (io, shard): requests
+///   stream ─▶  frame NDJSON lines (1 MiB cap), parse, resolve the lineup
+///              (one svc::EngineTable per io thread), cache-key route
+///                 │  SPSC ring per (io, shard): request + its engine
 ///                 ▼
 ///            [ shard worker 0..S )  consistent-hash owner of its key range
-///              private contention-free ShardCache + AnalysisEngine
+///              private contention-free ShardCache; no engine of its own
 ///                 │  SPSC ring per (shard, io): responses
 ///                 ▼
 ///            [ io thread ]  per-connection in-order reassembly (seq),
 ///              write buffers with partial-write handling
 ///
 /// Requests are routed by jump-consistent-hash of the verdict-cache key
-/// (canonical taskset hash mixed with the resolved engine fingerprint), so
-/// one shard owns every duplicate of a (taskset, lineup) pair: its cache
-/// partition needs no locks, hit/miss patterns are deterministic per key,
-/// and snapshot restore — which places stored entries by the same key —
-/// always lands a verdict on the shard its future duplicates route to.
+/// (svc::verdict_cache_key: canonical taskset hash mixed with the resolved
+/// engine's fingerprint), so one shard owns every duplicate of a (taskset,
+/// lineup) pair, however the lineup is spelled: its cache partition needs
+/// no locks, hit/miss patterns are deterministic per key, and snapshot
+/// restore — which places stored entries by the same key — always lands a
+/// verdict on the shard its future duplicates route to.
 /// Responses carry (connection, seq) and are re-ordered per
 /// connection before writing — the wire contract (responses in request
 /// order) survives out-of-order shard completion. Stats requests are

@@ -2,30 +2,9 @@
 
 #include <cstdio>
 
+#include "common/json_escape.hpp"
+
 namespace reconf::obs {
-
-namespace {
-
-std::string json_escape(std::string_view raw) {
-  std::string out;
-  out.reserve(raw.size() + 2);
-  for (const char c : raw) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof buf, "\\u%04x",
-                    static_cast<unsigned>(static_cast<unsigned char>(c)));
-      out += buf;
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 void ChromeTraceWriter::complete_event(std::string_view name,
                                        std::string_view cat, double ts_us,

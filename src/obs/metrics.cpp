@@ -7,6 +7,8 @@
 #include <cstring>
 #include <stdexcept>
 
+#include "common/json_escape.hpp"
+
 namespace reconf::obs {
 
 namespace detail {
@@ -266,30 +268,6 @@ std::string MetricsRegistry::prometheus_text() const {
   }
   return out;
 }
-
-namespace {
-
-/// JSON string escaping for metric names (quotes/backslash/control bytes).
-std::string json_escape(const std::string& raw) {
-  std::string out;
-  out.reserve(raw.size() + 2);
-  for (const char c : raw) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof buf, "\\u%04x",
-                    static_cast<unsigned>(static_cast<unsigned char>(c)));
-      out += buf;
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 std::string MetricsRegistry::json_snapshot() const {
   const std::lock_guard<std::mutex> lock(mutex_);

@@ -6,7 +6,7 @@
 #include <stdexcept>
 #include <utility>
 
-#include "svc/codec.hpp"
+#include "common/json_escape.hpp"
 #include "svc/json.hpp"
 #include "task/io.hpp"
 
@@ -66,8 +66,8 @@ std::uint64_t parse_seed(const std::string& text) {
 
 std::string format_repro_line(const ReproCase& repro) {
   std::string out = "{\"schema\":\"reconf-repro/1\"";
-  out += ",\"id\":\"" + svc::json_escape(repro.id) + "\"";
-  out += ",\"kind\":\"" + svc::json_escape(repro.kind) + "\"";
+  out += ",\"id\":\"" + json_escape(repro.id) + "\"";
+  out += ",\"kind\":\"" + json_escape(repro.kind) + "\"";
   out += ",\"device\":" + std::to_string(repro.device.width);
   out += ",\"tasks\":[";
   for (std::size_t i = 0; i < repro.taskset.size(); ++i) {
@@ -86,7 +86,7 @@ std::string format_repro_line(const ReproCase& repro) {
     out += ",\"tests\":[";
     for (std::size_t i = 0; i < repro.tests.size(); ++i) {
       if (i != 0) out += ",";
-      out += "\"" + svc::json_escape(repro.tests[i]) + "\"";
+      out += "\"" + json_escape(repro.tests[i]) + "\"";
     }
     out += "]";
   }
@@ -99,13 +99,13 @@ std::string format_repro_line(const ReproCase& repro) {
            (*repro.expect_sync_miss ? "miss" : "meets") + "\"";
   }
   if (!repro.analyzer.empty()) {
-    out += ",\"analyzer\":\"" + svc::json_escape(repro.analyzer) + "\"";
+    out += ",\"analyzer\":\"" + json_escape(repro.analyzer) + "\"";
   }
   if (!repro.scheduler.empty()) {
-    out += ",\"scheduler\":\"" + svc::json_escape(repro.scheduler) + "\"";
+    out += ",\"scheduler\":\"" + json_escape(repro.scheduler) + "\"";
   }
   if (!repro.family.empty()) {
-    out += ",\"family\":\"" + svc::json_escape(repro.family) + "\"";
+    out += ",\"family\":\"" + json_escape(repro.family) + "\"";
   }
   if (repro.seed != 0) {
     char buf[32];
@@ -114,7 +114,7 @@ std::string format_repro_line(const ReproCase& repro) {
     out += buf;
   }
   if (!repro.note.empty()) {
-    out += ",\"note\":\"" + svc::json_escape(repro.note) + "\"";
+    out += ",\"note\":\"" + json_escape(repro.note) + "\"";
   }
   out += "}";
   return out;

@@ -9,12 +9,12 @@
 #include <utility>
 
 #include "common/contracts.hpp"
+#include "common/json_escape.hpp"
 #include "fault/injector.hpp"
 #include "fault/plan.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sim/invariants.hpp"
-#include "svc/codec.hpp"
 #include "task/job.hpp"
 
 namespace reconf::rt {
@@ -1041,7 +1041,7 @@ class Runtime {
 }  // namespace
 
 std::string RuntimeResult::summary_json() const {
-  std::string out = "{\"scenario\":\"" + svc::json_escape(scenario) + "\"";
+  std::string out = "{\"scenario\":\"" + json_escape(scenario) + "\"";
   out += ",\"horizon\":" + std::to_string(horizon);
   out += ",\"admitted\":" + std::to_string(admitted);
   out += ",\"rejected\":" + std::to_string(rejected);

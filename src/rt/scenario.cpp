@@ -6,8 +6,8 @@
 #include <utility>
 
 #include "common/contracts.hpp"
+#include "common/json_escape.hpp"
 #include "common/rng.hpp"
-#include "svc/codec.hpp"
 #include "svc/json.hpp"
 
 namespace reconf::rt {
@@ -183,7 +183,7 @@ Scenario parse_scenario(const std::string& text) {
 std::string format_scenario(const Scenario& scenario) {
   std::string out = "{";
   if (!scenario.name.empty()) {
-    out += "\"scenario\":\"" + svc::json_escape(scenario.name) + "\",";
+    out += "\"scenario\":\"" + json_escape(scenario.name) + "\",";
   }
   out += "\"device\":" + std::to_string(scenario.device.width);
   out += ",\"horizon\":" + std::to_string(scenario.horizon);
@@ -196,7 +196,7 @@ std::string format_scenario(const Scenario& scenario) {
   out += "}\n";
   for (const ScenarioEvent& e : scenario.events) {
     out += "{\"at\":" + std::to_string(e.at) + ",\"event\":\"" +
-           to_string(e.kind) + "\",\"name\":\"" + svc::json_escape(e.name) +
+           to_string(e.kind) + "\",\"name\":\"" + json_escape(e.name) +
            "\"";
     if (e.kind != EventKind::kDepart) {
       out += ",\"c\":" + std::to_string(e.task.wcet) +

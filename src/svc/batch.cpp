@@ -1,9 +1,10 @@
 #include "svc/batch.hpp"
 
-#include <map>
 #include <utility>
 
 #include "analysis/hash.hpp"
+#include "analysis/registry.hpp"
+#include "common/contracts.hpp"
 #include "common/stopwatch.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -112,18 +113,38 @@ BatchVerdict evaluate_with_engine(const analysis::AnalysisEngine& engine,
   return out;
 }
 
-namespace {
+EngineTable::EngineTable(const BatchOptions& options)
+    : default_(options.request) {}
 
-/// Engine for a request that names its own tests: the pipeline request with
-/// the lineup overridden.
-analysis::AnalysisEngine engine_for(const BatchRequest& request,
-                                    const BatchOptions& options) {
-  analysis::AnalysisRequest custom = options.request;
-  custom.tests = request.tests;
-  return analysis::AnalysisEngine(std::move(custom));
+const analysis::AnalysisEngine& EngineTable::resolve(
+    std::span<const std::string> tests) {
+  if (tests.empty()) return default_;
+  std::uint64_t key = 0;
+  for (const std::string& id : tests) key |= bit_for(id);
+  auto it = lineups_.find(key);
+  if (it == lineups_.end()) {
+    analysis::AnalysisRequest lineup = default_.request();
+    lineup.tests.assign(tests.begin(), tests.end());
+    it = lineups_.emplace(key, analysis::AnalysisEngine(std::move(lineup)))
+             .first;
+  }
+  return it->second;
 }
 
-}  // namespace
+std::uint64_t EngineTable::bit_for(const std::string& id) {
+  std::size_t i = 0;
+  while (i < ids_.size() && ids_[i] != id) ++i;
+  if (i == ids_.size()) {
+    // Only registered ids get a bit, so ids_ never outgrows the registry.
+    const auto& registry = analysis::AnalyzerRegistry::instance();
+    if (registry.find(id) == nullptr) {
+      throw analysis::UnknownAnalyzerError(id, registry.id_list());
+    }
+    RECONF_ASSERT(i < 64);  // one key bit per registered analyzer
+    ids_.push_back(id);
+  }
+  return std::uint64_t{1} << i;
+}
 
 std::uint64_t verdict_cache_key(const TaskSet& ts, Device device,
                                 const analysis::AnalysisEngine& engine)
@@ -132,38 +153,22 @@ std::uint64_t verdict_cache_key(const TaskSet& ts, Device device,
                          engine.fingerprint());
 }
 
-BatchVerdict evaluate_request(const BatchRequest& request, VerdictStore* cache,
-                              const BatchOptions& options) {
-  if (request.tests.empty()) {
-    return evaluate_with_engine(analysis::AnalysisEngine(options.request),
-                                request, cache);
-  }
-  return evaluate_with_engine(engine_for(request, options), request, cache);
-}
-
 std::vector<BatchVerdict> run_batch(std::span<const BatchRequest> requests,
                                     VerdictStore* cache, ThreadPool& pool,
                                     const BatchOptions& options) {
   const obs::Span batch_span("svc.run_batch", "svc");
-  // One shared engine serves every default-lineup request in the batch;
-  // run() is thread-safe (stats cells are atomic). Custom lineups are
-  // resolved once per distinct `tests` vector, up front — workers never
-  // touch the registry mutex, and a stream where every line repeats the
-  // same override costs one engine, not N.
-  const analysis::AnalysisEngine shared(options.request);
-  std::map<std::vector<std::string>, analysis::AnalysisEngine> custom;
+  // Lineups are resolved up front on this thread; the workers only read
+  // the table's immutable engines.
+  EngineTable engines(options);
+  std::vector<const analysis::AnalysisEngine*> resolved;
+  resolved.reserve(requests.size());
   for (const BatchRequest& request : requests) {
-    if (!request.tests.empty() && !custom.contains(request.tests)) {
-      custom.emplace(request.tests, engine_for(request, options));
-    }
+    resolved.push_back(&engines.resolve(request.tests));
   }
 
   std::vector<BatchVerdict> results(requests.size());
   pool.parallel_for(requests.size(), [&](std::size_t i) {
-    const BatchRequest& request = requests[i];
-    const analysis::AnalysisEngine& engine =
-        request.tests.empty() ? shared : custom.at(request.tests);
-    results[i] = evaluate_with_engine(engine, request, cache);
+    results[i] = evaluate_with_engine(*resolved[i], requests[i], cache);
   });
   return results;
 }

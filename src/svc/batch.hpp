@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "analysis/engine.hpp"
@@ -23,9 +24,10 @@ struct BatchRequest {
   TaskSet taskset;
   Device device;
   /// Per-request analyzer lineup (registry ids, e.g. {"dp","gn2"}). Empty =
-  /// the pipeline default (BatchOptions::request.tests). Unknown ids throw
-  /// analysis::UnknownAnalyzerError from the evaluation — the NDJSON codec
-  /// validates at parse time so malformed requests never reach the pool.
+  /// the pipeline default (BatchOptions::request.tests). Order and
+  /// repetition do not matter. Unknown ids throw
+  /// analysis::UnknownAnalyzerError from EngineTable::resolve — the NDJSON
+  /// codec validates at parse time so malformed requests never reach it.
   std::vector<std::string> tests;
   /// True for a `{"id":...,"stats":true}` introspection request: no taskset
   /// to analyze; the serving core's io thread answers it with a metrics
@@ -93,6 +95,42 @@ struct BatchOptions {
   analysis::AnalysisRequest request = analysis::fast_any_request();
 };
 
+/// The one place a request's analyzer lineup becomes an engine. It holds
+/// the pipeline default engine (for requests naming no tests) plus one
+/// engine per canonical lineup — the distinct ids a request names, without
+/// regard to order — built on first use from the pipeline request with its
+/// lineup overridden. Every spelling of a lineup resolves to the same engine
+/// object, so the table holds at most 2^R − 1 lineup engines for R
+/// registered analyzers however many spellings a client sends.
+///
+/// Not thread-safe: one table per resolving thread (the serving core keeps
+/// one per io thread, run_batch one per batch). The engines it hands out
+/// are immutable and safe to use from any thread; references stay valid
+/// for the table's lifetime.
+class EngineTable {
+ public:
+  explicit EngineTable(const BatchOptions& options = {});
+
+  EngineTable(const EngineTable&) = delete;
+  EngineTable& operator=(const EngineTable&) = delete;
+
+  /// The engine for a request naming `tests` (empty = the pipeline
+  /// default). Throws analysis::UnknownAnalyzerError on an unregistered id.
+  [[nodiscard]] const analysis::AnalysisEngine& resolve(
+      std::span<const std::string> tests);
+
+  /// Lineup engines built so far; the default engine is not counted.
+  [[nodiscard]] std::size_t size() const noexcept { return lineups_.size(); }
+
+ private:
+  /// The key bit of registered analyzer `id`: bit i stands for ids_[i].
+  [[nodiscard]] std::uint64_t bit_for(const std::string& id);
+
+  analysis::AnalysisEngine default_;
+  std::vector<std::string> ids_;  ///< registered ids seen, first-use order
+  std::unordered_map<std::uint64_t, analysis::AnalysisEngine> lineups_;
+};
+
 /// The VerdictCache key for analyzing `ts` on `device` under `engine`:
 /// canonical taskset hash mixed with the engine's configuration
 /// fingerprint (selected analyzer set + per-test options). Two callers with
@@ -107,27 +145,21 @@ struct BatchOptions {
 /// Evaluates every request, fanning out across `pool` and consulting/filling
 /// `cache` (nullptr to always analyze; shared by the pool workers, so a
 /// thread-safe VerdictCache). Results are indexed by request — order never
-/// depends on completion order. The shared engine for default-lineup
-/// requests is built once per batch. The in-process batch API
+/// depends on completion order. Every lineup is resolved through one
+/// EngineTable before the fan-out. The in-process batch API
 /// (bench_service, bench_report); reconf_serve serves through the shard
 /// workers of net::AsyncServer instead.
 [[nodiscard]] std::vector<BatchVerdict> run_batch(
     std::span<const BatchRequest> requests, VerdictStore* cache,
     ThreadPool& pool, const BatchOptions& options = {});
 
-/// Single-request path sharing the cache logic of `run_batch`: resolves the
-/// request's engine (its own `tests`, or `options`) per call.
-[[nodiscard]] BatchVerdict evaluate_request(const BatchRequest& request,
-                                            VerdictStore* cache,
-                                            const BatchOptions& options = {});
-
 /// Core evaluation against a caller-held engine: cache lookup keyed by
 /// (canonical taskset hash, engine fingerprint), analysis on miss. The
 /// request's `tests` field is NOT consulted — the caller already resolved
-/// the engine. This is the one verdict-producing path: the serving core's
-/// shard workers, the batch pipeline and evaluate_request all funnel
-/// through it, which is what makes verdict parity across them a structural
-/// property rather than a test-enforced one.
+/// the engine (EngineTable::resolve). This is the one verdict-producing
+/// path: the serving core's shard workers and the batch pipeline both
+/// funnel through it, which is what makes verdict parity across them a
+/// structural property rather than a test-enforced one.
 [[nodiscard]] BatchVerdict evaluate_with_engine(
     const analysis::AnalysisEngine& engine, const BatchRequest& request,
     VerdictStore* cache);

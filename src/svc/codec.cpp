@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "analysis/registry.hpp"
+#include "common/json_escape.hpp"
 #include "svc/json.hpp"
 #include "task/io.hpp"
 
@@ -456,33 +457,6 @@ BatchRequest parse_request_line(const std::string& line) {
 
 namespace {
 
-/// Appends `raw` JSON-escaped (quotes, backslash, control characters),
-/// copying the runs that need no escape whole.
-void append_escaped(std::string& out, std::string_view raw) {
-  static constexpr char kHex[] = "0123456789abcdef";
-  std::size_t run = 0;
-  for (std::size_t i = 0; i < raw.size(); ++i) {
-    const auto c = static_cast<unsigned char>(raw[i]);
-    if (c >= 0x20 && c != '"' && c != '\\') continue;
-    out.append(raw.data() + run, i - run);
-    run = i + 1;
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        out += "\\u00";
-        out.push_back(kHex[c >> 4]);
-        out.push_back(kHex[c & 0xF]);
-    }
-  }
-  out.append(raw.data() + run, raw.size() - run);
-}
-
 /// Appends `value` as printf's "%.<precision>g" would print it — which is
 /// how the standard defines this to_chars overload.
 void append_general(std::string& out, double value, int precision) {
@@ -498,35 +472,28 @@ std::string id_and_text_line(const std::string& id, std::string_view key,
   std::string out;
   out.reserve(16 + key.size() + id.size() + text.size());
   out += "{\"id\":\"";
-  append_escaped(out, id);
+  append_json_escaped(out, id);
   out += "\",\"";
   out += key;
   out += "\":\"";
-  append_escaped(out, text);
+  append_json_escaped(out, text);
   out += "\"}";
   return out;
 }
 
 }  // namespace
 
-std::string json_escape(const std::string& raw) {
-  std::string out;
-  out.reserve(raw.size());
-  append_escaped(out, raw);
-  return out;
-}
-
 std::string format_verdict_line(const BatchVerdict& verdict,
                                 const TaskSet* taskset) {
   std::string out;
   out.reserve(160 + verdict.id.size() + 64 * verdict.sub.size());
   out += "{\"id\":\"";
-  append_escaped(out, verdict.id);
+  append_json_escaped(out, verdict.id);
   out += verdict.accepted ? "\",\"verdict\":\"schedulable\""
                           : "\",\"verdict\":\"inconclusive\"";
   if (!verdict.accepted_by.empty()) {
     out += ",\"accepted_by\":\"";
-    append_escaped(out, verdict.accepted_by);
+    append_json_escaped(out, verdict.accepted_by);
     out += '"';
   }
   out += verdict.cache_hit ? ",\"cache\":\"hit\",\"hash\":\""
@@ -551,7 +518,7 @@ std::string format_verdict_line(const BatchVerdict& verdict,
       const SubVerdict& s = verdict.sub[i];
       if (i != 0) out += ',';
       out += "{\"test\":\"";
-      append_escaped(out, s.test);
+      append_json_escaped(out, s.test);
       if (!s.ran) {
         out += "\",\"skipped\":true}";
         continue;

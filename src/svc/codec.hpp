@@ -164,9 +164,6 @@ class CodecError : public std::runtime_error {
 [[nodiscard]] std::string format_shed_line(const std::string& id,
                                            const std::string& reason);
 
-/// JSON string-body escaping (quotes, backslash, control characters).
-[[nodiscard]] std::string json_escape(const std::string& raw);
-
 /// Best-effort id extraction from a line that will not (or cannot) be fully
 /// parsed — an oversized line's kept prefix, or a request shed before
 /// parsing. Only scans for a leading `"id":"..."` / `"id":123` member;

@@ -6,8 +6,8 @@
 #include <string>
 #include <vector>
 
+#include "common/json_escape.hpp"
 #include "obs/metrics.hpp"
-#include "svc/codec.hpp"
 
 namespace reconf::svc {
 
@@ -17,11 +17,7 @@ void publish_shard_cache_stats(const std::vector<CacheStats>& shards,
   CacheStats total;
   std::uint64_t peak_lookups = 0;
   for (const CacheStats& s : shards) {
-    total.hits += s.hits;
-    total.misses += s.misses;
-    total.insertions += s.insertions;
-    total.evictions += s.evictions;
-    total.entries += s.entries;
+    total += s;
     peak_lookups = std::max(peak_lookups, s.lookups());
   }
   metrics.gauge("reconf_cache_entries")

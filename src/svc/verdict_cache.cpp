@@ -1,10 +1,12 @@
 #include "svc/verdict_cache.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <fstream>
 #include <mutex>
 #include <sstream>
+#include <string_view>
 
 #include "svc/shard_cache.hpp"
 
@@ -59,13 +61,7 @@ void VerdictCache::insert(std::uint64_t key, CachedVerdict verdict) {
 
 CacheStats VerdictCache::stats() const {
   CacheStats out;
-  for (const CacheStats& s : shard_stats()) {
-    out.hits += s.hits;
-    out.misses += s.misses;
-    out.insertions += s.insertions;
-    out.evictions += s.evictions;
-    out.entries += s.entries;
-  }
+  for (const CacheStats& s : shard_stats()) out += s;
   return out;
 }
 
@@ -99,6 +95,15 @@ constexpr const char kSnapshotHeader[] = "reconf-verdict-cache v1";
 bool set_error(std::string* error, const std::string& what) {
   if (error != nullptr) *error = what;
   return false;
+}
+
+/// Parses all of `field` as an unsigned number in `base`: no sign, no
+/// prefix, no leftover characters.
+template <typename T>
+bool parse_whole(std::string_view field, T& value, int base) {
+  const char* end = field.data() + field.size();
+  const auto [ptr, ec] = std::from_chars(field.data(), end, value, base);
+  return ec == std::errc() && ptr == end;
 }
 
 }  // namespace
@@ -144,26 +149,23 @@ bool read_snapshot_entries(const std::string& path,
   if (!std::getline(in, line) || line != kSnapshotHeader) {
     return set_error(error, path + ": not a verdict-cache snapshot");
   }
+  constexpr std::string_view kCount = "count ";
   std::size_t count = 0;
-  if (!std::getline(in, line) ||
-      std::sscanf(line.c_str(), "count %zu", &count) != 1) {
+  if (!std::getline(in, line) || !line.starts_with(kCount) ||
+      !parse_whole(std::string_view(line).substr(kCount.size()), count, 10)) {
     return set_error(error, path + ": missing count header");
   }
   while (std::getline(in, line)) {
     if (line.empty()) continue;
     std::istringstream fields(line);
-    std::string key_hex;
-    int accepted = 0;
-    std::string accepted_by;
-    if (!(fields >> key_hex >> accepted >> accepted_by) ||
-        key_hex.size() != 16 || (accepted != 0 && accepted != 1)) {
+    std::string key_hex, flag, accepted_by, extra;
+    std::uint64_t key = 0;
+    unsigned accepted = 0;
+    if (!(fields >> key_hex >> flag >> accepted_by) || fields >> extra ||
+        key_hex.size() != 16 || !parse_whole(key_hex, key, 16) ||
+        !parse_whole(flag, accepted, 10) || accepted > 1) {
       return set_error(error,
                        path + ": malformed snapshot line '" + line + "'");
-    }
-    std::uint64_t key = 0;
-    if (std::sscanf(key_hex.c_str(), "%llx",
-                    reinterpret_cast<unsigned long long*>(&key)) != 1) {
-      return set_error(error, path + ": bad key '" + key_hex + "'");
     }
     entries.push_back(
         {key, CachedVerdict{accepted == 1,

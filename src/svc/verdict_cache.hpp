@@ -34,6 +34,16 @@ struct CacheStats {
     return hits + misses;
   }
 
+  /// Field-wise sum: adds another shard's counters to an aggregate.
+  CacheStats& operator+=(const CacheStats& other) noexcept {
+    hits += other.hits;
+    misses += other.misses;
+    insertions += other.insertions;
+    evictions += other.evictions;
+    entries += other.entries;
+    return *this;
+  }
+
   [[nodiscard]] double hit_rate() const noexcept {
     const std::uint64_t total = hits + misses;
     return total == 0 ? 0.0 : static_cast<double>(hits) /
@@ -144,7 +154,8 @@ bool write_snapshot_entries(const std::string& path,
 /// Reads a v1 snapshot into `entries` (file order, least-recent first).
 /// Refuses — returning false, leaving `entries` unspecified — truncated or
 /// malformed files: a half-written snapshot must not warm a cache with
-/// silently missing entries.
+/// silently missing entries. Malformed: a count, key or flag that does not
+/// parse whole, or an entry line without exactly three fields.
 bool read_snapshot_entries(const std::string& path,
                            std::vector<SnapshotEntry>& entries,
                            std::string* error = nullptr);

@@ -394,6 +394,28 @@ TEST(ChaosCorpus, FormatRoundTripsTheCommittedFiles) {
   }
 }
 
+TEST(ChaosCorpus, RoundTripsNamesThatSpellTheSectionHeader) {
+  // Only a line whose object has a top-level "fault_plan" member opens the
+  // plan section; a scenario or task merely named "fault_plan" stays in the
+  // scenario section.
+  fault::ChaosCase c = fault::parse_chaos_case(
+      read_file(std::filesystem::path(RECONF_CORPUS_DIR) / "faults" /
+                "shed_overload.chaos"));
+  c.scenario.name = "fault_plan";
+  for (rt::ScenarioEvent& e : c.scenario.events) {
+    if (e.name == "lo") e.name = "fault_plan";
+  }
+  const std::string text = fault::format_chaos_case(c);
+  const fault::ChaosCase back = fault::parse_chaos_case(text);
+  EXPECT_EQ(fault::format_chaos_case(back), text);
+  EXPECT_EQ(back.scenario.name, "fault_plan");
+  ASSERT_EQ(back.scenario.events.size(), c.scenario.events.size());
+  EXPECT_EQ(back.scenario.events[1].name, "fault_plan");
+  EXPECT_EQ(back.plan.name, c.plan.name);
+  EXPECT_EQ(back.plan.events.size(), c.plan.events.size());
+  EXPECT_EQ(back.expects.size(), c.expects.size());
+}
+
 // -------------------------------------------------------------- soak ----
 
 /// ≥1k scenario × fault-plan draws through every recovery policy; every run

@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include "analysis/registry.hpp"
+#include "common/json_escape.hpp"
 #include "common/rng.hpp"
 #include "svc/batch.hpp"
 #include "svc/codec.hpp"
@@ -82,7 +83,7 @@ TEST(CodecParse, RoundTripsThroughIoWriter) {
   const Device dev{10};
   const std::string text = io::to_string(ts, dev);
   const std::string line =
-      "{\"id\":\"rt\",\"taskset\":\"" + svc::json_escape(text) + "\"}";
+      "{\"id\":\"rt\",\"taskset\":\"" + reconf::json_escape(text) + "\"}";
   const auto req = svc::parse_request_line(line);
   EXPECT_EQ(req.device.width, dev.width);
   ASSERT_EQ(req.taskset.size(), ts.size());
@@ -282,8 +283,8 @@ TEST(CodecFormat, ErrorLine) {
 }
 
 TEST(CodecFormat, JsonEscapeControlCharacters) {
-  EXPECT_EQ(svc::json_escape(std::string("a\x01z")), "a\\u0001z");
-  EXPECT_EQ(svc::json_escape("tab\there"), "tab\\there");
+  EXPECT_EQ(reconf::json_escape(std::string("a\x01z")), "a\\u0001z");
+  EXPECT_EQ(reconf::json_escape("tab\there"), "tab\\there");
 }
 
 TEST(CodecFormat, ShedLine) {
@@ -1065,7 +1066,7 @@ TEST(CodecFormat, WriterMatchesSnprintfReference) {
               reference::format_verdict_line(v, with))
         << "verdict " << i;
     const std::string text = random_text(rng);
-    ASSERT_EQ(svc::json_escape(text), reference::json_escape(text));
+    ASSERT_EQ(reconf::json_escape(text), reference::json_escape(text));
     ASSERT_EQ(svc::format_error_line(v.id, text),
               "{\"id\":\"" + reference::json_escape(v.id) + "\",\"error\":\"" +
                   reference::json_escape(text) + "\"}");

@@ -114,12 +114,9 @@ std::string normalize_timing(std::string line) {
 }
 
 /// Single-process replay of one request line through the exact funnel the
-/// shard workers use — default engine, or a custom one when the request
-/// names its own analyzer lineup — the reference output for byte
-/// comparison.
-std::string replay_line(const std::string& line,
-                        const svc::BatchOptions& options,
-                        const analysis::AnalysisEngine& engine,
+/// serving core uses — its lineup resolved by an engine table, then
+/// evaluate_with_engine — the reference output for byte comparison.
+std::string replay_line(const std::string& line, svc::EngineTable& engines,
                         svc::VerdictStore* cache) {
   svc::BatchRequest request;
   try {
@@ -127,15 +124,8 @@ std::string replay_line(const std::string& line,
   } catch (const svc::CodecError& e) {
     return svc::format_error_line(e.id(), e.what());
   }
-  svc::BatchVerdict v;
-  if (request.tests.empty()) {
-    v = svc::evaluate_with_engine(engine, request, cache);
-  } else {
-    analysis::AnalysisRequest custom = options.request;
-    custom.tests = request.tests;
-    v = svc::evaluate_with_engine(analysis::AnalysisEngine(custom), request,
-                                  cache);
-  }
+  const svc::BatchVerdict v = svc::evaluate_with_engine(
+      engines.resolve(request.tests), request, cache);
   return svc::format_verdict_line(v, &request.taskset);
 }
 
@@ -188,12 +178,11 @@ void run_parity(const net::ServerConfig& config,
   // the hit/miss pattern matches the sequential replay exactly — this is
   // the sharded-vs-striped cache parity check of the acceptance criteria.
   svc::VerdictCache reference(config.cache_capacity);
-  const analysis::AnalysisEngine engine(config.options.request);
+  svc::EngineTable engines(config.options);
   ASSERT_EQ(got.size(), lines.size());
   for (std::size_t i = 0; i < lines.size(); ++i) {
     EXPECT_EQ(normalize_timing(got[i]),
-              normalize_timing(
-                  replay_line(lines[i], config.options, engine, &reference)))
+              normalize_timing(replay_line(lines[i], engines, &reference)))
         << "line " << i;
   }
 }
@@ -211,11 +200,19 @@ std::vector<std::string> parity_workload() {
   // Malformed: parse error with the id recovered from the broken line.
   lines.push_back("{\"id\":\"bad-1\",\"device\":100,\"tasks\":17}");
   lines.push_back("not json at all");
-  // Custom analyzer lineup exercises the per-shard custom-engine map.
+  // Custom analyzer lineups: resolved by the io thread's engine table.
   lines.push_back(
       "{\"id\":\"lineup\",\"device\":100,\"tests\":[\"dp\"],"
       "\"tasks\":[{\"c\":10,\"d\":700,\"t\":700,\"a\":9}]}");
   lines.push_back(request_line(17, "dup-d"));
+  // Three spellings of one lineup: one engine, one key, so the second and
+  // third answer "cache":"hit" from the first one's shard.
+  for (const char* tests : {R"(["gn1","dp"])", R"(["dp","gn1"])",
+                            R"(["dp","gn1","gn1","dp"])"}) {
+    std::string line = request_line(5, "respelled");
+    line.insert(line.size() - 1, std::string(",\"tests\":") + tests);
+    lines.push_back(std::move(line));
+  }
   return lines;
 }
 

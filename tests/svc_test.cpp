@@ -1,7 +1,8 @@
 // Tests for the admission-control service subsystem: canonical hashing,
 // the LRU verdict caches (the single-owner ShardCache and the striped
-// VerdictCache built from it), the incremental AdmissionSession, and the
-// batch pipeline's determinism contract.
+// VerdictCache built from it), the incremental AdmissionSession, the
+// engine table that resolves analyzer lineups, and the batch pipeline's
+// determinism contract.
 
 #include <algorithm>
 #include <atomic>
@@ -9,7 +10,9 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -39,6 +42,16 @@ svc::BatchOptions explain_options() {
   options.request.diagnostics = true;
   options.request.measure = true;
   return options;
+}
+
+/// One request through the serving funnel: its lineup resolved by an
+/// EngineTable over `options`, then evaluate_with_engine.
+svc::BatchVerdict evaluate(const svc::BatchRequest& request,
+                           svc::VerdictStore* cache,
+                           const svc::BatchOptions& options) {
+  svc::EngineTable engines(options);
+  return svc::evaluate_with_engine(engines.resolve(request.tests), request,
+                                   cache);
 }
 
 TaskSet table3_taskset() {
@@ -303,23 +316,23 @@ TEST(BatchPipeline, CacheKeyCoversAnalysisOptions) {
 
   svc::VerdictCache cache(64);
   svc::BatchOptions nf;
-  const auto first = svc::evaluate_request(request, &cache, nf);
+  const auto first = evaluate(request, &cache, nf);
   EXPECT_FALSE(first.cache_hit);
 
   svc::BatchOptions gn2_only;
   gn2_only.request.tests = {"gn2"};
-  const auto other = svc::evaluate_request(request, &cache, gn2_only);
+  const auto other = evaluate(request, &cache, gn2_only);
   EXPECT_FALSE(other.cache_hit) << "different analyzer set must miss";
   EXPECT_NE(other.hash, first.hash);
 
   svc::BatchOptions strict;
   strict.request.tests = {"gn2"};
   strict.request.config.gn2.non_strict_condition2 = true;
-  const auto tweaked = svc::evaluate_request(request, &cache, strict);
+  const auto tweaked = evaluate(request, &cache, strict);
   EXPECT_FALSE(tweaked.cache_hit) << "different per-test options must miss";
   EXPECT_NE(tweaked.hash, other.hash);
 
-  const auto repeat = svc::evaluate_request(request, &cache, nf);
+  const auto repeat = evaluate(request, &cache, nf);
   EXPECT_TRUE(repeat.cache_hit);
   EXPECT_EQ(repeat.accepted, first.accepted);
 }
@@ -336,8 +349,8 @@ TEST(BatchPipeline, PerRequestTestsOverrideThePipelineDefault) {
 
   svc::VerdictCache cache(64);
   const svc::BatchOptions explain = explain_options();
-  const auto a = svc::evaluate_request(full, &cache, explain);
-  const auto b = svc::evaluate_request(dp_only, &cache, explain);
+  const auto a = evaluate(full, &cache, explain);
+  const auto b = evaluate(dp_only, &cache, explain);
   EXPECT_NE(a.hash, b.hash)
       << "a {dp}-only verdict must never share a cache line with the trio";
   EXPECT_FALSE(b.cache_hit);
@@ -347,16 +360,67 @@ TEST(BatchPipeline, PerRequestTestsOverrideThePipelineDefault) {
   EXPECT_EQ(b.sub[0].test, "dp");
 
   // Same override again: cache hit on the {dp} line.
-  const auto c = svc::evaluate_request(dp_only, &cache, explain);
+  const auto c = evaluate(dp_only, &cache, explain);
   EXPECT_TRUE(c.cache_hit);
   EXPECT_EQ(c.accepted, b.accepted);
 
   // The fast-path default shares those cache lines: identical verdicts, so
   // a diagnostics-mode entry answers a fast-mode request and vice versa.
-  const auto d = svc::evaluate_request(dp_only, &cache, {});
+  const auto d = evaluate(dp_only, &cache, {});
   EXPECT_TRUE(d.cache_hit);
   EXPECT_EQ(d.hash, b.hash);
   EXPECT_EQ(d.accepted, b.accepted);
+}
+
+TEST(EngineTable, EverySpellingOfALineupResolvesToOneEngine) {
+  // Every `tests` array of one to five ids over {dp, gn1, gn2}: 363
+  // spellings of seven distinct id sets.
+  const std::vector<std::string> ids = {"dp", "gn1", "gn2"};
+  svc::EngineTable engines;
+  std::map<std::set<std::string>, const analysis::AnalysisEngine*> by_set;
+  std::size_t spellings = 0;
+  for (std::size_t length = 1; length <= 5; ++length) {
+    std::size_t count = 1;
+    for (std::size_t i = 0; i < length; ++i) count *= ids.size();
+    for (std::size_t code = 0; code < count; ++code) {
+      std::vector<std::string> tests;
+      for (std::size_t i = 0, c = code; i < length; ++i, c /= ids.size()) {
+        tests.push_back(ids[c % ids.size()]);
+      }
+      const analysis::AnalysisEngine& engine = engines.resolve(tests);
+      const auto [it, fresh] = by_set.emplace(
+          std::set<std::string>(tests.begin(), tests.end()), &engine);
+      EXPECT_EQ(it->second, &engine)
+          << "spelling " << code << " of length " << length;
+      if (fresh) {
+        analysis::AnalysisRequest request = svc::BatchOptions{}.request;
+        request.tests = tests;
+        EXPECT_EQ(engine.fingerprint(),
+                  analysis::AnalysisEngine(request).fingerprint());
+      }
+      EXPECT_LE(engines.size(), by_set.size());
+      ++spellings;
+    }
+  }
+  EXPECT_EQ(spellings, 363u);
+  EXPECT_EQ(by_set.size(), 7u);
+  EXPECT_EQ(engines.size(), 7u);
+  std::set<const analysis::AnalysisEngine*> objects;
+  for (const auto& [set, engine] : by_set) objects.insert(engine);
+  EXPECT_EQ(objects.size(), 7u) << "distinct id sets share an engine";
+
+  // No tests: the pipeline default, which is not a lineup entry.
+  const analysis::AnalysisEngine& fallback = engines.resolve({});
+  EXPECT_EQ(&engines.resolve({}), &fallback);
+  EXPECT_EQ(fallback.fingerprint(),
+            analysis::AnalysisEngine(svc::BatchOptions{}.request)
+                .fingerprint());
+  EXPECT_EQ(engines.size(), 7u);
+
+  // An unknown id is refused and leaves the table as it was.
+  EXPECT_THROW((void)engines.resolve(std::vector<std::string>{"dp", "gnX"}),
+               analysis::UnknownAnalyzerError);
+  EXPECT_EQ(engines.size(), 7u);
 }
 
 TEST(BatchPipeline, SelectionEmptiedByFilterYieldsErrorNotInconclusive) {
@@ -371,7 +435,7 @@ TEST(BatchPipeline, SelectionEmptiedByFilterYieldsErrorNotInconclusive) {
 
   svc::BatchOptions fkf;
   fkf.request.scheduler = analysis::Scheduler::kEdfFkF;
-  const auto verdict = svc::evaluate_request(request, nullptr, fkf);
+  const auto verdict = evaluate(request, nullptr, fkf);
   EXPECT_FALSE(verdict.error.empty());
   EXPECT_FALSE(verdict.accepted);
 
@@ -390,7 +454,7 @@ TEST(BatchPipeline, ExplainModeCarriesSubReportsInExecutionOrder) {
   request.device = Device{20};
 
   const svc::BatchOptions explain = explain_options();
-  const auto verdict = svc::evaluate_request(request, nullptr, explain);
+  const auto verdict = evaluate(request, nullptr, explain);
   ASSERT_EQ(verdict.sub.size(), 3u);
   EXPECT_EQ(verdict.sub[0].test, "dp");   // cheapest first
   EXPECT_EQ(verdict.sub[1].test, "gn1");
@@ -410,11 +474,11 @@ TEST(BatchPipeline, FastDefaultMatchesExplainVerdictsWithoutSubReports) {
   request.taskset = table3_taskset();
   request.device = Device{20};
 
-  const auto fast = svc::evaluate_request(request, nullptr, {});
+  const auto fast = evaluate(request, nullptr, {});
   EXPECT_TRUE(fast.sub.empty());
 
   const svc::BatchOptions explain = explain_options();
-  const auto full = svc::evaluate_request(request, nullptr, explain);
+  const auto full = evaluate(request, nullptr, explain);
   EXPECT_EQ(fast.accepted, full.accepted);
   EXPECT_EQ(fast.accepted_by, full.accepted_by);
   EXPECT_EQ(fast.hash, full.hash)
@@ -513,14 +577,14 @@ TEST(BatchPipeline, ExpiredDeadlineShedsInsteadOfAnalyzing) {
   request.deadline =
       std::chrono::steady_clock::now() - std::chrono::milliseconds(1);
   const svc::BatchVerdict verdict =
-      svc::evaluate_request(request, nullptr, {});
+      evaluate(request, nullptr, {});
   EXPECT_EQ(verdict.shed, "deadline");
   EXPECT_TRUE(verdict.error.empty());
   EXPECT_FALSE(verdict.accepted);
 
   // No deadline (the default) analyzes as before.
   request.deadline = {};
-  EXPECT_TRUE(svc::evaluate_request(request, nullptr, {}).shed.empty());
+  EXPECT_TRUE(evaluate(request, nullptr, {}).shed.empty());
 }
 
 // ----------------------------------------------------- cache snapshot ----
@@ -608,8 +672,17 @@ TEST(ShardSnapshot, RefusesTruncatedMalformedAndMissingFiles) {
 
   std::ofstream(bad) << "not a snapshot\n";
   EXPECT_FALSE(svc::load_shard_snapshot(victim.shards, bad, nullptr, &error));
-  std::ofstream(bad) << "reconf-verdict-cache v1\ncount 1\nzzzz 5 dp\n";
-  EXPECT_FALSE(svc::load_shard_snapshot(victim.shards, bad, nullptr, &error));
+  for (const char* body : {"count 1\nzzzz 5 dp\n",
+                           // Hex key with a trailing non-hex digit.
+                           "count 1\n123456789abcdefg 1 dp\n",
+                           // Count with trailing junk.
+                           "count 1junk\n000000000000abcd 1 dp\n",
+                           // An extra field after accepted_by.
+                           "count 1\n000000000000abcd 1 dp extra\n"}) {
+    std::ofstream(bad) << "reconf-verdict-cache v1\n" << body;
+    EXPECT_FALSE(svc::load_shard_snapshot(victim.shards, bad, nullptr, &error))
+        << body;
+  }
   EXPECT_FALSE(svc::load_shard_snapshot(
       victim.shards, (dir / "reconf_absent.v1").string(), nullptr, &error));
   std::filesystem::remove(good);
