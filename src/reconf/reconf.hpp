@@ -38,11 +38,17 @@
 // taskset hash mixed with the engine fingerprint; net/ is the serving core
 // behind reconf_serve.
 //
+// The sim/ layer simulates the paper's 1D model (sim::simulate). Its
+// sim::JobTable is the one EDF dispatch core: the simulator and the online
+// runtime both order, place, advance and observe their jobs through it, each
+// passing its own hook that charges a job entering the running set.
+//
 // The rt/ layer turns the analyzer into an online scheduler: rt::run_scenario
 // replays a timed arrival/departure/mode-change workload (rt/scenario.hpp)
-// through an admission gate, an EDF next-fit dispatcher and a prefetch-aware
-// reconfiguration port (rt/prefetch.hpp), with the shared reconfiguration
-// cost model (reconf/cost_model.hpp) charging every placement.
+// through an admission gate, the EDF next-fit dispatcher of sim::JobTable and
+// a prefetch-aware reconfiguration port (rt/prefetch.hpp), with the shared
+// reconfiguration cost model (reconf/cost_model.hpp) charging every
+// placement.
 
 #include "analysis/dp.hpp"
 #include "analysis/engine.hpp"
@@ -52,10 +58,6 @@
 #include "analysis/overhead.hpp"
 #include "analysis/registry.hpp"
 #include "analysis/sensitivity.hpp"
-#include "area2d/gen2d.hpp"
-#include "area2d/grid_map.hpp"
-#include "area2d/sim2d.hpp"
-#include "area2d/task2d.hpp"
 #include "common/rng.hpp"
 #include "common/types.hpp"
 #include "exp/reporting.hpp"
@@ -72,6 +74,7 @@
 #include "rt/scenario.hpp"
 #include "sim/engine.hpp"
 #include "sim/invariants.hpp"
+#include "sim/job_table.hpp"
 #include "svc/batch.hpp"
 #include "svc/codec.hpp"
 #include "svc/session.hpp"

@@ -15,7 +15,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sim/invariants.hpp"
-#include "task/job.hpp"
+#include "sim/job_table.hpp"
 
 namespace reconf::rt {
 
@@ -95,17 +95,11 @@ struct Slot {
   TaskAccount acct;
 };
 
-struct ActiveJob {
-  Job job;
-  Ticks reconfig_remaining = 0;
+/// A runtime job: the shared dispatch record plus the port and fault state.
+struct RuntimeJob : sim::ActiveJob {
   bool load_charged = false;  ///< placement already accounted for this job
-  Area col_lo = 0;
-  Area col_hi = 0;
-  bool running = false;
-  bool was_running = false;
-  Ticks overrun_left = 0;   ///< injected demand beyond the declared C
-  bool degraded = false;    ///< running its overrun tail (kDegrade)
-  bool abandoned = false;   ///< load retries exhausted; erase at dispatch
+  Ticks overrun_left = 0;     ///< injected demand beyond the declared C
+  bool degraded = false;      ///< running its overrun tail (kDegrade)
 };
 
 /// The single reconfiguration port (Resano et al.'s model: one load at a
@@ -123,7 +117,7 @@ class Runtime {
         config_(config),
         device_(scenario.device),
         reconf_(scenario.reconf),
-        session_(scenario.device, config.cache, config.admission),
+        session_(scenario.device, nullptr, config.admission),
         policy_(config.policy) {
     RECONF_EXPECTS(device_.valid());
     RECONF_EXPECTS(scenario.horizon > 0);
@@ -211,7 +205,6 @@ class Runtime {
     rec.kind = kind;
     rec.name = t.name;
     rec.admitted = d.admitted;
-    rec.cache_hit = d.cache_hit;
     rec.accepted_by = d.accepted_by;
     result_.admissions.push_back(std::move(rec));
     if (config_.admission_probe) {
@@ -293,8 +286,9 @@ class Runtime {
 
   void detect_misses(Ticks now) {
     bool missed_any = false;
-    for (std::size_t i = 0; i < active_.size();) {
-      ActiveJob& a = active_[i];
+    std::vector<RuntimeJob>& active = table_.active();
+    for (std::size_t i = 0; i < active.size();) {
+      const RuntimeJob& a = active[i];
       if (!a.job.finished() && a.job.abs_deadline <= now) {
         Slot& s = slots_[a.job.task_index];
         ++result_.deadline_misses;
@@ -309,7 +303,7 @@ class Runtime {
         if (shedding_armed()) recent_misses_.push_back(now);
         // The late job is abandoned at its deadline, as in the simulator's
         // continue mode; its area frees at the next dispatch.
-        active_.erase(active_.begin() + static_cast<std::ptrdiff_t>(i));
+        active.erase(active.begin() + static_cast<std::ptrdiff_t>(i));
         continue;
       }
       ++i;
@@ -347,7 +341,7 @@ class Runtime {
         }
         if (!s.resident) continue;
         bool running_job = false;
-        for (ActiveJob& a : active_) {
+        for (RuntimeJob& a : table_.active()) {
           if (a.job.task_index != i || !a.running) continue;
           running_job = true;
           const Ticks reload = load_ticks(s);
@@ -359,7 +353,7 @@ class Runtime {
         if (!running_job) {
           s.resident = false;
           s.loaded_by_prefetch = false;
-          for (ActiveJob& a : active_) {
+          for (RuntimeJob& a : table_.active()) {
             if (a.job.task_index == i && !a.running) {
               a.load_charged = false;
               a.reconfig_remaining = 0;
@@ -375,7 +369,7 @@ class Runtime {
     for (std::size_t i = 0; i < slots_.size(); ++i) {
       Slot& s = slots_[i];
       while (s.next_release != kNoTick && s.next_release <= now) {
-        ActiveJob a;
+        RuntimeJob a;
         a.job.task_index = i;
         a.job.sequence = s.sequence++;
         a.job.release = s.next_release;
@@ -385,7 +379,7 @@ class Runtime {
         if (injector_ != nullptr) {
           a.overrun_left = injector_->wcet_overrun(s.acct.name, a.job.release);
         }
-        active_.push_back(a);
+        table_.active().push_back(a);
         s.next_release += s.task.period;
         ++s.outstanding;
         ++s.acct.released;
@@ -397,8 +391,10 @@ class Runtime {
   /// Charges (at most once per job) the placement of a job entering the
   /// running set: nothing when its configuration is resident, the remaining
   /// port time when the port is mid-load on it, the full load otherwise.
-  void on_enter_running(ActiveJob& a, Ticks now) {
-    if (a.load_charged) return;  // resumed after preemption, config kept
+  /// Returns false when the demand load exhausts its retries: the job is
+  /// abandoned, and the placement pass withdraws it.
+  bool on_enter_running(RuntimeJob& a, Ticks now) {
+    if (a.load_charged) return true;  // resumed after preemption, config kept
     a.load_charged = true;
     Slot& s = slots_[a.job.task_index];
     const Ticks load = load_ticks(s);
@@ -414,7 +410,7 @@ class Runtime {
         }
       }
       s.loaded_by_prefetch = false;
-      return;
+      return true;
     }
     Ticks stall = load;
     if (port_.active && port_.slot == a.job.task_index) {
@@ -438,15 +434,14 @@ class Runtime {
         stall = slowed;
         // Demand-side port failures: each failed attempt costs the full
         // (slowed) load plus an exponential backoff; the retry budget is the
-        // recovery policy's. Exhaustion abandons the job — the dispatch
-        // erases it and redoes the placement pass.
+        // recovery policy's. Exhaustion abandons the job.
         int failures = 0;
         while (injector_->load_fails(now)) {
           ++failures;
           if (failures > config_.recovery.max_load_retries) {
-            a.abandoned = true;
             ++result_.faults.load_aborts;
-            return;
+            --s.outstanding;
+            return false;
           }
           const Ticks backoff = config_.recovery.backoff_after(failures);
           ++result_.faults.load_retries;
@@ -461,6 +456,7 @@ class Runtime {
     s.acct.stall_ticks += stall;
     s.resident = true;  // loading as part of the job's occupancy
     s.loaded_by_prefetch = false;
+    return true;
   }
 
   /// Drops a resident configuration from the fabric. Only slots with no
@@ -471,7 +467,7 @@ class Runtime {
     RECONF_ASSERT(s.resident);
     s.resident = false;
     s.loaded_by_prefetch = false;
-    for (ActiveJob& a : active_) {
+    for (RuntimeJob& a : table_.active()) {
       if (a.job.task_index == slot && !a.running) {
         a.load_charged = false;
         a.reconfig_remaining = 0;
@@ -489,7 +485,7 @@ class Runtime {
   /// is what keeps the dispatch exactly EDF-NF work-conserving (Lemma 2).
   void reconcile_residency(Area running_area) {
     const auto has_running = [&](std::size_t slot) {
-      for (const ActiveJob& a : active_) {
+      for (const RuntimeJob& a : table_.active()) {
         if (a.running && a.job.task_index == slot) return true;
       }
       return false;
@@ -543,7 +539,7 @@ class Runtime {
         const Slot& s = slots_[i];
         if (!s.resident || has_running(i)) continue;
         Ticks key = std::numeric_limits<Ticks>::max();
-        for (const ActiveJob& a : active_) {
+        for (const RuntimeJob& a : table_.active()) {
           if (a.job.task_index == i && !a.running) {
             key = std::min(key, a.job.abs_deadline);
           }
@@ -565,86 +561,28 @@ class Runtime {
     }
   }
 
+  /// EDF-NF under unrestricted migration, the simulator's dispatch: the
+  /// shared job table places the jobs, and the port charges each one that
+  /// enters the running set.
   void dispatch(Ticks now) {
     ++result_.dispatches;
-    std::sort(active_.begin(), active_.end(),
-              [](const ActiveJob& a, const ActiveJob& b) {
-                return edf_before(a.job, b.job);
-              });
-    // EDF next-fit under unrestricted migration: area-only admission,
-    // running jobs compacted left in priority order (sim::Engine's model).
-    // A job abandoned mid-pass (demand-load retries exhausted) aborts the
-    // pass; the abandoned jobs are erased and the placement redone — every
-    // job already charged keeps load_charged, so nothing double-charges.
-    Area used = 0;
-    for (;;) {
-      used = 0;
-      Area cursor = 0;
-      bool any_abandoned = false;
-      for (ActiveJob& a : active_) {
-        if (used + a.job.area > device_.width) {
-          a.running = false;
-          continue;
-        }
-        used += a.job.area;
-        a.col_lo = cursor;
-        a.col_hi = cursor + a.job.area;
-        cursor += a.job.area;
-        const bool entering = !a.running;
-        a.running = true;
-        if (entering) {
-          on_enter_running(a, now);
-          if (a.abandoned) {
-            a.running = false;
-            any_abandoned = true;
-            break;
-          }
-        }
-      }
-      if (!any_abandoned) break;
-      for (std::size_t i = 0; i < active_.size();) {
-        if (active_[i].abandoned) {
-          --slots_[active_[i].job.task_index].outstanding;
-          active_.erase(active_.begin() + static_cast<std::ptrdiff_t>(i));
-          continue;
-        }
-        ++i;
-      }
-    }
-    for (const ActiveJob& a : active_) {
-      if (a.was_running && !a.running && !a.job.finished()) {
-        ++result_.preemptions;
-      }
-    }
+    table_.sort();
+    const auto charge = [this, now](RuntimeJob& a) {
+      return on_enter_running(a, now);
+    };
+    const Area used =
+        table_.place_migration(device_.width, sim::SchedulerKind::kEdfNf,
+                               charge)
+            .occupied;
+    result_.preemptions += table_.count_preemptions();
     reconcile_residency(used);
     if (config_.observer != nullptr || checker_ != nullptr) {
-      notify_observers(now, used);
-    }
-  }
-
-  void notify_observers(Ticks now, Area occupied) {
-    if (ts_dirty_) {
-      ts_cache_ = TaskSet(slot_tasks_);
-      ts_dirty_ = false;
-    }
-    snapshot_jobs_.clear();
-    snapshot_running_.clear();
-    snapshot_jobs_.reserve(active_.size());
-    snapshot_running_.reserve(active_.size());
-    for (const ActiveJob& a : active_) {
-      snapshot_jobs_.push_back(a.job);
-      snapshot_running_.push_back(a.running ? 1 : 0);
-    }
-    sim::DispatchSnapshot snap;
-    snap.now = now;
-    snap.active = snapshot_jobs_;
-    snap.running = snapshot_running_;
-    snap.occupied = occupied;
-    if (config_.observer != nullptr) {
-      config_.observer->on_dispatch(snap, ts_cache_, device_);
-    }
-    if (checker_ != nullptr) {
-      checker_->on_dispatch(snap, ts_cache_, device_);
+      if (ts_dirty_) {
+        ts_cache_ = TaskSet(slot_tasks_);
+        ts_dirty_ = false;
+      }
+      table_.notify(now, used, ts_cache_, device_, config_.observer,
+                    checker_.get());
     }
   }
 
@@ -662,7 +600,7 @@ class Runtime {
     candidates_.clear();
     candidate_slots_.clear();
     Area running_area = 0;
-    for (const ActiveJob& a : active_) {
+    for (const RuntimeJob& a : table_.active()) {
       if (a.running) running_area += a.job.area;
     }
     for (std::size_t i = 0; i < slots_.size(); ++i) {
@@ -750,14 +688,7 @@ class Runtime {
     for (const Slot& s : slots_) {
       if (s.next_release != kNoTick) next = std::min(next, s.next_release);
     }
-    for (const ActiveJob& a : active_) {
-      if (a.running) {
-        next = std::min(next, now + a.reconfig_remaining + a.job.remaining);
-      }
-      if (!a.job.finished() && a.job.abs_deadline > now) {
-        next = std::min(next, a.job.abs_deadline);
-      }
-    }
+    next = table_.next_event_time(now, next);
     if (port_.active) next = std::min(next, now + port_.remaining);
     if (port_retry_at_ != kNoTick && port_retry_at_ > now) {
       next = std::min(next, port_retry_at_);
@@ -770,30 +701,10 @@ class Runtime {
   }
 
   void advance(Ticks now, Ticks next) {
-    const Ticks dt = next - now;
-    Area occupied = 0;
-    for (ActiveJob& a : active_) {
-      if (!a.running) continue;
-      occupied += a.job.area;
-      Ticks t = now;
-      Ticks left = dt;
-      const Ticks stall = std::min(left, a.reconfig_remaining);
-      if (stall > 0) {
-        a.reconfig_remaining -= stall;
-        record_trace(a, t, t + stall, /*reconfiguring=*/true);
-        t += stall;
-        left -= stall;
-      }
-      const Ticks exec = std::min(left, a.job.remaining);
-      if (exec > 0) {
-        a.job.remaining -= exec;
-        record_trace(a, t, t + exec, /*reconfiguring=*/false);
-      }
-    }
-    result_.busy_area_time +=
-        static_cast<std::int64_t>(occupied) * static_cast<std::int64_t>(dt);
+    result_.busy_area_time += table_.advance(
+        now, next, config_.record_trace ? &result_.trace : nullptr);
     if (port_.active) {
-      const Ticks step = std::min(dt, port_.remaining);
+      const Ticks step = std::min(next - now, port_.remaining);
       port_.remaining -= step;
       if (port_.remaining == 0) {
         const Ticks done_at = now + step;
@@ -819,23 +730,10 @@ class Runtime {
     }
   }
 
-  void record_trace(const ActiveJob& a, Ticks begin, Ticks end,
-                    bool reconfiguring) {
-    if (!config_.record_trace || begin >= end) return;
-    sim::TraceSegment seg;
-    seg.task_index = a.job.task_index;
-    seg.sequence = a.job.sequence;
-    seg.begin = begin;
-    seg.end = end;
-    seg.col_lo = a.col_lo;
-    seg.col_hi = a.col_hi;
-    seg.reconfiguring = reconfiguring;
-    result_.trace.add(seg);
-  }
-
   void reap_completed(Ticks now) {
-    for (std::size_t i = 0; i < active_.size();) {
-      ActiveJob& a = active_[i];
+    std::vector<RuntimeJob>& active = table_.active();
+    for (std::size_t i = 0; i < active.size();) {
+      RuntimeJob& a = active[i];
       if (a.running && a.job.finished() && a.reconfig_remaining == 0) {
         Slot& s = slots_[a.job.task_index];
         if (a.overrun_left > 0) {
@@ -869,7 +767,7 @@ class Runtime {
           // Abort / skip: the job ends at its budget — not a completion,
           // not a miss; its deadline guarantee is forfeit by injection.
           --s.outstanding;
-          active_.erase(active_.begin() + static_cast<std::ptrdiff_t>(i));
+          active.erase(active.begin() + static_cast<std::ptrdiff_t>(i));
           continue;
         }
         const Ticks response = now - a.job.release;
@@ -878,7 +776,7 @@ class Runtime {
         s.acct.max_response = std::max(s.acct.max_response, response);
         --s.outstanding;
         ++result_.completions;
-        active_.erase(active_.begin() + static_cast<std::ptrdiff_t>(i));
+        active.erase(active.begin() + static_cast<std::ptrdiff_t>(i));
         continue;
       }
       a.was_running = a.running;
@@ -908,10 +806,11 @@ class Runtime {
     Slot& s = slots_[index];
     s.shed = true;
     s.next_release = kNoTick;
-    for (std::size_t j = 0; j < active_.size();) {
-      if (active_[j].job.task_index == index) {
+    std::vector<RuntimeJob>& active = table_.active();
+    for (std::size_t j = 0; j < active.size();) {
+      if (active[j].job.task_index == index) {
         --s.outstanding;
-        active_.erase(active_.begin() + static_cast<std::ptrdiff_t>(j));
+        active.erase(active.begin() + static_cast<std::ptrdiff_t>(j));
         continue;
       }
       ++j;
@@ -951,10 +850,11 @@ class Runtime {
     // Degraded tails lose their extension at the shed point: from here the
     // surviving set must obey the budgets the re-validation assumes (later
     // overruns harden from degrade to abort — see reap_completed).
-    for (std::size_t j = 0; j < active_.size();) {
-      if (active_[j].degraded) {
-        --slots_[active_[j].job.task_index].outstanding;
-        active_.erase(active_.begin() + static_cast<std::ptrdiff_t>(j));
+    std::vector<RuntimeJob>& active = table_.active();
+    for (std::size_t j = 0; j < active.size();) {
+      if (active[j].degraded) {
+        --slots_[active[j].job.task_index].outstanding;
+        active.erase(active.begin() + static_cast<std::ptrdiff_t>(j));
         continue;
       }
       ++j;
@@ -964,7 +864,7 @@ class Runtime {
     // draining member it refuses cannot be shed (it is already leaving) —
     // it only blocks the "protected" promotion below.
     bool drains_ok = true;
-    svc::AdmissionSession probe(device_, config_.cache, config_.admission);
+    svc::AdmissionSession probe(device_, nullptr, config_.admission);
     for (std::size_t i = 0; i < slots_.size(); ++i) {
       Slot& s = slots_[i];
       if (!s.in_session || s.shed) continue;
@@ -1020,7 +920,7 @@ class Runtime {
   std::vector<Task> slot_tasks_;
   TaskSet ts_cache_;
   bool ts_dirty_ = false;
-  std::vector<ActiveJob> active_;
+  sim::JobTable<RuntimeJob> table_;
   Port port_;
 
   std::unique_ptr<fault::FaultInjector> injector_;
@@ -1029,8 +929,6 @@ class Runtime {
   Ticks port_retry_at_ = kNoTick;  ///< speculative-side backoff gate
   int consecutive_prefetch_failures_ = 0;
 
-  std::vector<Job> snapshot_jobs_;
-  std::vector<std::uint8_t> snapshot_running_;
   std::vector<PrefetchCandidate> candidates_;
   std::vector<std::size_t> candidate_slots_;
   std::vector<std::size_t> evictable_;

@@ -39,8 +39,6 @@ struct RuntimeConfig {
   /// Analyzer lineup for the admission gate. The default is the serving
   /// configuration (paper trio, SoA fast path, allocation-free decide()).
   analysis::AnalysisRequest admission = analysis::fast_any_request();
-  /// Optional shared verdict cache; not owned, may be nullptr.
-  svc::VerdictCache* cache = nullptr;
 
   bool record_trace = true;
   /// Attach a sim::InvariantChecker to every dispatch (area cap, EDF order,
@@ -83,7 +81,6 @@ struct AdmissionRecord {
   EventKind kind = EventKind::kArrive;
   std::string name;
   bool admitted = false;
-  bool cache_hit = false;
   std::string accepted_by;  ///< analyzer id; empty when rejected
 };
 
@@ -218,7 +215,10 @@ struct RuntimeResult {
 ///  * mode changes gate the transient union: the new parameters are
 ///    admitted alongside the old (draining) generation or not at all;
 ///  * with a zero reconfiguration-cost model the dispatch is exactly the
-///    simulator's EDF-NF, so admitted-only scenarios meet every deadline.
+///    simulator's EDF-NF (both dispatch through sim::JobTable; runtime_test's
+///    DispatchParity.ZeroCostRuntimeDispatchesLikeTheSimulator compares the
+///    two dispatch by dispatch), so admitted-only scenarios meet every
+///    deadline.
 ///
 /// Events addressing a name that is not live (a depart scripted for a task
 /// the gate rejected) are counted no-ops — see RuntimeResult::ignored_events.

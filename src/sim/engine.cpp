@@ -1,42 +1,30 @@
 #include "sim/engine.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "common/contracts.hpp"
 #include "common/rng.hpp"
 #include "sim/invariants.hpp"
-#include "sim/observer.hpp"
+#include "sim/job_table.hpp"
 
 namespace reconf::sim {
 
 namespace {
-
-/// Engine-internal job state: the Job plus placement/runtime bookkeeping.
-struct ActiveJob {
-  Job job;
-  Ticks reconfig_remaining = 0;  ///< stall left before execution proceeds
-  bool has_columns = false;
-  placement::Interval columns{};
-  bool running = false;
-  bool was_running = false;
-};
 
 /// Priority order for the configured scheduler: plain EDF, or EDF-US[ζ]
 /// (heavy tasks first, then EDF).
 struct PriorityLess {
   const std::vector<bool>* heavy;  // null for plain EDF
 
-  bool operator()(const ActiveJob& a, const ActiveJob& b) const {
+  bool operator()(const Job& a, const Job& b) const {
     if (heavy != nullptr) {
-      const bool ha = (*heavy)[a.job.task_index];
-      const bool hb = (*heavy)[b.job.task_index];
+      const bool ha = (*heavy)[a.task_index];
+      const bool hb = (*heavy)[b.task_index];
       if (ha != hb) return ha;  // heavy class outranks everything
     }
-    return edf_before(a.job, b.job);
+    return edf_before(a, b);
   }
 };
 
@@ -71,18 +59,6 @@ class Engine {
     }
     if (ts_.empty()) return result_;
 
-    // Any task that cannot fit alone misses its very first deadline; the
-    // event loop would discover this too, but failing fast keeps the
-    // degenerate case obvious.
-    for (std::size_t i = 0; i < ts_.size(); ++i) {
-      if (ts_[i].area > device_.width || ts_[i].wcet > ts_[i].deadline) {
-        result_.schedulable = false;
-        result_.deadline_misses = 1;
-        result_.first_miss = MissInfo{i, 0, first_release(i) + ts_[i].deadline};
-        return result_;
-      }
-    }
-
     next_release_.resize(ts_.size());
     sequence_.resize(ts_.size(), 0);
     for (std::size_t i = 0; i < ts_.size(); ++i) {
@@ -95,6 +71,7 @@ class Engine {
 
     Ticks now = 0;
     const Ticks horizon = result_.horizon;
+    Trace* trace = config_.record_trace ? &result_.trace : nullptr;
 
     for (;;) {
       if (detect_misses(now)) return result_;  // stop-on-first-miss
@@ -102,9 +79,11 @@ class Engine {
       release_jobs(now);
       dispatch(now);
 
-      const Ticks next = next_event_time(now, horizon);
+      Ticks next = horizon;
+      for (const Ticks r : next_release_) next = std::min(next, r);
+      next = jobs_.next_event_time(now, next);
       RECONF_ASSERT(next > now);
-      advance(now, next);
+      result_.busy_area_time += jobs_.advance(now, next, trace);
       reap_completed();
       now = next;
     }
@@ -118,9 +97,12 @@ class Engine {
   }
 
   /// Records deadline misses at `now`; returns true when the run must stop.
+  /// A task that can never meet a deadline (A > A(H) or C > D) needs no
+  /// special case: its jobs miss here like any other.
   bool detect_misses(Ticks now) {
-    for (std::size_t i = 0; i < active_.size();) {
-      ActiveJob& a = active_[i];
+    std::vector<ActiveJob>& active = jobs_.active();
+    for (std::size_t i = 0; i < active.size();) {
+      const ActiveJob& a = active[i];
       if (!a.job.finished() && a.job.abs_deadline <= now) {
         ++result_.deadline_misses;
         result_.schedulable = false;
@@ -132,7 +114,7 @@ class Engine {
         // Continue mode: the late job is abandoned at its deadline. (The
         // column map is rebuilt from scratch at every dispatch, so no
         // placement cleanup is needed here.)
-        active_.erase(active_.begin() + static_cast<std::ptrdiff_t>(i));
+        active.erase(active.begin() + static_cast<std::ptrdiff_t>(i));
         continue;
       }
       ++i;
@@ -161,16 +143,16 @@ class Engine {
       a.job.abs_deadline = now + ts_[i].deadline;
       a.job.remaining = ts_[i].wcet;
       a.job.area = ts_[i].area;
-      active_.push_back(a);
+      jobs_.active().push_back(a);
       next_release_[i] += inter_arrival(i);
       ++result_.jobs_released;
     }
   }
 
-  /// Charges a reconfiguration (placement) of job `a`.
-  void charge_placement(ActiveJob& a, bool relocated) {
+  /// Charges a reconfiguration (placement) of job `a`: zero-cost under the
+  /// paper's assumptions unless configured otherwise.
+  void charge_placement(ActiveJob& a) {
     ++result_.placements;
-    if (relocated) ++result_.relocations;
     a.reconfig_remaining = config_.reconf.placement_ticks(a.job.area);
   }
 
@@ -178,83 +160,37 @@ class Engine {
   /// placement mode (paper Definitions 1-2; DESIGN.md §4).
   void dispatch(Ticks now) {
     ++result_.dispatches;
-    PriorityLess less{config_.scheduler == SchedulerKind::kEdfUs ? &heavy_
-                                                                 : nullptr};
-    std::sort(active_.begin(), active_.end(),
-              [&](const ActiveJob& a, const ActiveJob& b) {
-                return less(a, b);
-              });
+    jobs_.sort(PriorityLess{
+        config_.scheduler == SchedulerKind::kEdfUs ? &heavy_ : nullptr});
 
-    if (config_.placement == PlacementMode::kUnrestrictedMigration) {
-      dispatch_migration();
-    } else {
-      dispatch_contiguous();
-    }
-
-    // Preemption accounting + was_running update.
     Area occupied = 0;
-    for (ActiveJob& a : active_) {
-      if (a.was_running && !a.running && !a.job.finished()) {
-        ++result_.preemptions;
-      }
-      if (a.running) occupied += a.job.area;
+    if (config_.placement == PlacementMode::kUnrestrictedMigration) {
+      // Columns are virtual: jobs that stay running and merely move count
+      // as relocations, free under the paper's migration assumption.
+      const MigrationPass pass = jobs_.place_migration(
+          device_.width, config_.scheduler, [this](ActiveJob& a) {
+            charge_placement(a);
+            return true;
+          });
+      result_.relocations += pass.relocations;
+      occupied = pass.occupied;
+    } else {
+      occupied = dispatch_contiguous();
     }
-
-    if (config_.observer != nullptr || checker_ != nullptr) {
-      notify_observers(now, occupied);
-    }
-  }
-
-  /// Unrestricted migration: admission is area-only. Columns are virtual;
-  /// for trace/inspection purposes running jobs are compacted left in
-  /// priority order (free defragmentation, as the paper assumes).
-  void dispatch_migration() {
-    const bool fkf = config_.scheduler == SchedulerKind::kEdfFkF;
-    Area used = 0;
-    Area cursor = 0;
-    for (ActiveJob& a : active_) {
-      const bool fits = used + a.job.area <= device_.width;
-      if (!fits && fkf) {
-        // EDF-FkF runs the maximal *prefix* that fits: stop at the first
-        // job that does not, even if later jobs would.
-        mark_not_running_from(&a);
-        break;
-      }
-      if (!fits) {
-        a.running = false;
-        continue;
-      }
-      used += a.job.area;
-      const placement::Interval iv{cursor, cursor + a.job.area};
-      cursor += a.job.area;
-      if (!a.running) {
-        // Entering the running set: one reconfiguration (zero-cost under the
-        // paper's assumptions unless configured otherwise).
-        charge_placement(a, a.has_columns && !(a.columns == iv));
-      } else if (a.has_columns && !(a.columns == iv)) {
-        // Stayed running but compacted: free migration under the paper's
-        // unrestricted-migration assumption.
-        ++result_.relocations;
-      }
-      a.columns = iv;
-      a.has_columns = true;
-      a.running = true;
-    }
-  }
-
-  void mark_not_running_from(ActiveJob* first) {
-    for (ActiveJob* p = first; p != active_.data() + active_.size(); ++p) {
-      p->running = false;
-    }
+    result_.preemptions += jobs_.count_preemptions();
+    jobs_.notify(now, occupied, ts_, device_, config_.observer,
+                 checker_.get());
   }
 
   /// Contiguous placement without live migration: running jobs keep their
   /// exact columns; anyone else needs a fresh contiguous gap (a new
-  /// reconfiguration). See DESIGN.md §4.
-  void dispatch_contiguous() {
+  /// reconfiguration). See DESIGN.md §4. Returns the occupied area.
+  Area dispatch_contiguous() {
     const bool fkf = config_.scheduler == SchedulerKind::kEdfFkF;
+    std::vector<ActiveJob>& active = jobs_.active();
     map_.clear();
-    for (ActiveJob& a : active_) {
+    for (std::size_t i = 0; i < active.size(); ++i) {
+      ActiveJob& a = active[i];
       bool placed = false;
       bool relocated = false;
       const bool keep = a.running && a.has_columns && map_.is_free(a.columns);
@@ -271,7 +207,10 @@ class Engine {
       }
 
       if (placed) {
-        if (!keep) charge_placement(a, relocated);
+        if (!keep) {
+          if (relocated) ++result_.relocations;
+          charge_placement(a);
+        }
         a.running = true;
         continue;
       }
@@ -283,100 +222,25 @@ class Engine {
       if (fkf) {
         // First-k-Fit: the first unplaceable job blocks the rest of the
         // queue.
-        mark_not_running_from(&a);
+        for (; i < active.size(); ++i) active[i].running = false;
         break;
       }
     }
     // Jobs that lost the dispatch keep no columns (their configuration is
     // considered overwritten; resuming costs a fresh reconfiguration).
-    for (ActiveJob& a : active_) {
+    for (ActiveJob& a : active) {
       if (!a.running) a.has_columns = false;
     }
-  }
-
-  void notify_observers(Ticks now, Area occupied) {
-    snapshot_jobs_.clear();
-    snapshot_running_.clear();
-    snapshot_jobs_.reserve(active_.size());
-    snapshot_running_.reserve(active_.size());
-    for (const ActiveJob& a : active_) {
-      snapshot_jobs_.push_back(a.job);
-      snapshot_running_.push_back(a.running ? 1 : 0);
-    }
-    DispatchSnapshot snap;
-    snap.now = now;
-    snap.active = snapshot_jobs_;
-    snap.running = snapshot_running_;
-    snap.occupied = occupied;
-    if (config_.observer != nullptr) {
-      config_.observer->on_dispatch(snap, ts_, device_);
-    }
-    if (checker_ != nullptr) {
-      checker_->on_dispatch(snap, ts_, device_);
-    }
-  }
-
-  [[nodiscard]] Ticks next_event_time(Ticks now, Ticks horizon) const {
-    Ticks next = horizon;
-    for (const Ticks r : next_release_) next = std::min(next, r);
-    for (const ActiveJob& a : active_) {
-      if (a.running) {
-        next = std::min(next, now + a.reconfig_remaining + a.job.remaining);
-      }
-      if (!a.job.finished() && a.job.abs_deadline > now) {
-        next = std::min(next, a.job.abs_deadline);
-      }
-    }
-    // Releases, unfinished completions and surviving deadlines all lie
-    // strictly after `now`; run() asserts this.
-    return next;
-  }
-
-  void advance(Ticks now, Ticks next) {
-    const Ticks dt = next - now;
-    Area occupied = 0;
-    for (ActiveJob& a : active_) {
-      if (!a.running) continue;
-      occupied += a.job.area;
-      Ticks t = now;
-      Ticks left = dt;
-      const Ticks stall = std::min(left, a.reconfig_remaining);
-      if (stall > 0) {
-        a.reconfig_remaining -= stall;
-        record_trace(a, t, t + stall, /*reconfiguring=*/true);
-        t += stall;
-        left -= stall;
-      }
-      const Ticks exec = std::min(left, a.job.remaining);
-      if (exec > 0) {
-        a.job.remaining -= exec;
-        record_trace(a, t, t + exec, /*reconfiguring=*/false);
-      }
-    }
-    result_.busy_area_time +=
-        static_cast<std::int64_t>(occupied) * static_cast<std::int64_t>(dt);
-  }
-
-  void record_trace(const ActiveJob& a, Ticks begin, Ticks end,
-                    bool reconfiguring) {
-    if (!config_.record_trace || begin >= end) return;
-    TraceSegment seg;
-    seg.task_index = a.job.task_index;
-    seg.sequence = a.job.sequence;
-    seg.begin = begin;
-    seg.end = end;
-    seg.col_lo = a.columns.lo;
-    seg.col_hi = a.columns.hi;
-    seg.reconfiguring = reconfiguring;
-    result_.trace.add(seg);
+    return map_.occupied_area();
   }
 
   void reap_completed() {
-    for (std::size_t i = 0; i < active_.size();) {
-      ActiveJob& a = active_[i];
+    std::vector<ActiveJob>& active = jobs_.active();
+    for (std::size_t i = 0; i < active.size();) {
+      ActiveJob& a = active[i];
       if (a.running && a.job.finished() && a.reconfig_remaining == 0) {
         ++result_.jobs_completed;
-        active_.erase(active_.begin() + static_cast<std::ptrdiff_t>(i));
+        active.erase(active.begin() + static_cast<std::ptrdiff_t>(i));
         continue;
       }
       a.was_running = a.running;
@@ -393,10 +257,7 @@ class Engine {
   std::vector<Ticks> next_release_;
   std::vector<std::uint64_t> sequence_;
   std::vector<Xoshiro256ss> arrival_rng_;  ///< per-task sporadic streams
-  std::vector<ActiveJob> active_;
-
-  std::vector<Job> snapshot_jobs_;
-  std::vector<std::uint8_t> snapshot_running_;
+  JobTable<> jobs_;
 
   std::unique_ptr<InvariantChecker> checker_;
 

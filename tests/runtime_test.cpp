@@ -6,8 +6,9 @@
 //    AnalysisEngine::decide on the exact candidate set (the runtime never
 //    admits what the analysis rejects, and never rejects what it accepts);
 //  * zero-cost soundness — with a free reconfiguration-cost model the
-//    dispatch is exactly the simulator's EDF-NF, so admitted-only scenarios
-//    meet every deadline;
+//    dispatch is exactly the simulator's EDF-NF (DispatchParity compares
+//    the two dispatch by dispatch), so admitted-only scenarios meet every
+//    deadline;
 //  * invariant conformance — the sim::InvariantChecker (area cap, EDF
 //    order, expiry, Lemma 2 work conservation) passes on runtime dispatch
 //    traces across families and prefetch policies;
@@ -29,6 +30,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -38,6 +40,7 @@
 #include "obs/metrics.hpp"
 #include "rt/runtime.hpp"
 #include "rt/scenario.hpp"
+#include "sim/engine.hpp"
 
 #ifndef RECONF_CORPUS_DIR
 #error "RECONF_CORPUS_DIR must point at the committed tests/corpus directory"
@@ -239,9 +242,10 @@ TEST(AdmissionConformance, EveryAdmissionRecordNamesAnAcceptingAnalyzer) {
 
 // ------------------------------------------------------ zero-cost misses --
 
-// With a free cost model the runtime is exactly the simulator's EDF-NF, and
-// the gate only ever releases jobs of analysis-accepted sets — so no job
-// may miss. kSteady and kChurn generate rho = 0 scenarios.
+// With a free cost model the runtime is exactly the simulator's EDF-NF
+// (DispatchParity.ZeroCostRuntimeDispatchesLikeTheSimulator below), and the
+// gate only ever releases jobs of analysis-accepted sets — so no job may
+// miss. kSteady and kChurn generate rho = 0 scenarios.
 TEST(ZeroCost, AdmittedOnlyScenariosMeetEveryDeadline) {
   for (const ScenarioFamily family :
        {ScenarioFamily::kSteady, ScenarioFamily::kChurn}) {
@@ -258,6 +262,116 @@ TEST(ZeroCost, AdmittedOnlyScenariosMeetEveryDeadline) {
           << to_string(family) << " seed " << seed;
     }
   }
+}
+
+// ------------------------------------------------------- dispatch parity --
+
+/// Every dispatch of one run: the instant, the occupied area and each active
+/// job's (task, sequence, remaining, running) in queue order.
+class DispatchLog final : public sim::DispatchObserver {
+ public:
+  struct Row {
+    Ticks now = 0;
+    Area occupied = 0;
+    std::vector<std::tuple<std::size_t, std::uint64_t, Ticks, bool>> jobs;
+    bool operator==(const Row&) const = default;
+  };
+
+  void on_dispatch(const sim::DispatchSnapshot& snap, const TaskSet&,
+                   Device) override {
+    Row row{snap.now, snap.occupied, {}};
+    for (std::size_t i = 0; i < snap.active.size(); ++i) {
+      const Job& j = snap.active[i];
+      row.jobs.emplace_back(j.task_index, j.sequence, j.remaining,
+                            snap.running[i] != 0);
+    }
+    rows.push_back(std::move(row));
+  }
+
+  std::vector<Row> rows;
+};
+
+auto segment_fields(const sim::TraceSegment& s) {
+  return std::tuple(s.task_index, s.sequence, s.begin, s.end, s.col_lo,
+                    s.col_hi, s.reconfiguring);
+}
+
+// The runtime's zero-cost dispatch is the simulator's EDF-NF: scenarios cut
+// down to their arrivals, each task first releasing when it arrives, are
+// run through the runtime and, when the gate admits every arrival, through
+// sim::simulate on the same tasks with the arrival times as offsets. Every
+// dispatch snapshot, the trace and the counters must agree.
+TEST(DispatchParity, ZeroCostRuntimeDispatchesLikeTheSimulator) {
+  std::uint64_t compared = 0;
+  std::uint64_t dispatches = 0;
+  for (const ScenarioFamily family : kFamilies) {
+    for (std::uint64_t seed = 0; seed < 400; ++seed) {
+      Scenario s = make_scenario(family, seed, 4 + static_cast<int>(seed % 5));
+      s.reconf = ReconfCostModel{};
+      std::vector<ScenarioEvent> arrivals;
+      for (ScenarioEvent& e : s.events) {
+        if (e.kind != EventKind::kArrive) continue;
+        if (e.start != kNoTick) e.at = e.start;
+        e.start = kNoTick;
+        arrivals.push_back(std::move(e));
+      }
+      std::stable_sort(arrivals.begin(), arrivals.end(),
+                       [](const ScenarioEvent& a, const ScenarioEvent& b) {
+                         return a.at < b.at;
+                       });
+      s.events = std::move(arrivals);
+
+      DispatchLog runtime_log;
+      RuntimeConfig config;
+      config.observer = &runtime_log;
+      const RuntimeResult r = run_scenario(s, config);
+      if (r.rejected != 0) continue;
+
+      std::vector<Task> tasks;
+      sim::SimConfig sc;
+      for (const ScenarioEvent& e : s.events) {
+        tasks.push_back(e.task);
+        sc.offsets.push_back(e.at);
+      }
+      sc.horizon = s.horizon;
+      sc.stop_on_first_miss = false;
+      sc.record_trace = true;
+      DispatchLog sim_log;
+      sc.observer = &sim_log;
+      const sim::SimResult sr =
+          sim::simulate(TaskSet(std::move(tasks)), s.device, sc);
+
+      const std::string what = s.name;
+      ++compared;
+      dispatches += runtime_log.rows.size();
+      EXPECT_EQ(r.releases, sr.jobs_released) << what;
+      EXPECT_EQ(r.completions, sr.jobs_completed) << what;
+      EXPECT_EQ(r.deadline_misses, sr.deadline_misses) << what;
+      EXPECT_EQ(r.preemptions, sr.preemptions) << what;
+      EXPECT_EQ(r.busy_area_time, sr.busy_area_time) << what;
+      EXPECT_TRUE(r.invariant_violations.empty()) << what;
+
+      ASSERT_EQ(runtime_log.rows.size(), sim_log.rows.size()) << what;
+      for (std::size_t i = 0; i < sim_log.rows.size(); ++i) {
+        if (runtime_log.rows[i] == sim_log.rows[i]) continue;
+        ADD_FAILURE() << what << ": dispatch " << i << " at t="
+                      << sim_log.rows[i].now << " differs";
+        break;
+      }
+      const auto& rt_trace = r.trace.segments();
+      const auto& sim_trace = sr.trace.segments();
+      ASSERT_EQ(rt_trace.size(), sim_trace.size()) << what;
+      for (std::size_t i = 0; i < sim_trace.size(); ++i) {
+        if (segment_fields(rt_trace[i]) == segment_fields(sim_trace[i])) {
+          continue;
+        }
+        ADD_FAILURE() << what << ": trace segment " << i << " differs";
+        break;
+      }
+    }
+  }
+  EXPECT_GE(compared, 500u);
+  EXPECT_GT(dispatches, 10000u);
 }
 
 // ------------------------------------------------------------ invariants --

@@ -64,6 +64,24 @@ TEST(SimEngine, OversizedTaskMissesImmediately) {
   EXPECT_FALSE(r.schedulable);
 }
 
+TEST(SimEngine, OversizedTaskDoesNotHideAContinueModeRun) {
+  // Continue mode counts every miss within the horizon: task 1 can never
+  // fit, so all 7 of its jobs miss, while task 0 still runs its 10 jobs.
+  const TaskSet ts({make_task(2, 7, 7, 4), make_task(2, 10, 10, 12)});
+  SimConfig cfg = nf_config();
+  cfg.stop_on_first_miss = false;
+  const SimResult r = simulate(ts, Device{10}, cfg);
+  EXPECT_FALSE(r.schedulable);
+  EXPECT_EQ(r.horizon, 7000);
+  EXPECT_EQ(r.jobs_released, 17u);
+  EXPECT_EQ(r.jobs_completed, 10u);
+  EXPECT_EQ(r.deadline_misses, 7u);
+  ASSERT_TRUE(r.first_miss.has_value());
+  EXPECT_EQ(r.first_miss->task_index, 1u);
+  EXPECT_EQ(r.first_miss->deadline, 1000);
+  EXPECT_EQ(r.busy_area_time, 10 * 200 * 4);
+}
+
 TEST(SimEngine, TwoIndependentTasksRunConcurrently) {
   // Areas 4+6 = 10 fit together: both execute in parallel from t=0.
   const TaskSet ts({make_task(3, 5, 5, 4), make_task(3, 5, 5, 6)});
