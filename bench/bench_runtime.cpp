@@ -179,17 +179,6 @@ struct FaultCell {
   }
 };
 
-std::vector<std::string> arrival_names(const rt::Scenario& scenario) {
-  std::vector<std::string> names;
-  for (const rt::ScenarioEvent& e : scenario.events) {
-    if (e.kind != rt::EventKind::kArrive) continue;
-    bool known = false;
-    for (const std::string& n : names) known = known || n == e.name;
-    if (!known) names.push_back(e.name);
-  }
-  return names;
-}
-
 FaultCell measure_fault(rt::OverrunAction action, int seeds, int arrivals) {
   FaultCell cell;
   cell.action = action;
@@ -202,7 +191,7 @@ FaultCell measure_fault(rt::OverrunAction action, int seeds, int arrivals) {
 
     fault::FaultPlanGenOptions pgen;
     pgen.horizon = scenario.horizon;
-    pgen.names = arrival_names(scenario);
+    pgen.names = rt::arrival_names(scenario);
     pgen.faults = 8;
     pgen.seed = static_cast<std::uint64_t>(seed);
     const fault::FaultPlan plan = fault::generate_fault_plan(pgen);

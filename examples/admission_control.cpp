@@ -3,15 +3,15 @@
 // at a time, and the runtime must decide instantly whether the new task can
 // be admitted without endangering deadlines already guaranteed.
 //
-// This example drives the real serving subsystem (src/svc/): an
-// svc::AdmissionSession holding the admitted set, backed by a shared
-// svc::VerdictCache keyed by the canonical taskset hash mixed with the
-// session engine's fingerprint. The admission criterion is the paper's
-// Section 6 recommendation — the default AnalysisRequest resolves the
+// This example drives the runtime's admission gate (src/svc/): an
+// svc::AdmissionSession holding the admitted set. The admission criterion
+// is the paper's Section 6 recommendation — the session resolves the
 // dp/gn1/gn2 analyzers from the registry and admits if ANY accepts the
 // extended set.
-// Every admitted configuration is validated by simulation, and a second
-// pass replays the identical stream to show the cache serving it for free.
+// Every admitted configuration is validated by simulation and re-run with
+// full diagnostics to see which tests pulled their weight, and a second
+// pass replays the identical stream to show the decisions are
+// deterministic.
 //
 //   $ ./admission_control [seed]
 
@@ -39,20 +39,24 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  svc::VerdictCache cache(4096);
-  svc::AdmissionSession session(fpga, &cache);
+  svc::AdmissionSession session(fpga);
+  // The default request runs every analyzer with full diagnostics, so the
+  // report says which tests accept the admitted set.
+  const analysis::AnalysisEngine diagnostics{analysis::AnalysisRequest{}};
 
   std::uint64_t dp_only = 0;
   std::uint64_t gn1_only = 0;
   std::uint64_t gn2_only = 0;
+  std::vector<bool> decisions;
 
   std::printf("%-5s %-28s %9s %9s  %s\n", "#", "task (C,D,T,A)", "U_S(cur)",
               "U_S(new)", "decision");
   for (std::size_t i = 0; i < stream->size(); ++i) {
     const Task& t = (*stream)[i];
-    const double us_before = session.admitted_set().system_utilization();
+    const double us_before = session.admitted().system_utilization();
 
     const auto decision = session.try_admit(t);
+    decisions.push_back(decision.admitted);
 
     char desc[64];
     std::snprintf(desc, sizeof desc, "(%.2f, %lld, %lld, %d)",
@@ -62,7 +66,7 @@ int main(int argc, char** argv) {
     // U_S(new) is the candidate set's utilization either way: on rejection
     // the admitted set is unchanged, but the column shows how far over
     // capacity the trial was.
-    const TaskSet now = session.admitted_set();
+    const TaskSet& now = session.admitted();
     const double us_trial = decision.admitted
                                 ? now.system_utilization()
                                 : us_before + t.system_utilization();
@@ -71,21 +75,19 @@ int main(int argc, char** argv) {
 
     if (decision.admitted) {
       std::printf("ADMIT via %s\n", decision.accepted_by.c_str());
-      // Track which tests are pulling their weight (the full per-analyzer
-      // report is available because this verdict was freshly analyzed and
-      // the session's default request runs without early exit).
-      if (decision.report) {
-        const auto accepted_by_id = [&](const char* id) {
-          const auto* r = decision.report->report_for(id);
-          return r != nullptr && r->accepted();
-        };
-        const bool dp = accepted_by_id("dp");
-        const bool gn1 = accepted_by_id("gn1");
-        const bool gn2 = accepted_by_id("gn2");
-        dp_only += dp && !gn1 && !gn2;
-        gn1_only += gn1 && !dp && !gn2;
-        gn2_only += gn2 && !dp && !gn1;
-      }
+      // Track which tests are pulling their weight: the admitted set is the
+      // candidate the session just accepted.
+      const auto report = diagnostics.run(now, fpga);
+      const auto accepted_by_id = [&](const char* id) {
+        const auto* r = report.report_for(id);
+        return r != nullptr && r->accepted();
+      };
+      const bool dp = accepted_by_id("dp");
+      const bool gn1 = accepted_by_id("gn1");
+      const bool gn2 = accepted_by_id("gn2");
+      dp_only += dp && !gn1 && !gn2;
+      gn1_only += gn1 && !dp && !gn2;
+      gn2_only += gn2 && !dp && !gn1;
 
       // Safety net: every admitted configuration must simulate cleanly.
       const auto run = sim::simulate(now, fpga);
@@ -98,11 +100,10 @@ int main(int argc, char** argv) {
     }
   }
 
-  const TaskSet final_set = session.admitted_set();
-  const auto& stats = session.stats();
-  std::printf("\nadmitted %llu of %zu tasks (rejected %llu)\n",
-              static_cast<unsigned long long>(stats.admitted), stream->size(),
-              static_cast<unsigned long long>(stats.rejected));
+  const TaskSet& final_set = session.admitted();
+  std::printf("\nadmitted %zu of %zu tasks (rejected %zu)\n",
+              final_set.size(), stream->size(),
+              stream->size() - final_set.size());
   std::printf("final utilization: U_S = %.2f of A(H) = %d  (U_T = %.2f)\n",
               final_set.system_utilization(), fpga.width,
               final_set.time_utilization());
@@ -111,23 +112,17 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(gn1_only),
               static_cast<unsigned long long>(gn2_only));
 
-  // Replay: a second controller sharing the cache sees the same stream.
-  // Every candidate set hashes to an already-cached verdict, so the whole
-  // admission sequence is decided without running a single test.
-  svc::AdmissionSession replay(fpga, &cache);
-  std::uint64_t replay_hits = 0;
-  for (const Task& t : *stream) {
-    replay_hits += replay.try_admit(t).cache_hit ? 1 : 0;
+  // Replay: a second controller sees the same stream and must decide every
+  // arrival the same way.
+  svc::AdmissionSession replay(fpga);
+  std::size_t same = 0;
+  for (std::size_t i = 0; i < stream->size(); ++i) {
+    same += replay.try_admit((*stream)[i]).admitted == decisions[i] ? 1 : 0;
   }
-  const auto cs = cache.stats();
-  std::printf("\nreplay of the same stream: %llu/%zu decisions served from "
-              "cache (admitted %llu, identical to pass 1: %s)\n",
-              static_cast<unsigned long long>(replay_hits), stream->size(),
-              static_cast<unsigned long long>(replay.stats().admitted),
-              replay.stats().admitted == stats.admitted ? "yes" : "NO — BUG");
-  std::printf("cache: %llu hits / %llu lookups (%.0f%%), %zu entries\n",
-              static_cast<unsigned long long>(cs.hits),
-              static_cast<unsigned long long>(cs.hits + cs.misses),
-              100.0 * cs.hit_rate(), cache.size());
-  return replay.stats().admitted == stats.admitted ? 0 : 1;
+  const bool identical = same == stream->size();
+  std::printf("\nreplay of the same stream: %zu/%zu decisions identical, "
+              "admitted %zu (identical to pass 1: %s)\n",
+              same, stream->size(), replay.admitted().size(),
+              identical ? "yes" : "NO — BUG");
+  return identical ? 0 : 1;
 }

@@ -51,6 +51,17 @@ std::optional<long long> flag_int(const std::vector<std::string>& args,
   std::exit(2);
 }
 
+long long int_flag(const std::vector<std::string>& args, std::string_view name,
+                   long long fallback, long long lo, long long hi) {
+  const long long value = flag_int(args, name).value_or(fallback);
+  if (value < lo || value > hi) {
+    std::fprintf(stderr, "--%.*s must be in [%lld, %lld], got %lld\n",
+                 static_cast<int>(name.size()), name.data(), lo, hi, value);
+    std::exit(2);
+  }
+  return value;
+}
+
 bool has_flag(const std::vector<std::string>& args, std::string_view name) {
   const std::string bare = "--" + std::string(name);
   for (const std::string& a : args) {

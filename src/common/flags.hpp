@@ -1,5 +1,6 @@
 #pragma once
 
+#include <limits>
 #include <optional>
 #include <span>
 #include <string>
@@ -34,6 +35,19 @@ namespace reconf {
 /// and a message when V is not an integer.
 [[nodiscard]] std::optional<long long> flag_int(
     const std::vector<std::string>& args, std::string_view name);
+
+/// `--name=V` through flag_int, `fallback` when absent. Exits with status 2
+/// and a message when V is not an integer or lies outside [lo, hi] — the
+/// one ranged reader, so no tool clamps a value or trips a precondition on
+/// it.
+[[nodiscard]] long long int_flag(const std::vector<std::string>& args,
+                                 std::string_view name, long long fallback,
+                                 long long lo, long long hi);
+
+/// Upper ends for int_flag ranges: a value that must fit an int, and one
+/// that may take any non-negative long long.
+inline constexpr long long kMaxInt = std::numeric_limits<int>::max();
+inline constexpr long long kMaxLong = std::numeric_limits<long long>::max();
 
 /// Whether the bare flag `--name` is present.
 [[nodiscard]] bool has_flag(const std::vector<std::string>& args,

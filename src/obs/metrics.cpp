@@ -75,9 +75,6 @@ Histogram::Histogram(std::vector<std::uint64_t> bounds)
 }
 
 void Histogram::record(std::uint64_t value) noexcept {
-#ifdef RECONF_OBS_DISABLED
-  (void)value;
-#else
   if (!enabled()) return;
   const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), value);
   const std::size_t bucket =
@@ -89,7 +86,6 @@ void Histogram::record(std::uint64_t value) noexcept {
   while (value > seen && !cell.max.compare_exchange_weak(
                              seen, value, std::memory_order_relaxed)) {
   }
-#endif
 }
 
 HistogramSnapshot Histogram::snapshot() const {

@@ -21,13 +21,9 @@
 /// and a read aggregates all cells. Reads are racy-by-design snapshots
 /// (monotonic counters can only under-report in-flight increments).
 ///
-/// Kill switches:
-///   * runtime  — set_enabled(false) (or env RECONF_OBS=0 at startup) turns
-///     every write into a relaxed load + branch; bench_perf measures the
-///     disabled decide() path against the committed baseline.
-///   * compile  — building with -DRECONF_OBS_DISABLED compiles every write
-///     to nothing; the registry and readers stay available so exposition
-///     code builds unchanged.
+/// Kill switch: set_enabled(false) (or env RECONF_OBS=0 at startup) turns
+/// every write into a relaxed load + branch; bench_perf measures the
+/// disabled decide() path against the committed baseline.
 ///
 /// Naming scheme (see README "Observability"): Prometheus-style
 /// `reconf_<subsystem>_<quantity>[_total]{label="value",...}` — the full
@@ -47,11 +43,7 @@ extern std::atomic<bool> g_metrics_enabled;
 /// Runtime kill switch. Default: enabled, unless the environment variable
 /// RECONF_OBS is "0"/"off"/"false" at process start.
 [[nodiscard]] inline bool enabled() noexcept {
-#ifdef RECONF_OBS_DISABLED
-  return false;
-#else
   return detail::g_metrics_enabled.load(std::memory_order_relaxed);
-#endif
 }
 
 void set_enabled(bool on) noexcept;
@@ -63,13 +55,9 @@ class Counter {
   static constexpr std::size_t kCells = 16;  // power of two
 
   void inc(std::uint64_t n = 1) noexcept {
-#ifdef RECONF_OBS_DISABLED
-    (void)n;
-#else
     if (!enabled()) return;
     cells_[detail::thread_cell_index() & (kCells - 1)].v.fetch_add(
         n, std::memory_order_relaxed);
-#endif
   }
 
   /// Sum over all cells — a racy snapshot, monotone between calls.
@@ -92,23 +80,15 @@ class Counter {
 class Gauge {
  public:
   void set(double v) noexcept {
-#ifndef RECONF_OBS_DISABLED
     if (enabled()) v_.store(v, std::memory_order_relaxed);
-#else
-    (void)v;
-#endif
   }
 
   void add(double d) noexcept {
-#ifndef RECONF_OBS_DISABLED
     if (!enabled()) return;
     double cur = v_.load(std::memory_order_relaxed);
     while (!v_.compare_exchange_weak(cur, cur + d,
                                      std::memory_order_relaxed)) {
     }
-#else
-    (void)d;
-#endif
   }
 
   [[nodiscard]] double value() const noexcept {

@@ -33,10 +33,12 @@
 //
 //   const auto run = sim::simulate(ts, fpga);           // validate by sim
 //
-// The svc/ layer (AdmissionSession, run_batch, NDJSON codec) serves engine
-// verdicts at scale behind an LRU verdict cache keyed by the canonical
-// taskset hash mixed with the engine fingerprint; net/ is the serving core
-// behind reconf_serve.
+// The svc/ layer serves engine verdicts. svc::AdmissionSession is the
+// runtime's online admission gate: decide() on the set it holds plus the
+// arriving task. evaluate_with_engine answers one request behind a
+// per-shard LRU verdict cache keyed by the canonical taskset hash mixed
+// with the engine fingerprint, and the NDJSON codec reads and writes the
+// wire; net/ is the serving core behind reconf_serve.
 //
 // The sim/ layer simulates the paper's 1D model (sim::simulate). Its
 // sim::JobTable is the one EDF dispatch core: the simulator and the online

@@ -117,7 +117,7 @@ class Runtime {
         config_(config),
         device_(scenario.device),
         reconf_(scenario.reconf),
-        session_(scenario.device, nullptr, config.admission),
+        session_(scenario.device, config.admission),
         policy_(config.policy) {
     RECONF_EXPECTS(device_.valid());
     RECONF_EXPECTS(scenario.horizon > 0);
@@ -174,13 +174,13 @@ class Runtime {
     return nullptr;
   }
 
-  /// The admission gate: one try_admit (decide() underneath for fast
-  /// requests), latency and verdict metered, candidate set exposed to the
-  /// conformance probe.
+  /// The admission gate: one try_admit (decide() underneath), latency and
+  /// verdict metered, candidate set exposed to the conformance probe.
   svc::AdmissionDecision gate(const Task& t, Ticks at, EventKind kind) {
     TaskSet candidate;
     if (config_.admission_probe) {
-      std::vector<Task> tasks = session_.admitted();
+      std::vector<Task> tasks(session_.admitted().begin(),
+                              session_.admitted().end());
       tasks.push_back(t);
       candidate = TaskSet(std::move(tasks));
     }
@@ -196,7 +196,7 @@ class Runtime {
       ++result_.admitted;
       result_.peak_admitted_system_util =
           std::max(result_.peak_admitted_system_util,
-                   session_.admitted_set().system_utilization());
+                   session_.admitted().system_utilization());
     } else {
       ++result_.rejected;
     }
@@ -864,7 +864,7 @@ class Runtime {
     // draining member it refuses cannot be shed (it is already leaving) —
     // it only blocks the "protected" promotion below.
     bool drains_ok = true;
-    svc::AdmissionSession probe(device_, nullptr, config_.admission);
+    svc::AdmissionSession probe(device_, config_.admission);
     for (std::size_t i = 0; i < slots_.size(); ++i) {
       Slot& s = slots_[i];
       if (!s.in_session || s.shed) continue;

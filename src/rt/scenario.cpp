@@ -36,6 +36,14 @@ const char* to_string(ScenarioFamily family) noexcept {
   return "?";
 }
 
+std::optional<ScenarioFamily> scenario_family_from(
+    std::string_view name) noexcept {
+  if (name == "steady") return ScenarioFamily::kSteady;
+  if (name == "churn") return ScenarioFamily::kChurn;
+  if (name == "reconf-heavy") return ScenarioFamily::kReconfHeavy;
+  return std::nullopt;
+}
+
 namespace {
 
 using svc::json::Value;
@@ -343,6 +351,17 @@ Scenario generate_scenario(const ScenarioGenOptions& options) {
 
   s.horizon = clock + 4 * max_period + 1;
   return s;
+}
+
+std::vector<std::string> arrival_names(const Scenario& scenario) {
+  std::vector<std::string> names;
+  for (const ScenarioEvent& e : scenario.events) {
+    if (e.kind != EventKind::kArrive) continue;
+    if (std::find(names.begin(), names.end(), e.name) == names.end()) {
+      names.push_back(e.name);
+    }
+  }
+  return names;
 }
 
 }  // namespace reconf::rt

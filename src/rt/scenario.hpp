@@ -1,8 +1,10 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/types.hpp"
@@ -87,6 +89,9 @@ enum class ScenarioFamily {
 };
 
 [[nodiscard]] const char* to_string(ScenarioFamily family) noexcept;
+/// Parses the to_string spelling ("steady", "churn", "reconf-heavy").
+[[nodiscard]] std::optional<ScenarioFamily> scenario_family_from(
+    std::string_view name) noexcept;
 
 struct ScenarioGenOptions {
   ScenarioFamily family = ScenarioFamily::kSteady;
@@ -99,5 +104,11 @@ struct ScenarioGenOptions {
 /// bit for bit. Generated tasks are always well-formed; admission may still
 /// reject them (that is the point of gating).
 [[nodiscard]] Scenario generate_scenario(const ScenarioGenOptions& options);
+
+/// The distinct names of the tasks arriving in `scenario`, in first-arrival
+/// order — the targets a generated fault plan aims overruns and fabric
+/// faults at.
+[[nodiscard]] std::vector<std::string> arrival_names(
+    const Scenario& scenario);
 
 }  // namespace reconf::rt

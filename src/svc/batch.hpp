@@ -146,9 +146,9 @@ class EngineTable {
 /// `cache` (nullptr to always analyze; shared by the pool workers, so a
 /// thread-safe VerdictCache). Results are indexed by request — order never
 /// depends on completion order. Every lineup is resolved through one
-/// EngineTable before the fan-out. The in-process batch API
-/// (bench_service, bench_report); reconf_serve serves through the shard
-/// workers of net::AsyncServer instead.
+/// EngineTable before the fan-out. Its last user outside its own tests is
+/// perfbench's layer pass; reconf_serve serves through the shard workers of
+/// net::AsyncServer, which call evaluate_with_engine directly.
 [[nodiscard]] std::vector<BatchVerdict> run_batch(
     std::span<const BatchRequest> requests, VerdictStore* cache,
     ThreadPool& pool, const BatchOptions& options = {});

@@ -9,11 +9,10 @@
 
 namespace reconf::svc {
 
-/// The cacheable part of an engine verdict: everything the admission path
+/// The cacheable part of an engine verdict: everything the serving path
 /// needs to answer a repeated request without re-running the tests. The full
 /// per-analyzer diagnostics are deliberately not cached — they are large,
-/// and a caller that wants them re-analyzes (see
-/// AdmissionSession::try_admit).
+/// and a caller that wants them re-analyzes (see evaluate_with_engine).
 struct CachedVerdict {
   bool accepted = false;
   /// Id of the first accepting analyzer ("dp"/"gn1"/…), empty on reject.
@@ -51,8 +50,8 @@ struct CacheStats {
   }
 };
 
-/// The verdict-cache contract the batch pipeline, the admission session and
-/// the serving tier evaluate against: a keyed store of CachedVerdict. The
+/// The verdict-cache contract the batch pipeline and the serving tier
+/// evaluate against: a keyed store of CachedVerdict. The
 /// LRU itself is the single-owner ShardCache (svc/shard_cache.hpp) that the
 /// async serving tier gives each shard worker; VerdictCache below is a
 /// thread-safe striped wrapper around ShardCaches for callers that share
@@ -76,8 +75,11 @@ class VerdictStore {
 /// Keys are `svc::verdict_cache_key` values (canonical taskset hash mixed
 /// with the test-configuration fingerprint) — already uniformly mixed, so
 /// the stripe index is just the low bits. Concurrent lookups on different
-/// stripes never contend, and the verdict-serving hot path (bench_service)
-/// scales with the stripe count.
+/// stripes never contend.
+///
+/// Its last user outside its own tests is perfbench's layer pass, which
+/// times run_batch over it; the serving tier and the admission session
+/// never build one.
 ///
 /// A capacity of 0 disables the cache: lookups miss, inserts are dropped.
 /// Total capacity is split evenly across stripes, so per-stripe eviction

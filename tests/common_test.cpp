@@ -152,6 +152,29 @@ TEST(FlagsDeathTest, BadIntegerExitsTwoWithAMessage) {
               "invalid value for --n: 'abc'");
 }
 
+TEST(Flags, IntFlagReadsInRangeValuesAndFallsBack) {
+  const std::vector<std::string> args = {"--n=5", "--seed=0x10", "--lo=1"};
+  EXPECT_EQ(int_flag(args, "n", 9, 1, 10), 5);
+  EXPECT_EQ(int_flag(args, "seed", 0, 0, kMaxLong), 16);
+  EXPECT_EQ(int_flag(args, "lo", 0, 1, 1), 1);  // bounds are inclusive
+  EXPECT_EQ(int_flag(args, "absent", 9, 1, 10), 9);
+}
+
+TEST(FlagsDeathTest, OutOfRangeIntegerExitsTwoWithAMessage) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const std::vector<std::string> low = {"--arrivals=0"};
+  EXPECT_EXIT((void)int_flag(low, "arrivals", 10, 1, kMaxInt),
+              ::testing::ExitedWithCode(2),
+              "--arrivals must be in \\[1, 2147483647\\], got 0");
+  const std::vector<std::string> high = {"--dup-ratio=101"};
+  EXPECT_EXIT((void)int_flag(high, "dup-ratio", 0, 0, 100),
+              ::testing::ExitedWithCode(2),
+              "--dup-ratio must be in \\[0, 100\\], got 101");
+  const std::vector<std::string> garbage = {"--rho=x"};
+  EXPECT_EXIT((void)int_flag(garbage, "rho", 0, 0, kMaxLong),
+              ::testing::ExitedWithCode(2), "invalid value for --rho: 'x'");
+}
+
 // ------------------------------------------------------- report merge ----
 
 std::string read_text(const std::string& path) {

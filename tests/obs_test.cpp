@@ -53,14 +53,9 @@ TEST_F(ObsTest, CounterDisabledIsNoOp) {
   c.inc(1000);
   obs::set_enabled(true);
   c.inc(5);
-#ifdef RECONF_OBS_DISABLED
-  EXPECT_EQ(c.value(), 0u);
-#else
   EXPECT_EQ(c.value(), 10u);
-#endif
 }
 
-#ifndef RECONF_OBS_DISABLED
 TEST_F(ObsTest, CounterConcurrentIncrementsAreExact) {
   // Each spawned thread gets its own cell index; the aggregate must equal
   // the total regardless of how threads map onto the kCells shards.
@@ -77,7 +72,6 @@ TEST_F(ObsTest, CounterConcurrentIncrementsAreExact) {
   for (auto& t : threads) t.join();
   EXPECT_EQ(c.value(), static_cast<std::uint64_t>(kThreads) * kIncs);
 }
-#endif
 
 // ------------------------------------------------------------------ gauge --
 
@@ -158,7 +152,6 @@ TEST_F(ObsTest, HistogramDefaultBoundsCoverLatencyLadder) {
   }
 }
 
-#ifndef RECONF_OBS_DISABLED
 TEST_F(ObsTest, HistogramConcurrentRecordsAggregate) {
   obs::Histogram h({100, 1000});
   constexpr int kThreads = 8;
@@ -179,7 +172,6 @@ TEST_F(ObsTest, HistogramConcurrentRecordsAggregate) {
                 snap.bucket_counts[2],
             snap.count);
 }
-#endif
 
 // --------------------------------------------------------------- registry --
 
@@ -216,7 +208,6 @@ TEST_F(ObsTest, PrometheusTextExposition) {
   h.record(5000);
 
   const std::string text = reg.prometheus_text();
-#ifndef RECONF_OBS_DISABLED
   EXPECT_NE(text.find("# TYPE reconf_requests_total counter"),
             std::string::npos);
   EXPECT_NE(text.find("reconf_requests_total 3"), std::string::npos);
@@ -229,19 +220,16 @@ TEST_F(ObsTest, PrometheusTextExposition) {
   EXPECT_NE(text.find("reconf_lat_ns_bucket{le=\"+Inf\"} 4"),
             std::string::npos);
   EXPECT_NE(text.find("reconf_lat_ns_count 4"), std::string::npos);
-#endif
 }
 
 TEST_F(ObsTest, PrometheusMergesLeIntoExistingLabels) {
   obs::MetricsRegistry reg;
   reg.histogram("reconf_lat_ns{analyzer=\"dp\"}", {10}).record(1);
-#ifndef RECONF_OBS_DISABLED
   const std::string text = reg.prometheus_text();
   // The le label joins the existing label set instead of nesting braces.
   EXPECT_NE(text.find("reconf_lat_ns_bucket{analyzer=\"dp\",le=\"10\"} 1"),
             std::string::npos);
   EXPECT_EQ(text.find("}{"), std::string::npos);
-#endif
 }
 
 TEST_F(ObsTest, JsonSnapshotIsValidJsonWithExpectedShape) {
@@ -259,7 +247,6 @@ TEST_F(ObsTest, JsonSnapshotIsValidJsonWithExpectedShape) {
   ASSERT_NE(counters, nullptr);
   ASSERT_NE(gauges, nullptr);
   ASSERT_NE(histograms, nullptr);
-#ifndef RECONF_OBS_DISABLED
   const auto* c = counters->find("reconf_c_total");
   ASSERT_NE(c, nullptr);
   EXPECT_EQ(c->integer, 7);
@@ -272,7 +259,6 @@ TEST_F(ObsTest, JsonSnapshotIsValidJsonWithExpectedShape) {
   EXPECT_EQ(hist->find("count")->integer, 10);
   ASSERT_NE(hist->find("p99"), nullptr);
   EXPECT_EQ(hist->find("p99")->integer, 100);
-#endif
 }
 
 // ------------------------------------------------------------------ trace --
@@ -347,7 +333,6 @@ TEST_F(ObsTest, TraceStartClearsPreviousTrace) {
   EXPECT_EQ(tracer.dropped(), 0u);
 }
 
-#ifndef RECONF_OBS_DISABLED
 TEST_F(ObsTest, TraceConcurrentSpansLandInPerThreadBuffers) {
   obs::Tracer& tracer = obs::Tracer::instance();
   tracer.start();
@@ -370,6 +355,5 @@ TEST_F(ObsTest, TraceConcurrentSpansLandInPerThreadBuffers) {
   const svc::json::Value doc = svc::json::parse(tracer.chrome_json());
   EXPECT_EQ(doc.kind, svc::json::Value::Kind::kObject);
 }
-#endif
 
 }  // namespace

@@ -136,6 +136,29 @@ TEST(ScenarioCodec, GenerationIsDeterministic) {
   }
 }
 
+TEST(ScenarioCodec, FamilyNamesRoundTrip) {
+  for (const ScenarioFamily family : kFamilies) {
+    EXPECT_EQ(scenario_family_from(to_string(family)), family);
+  }
+  EXPECT_EQ(scenario_family_from("Steady"), std::nullopt);
+  EXPECT_EQ(scenario_family_from(""), std::nullopt);
+}
+
+TEST(ScenarioCodec, ArrivalNamesAreDistinctInFirstArrivalOrder) {
+  const Scenario s = parse_scenario(
+      "{\"scenario\":\"n\",\"device\":100,\"horizon\":5000}\n"
+      "{\"at\":0,\"event\":\"arrive\",\"name\":\"b\","
+      "\"c\":100,\"d\":400,\"t\":400,\"a\":10}\n"
+      "{\"at\":10,\"event\":\"arrive\",\"name\":\"a\","
+      "\"c\":100,\"d\":400,\"t\":400,\"a\":10}\n"
+      "{\"at\":20,\"event\":\"mode-change\",\"name\":\"c\","
+      "\"c\":100,\"d\":400,\"t\":400,\"a\":10}\n"
+      "{\"at\":30,\"event\":\"depart\",\"name\":\"b\"}\n"
+      "{\"at\":40,\"event\":\"arrive\",\"name\":\"b\","
+      "\"c\":100,\"d\":400,\"t\":400,\"a\":10}\n");
+  EXPECT_EQ(arrival_names(s), (std::vector<std::string>{"b", "a"}));
+}
+
 TEST(ScenarioCodec, SkipsCommentsAndBlankLines) {
   const Scenario s = parse_scenario(
       "# a comment\n"

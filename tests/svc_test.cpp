@@ -214,6 +214,9 @@ TEST(VerdictCache, ConcurrentMixedLoadStaysConsistent) {
 // ------------------------------------------------------------ session ----
 
 TEST(AdmissionSession, MatchesDirectEngineRun) {
+  // The session decides through decide(); its verdicts and accepting
+  // analyzers must match a full-diagnostics run() of the same trio on the
+  // same candidate sets.
   const Device dev{10};
   svc::AdmissionSession session(dev);
   const auto ts = table3_taskset();
@@ -223,14 +226,16 @@ TEST(AdmissionSession, MatchesDirectEngineRun) {
   for (const Task& t : ts) {
     std::vector<Task> trial = admitted_so_far;
     trial.push_back(t);
-    const bool expect = trio.run(TaskSet(trial), dev).accepted();
+    const auto expect = trio.run(TaskSet(trial), dev);
     const auto decision = session.try_admit(t);
-    EXPECT_EQ(decision.admitted, expect);
-    EXPECT_FALSE(decision.cache_hit);
-    ASSERT_TRUE(decision.report.has_value());
+    EXPECT_EQ(decision.admitted, expect.accepted());
+    EXPECT_EQ(decision.accepted_by, expect.accepted_by());
     if (decision.admitted) admitted_so_far.push_back(t);
   }
-  EXPECT_EQ(session.admitted().size(), admitted_so_far.size());
+  ASSERT_EQ(session.admitted().size(), admitted_so_far.size());
+  for (std::size_t i = 0; i < admitted_so_far.size(); ++i) {
+    EXPECT_EQ(session.admitted()[i].name, admitted_so_far[i].name);
+  }
 }
 
 TEST(AdmissionSession, RejectionLeavesAdmittedSetUntouched) {
@@ -241,29 +246,34 @@ TEST(AdmissionSession, RejectionLeavesAdmittedSetUntouched) {
   const auto decision = session.try_admit(make_task(1.00, 5, 5, 6));
   EXPECT_FALSE(decision.admitted);
   EXPECT_TRUE(decision.accepted_by.empty());
-  EXPECT_EQ(session.admitted().size(), 1u);
-  EXPECT_EQ(session.stats().rejected, 1u);
+  ASSERT_EQ(session.admitted().size(), 1u);
+  EXPECT_EQ(session.admitted()[0].area, 3);
 }
 
-TEST(AdmissionSession, RemoveThenReadmitHitsCache) {
+TEST(AdmissionSession, RemoveThenReadmitDecidesAlike) {
   const Device dev{10};
-  svc::VerdictCache cache(64);
-  svc::AdmissionSession session(dev, &cache);
+  svc::AdmissionSession session(dev);
 
   const Task t1 = make_task(2.10, 5, 5, 7, "t1");
   const Task t2 = make_task(2.00, 7, 7, 7, "t2");
   ASSERT_TRUE(session.try_admit(t1).admitted);
-  ASSERT_TRUE(session.try_admit(t2).admitted);
+  const auto first = session.try_admit(t2);
+  ASSERT_TRUE(first.admitted);
+  const double us_first = session.admitted().system_utilization();
 
   ASSERT_TRUE(session.remove(t2));
-  EXPECT_EQ(session.admitted().size(), 1u);
+  ASSERT_EQ(session.admitted().size(), 1u);
+  EXPECT_EQ(session.admitted()[0].name, "t1");
 
-  // Same configuration as the first t2 admission => cache hit, same verdict.
+  // Same configuration as the first t2 admission => same decision, same
+  // admitted set.
   const auto again = session.try_admit(t2);
-  EXPECT_TRUE(again.admitted);
-  EXPECT_TRUE(again.cache_hit);
-  EXPECT_FALSE(again.report.has_value());
-  EXPECT_EQ(session.stats().cache_hits, 1u);
+  EXPECT_EQ(again.admitted, first.admitted);
+  EXPECT_EQ(again.accepted_by, first.accepted_by);
+  ASSERT_EQ(session.admitted().size(), 2u);
+  EXPECT_EQ(session.admitted()[0].name, "t1");
+  EXPECT_EQ(session.admitted()[1].name, "t2");
+  EXPECT_EQ(session.admitted().system_utilization(), us_first);
 }
 
 TEST(AdmissionSession, RemoveMatchesFullIdentity) {
@@ -277,36 +287,28 @@ TEST(AdmissionSession, RemoveMatchesFullIdentity) {
   EXPECT_FALSE(session.remove(other));
   EXPECT_TRUE(session.remove(named));
   EXPECT_TRUE(session.admitted().empty());
-  EXPECT_FALSE(session.remove_at(0));
+  EXPECT_FALSE(session.remove(named));
 }
 
-TEST(AdmissionSession, SharedCacheIsolatesTestConfigurations) {
-  // A cached EDF-NF acceptance (GN1 is in the lineup) must never be served
-  // to an EDF-FkF session — GN1 is unsound for EDF-FkF. The cache key mixes
-  // in the configuration fingerprint, so the EDF-FkF session re-analyzes.
+TEST(AdmissionSession, FkfSessionNeverAdmitsThroughGn1) {
+  // GN1 is unsound for EDF-FkF: the capability filter drops it from an
+  // EDF-FkF session's lineup, so no admission is ever credited to it.
   const Device dev{20};
-  svc::VerdictCache cache(64);
-  svc::AdmissionSession nf(dev, &cache);
   analysis::AnalysisRequest fkf_request;
   fkf_request.scheduler = analysis::Scheduler::kEdfFkF;
-  svc::AdmissionSession fkf(dev, &cache, fkf_request);
-
-  const auto ts = table3_taskset();
-  for (const Task& t : ts) {
-    const auto nf_decision = nf.try_admit(t);
-    const auto fkf_decision = fkf.try_admit(t);
-    EXPECT_FALSE(fkf_decision.cache_hit)
-        << "EDF-FkF verdicts must not come from the EDF-NF cache lines";
-    EXPECT_NE(nf_decision.hash, fkf_decision.hash);
-    // The FkF-sound subset excludes GN1 entirely.
-    if (fkf_decision.admitted) {
-      EXPECT_NE(fkf_decision.accepted_by, "gn1");
-    }
-  }
-  // The capability filter drops gn1 from the FkF session's lineup.
+  svc::AdmissionSession fkf(dev, fkf_request);
   EXPECT_EQ(fkf.engine().execution_order(),
             (std::vector<std::string>{"dp", "gn2"}));
+
+  for (const Task& t : table3_taskset()) {
+    const auto decision = fkf.try_admit(t);
+    if (decision.admitted) {
+      EXPECT_NE(decision.accepted_by, "gn1");
+    }
+  }
 }
+
+// ----------------------------------------------------- batch pipeline ----
 
 TEST(BatchPipeline, CacheKeyCoversAnalysisOptions) {
   svc::BatchRequest request;
@@ -484,22 +486,6 @@ TEST(BatchPipeline, FastDefaultMatchesExplainVerdictsWithoutSubReports) {
   EXPECT_EQ(fast.hash, full.hash)
       << "diagnostics must not change the cache key";
 }
-
-TEST(AdmissionSession, SharedCacheServesSecondSession) {
-  const Device dev{10};
-  svc::VerdictCache cache(64);
-  svc::AdmissionSession first(dev, &cache);
-  const auto ts = table3_taskset();
-  for (const Task& t : ts) first.try_admit(t);
-
-  svc::AdmissionSession second(dev, &cache);
-  for (const Task& t : ts) {
-    const auto decision = second.try_admit(t);
-    EXPECT_TRUE(decision.cache_hit) << "replay should be served from cache";
-  }
-}
-
-// ----------------------------------------------------- batch pipeline ----
 
 TEST(BatchPipeline, IdenticalResultsForOneAndManyThreads) {
   std::vector<svc::BatchRequest> requests;

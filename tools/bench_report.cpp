@@ -46,10 +46,10 @@
 #include "common/report_merge.hpp"
 #include "common/rng.hpp"
 #include "common/stopwatch.hpp"
-#include "common/thread_pool.hpp"
 #include "gen/generator.hpp"
 #include "obs/metrics.hpp"
 #include "svc/batch.hpp"
+#include "svc/shard_cache.hpp"
 
 namespace {
 
@@ -207,10 +207,12 @@ std::vector<Percentiles> run_percentile_pass(std::size_t iters,
       stream.push_back(std::move(r));
     }
   }
-  svc::VerdictCache cache(1 << 16);
-  ThreadPool workers(1);
-  const auto verdicts = svc::run_batch(stream, &cache, workers, {});
-  RECONF_ASSERT(verdicts.size() == stream.size());
+  // One shard worker's path: the serving engine and a single-owner cache.
+  const analysis::AnalysisEngine serving{analysis::fast_any_request()};
+  svc::ShardCache cache(1 << 16);
+  for (const svc::BatchRequest& r : stream) {
+    (void)svc::evaluate_with_engine(serving, r, &cache);
+  }
   out.push_back(
       snapshot_percentiles("svc_request", "reconf_svc_request_latency_ns"));
   return out;

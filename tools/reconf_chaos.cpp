@@ -129,19 +129,6 @@ std::string check_run(const rt::RuntimeResult& result) {
   return {};
 }
 
-/// Collects the distinct arriving task names of `scenario` — the targets a
-/// generated fault plan aims overruns and fabric faults at.
-std::vector<std::string> arrival_names(const rt::Scenario& scenario) {
-  std::vector<std::string> names;
-  for (const rt::ScenarioEvent& e : scenario.events) {
-    if (e.kind != rt::EventKind::kArrive) continue;
-    bool known = false;
-    for (const std::string& n : names) known = known || n == e.name;
-    if (!known) names.push_back(e.name);
-  }
-  return names;
-}
-
 int run_replay(const std::vector<std::string>& paths) {
   std::uint64_t expects = 0;
   std::uint64_t mismatches = 0;
@@ -199,30 +186,26 @@ int run_replay(const std::vector<std::string>& paths) {
 int run_emit(const std::vector<std::string>& args) {
   const std::string family = flag_str(args, "family");
   rt::ScenarioGenOptions gen;
-  if (family == "steady") {
-    gen.family = rt::ScenarioFamily::kSteady;
-  } else if (family == "churn") {
-    gen.family = rt::ScenarioFamily::kChurn;
-  } else if (family == "reconf-heavy") {
-    gen.family = rt::ScenarioFamily::kReconfHeavy;
+  if (const auto kind = rt::scenario_family_from(family)) {
+    gen.family = *kind;
   } else {
     std::fprintf(stderr, "--emit needs --family=steady|churn|reconf-heavy\n");
     return usage();
   }
-  gen.seed = static_cast<std::uint64_t>(flag_int(args, "seed").value_or(0));
-  gen.arrivals = static_cast<int>(flag_int(args, "arrivals").value_or(6));
-  gen.device.width = static_cast<Area>(flag_int(args, "device").value_or(100));
+  gen.seed = static_cast<std::uint64_t>(int_flag(args, "seed", 0, 0, kMaxLong));
+  gen.arrivals = static_cast<int>(int_flag(args, "arrivals", 6, 1, kMaxInt));
+  gen.device.width =
+      static_cast<Area>(int_flag(args, "device", 100, 1, kMaxInt));
 
   fault::ChaosCase c;
   c.scenario = rt::generate_scenario(gen);
-  if (const auto rho = flag_int(args, "rho")) {
-    c.scenario.reconf.per_column = static_cast<Ticks>(*rho);
-  }
+  c.scenario.reconf.per_column = static_cast<Ticks>(
+      int_flag(args, "rho", c.scenario.reconf.per_column, 0, kMaxLong));
 
   fault::FaultPlanGenOptions plan_gen;
   plan_gen.horizon = c.scenario.horizon;
-  plan_gen.names = arrival_names(c.scenario);
-  plan_gen.faults = static_cast<int>(flag_int(args, "faults").value_or(6));
+  plan_gen.names = rt::arrival_names(c.scenario);
+  plan_gen.faults = static_cast<int>(int_flag(args, "faults", 6, 0, kMaxInt));
   plan_gen.seed = gen.seed;
   c.plan = fault::generate_fault_plan(plan_gen);
   c.plan.name = family + "-" + std::to_string(gen.seed);
@@ -303,18 +286,15 @@ int run_pin(const std::string& path, const std::vector<std::string>& args) {
 }
 
 int run_matrix(const std::vector<std::string>& args) {
-  const long long count = flag_int(args, "count").value_or(200);
+  const long long count = int_flag(args, "count", 200, 1, 10'000'000);
   const auto seed =
-      static_cast<std::uint64_t>(flag_int(args, "seed").value_or(0));
-  const int arrivals = static_cast<int>(flag_int(args, "arrivals").value_or(6));
+      static_cast<std::uint64_t>(int_flag(args, "seed", 0, 0, kMaxLong));
+  const int arrivals =
+      static_cast<int>(int_flag(args, "arrivals", 6, 1, kMaxInt));
   const auto width =
-      static_cast<Area>(flag_int(args, "device").value_or(100));
-  const int faults = static_cast<int>(flag_int(args, "faults").value_or(6));
+      static_cast<Area>(int_flag(args, "device", 100, 1, kMaxInt));
+  const int faults = static_cast<int>(int_flag(args, "faults", 6, 0, kMaxInt));
   const std::string corpus_dir = flag_str(args, "corpus-dir");
-  if (count <= 0 || count > 10'000'000 || arrivals <= 0 || faults < 0 ||
-      width <= 0) {
-    return usage();
-  }
 
   static constexpr rt::ScenarioFamily kFamilies[] = {
       rt::ScenarioFamily::kSteady, rt::ScenarioFamily::kChurn,
@@ -340,7 +320,7 @@ int run_matrix(const std::vector<std::string>& args) {
 
     fault::FaultPlanGenOptions pgen;
     pgen.horizon = scenario.horizon;
-    pgen.names = arrival_names(scenario);
+    pgen.names = rt::arrival_names(scenario);
     pgen.faults = faults;
     pgen.seed = draw_seed;
     const fault::FaultPlan plan = fault::generate_fault_plan(pgen);

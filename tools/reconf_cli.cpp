@@ -22,7 +22,6 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -41,23 +40,6 @@ int usage() {
                "see the header of tools/reconf_cli.cpp for all flags\n");
   return 2;
 }
-
-/// `--name=N` as an integer in [lo, hi], `fallback` when absent. A bad or
-/// out-of-range value exits 2 with a message — never a silent default, an
-/// uncaught exception or a tripped precondition further in.
-long long int_flag(const std::vector<std::string>& args, const char* name,
-                   long long fallback, long long lo, long long hi) {
-  const long long value = flag_int(args, name).value_or(fallback);
-  if (value < lo || value > hi) {
-    std::fprintf(stderr, "--%s must be in [%lld, %lld], got %lld\n", name, lo,
-                 hi, value);
-    std::exit(2);
-  }
-  return value;
-}
-
-constexpr long long kMaxInt = std::numeric_limits<int>::max();
-constexpr long long kMaxLong = std::numeric_limits<long long>::max();
 
 std::optional<io::ParsedTaskSet> load(const std::string& path) {
   std::ifstream file(path);

@@ -79,19 +79,6 @@ struct Options {
   std::exit(2);
 }
 
-/// `--name=N` as a non-negative integer (decimal or 0x hex), `fallback`
-/// when absent; exits 2 on anything else.
-std::uint64_t flag_count(const std::vector<std::string>& args,
-                         const char* name, std::uint64_t fallback) {
-  const std::optional<long long> value = flag_int(args, name);
-  if (!value) return fallback;
-  if (*value < 0) {
-    std::fprintf(stderr, "reconf_fuzz: bad --%s '%lld'\n", name, *value);
-    std::exit(2);
-  }
-  return static_cast<std::uint64_t>(*value);
-}
-
 Options parse_args(int argc, char** argv) {
   const std::vector<std::string> args(argv + 1, argv + argc);
   static const char* const known[] = {
@@ -104,8 +91,10 @@ Options parse_args(int argc, char** argv) {
   }
 
   Options opt;
-  opt.count = flag_count(args, "count", opt.count);
-  opt.seed = flag_count(args, "seed", opt.seed);
+  opt.count = static_cast<std::uint64_t>(
+      int_flag(args, "count", static_cast<long long>(opt.count), 1, kMaxLong));
+  opt.seed = static_cast<std::uint64_t>(
+      int_flag(args, "seed", static_cast<long long>(opt.seed), 0, kMaxLong));
   if (const auto families = flag_value(args, "families")) {
     opt.families.clear();
     for (const std::string& name : analysis::split_id_list(*families)) {
@@ -138,13 +127,11 @@ Options parse_args(int argc, char** argv) {
   if (const auto tests = flag_value(args, "tests")) {
     opt.tests = analysis::split_id_list(*tests);
   }
-  opt.threads = static_cast<unsigned>(flag_count(args, "threads", 0));
-  opt.oracle.horizon_periods = static_cast<int>(flag_count(
-      args, "horizon-periods",
-      static_cast<std::uint64_t>(opt.oracle.horizon_periods)));
-  opt.oracle.offset_trials = static_cast<int>(flag_count(
-      args, "offset-trials",
-      static_cast<std::uint64_t>(opt.oracle.offset_trials)));
+  opt.threads = static_cast<unsigned>(int_flag(args, "threads", 0, 0, 1024));
+  opt.oracle.horizon_periods = static_cast<int>(int_flag(
+      args, "horizon-periods", opt.oracle.horizon_periods, 1, kMaxInt));
+  opt.oracle.offset_trials = static_cast<int>(
+      int_flag(args, "offset-trials", opt.oracle.offset_trials, 0, kMaxInt));
   opt.corpus_dir = flag_str(args, "corpus-dir");
   opt.out_path = flag_str(args, "out");
   if (const auto inject = flag_value(args, "inject")) {

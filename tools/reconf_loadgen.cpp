@@ -14,7 +14,7 @@
 //   --port=N            server port (required; pair with reconf_serve
 //                       --listen=127.0.0.1:0 --port-file=...)
 //   --host=ADDR         server address (default 127.0.0.1)
-//   --connections=N     concurrent connections (default 4)
+//   --connections=N     concurrent connections, 1..1024 (default 4)
 //   --requests=N        total requests across all connections
 //                       (default 200000)
 //   --dup-ratio=PCT     percentage [0..100] of requests drawn from a small
@@ -24,11 +24,13 @@
 //                       every N requests per connection (0 = never;
 //                       exercises the stats path under load)
 //   --window=N          max responses a connection may be behind before its
-//                       writer pauses (default 1024) — bounds client memory
-//                       while keeping the server's input saturated
+//                       writer pauses, 1..1000000 (default 1024) — bounds
+//                       client memory while keeping the server's input
+//                       saturated
 //
 // Exit status: 0 clean, 1 on a failed connection or any error line from
-// the server, 2 on a usage error (unknown flag, bad value).
+// the server, 2 on a usage error (unknown flag, bad or out-of-range value —
+// refused before connecting).
 //
 // Responses come back in request order per connection (the server
 // guarantees it), so latency needs no id correlation: the k-th response on
@@ -285,22 +287,22 @@ int main(int argc, char** argv) {
       return usage();
     }
   }
-  const long long port = flag_int(args, "port").value_or(0);
-  if (port <= 0 || port > 65'535) return usage();
+  if (!flag_value(args, "port")) return usage();
   RunConfig config;
   config.host = flag_str(args, "host");
   if (config.host.empty()) config.host = "127.0.0.1";
-  config.port = static_cast<std::uint16_t>(port);
-  config.connections = static_cast<unsigned>(std::clamp<long long>(
-      flag_int(args, "connections").value_or(4), 1, 1024));
+  config.port =
+      static_cast<std::uint16_t>(int_flag(args, "port", 0, 1, 65'535));
+  config.connections =
+      static_cast<unsigned>(int_flag(args, "connections", 4, 1, 1024));
   config.requests = static_cast<std::uint64_t>(
-      std::max<long long>(1, flag_int(args, "requests").value_or(200'000)));
-  config.dup_pct = static_cast<unsigned>(
-      std::clamp<long long>(flag_int(args, "dup-ratio").value_or(0), 0, 100));
+      int_flag(args, "requests", 200'000, 1, kMaxLong));
+  config.dup_pct =
+      static_cast<unsigned>(int_flag(args, "dup-ratio", 0, 0, 100));
   config.stats_every = static_cast<std::uint64_t>(
-      std::max<long long>(0, flag_int(args, "stats-every").value_or(0)));
-  config.window = static_cast<std::uint64_t>(std::clamp<long long>(
-      flag_int(args, "window").value_or(1024), 1, 1'000'000));
+      int_flag(args, "stats-every", 0, 0, kMaxLong));
+  config.window = static_cast<std::uint64_t>(
+      int_flag(args, "window", 1024, 1, 1'000'000));
 
   const std::uint64_t per_conn = config.requests / config.connections;
   if (per_conn == 0) {

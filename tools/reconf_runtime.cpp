@@ -113,20 +113,17 @@ int main(int argc, char** argv) {
   const std::string family = flag_str(args, "generate");
   if (!family.empty()) {
     rt::ScenarioGenOptions gen;
-    if (family == "steady") {
-      gen.family = rt::ScenarioFamily::kSteady;
-    } else if (family == "churn") {
-      gen.family = rt::ScenarioFamily::kChurn;
-    } else if (family == "reconf-heavy") {
-      gen.family = rt::ScenarioFamily::kReconfHeavy;
+    if (const auto kind = rt::scenario_family_from(family)) {
+      gen.family = *kind;
     } else {
       std::fprintf(stderr, "unknown scenario family: %s\n", family.c_str());
       return usage();
     }
-    gen.seed = static_cast<std::uint64_t>(flag_int(args, "seed").value_or(0));
-    gen.arrivals = static_cast<int>(flag_int(args, "arrivals").value_or(10));
+    gen.seed =
+        static_cast<std::uint64_t>(int_flag(args, "seed", 0, 0, kMaxLong));
+    gen.arrivals = static_cast<int>(int_flag(args, "arrivals", 10, 1, kMaxInt));
     gen.device.width =
-        static_cast<Area>(flag_int(args, "device").value_or(100));
+        static_cast<Area>(int_flag(args, "device", 100, 1, kMaxInt));
     scenario = rt::generate_scenario(gen);
     if (has_flag(args, "emit")) {
       std::fputs(rt::format_scenario(scenario).c_str(), stdout);
@@ -156,12 +153,10 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (const auto rho = flag_int(args, "rho")) {
-    scenario.reconf.per_column = static_cast<Ticks>(*rho);
-  }
-  if (const auto fixed = flag_int(args, "fixed")) {
-    scenario.reconf.fixed = static_cast<Ticks>(*fixed);
-  }
+  scenario.reconf.per_column = static_cast<Ticks>(
+      int_flag(args, "rho", scenario.reconf.per_column, 0, kMaxLong));
+  scenario.reconf.fixed = static_cast<Ticks>(
+      int_flag(args, "fixed", scenario.reconf.fixed, 0, kMaxLong));
 
   rt::RuntimeConfig config;
   const std::string policy = flag_str(args, "policy");

@@ -239,22 +239,17 @@ int main(int argc, char** argv) {
 
   const std::string listen = flag_str(args, "listen");
   const long long cache_capacity =
-      flag_int(args, "cache-capacity").value_or(65536);
-  const long long shards = flag_int(args, "shards").value_or(0);
-  const long long io_threads = flag_int(args, "io-threads").value_or(1);
-  const long long max_queue = flag_int(args, "max-queue").value_or(4096);
+      int_flag(args, "cache-capacity", 65536, 0, kMaxLong);
+  // Upper bounds keep absurd values from turning into a thread-spawn storm.
+  const long long shards = int_flag(args, "shards", 0, 0, 65'536);
+  const long long io_threads = int_flag(args, "io-threads", 1, 1, 256);
+  const long long max_queue = int_flag(args, "max-queue", 4096, 1, 10'000'000);
   const long long timeout_ms =
-      flag_int(args, "request-timeout-ms").value_or(0);
+      int_flag(args, "request-timeout-ms", 0, 0, kMaxLong);
   const std::string overload = flag_str(args, "overload");
   if (!overload.empty() && overload != "block" && overload != "shed") {
     std::fprintf(stderr, "invalid --overload mode '%s' (block|shed)\n",
                  overload.c_str());
-    return usage();
-  }
-  // Upper bounds keep absurd values from turning into a thread-spawn storm.
-  if (cache_capacity < 0 || shards < 0 || shards > 65'536 ||
-      io_threads <= 0 || io_threads > 256 || max_queue <= 0 ||
-      max_queue > 10'000'000 || timeout_ms < 0) {
     return usage();
   }
   if (!listen.empty() && !input_path.empty()) {
