@@ -1,12 +1,12 @@
 // Ablation: the two GN1 printed-theorem vs worked-example discrepancies
-// (DESIGN.md §2):
+// (Gn1Options in analysis/options.hpp):
 //   (1) beta normalization   W/D_i (published, default) vs W/D_k (BCL window)
 //   (2) RHS area coefficient (A-A_k+1) (Lemma 3, default) vs (A-A_k) (listed
 //       in Theorem 2).
 // Reports acceptance of the four combinations, plus the soundness guard:
 // every accepted taskset is simulated under EDF-NF; any miss would expose an
 // unsound variant (the published W/D_i form is the theoretically suspect
-// one — see DESIGN.md).
+// one — see Gn1Options::Normalization).
 
 #include <cstdio>
 

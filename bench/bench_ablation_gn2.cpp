@@ -1,4 +1,5 @@
-// Ablation: GN2 condition-2 strictness (DESIGN.md §2 item 3). As printed
+// Ablation: GN2 condition-2 strictness (Gn2Options::non_strict_condition2
+// in analysis/options.hpp). As printed
 // the theorem uses `≤`; at exact knife-edge equality (the paper's own
 // Table 1) that accepts a taskset the paper reports rejected. This bench
 // measures how often the boundary actually matters on random tasksets, and

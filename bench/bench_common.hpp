@@ -2,7 +2,7 @@
 
 // Shared plumbing for the figure/table reproduction benches.
 //
-// Environment knobs (documented in EXPERIMENTS.md):
+// Environment knobs:
 //   RECONF_SAMPLES  tasksets per utilization bin   (default 1000;
 //                   the paper uses >= 10000 — set RECONF_SAMPLES=10000 for a
 //                   full-fidelity, slower reproduction)
@@ -63,7 +63,7 @@ inline void emit_figure(const std::string& name, const std::string& caption,
                         const exp::SweepResult& result) {
   std::printf("=== %s — %s ===\n", name.c_str(), caption.c_str());
   std::printf("samples/bin=%d bins=%d horizon_periods=%d (paper: >=10000 "
-              "samples; see EXPERIMENTS.md)\n\n",
+              "samples; RECONF_* knobs: bench/bench_common.hpp)\n\n",
               samples_per_bin(), bins(), horizon_periods());
   std::fputs(exp::format_table(result).c_str(), stdout);
   std::fputs("\n", stdout);

@@ -1,6 +1,6 @@
 // Figure 4(a): acceptance ratio vs total system utilization for 10
 // spatially-heavy, temporally-light tasks (A ~ U[50,100], u ~ U(0.05,0.3);
-// exact ranges are not published — see EXPERIMENTS.md).
+// exact ranges are not published — see the gen::GenProfile presets).
 //
 // Paper-shape expectations (Section 6): "For spatially-heavy tasksets ...
 // all three tests exhibit poor performance" — acceptance collapses at low

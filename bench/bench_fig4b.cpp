@@ -1,6 +1,6 @@
 // Figure 4(b): acceptance ratio vs total system utilization for 10
 // spatially-light, temporally-heavy tasks (A ~ U[1,30], u ~ U(0.5,1);
-// exact ranges are not published — see EXPERIMENTS.md).
+// exact ranges are not published — see the gen::GenProfile presets).
 //
 // Paper-shape expectations (Section 6): "For temporally-heavy tasks, GN1
 // performs best while DP performs worst" — DP's bound degrades with

@@ -125,52 +125,21 @@ void BM_Gn2TestExact(benchmark::State& state) {
 BENCHMARK(BM_Gn2TestExact)->Arg(4)->Arg(10)->Arg(20);
 
 // The paper trio through the reference evaluators with every test run —
-// the full-diagnostics AnalysisRequest defaults, timing off.
+// the AnalysisRequest defaults through run(), which times each analyzer.
 void BM_EngineTrioReference(benchmark::State& state) {
+  const ScopedObs obs_off(false);
   const TaskSet ts = make_taskset(static_cast<int>(state.range(0)), 55);
   const Device dev{100};
-  analysis::AnalysisRequest request;
-  request.measure = false;
-  const analysis::AnalysisEngine engine{std::move(request)};
+  const analysis::AnalysisEngine engine{analysis::AnalysisRequest{}};
   for (auto _ : state) {
     benchmark::DoNotOptimize(engine.run(ts, dev).accepted());
   }
 }
 BENCHMARK(BM_EngineTrioReference)->Arg(4)->Arg(10)->Arg(32);
 
-// Same trio through a prebuilt AnalysisEngine with cheapest-first early
-// exit — the serving configuration. fast_any_request() selects fast mode,
-// so this measures the SoA kernels through run()'s minimal-TestReport
-// path; the gap to BM_EngineTrioReference combines
-// kernel-vs-reference-evaluator cost with early exit.
-void BM_EngineTrioEarlyExit(benchmark::State& state) {
-  const ScopedObs obs_off(false);
-  const TaskSet ts = make_taskset(static_cast<int>(state.range(0)), 55);
-  const Device dev{100};
-  const analysis::AnalysisEngine engine{analysis::fast_any_request()};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.run(ts, dev).accepted());
-  }
-}
-BENCHMARK(BM_EngineTrioEarlyExit)->Arg(4)->Arg(10)->Arg(32);
-
-void BM_EngineTrioRunAll(benchmark::State& state) {
-  const ScopedObs obs_off(false);
-  const TaskSet ts = make_taskset(static_cast<int>(state.range(0)), 55);
-  const Device dev{100};
-  analysis::AnalysisRequest request;
-  request.measure = false;
-  const analysis::AnalysisEngine engine{std::move(request)};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.run(ts, dev).accepted());
-  }
-}
-BENCHMARK(BM_EngineTrioRunAll)->Arg(4)->Arg(10)->Arg(32);
-
 // The allocation-free serving verdict: paper trio, SoA kernels, early exit
-// inside decide(). The gap to BM_EngineTrioEarlyExit (same kernels through
-// run()) is the minimal-TestReport/outcome-vector assembly run() still
-// pays in fast mode.
+// inside decide(). The gap to BM_EngineTrioReference combines
+// kernel-vs-reference-evaluator cost with early exit.
 void BM_EngineTrioDecide(benchmark::State& state) {
   const ScopedObs obs_off(false);
   const TaskSet ts = make_taskset(static_cast<int>(state.range(0)), 55);

@@ -19,9 +19,7 @@ int main(int argc, char** argv) {
   const Device fpga{100};
   // One resolved engine for the whole sweep; run-all so every column of the
   // table is filled even after the first test accepts.
-  analysis::AnalysisRequest request;
-  request.measure = false;
-  const analysis::AnalysisEngine engine{std::move(request)};
+  const analysis::AnalysisEngine engine{analysis::AnalysisRequest{}};
 
   std::printf(
       "%-6s | %-3s %-3s %-3s | %-22s | %-22s | %s\n", "U_S", "DP", "GN1",

@@ -326,8 +326,6 @@ FastVerdict Analyzer::run_fast(detail::AnalysisScratch&, const TaskSet& ts,
 AnalysisRequest fast_any_request() {
   AnalysisRequest request;
   request.early_exit = true;
-  request.measure = false;
-  request.diagnostics = false;
   return request;
 }
 
@@ -449,29 +447,6 @@ AnalysisReport AnalysisEngine::run(const TaskSet& ts, Device device) const {
   AnalysisReport out;
   out.outcomes.reserve(analyzers_.size());
 
-  // Fast mode shares one SoA scratch (bound lazily, at most once) across
-  // every fast-capable analyzer of this run.
-  detail::AnalysisScratch* scratch = nullptr;
-  const auto evaluate = [&](const Analyzer& analyzer) {
-    if (request_.diagnostics || !analyzer.has_fast_path()) {
-      return analyzer.run(ts, device, request_.config);
-    }
-    if (scratch == nullptr) {
-      scratch = &detail::thread_scratch();
-      scratch->build(ts);
-    }
-    const FastVerdict v =
-        analyzer.run_fast(*scratch, ts, device, request_.config);
-    TestReport minimal;
-    minimal.test_name = analyzer.id();
-    minimal.verdict = v.verdict;
-    if (v.first_failing_task >= 0) {
-      minimal.first_failing_task = static_cast<std::size_t>(
-          v.first_failing_task);
-    }
-    return minimal;
-  };
-
   bool decided = false;
   for (std::size_t i = 0; i < analyzers_.size(); ++i) {
     const Analyzer& analyzer = *analyzers_[i];
@@ -482,23 +457,15 @@ AnalysisReport AnalysisEngine::run(const TaskSet& ts, Device device) const {
       continue;
     }
 
+    const ObsCell& oc = obs_[i];
     {
-      // Span category names which evaluation path answered: "fast" = the
-      // allocation-free SoA kernel, "reference" = the full evaluator.
-      const obs::Span analyzer_span(
-          obs_[i].span_name,
-          request_.diagnostics ? "reference" : obs_[i].fast_cat);
-      if (request_.measure) {
-        Stopwatch watch;
-        outcome.report = evaluate(analyzer);
-        outcome.seconds = watch.seconds();
-      } else {
-        outcome.report = evaluate(analyzer);
-      }
+      const obs::Span analyzer_span(oc.span_name, "reference");
+      Stopwatch watch;
+      outcome.report = analyzer.run(ts, device, request_.config);
+      outcome.seconds = watch.seconds();
     }
     outcome.ran = true;
 
-    const ObsCell& oc = obs_[i];
     if (outcome.report.accepted()) {
       oc.accept->inc();
     } else if (outcome.report.refused) {
@@ -508,10 +475,8 @@ AnalysisReport AnalysisEngine::run(const TaskSet& ts, Device device) const {
     } else {
       oc.inconclusive->inc();
     }
-    if (request_.measure) {
-      oc.latency->record(
-          static_cast<std::uint64_t>(std::llround(outcome.seconds * 1e9)));
-    }
+    oc.latency->record(
+        static_cast<std::uint64_t>(std::llround(outcome.seconds * 1e9)));
 
     if (outcome.report.accepted()) {
       out.verdict = Verdict::kSchedulable;
@@ -532,32 +497,21 @@ Decision AnalysisEngine::decide(const TaskSet& ts, Device device) const {
 
   for (std::size_t i = 0; i < analyzers_.size(); ++i) {
     const Analyzer& analyzer = *analyzers_[i];
+    const ObsCell& oc = obs_[i];
     FastVerdict v;
-    double seconds = 0.0;
     {
-      const obs::Span analyzer_span(obs_[i].span_name, obs_[i].fast_cat);
-      if (request_.measure) {
-        Stopwatch watch;
-        v = analyzer.run_fast(scratch, ts, device, request_.config);
-        seconds = watch.seconds();
-      } else {
-        v = analyzer.run_fast(scratch, ts, device, request_.config);
-      }
+      const obs::Span analyzer_span(oc.span_name, oc.fast_cat);
+      v = analyzer.run_fast(scratch, ts, device, request_.config);
     }
 
     // The hot-path telemetry promise: one relaxed increment per analyzer
     // verdict (FastVerdict cannot see refusals — those count inconclusive).
-    const ObsCell& oc = obs_[i];
     if (v.verdict == Verdict::kSchedulable) {
       oc.accept->inc();
     } else if (v.first_failing_task >= 0) {
       oc.reject->inc();
     } else {
       oc.inconclusive->inc();
-    }
-    if (request_.measure) {
-      oc.latency->record(
-          static_cast<std::uint64_t>(std::llround(seconds * 1e9)));
     }
 
     if (v.verdict == Verdict::kSchedulable) {

@@ -153,8 +153,11 @@ class UnknownAnalyzerError : public std::invalid_argument {
   std::string id_;
 };
 
-/// Everything that parameterizes one analysis run: which tests, under which
-/// scheduler restriction, with which options, and how eagerly to stop.
+/// Everything that parameterizes one analysis: which tests, under which
+/// scheduler restriction, with which options, and how eagerly run() stops.
+/// How a verdict is evaluated is the caller's choice of engine method:
+/// run() for the timed reference report, decide() for the untimed kernel
+/// verdict.
 struct AnalysisRequest {
   /// Registry ids to run. Defaults to the paper's Section 6 lineup.
   /// Duplicates are ignored; an empty list builds an engine that runs
@@ -168,47 +171,23 @@ struct AnalysisRequest {
 
   AnalyzerConfig config;
 
-  /// Stop after the first acceptance (sufficient tests are a union — one
-  /// accept decides). Skipped analyzers still appear in the report with
+  /// Stop run() after the first acceptance (sufficient tests are a union —
+  /// one accept decides). Skipped analyzers still appear in the report with
   /// ran == false. The verdict and accepted_by are unaffected because
-  /// execution order is deterministic, so early exit is safe to flip for
-  /// throughput without invalidating cached verdicts.
+  /// execution order is deterministic, so early exit is excluded from the
+  /// fingerprint and cached verdicts are shared. decide() always stops at
+  /// the first acceptance.
   bool early_exit = false;
-
-  /// Record per-analyzer wall time. Off for tight sweep loops where two
-  /// clock reads per linear-time test would show up in the profile.
-  bool measure = true;
-
-  /// Full per-task diagnostics (default). When false — fast mode — every
-  /// analyzer with a fast path answers through the allocation-free SoA
-  /// kernels: run() synthesizes minimal TestReports (verdict and
-  /// first_failing_task only; test_name is the registry id, per_task and
-  /// note stay empty) and decide() allocates nothing at all.
-  ///
-  /// Verdict contract across modes: every branch decision and λ filter is
-  /// taken with the same exact rational comparisons in both paths; the GN2
-  /// kernel regroups the floating-point sums (aggregate partial sums
-  /// instead of task-order accumulation), a ~1e-13 perturbation that the
-  /// ε-guarded DoublePolicy comparisons absorb — a flip would need an
-  /// input tuned to within ~1e-13 of the 1e-9 guard band, where accepting
-  /// and rejecting are both sound readings of the theorem's strict
-  /// inequality. The fastpath parity suite enforces identical verdict,
-  /// accepted_by, first_failing_task and GN2 λ/condition across a
-  /// randomized corpus. Like early_exit and measure, this knob is
-  /// excluded from the fingerprint and cached verdicts are shared across
-  /// modes.
-  bool diagnostics = true;
 };
 
-/// The serving configuration: paper trio, cheapest-first early exit, no
-/// timing, no diagnostics (SoA fast path). What every accepted()-only hot
-/// path (sweeps, width scans, the batch default) wants.
+/// The serving configuration: paper trio with cheapest-first early exit.
+/// What every decide() caller (the serving default, the runtime gate)
+/// builds its engine from.
 [[nodiscard]] AnalysisRequest fast_any_request();
 
-/// A single-analyzer spelling of the same fast configuration — one test id,
-/// no timing, no diagnostics. The shape the perf benches (bench_perf,
-/// bench_report) measure each kernel through, shared so both always
-/// benchmark the identical request.
+/// A single-analyzer spelling of the same configuration — one test id. The
+/// shape the perf benches (bench_perf, bench_report) measure each kernel
+/// through, shared so both always benchmark the identical request.
 [[nodiscard]] AnalysisRequest fast_single_request(std::string test);
 
 /// Allocation-free result of AnalysisEngine::decide — the union verdict and
@@ -229,7 +208,7 @@ struct AnalyzerOutcome {
   std::string id;
   bool ran = false;       ///< false when early-exit skipped this analyzer
   TestReport report;      ///< meaningful only when ran
-  double seconds = 0.0;   ///< wall time of run(); 0 when !ran or !measure
+  double seconds = 0.0;   ///< wall time of Analyzer::run; 0 when !ran
 };
 
 /// Result of AnalysisEngine::run — the union verdict plus one outcome per
@@ -265,27 +244,34 @@ class AnalysisEngine {
   AnalysisEngine(AnalysisEngine&&) noexcept = default;
   AnalysisEngine& operator=(AnalysisEngine&&) noexcept = default;
 
-  /// Runs the selected analyzers in execution order. Verdict and
-  /// accepted_by depend only on (taskset, device, fingerprint()) — never on
-  /// early_exit, measure, diagnostics, or thread interleaving.
+  /// The reference report: runs the selected analyzers in execution order
+  /// through Analyzer::run (full per-task diagnostics), timing each one
+  /// into AnalyzerOutcome::seconds and reconf_engine_latency_ns. Verdict
+  /// and accepted_by depend only on (taskset, device, fingerprint()) —
+  /// never on early_exit or thread interleaving.
   [[nodiscard]] AnalysisReport run(const TaskSet& ts, Device device) const;
 
-  /// The verdict-only hot path: evaluates analyzers in execution order via
-  /// their fast paths over a thread-local SoA scratch, stopping at the
-  /// first acceptance (always — the union verdict cannot change). Returns
-  /// the same verdict and accepting analyzer as run() for every input, with
-  /// zero heap allocation per call once the calling thread's arena is warm
-  /// (analyzers without a fast path fall back to run() internally and do
-  /// allocate). The reconf_engine_verdicts_total counters move as for run()
-  /// with early_exit — analyzers skipped after the deciding acceptance are
-  /// not counted.
+  /// The untimed kernel verdict: evaluates analyzers in execution order
+  /// through Analyzer::run_fast over a thread-local SoA scratch, stopping at
+  /// the first acceptance, and never reads a clock. Zero heap allocation per
+  /// call once the calling thread's arena is warm (analyzers without a
+  /// kernel adapt run() and do allocate). The reconf_engine_verdicts_total
+  /// counters move as for run() with early_exit.
+  ///
+  /// Returns the same verdict and accepting analyzer as run() for every
+  /// input: every branch decision and λ filter is taken with the same exact
+  /// rational comparisons in both paths. The GN2 kernel regroups its
+  /// floating-point sums, a ~1e-13 perturbation that the ε-guarded
+  /// DoublePolicy comparisons absorb. The fastpath parity suite enforces
+  /// identical verdict, accepted_by, first_failing_task and GN2
+  /// λ/condition across a randomized corpus.
   [[nodiscard]] Decision decide(const TaskSet& ts, Device device) const;
 
   /// Fingerprint of the resolved configuration: the ordered analyzer ids
   /// and each analyzer's options fingerprint. Two engines with equal
   /// fingerprints produce identical verdicts for every input, so this (and
-  /// only this) is what verdict-cache keys mix in. Diagnostics knobs
-  /// (early_exit, measure) are deliberately excluded.
+  /// only this) is what verdict-cache keys mix in. early_exit is
+  /// deliberately excluded.
   [[nodiscard]] std::uint64_t fingerprint() const noexcept {
     return fingerprint_;
   }
@@ -317,19 +303,19 @@ class AnalysisEngine {
   /// analyzer id, so every engine instance feeds the same counters (the
   /// registry accumulates across batch waves and sessions). Verdict
   /// classes: accept = kSchedulable; refuse = the analyzer declined the
-  /// input model (diagnostics path only — the fast path cannot distinguish
-  /// a refusal and counts it inconclusive); reject = kInconclusive with a
-  /// named failing task; inconclusive = the rest.
+  /// input model (run() only — decide() cannot distinguish a refusal and
+  /// counts it inconclusive); reject = kInconclusive with a named failing
+  /// task; inconclusive = the rest.
   struct ObsCell {
     obs::Counter* accept = nullptr;
     obs::Counter* reject = nullptr;
     obs::Counter* refuse = nullptr;
     obs::Counter* inconclusive = nullptr;
-    obs::Histogram* latency = nullptr;  ///< recorded only when measure
-    /// Span name/category, resolved at construction so the hot loop never
-    /// makes the id()/has_fast_path() virtual calls just to label a
-    /// (usually inactive) span. The name view aliases the analyzer's static
-    /// id storage. decide() always takes the fast kernel when one exists.
+    obs::Histogram* latency = nullptr;  ///< recorded by run() only
+    /// Span names and decide()'s span category, resolved at construction so
+    /// the hot loop never makes the id()/has_fast_path() virtual calls just
+    /// to label a (usually inactive) span. The name view aliases the
+    /// analyzer's static id storage. run() spans are always "reference".
     std::string_view span_name;
     const char* fast_cat = "reference";
   };

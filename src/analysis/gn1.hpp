@@ -17,7 +17,8 @@ namespace reconf::analysis {
 /// N_i = ⌊(D_k − D_i)/T_i⌋ + 1 (clamped at 0). Only valid for EDF-NF —
 /// EDF-FkF is not interval-α-work-conserving with α based on A_k.
 ///
-/// Defaults follow the paper's worked examples; see Gn1Options / DESIGN.md.
+/// Defaults follow the paper's worked examples; see Gn1Options in
+/// analysis/options.hpp.
 [[nodiscard]] TestReport gn1_test(const TaskSet& ts, Device device,
                                   const Gn1Options& options = {});
 

@@ -16,7 +16,8 @@ namespace reconf::analysis {
 /// λ_k = λ·max(1, T_k/D_k) and A_bnd = A(H) − A_max + 1 either
 ///   1) Σ_i A_i·min(β_λ(i), 1 − λ_k) <  A_bnd·(1 − λ_k)   or
 ///   2) Σ_i A_i·min(β_λ(i), 1)      <  (A_bnd − A_min)(1 − λ_k) + A_min
-/// holds (condition 2 strict by default; see Gn2Options / DESIGN.md §2).
+/// holds (condition 2 strict by default; see Gn2Options in
+/// analysis/options.hpp).
 ///
 /// Runtime is O(N³) over the candidate set, as the paper notes.
 [[nodiscard]] TestReport gn2_test(const TaskSet& ts, Device device,

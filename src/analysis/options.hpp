@@ -20,8 +20,8 @@ struct DpOptions {
 };
 
 /// Options for the GN1 test (Theorem 2 — EDF-NF bound derived from BCL).
-/// Defaults follow the paper's own worked examples; see DESIGN.md §2 for the
-/// printed-theorem vs worked-example discrepancies these flags expose.
+/// Defaults follow the paper's own worked examples; each flag below names
+/// the printed-theorem vs worked-example discrepancy it exposes.
 struct Gn1Options {
   /// Denominator of β_i = W̄_i / (·):
   ///  * kPublishedDi — D_i, as printed in Theorem 2 and as used by the

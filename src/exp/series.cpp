@@ -10,10 +10,8 @@ namespace reconf::exp {
 
 SeriesSpec engine_series(std::string name, analysis::AnalysisRequest request) {
   // Sweep predicates only consume accepted(): early exit keeps the verdict
-  // and skips the expensive tail; timing off keeps clock reads out of the
-  // per-sample hot loop.
+  // and skips the expensive tail.
   request.early_exit = true;
-  request.measure = false;
   auto engine =
       std::make_shared<analysis::AnalysisEngine>(std::move(request));
   return {std::move(name), [engine](const TaskSet& ts, Device dev) {

@@ -46,7 +46,8 @@ Ticks wcet_cap(const Task& t) { return std::min(t.deadline, t.period); }
 /// Retargeting stays inside these so the class semantics survive: a
 /// "temporally heavy" taskset (u in [0.5,1]) keeps every u >= ~0.5 no
 /// matter what U_S target is requested — unreachable targets fail instead
-/// of silently changing the distribution (see EXPERIMENTS.md).
+/// of silently changing the distribution (see GenRequest in
+/// gen/generator.hpp).
 struct WcetBounds {
   Ticks lo = 1;
   Ticks hi = 1;

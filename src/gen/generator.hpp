@@ -16,8 +16,8 @@ namespace reconf::gen {
 /// [util_min, util_max].
 ///
 /// The paper's constrained classes (Fig. 4) are expressed as presets; the
-/// paper does not publish their exact numeric ranges, so the choices here
-/// are recorded in EXPERIMENTS.md and configurable.
+/// paper does not publish their exact numeric ranges, so each preset below
+/// records the ranges chosen here, and every field stays configurable.
 struct GenProfile {
   int num_tasks = 10;
 
@@ -44,9 +44,11 @@ struct GenProfile {
 
   /// Fig. 3: "unconstrained execution time and area size distributions".
   [[nodiscard]] static GenProfile unconstrained(int num_tasks);
-  /// Fig. 4(a): "spatially heavy and temporally light tasks".
+  /// Fig. 4(a): "spatially heavy and temporally light tasks" — chosen as
+  /// A ~ U[50, 100], u ~ U[0.05, 0.30].
   [[nodiscard]] static GenProfile spatially_heavy_time_light(int num_tasks);
-  /// Fig. 4(b): "spatially light and temporally heavy tasks".
+  /// Fig. 4(b): "spatially light and temporally heavy tasks" — chosen as
+  /// A ~ U[1, 30], u ~ U[0.50, 1].
   [[nodiscard]] static GenProfile spatially_light_time_heavy(int num_tasks);
 };
 

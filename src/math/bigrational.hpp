@@ -14,7 +14,8 @@ namespace reconf::math {
 /// schedulability tests. All quantities in Theorems 1-3 are rationals in the
 /// integer task parameters, so evaluating the conditions over BigRational
 /// gives tie-exact verdicts — the knife-edge equalities in the paper's
-/// Table 1 (see DESIGN.md §2) are decided exactly rather than by float luck.
+/// Table 1 (see Gn2Options in analysis/options.hpp) are decided exactly
+/// rather than by float luck.
 ///
 /// Invariants: den > 0; gcd(|num|, den) == 1; zero is 0/1.
 class BigRational {

@@ -263,7 +263,8 @@ struct AsyncServer::Impl {
 
   std::string answer(const RequestMsg& msg, svc::ShardCache* cache) {
     const svc::BatchVerdict v =
-        svc::evaluate_with_engine(*msg.engine, msg.request, cache);
+        svc::evaluate_with_engine(*msg.engine, msg.request, cache,
+                                  config.options.explain);
     if (!v.shed.empty()) {
       sheds.fetch_add(1, std::memory_order_relaxed);
       return svc::format_shed_line(v.id, v.shed);

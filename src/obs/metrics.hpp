@@ -22,8 +22,8 @@
 /// (monotonic counters can only under-report in-flight increments).
 ///
 /// Kill switch: set_enabled(false) (or env RECONF_OBS=0 at startup) turns
-/// every write into a relaxed load + branch; bench_perf measures the
-/// disabled decide() path against the committed baseline.
+/// every write into a relaxed load + branch; bench_report times the
+/// disabled decide() path into the committed baseline (BENCH_perf.json).
 ///
 /// Naming scheme (see README "Observability"): Prometheus-style
 /// `reconf_<subsystem>_<quantity>[_total]{label="value",...}` — the full

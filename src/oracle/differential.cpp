@@ -16,12 +16,10 @@ namespace {
 analysis::AnalysisRequest reference_request(std::vector<std::string> tests) {
   analysis::AnalysisRequest request;
   request.tests = std::move(tests);
-  // Reference configuration: every analyzer runs (no early exit) with full
-  // diagnostics, so each AnalyzerOutcome is a genuine slow-path verdict to
-  // hold against both the fast path and the simulation.
+  // Reference configuration: every analyzer runs (no early exit), so each
+  // run() outcome is a genuine reference-evaluator verdict to hold against
+  // both decide() and the simulation.
   request.early_exit = false;
-  request.measure = false;
-  request.diagnostics = true;
   return request;
 }
 

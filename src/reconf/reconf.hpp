@@ -13,8 +13,11 @@
 // `Analyzer` with an id and capability metadata (scheduler soundness,
 // deadline model, cost class). An `AnalysisEngine` resolves an
 // `AnalysisRequest` (test ids, optional scheduler restriction, per-test
-// options) once and then serves thread-safe, deterministic verdicts with
-// per-analyzer reports, timings and a configuration fingerprint for caching.
+// options, early exit) once and then serves thread-safe, deterministic
+// verdicts two ways: run() is the timed reference report (per-analyzer
+// reports and timings), decide() the untimed, allocation-free kernel
+// verdict. Both agree on every verdict, and the engine's configuration
+// fingerprint keys caching.
 //
 // Typical use:
 //
@@ -27,7 +30,7 @@
 //   // Section 6 recommendation: run the paper trio, accept if any accepts.
 //   const analysis::AnalysisEngine engine(analysis::AnalysisRequest{});
 //   const auto verdict = engine.run(ts, fpga);          // per-test reports
-//   // Or the verdict alone, through the allocation-free fast path:
+//   // Or the verdict alone, through the allocation-free kernels:
 //   const bool any = analysis::AnalysisEngine(analysis::fast_any_request())
 //                        .decide(ts, fpga).accepted();
 //
@@ -37,8 +40,10 @@
 // runtime's online admission gate: decide() on the set it holds plus the
 // arriving task. evaluate_with_engine answers one request behind a
 // per-shard LRU verdict cache keyed by the canonical taskset hash mixed
-// with the engine fingerprint, and the NDJSON codec reads and writes the
-// wire; net/ is the serving core behind reconf_serve.
+// with the engine fingerprint — through decide(), or run() with
+// per-analyzer sub-verdicts when BatchOptions::explain is set — and the
+// NDJSON codec reads and writes the wire; net/ is the serving core behind
+// reconf_serve.
 //
 // The sim/ layer simulates the paper's 1D model (sim::simulate). Its
 // sim::JobTable is the one EDF dispatch core: the simulator and the online

@@ -26,7 +26,7 @@ std::optional<std::size_t> StaticLookaheadPolicy::choose(
   std::optional<std::size_t> best;
   for (std::size_t i = 0; i < ctx.candidates.size(); ++i) {
     const PrefetchCandidate& c = ctx.candidates[i];
-    if (c.next_release - ctx.now > window_) continue;
+    if (c.next_release - ctx.now > kWindow) continue;
     if (!best) {
       best = i;
       continue;

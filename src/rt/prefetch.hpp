@@ -69,7 +69,6 @@ struct PrefetchContext {
 class PrefetchPolicy {
  public:
   virtual ~PrefetchPolicy() = default;
-  [[nodiscard]] virtual std::string_view name() const noexcept = 0;
   [[nodiscard]] virtual std::optional<std::size_t> choose(
       const PrefetchContext& ctx) = 0;
 };
@@ -80,19 +79,10 @@ class PrefetchPolicy {
 /// a far release with zero slack loses to a near release with plenty.
 class StaticLookaheadPolicy final : public PrefetchPolicy {
  public:
-  static constexpr Ticks kDefaultWindow = 10 * kTicksPerUnit;
+  static constexpr Ticks kWindow = 10 * kTicksPerUnit;
 
-  explicit StaticLookaheadPolicy(Ticks window = kDefaultWindow)
-      : window_(window) {}
-
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return "static";
-  }
   [[nodiscard]] std::optional<std::size_t> choose(
       const PrefetchContext& ctx) override;
-
- private:
-  Ticks window_;
 };
 
 /// Hybrid heuristic à la Resano et al.: no fixed window — every candidate
@@ -105,9 +95,6 @@ class StaticLookaheadPolicy final : public PrefetchPolicy {
 /// shortens the job's stall by however much it got done.
 class HybridPrefetchPolicy final : public PrefetchPolicy {
  public:
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return "hybrid";
-  }
   [[nodiscard]] std::optional<std::size_t> choose(
       const PrefetchContext& ctx) override;
 };

@@ -118,13 +118,9 @@ class Runtime {
         device_(scenario.device),
         reconf_(scenario.reconf),
         session_(scenario.device, config.admission),
-        policy_(config.policy) {
+        policy_(make_prefetch_policy(config.prefetch)) {
     RECONF_EXPECTS(device_.valid());
     RECONF_EXPECTS(scenario.horizon > 0);
-    if (policy_ == nullptr) {
-      owned_policy_ = make_prefetch_policy(config.prefetch);
-      policy_ = owned_policy_.get();
-    }
     if (config_.check_invariants) {
       checker_ = std::make_unique<sim::InvariantChecker>(
           sim::SchedulerKind::kEdfNf,
@@ -911,8 +907,7 @@ class Runtime {
   Device device_;
   ReconfCostModel reconf_;
   svc::AdmissionSession session_;
-  PrefetchPolicy* policy_ = nullptr;
-  std::unique_ptr<PrefetchPolicy> owned_policy_;
+  std::unique_ptr<PrefetchPolicy> policy_;  ///< nullptr = never prefetch
   std::unique_ptr<sim::InvariantChecker> checker_;
 
   std::size_t next_event_ = 0;

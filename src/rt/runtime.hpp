@@ -33,8 +33,6 @@ using AdmissionProbe = std::function<void(
 struct RuntimeConfig {
   /// Which built-in prefetch heuristic drives the reconfiguration port.
   PrefetchKind prefetch = PrefetchKind::kNone;
-  /// Custom policy; overrides `prefetch` when set. Not owned.
-  PrefetchPolicy* policy = nullptr;
 
   /// Analyzer lineup for the admission gate. The default is the serving
   /// configuration (paper trio, SoA fast path, allocation-free decide()).

@@ -157,7 +157,7 @@ class Engine {
   }
 
   /// Recomputes the running set at `now` per the configured scheduler and
-  /// placement mode (paper Definitions 1-2; DESIGN.md §4).
+  /// placement mode (paper Definitions 1-2; modes in sim/config.hpp).
   void dispatch(Ticks now) {
     ++result_.dispatches;
     jobs_.sort(PriorityLess{
@@ -184,7 +184,8 @@ class Engine {
 
   /// Contiguous placement without live migration: running jobs keep their
   /// exact columns; anyone else needs a fresh contiguous gap (a new
-  /// reconfiguration). See DESIGN.md §4. Returns the occupied area.
+  /// reconfiguration). See PlacementMode in sim/config.hpp. Returns the
+  /// occupied area.
   Area dispatch_contiguous() {
     const bool fkf = config_.scheduler == SchedulerKind::kEdfFkF;
     std::vector<ActiveJob>& active = jobs_.active();

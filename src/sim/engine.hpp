@@ -8,8 +8,8 @@
 namespace reconf::sim {
 
 /// Event-driven simulation of global EDF hardware-task scheduling on a 1D
-/// reconfigurable device (paper Definitions 1-2; see DESIGN.md §4 for the
-/// authoritative semantics).
+/// reconfigurable device (paper Definitions 1-2; see sim/config.hpp for the
+/// scheduler and placement-mode semantics).
 ///
 /// Determinism: the result is a pure function of (ts, device, config).
 /// The paper's simulation setting is the default: synchronous release at

@@ -22,10 +22,6 @@ struct SvcMetrics {
       obs::MetricsRegistry::instance().counter("reconf_svc_requests_total");
   obs::Counter& accepted =
       obs::MetricsRegistry::instance().counter("reconf_svc_accepted_total");
-  obs::Counter& cache_hits = obs::MetricsRegistry::instance().counter(
-      "reconf_svc_cache_hits_total");
-  obs::Counter& cache_misses = obs::MetricsRegistry::instance().counter(
-      "reconf_svc_cache_misses_total");
   obs::Histogram& latency_ns = obs::MetricsRegistry::instance().histogram(
       "reconf_svc_request_latency_ns");
   obs::Counter& shed_deadline = obs::MetricsRegistry::instance().counter(
@@ -41,7 +37,7 @@ struct SvcMetrics {
 
 BatchVerdict evaluate_with_engine(const analysis::AnalysisEngine& engine,
                                   const BatchRequest& request,
-                                  VerdictStore* cache) {
+                                  VerdictStore* cache, bool explain) {
   const obs::Span request_span("svc.request", "svc");
   const SvcMetrics& metrics = SvcMetrics::get();
   const bool timed = obs::enabled();
@@ -70,7 +66,6 @@ BatchVerdict evaluate_with_engine(const analysis::AnalysisEngine& engine,
   if (cache != nullptr) {
     const obs::Span lookup_span("cache.lookup", "cache");
     if (auto cached = cache->lookup(out.hash)) {
-      metrics.cache_hits.inc();
       out.cache_hit = true;
       out.accepted = cached->accepted;
       out.accepted_by = std::move(cached->accepted_by);
@@ -81,13 +76,11 @@ BatchVerdict evaluate_with_engine(const analysis::AnalysisEngine& engine,
       }
       return out;
     }
-    metrics.cache_misses.inc();
   }
 
-  if (!engine.request().diagnostics) {
-    // Serving default: the allocation-free SoA fast path. No sub-verdicts —
-    // decide() early-exits inside the kernels and produces nothing to
-    // report beyond the union verdict (identical to run()'s by contract).
+  if (!explain) {
+    // Serving default: the allocation-free kernel verdict, identical to
+    // run()'s by contract, with nothing to report beyond it.
     const analysis::Decision decision =
         engine.decide(request.taskset, request.device);
     out.accepted = decision.accepted();
@@ -168,7 +161,8 @@ std::vector<BatchVerdict> run_batch(std::span<const BatchRequest> requests,
 
   std::vector<BatchVerdict> results(requests.size());
   pool.parallel_for(requests.size(), [&](std::size_t i) {
-    results[i] = evaluate_with_engine(*resolved[i], requests[i], cache);
+    results[i] = evaluate_with_engine(*resolved[i], requests[i], cache,
+                                      options.explain);
   });
   return results;
 }

@@ -65,9 +65,9 @@ struct BatchVerdict {
   std::uint64_t hash = 0;
   bool cache_hit = false;
   /// Per-analyzer outcomes; populated only when freshly analyzed (a cache
-  /// hit stores just the CachedVerdict summary) AND the pipeline runs in
-  /// diagnostics mode (BatchOptions::request.diagnostics) — the fast-path
-  /// serving default decides through the SoA kernels and reports none.
+  /// hit stores just the CachedVerdict summary) through the engine's
+  /// run(), i.e. under BatchOptions::explain. The serving default answers
+  /// through decide() and reports none.
   std::vector<SubVerdict> sub;
   /// Non-empty when the request could not be analyzed at all — e.g. its
   /// analyzer selection filtered down to nothing under the pipeline's
@@ -81,18 +81,20 @@ struct BatchVerdict {
   std::string shed;
 };
 
-/// Pipeline-wide analysis configuration: one AnalysisRequest shared by all
-/// requests that don't name their own tests. Serving default: the paper
-/// trio through the allocation-free SoA fast path (diagnostics off) with
-/// cheapest-first early exit — the union verdict is decided by the first
-/// acceptance, so the O(N³) test only runs when the cheap ones fail, and no
-/// per-task reports or timings are materialized. Set
-/// `request.diagnostics = true` (reconf_serve --explain) to evaluate
-/// through the full reference evaluators and populate the NDJSON "sub"
-/// array with per-analyzer sub-verdicts and timings; verdicts are identical
-/// in both modes, so cached entries are shared.
+/// Pipeline-wide analysis configuration. `request` is the AnalysisRequest
+/// shared by all requests that don't name their own tests; its default is
+/// the paper trio with cheapest-first early exit, so the O(N³) test only
+/// runs when the cheap ones fail.
+///
+/// `explain` picks the engine method. Off (the serving default), a fresh
+/// verdict comes from decide(): the untimed SoA kernels, no per-task
+/// reports. On (reconf_serve --explain), it comes from run(): the timed
+/// reference evaluators, whose per-analyzer sub-verdicts and timings fill
+/// the NDJSON "sub" array. Verdicts are identical either way, so cached
+/// entries are shared.
 struct BatchOptions {
   analysis::AnalysisRequest request = analysis::fast_any_request();
+  bool explain = false;
 };
 
 /// The one place a request's analyzer lineup becomes an engine. It holds
@@ -159,9 +161,11 @@ class EngineTable {
 /// the engine (EngineTable::resolve). This is the one verdict-producing
 /// path: the serving core's shard workers and the batch pipeline both
 /// funnel through it, which is what makes verdict parity across them a
-/// structural property rather than a test-enforced one.
+/// structural property rather than a test-enforced one. A miss is analyzed
+/// by engine.run() with `sub` filled when `explain`, else by
+/// engine.decide() (see BatchOptions::explain).
 [[nodiscard]] BatchVerdict evaluate_with_engine(
     const analysis::AnalysisEngine& engine, const BatchRequest& request,
-    VerdictStore* cache);
+    VerdictStore* cache, bool explain = false);
 
 }  // namespace reconf::svc

@@ -1,5 +1,5 @@
 // Directed coverage of the option matrix of the three tests: every variant
-// flag documented in DESIGN.md §2 is exercised against hand-computed
+// flag documented in analysis/options.hpp is exercised against hand-computed
 // expectations, plus engine lineup toggles and diagnostic contracts.
 
 #include <gtest/gtest.h>

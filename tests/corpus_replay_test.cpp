@@ -70,7 +70,6 @@ TEST_F(CorpusReplay, AnalyzeAndDecideMatchEveryRecordedExpectation) {
   for (const ReproCase& repro : corpus()) {
     analysis::AnalysisRequest request;
     if (!repro.tests.empty()) request.tests = repro.tests;
-    request.measure = false;
     const analysis::AnalysisEngine engine(request);
 
     const analysis::AnalysisReport report =
@@ -115,7 +114,6 @@ TEST_F(CorpusReplay, NoAnalyzerAcceptsASimulationRefutedWitness) {
     if (repro.expect_sync_miss != true) continue;
     analysis::AnalysisRequest request;
     request.scheduler = analysis::Scheduler::kEdfNf;
-    request.measure = false;
     const analysis::AnalysisEngine engine(request);
     const analysis::AnalysisReport report =
         engine.run(repro.taskset, repro.device);

@@ -278,6 +278,49 @@ TEST(AnalysisEngine, VerdictCountersAccumulateAcrossRuns) {
   EXPECT_EQ(verdicts("gn2"), gn2);
 }
 
+TEST(AnalysisEngine, RunTimesEveryAnalyzerItRanAndDecideNeverTimes) {
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  const auto latency_count = [](const std::string& analyzer) {
+    return obs::MetricsRegistry::instance()
+        .histogram("reconf_engine_latency_ns{analyzer=\"" + analyzer + "\"}")
+        .count();
+  };
+  const AnalysisEngine reference(AnalysisRequest{});
+  const AnalysisEngine serving(analysis::fast_any_request());
+  const std::vector<std::string> ids = reference.execution_order();
+  ASSERT_EQ(ids, serving.execution_order());
+
+  // Table 3 on A(H) = 10: only gn2 accepts, so decide() evaluates all three
+  // kernels. The feather set is accepted by dp, the first of them.
+  for (const TaskSet& ts : {table3_taskset(), feather_taskset()}) {
+    std::vector<std::uint64_t> before;
+    for (const std::string& id : ids) before.push_back(latency_count(id));
+    const auto report = reference.run(ts, Device{10});
+    ASSERT_EQ(report.outcomes.size(), ids.size());
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      const analysis::AnalyzerOutcome& o = report.outcomes[i];
+      ASSERT_TRUE(o.ran) << o.id;  // the default request runs every test
+      EXPECT_GT(o.seconds, 0.0) << o.id;
+      EXPECT_EQ(latency_count(ids[i]), before[i] + 1) << ids[i];
+    }
+
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      before[i] = latency_count(ids[i]);
+    }
+    for (int call = 0; call < 1000; ++call) {
+      const analysis::Decision d = serving.decide(ts, Device{10});
+      ASSERT_EQ(d.verdict, report.verdict);
+      ASSERT_EQ(std::string(d.accepted_by), report.accepted_by());
+    }
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      EXPECT_EQ(latency_count(ids[i]), before[i])
+          << "decide() recorded a latency for " << ids[i];
+    }
+  }
+  obs::set_enabled(was_enabled);
+}
+
 TEST(AnalysisEngine, MpAnalyzersGuardUnitArea) {
   AnalysisRequest request;
   request.tests = {"mp-gfb", "mp-bak2", "mp-bcl", "mp-bak1"};
@@ -334,11 +377,9 @@ TEST(EngineFingerprint, CoversAnalyzerSetAndOptions) {
   gn2_only_dp_knob.config.dp.alpha = analysis::DpOptions::Alpha::kOriginalReal;
   EXPECT_EQ(fp(gn2_only), fp(gn2_only_dp_knob));
 
-  // Diagnostics knobs never change the fingerprint (verdicts identical).
+  // Early exit never changes the fingerprint (verdicts identical).
   AnalysisRequest eager = trio;
   eager.early_exit = true;
-  eager.measure = false;
-  eager.diagnostics = false;  // SoA fast path: same verdicts by contract
   EXPECT_EQ(fp(trio), fp(eager));
 }
 
@@ -398,7 +439,6 @@ AnalysisRequest request_for(const CompositeOptions& options, bool for_fkf) {
   request.config.dp = options.dp;
   request.config.gn1 = options.gn1;
   request.config.gn2 = options.gn2;
-  request.measure = false;
   return request;
 }
 

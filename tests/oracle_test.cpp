@@ -277,7 +277,6 @@ TEST(Shrinker, ReducesInjectedViolationsToTinyRepros) {
 
   analysis::AnalysisRequest req;
   req.tests = {d.analyzer};
-  req.measure = false;
   const auto single =
       std::make_shared<analysis::AnalysisEngine>(req, registry);
   const OracleConfig oracle_cfg = harness.oracle_config();

@@ -9,8 +9,9 @@
 // The GN1 *as-published* variant (β_i = W̄_i/D_i) is checked separately: the
 // BCL derivation divides by the window D_k, so the published form could in
 // principle over-accept when D_i > D_k. The parameterized sweep records any
-// counterexample explicitly (see DESIGN.md §2); with the default seeds none
-// has been observed, and a hard failure here would be a reportable finding.
+// counterexample explicitly (see Gn1Options in analysis/options.hpp); with
+// the default seeds none has been observed, and a hard failure here would
+// be a reportable finding.
 
 #include <cstdint>
 #include <string>

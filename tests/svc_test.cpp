@@ -36,11 +36,11 @@ namespace reconf {
 namespace {
 
 /// The diagnostic spelling of the serving default (reconf_serve --explain):
-/// full reference evaluators, per-analyzer timings, sub-verdicts.
+/// misses go through the engine's run() — reference evaluators,
+/// per-analyzer timings, sub-verdicts.
 svc::BatchOptions explain_options() {
   svc::BatchOptions options;
-  options.request.diagnostics = true;
-  options.request.measure = true;
+  options.explain = true;
   return options;
 }
 
@@ -51,7 +51,7 @@ svc::BatchVerdict evaluate(const svc::BatchRequest& request,
                            const svc::BatchOptions& options) {
   svc::EngineTable engines(options);
   return svc::evaluate_with_engine(engines.resolve(request.tests), request,
-                                   cache);
+                                   cache, options.explain);
 }
 
 TaskSet table3_taskset() {
@@ -366,8 +366,9 @@ TEST(BatchPipeline, PerRequestTestsOverrideThePipelineDefault) {
   EXPECT_TRUE(c.cache_hit);
   EXPECT_EQ(c.accepted, b.accepted);
 
-  // The fast-path default shares those cache lines: identical verdicts, so
-  // a diagnostics-mode entry answers a fast-mode request and vice versa.
+  // The decide() default shares those cache lines: identical verdicts, so
+  // an entry explain's run() stored answers a default request and vice
+  // versa.
   const auto d = evaluate(dp_only, &cache, {});
   EXPECT_TRUE(d.cache_hit);
   EXPECT_EQ(d.hash, b.hash);
@@ -469,8 +470,8 @@ TEST(BatchPipeline, ExplainModeCarriesSubReportsInExecutionOrder) {
 }
 
 TEST(BatchPipeline, FastDefaultMatchesExplainVerdictsWithoutSubReports) {
-  // The serving default decides through the SoA fast path: no sub array,
-  // but verdict, accepted_by and cache key identical to diagnostics mode.
+  // The serving default answers through decide(): no sub array, but
+  // verdict, accepted_by and cache key identical to explain's run().
   svc::BatchRequest request;
   request.id = "f";
   request.taskset = table3_taskset();
@@ -484,7 +485,7 @@ TEST(BatchPipeline, FastDefaultMatchesExplainVerdictsWithoutSubReports) {
   EXPECT_EQ(fast.accepted, full.accepted);
   EXPECT_EQ(fast.accepted_by, full.accepted_by);
   EXPECT_EQ(fast.hash, full.hash)
-      << "diagnostics must not change the cache key";
+      << "explain must not change the cache key";
 }
 
 TEST(BatchPipeline, IdenticalResultsForOneAndManyThreads) {

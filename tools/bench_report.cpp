@@ -19,9 +19,9 @@
 //     N ∈ {4, 8, 16, 32, 64}, median of R repetitions;
 //   * the log2(t(64)/t(32)) complexity exponent per series — the fast GN2
 //     sweep must stay visibly below the reference's ~3;
-//   * latency percentiles (p50/p95/p99, nanoseconds) from the obs
-//     histograms: per-analyzer decide() latency in measured mode and the
-//     svc request latency over a mixed-duplicate stream. The ns/op series
+//   * latency percentiles (p50/p95/p99, nanoseconds) from obs histograms:
+//     whole single-analyzer decide() calls, timed by this tool, and the svc
+//     request latency over a mixed-duplicate stream. The ns/op series
 //     above run with obs DISABLED (baseline comparability — the committed
 //     baseline predates src/obs/); the percentile pass then re-enables it.
 //
@@ -157,32 +157,33 @@ struct Percentiles {
 };
 
 Percentiles snapshot_percentiles(std::string name,
-                                 const std::string& histogram) {
-  const obs::HistogramSnapshot snap =
-      obs::MetricsRegistry::instance().histogram(histogram).snapshot();
+                                 const obs::Histogram& histogram) {
+  const obs::HistogramSnapshot snap = histogram.snapshot();
   return {std::move(name), snap.percentile(0.50), snap.percentile(0.95),
           snap.percentile(0.99), snap.count};
 }
 
-/// Obs-enabled pass: populates and reads the latency histograms the serving
-/// tier exposes. Per-analyzer decide() latency needs measured mode (the
-/// serving default records no engine timings — see engine.cpp); the svc
-/// request histogram fills on the normal path, driven here by a short
-/// mixed-duplicate stream.
+/// Obs-enabled pass. decide() reads no clock, so each single-analyzer
+/// engine's whole decide() calls are timed here into a local histogram;
+/// the svc request histogram the serving tier exposes fills on the normal
+/// path, driven by a short mixed-duplicate stream.
 std::vector<Percentiles> run_percentile_pass(std::size_t iters,
                                              std::size_t requests) {
   obs::set_enabled(true);
   std::vector<Percentiles> out;
   const Device dev{100};
   for (const char* test : {"dp", "gn1", "gn2"}) {
-    analysis::AnalysisRequest request = analysis::fast_single_request(test);
-    request.measure = true;
-    const analysis::AnalysisEngine engine{std::move(request)};
+    const analysis::AnalysisEngine engine{
+        analysis::fast_single_request(test)};
     const TaskSet ts = make_taskset(32, 0xBA5E + 32u);
-    for (std::size_t i = 0; i < iters; ++i) (void)engine.decide(ts, dev);
-    out.push_back(snapshot_percentiles(
-        test,
-        "reconf_engine_latency_ns{analyzer=\"" + std::string(test) + "\"}"));
+    obs::Histogram latency_ns;
+    for (std::size_t i = 0; i < iters; ++i) {
+      const Stopwatch watch;
+      (void)engine.decide(ts, dev);
+      latency_ns.record(
+          static_cast<std::uint64_t>(std::llround(watch.seconds() * 1e9)));
+    }
+    out.push_back(snapshot_percentiles(test, latency_ns));
   }
 
   std::vector<svc::BatchRequest> stream;
@@ -213,8 +214,9 @@ std::vector<Percentiles> run_percentile_pass(std::size_t iters,
   for (const svc::BatchRequest& r : stream) {
     (void)svc::evaluate_with_engine(serving, r, &cache);
   }
-  out.push_back(
-      snapshot_percentiles("svc_request", "reconf_svc_request_latency_ns"));
+  out.push_back(snapshot_percentiles(
+      "svc_request", obs::MetricsRegistry::instance().histogram(
+                         "reconf_svc_request_latency_ns")));
   return out;
 }
 

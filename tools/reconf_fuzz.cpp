@@ -293,7 +293,6 @@ int main(int argc, char** argv) {
     if (d.kind == oracle::DisagreementKind::kSufficiencyViolation) {
       analysis::AnalysisRequest req;
       req.tests = {d.analyzer};
-      req.measure = false;
       single = std::make_shared<analysis::AnalysisEngine>(req, registry);
     }
     const auto outcome = oracle::shrink(

@@ -281,13 +281,7 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  if (has_flag(args, "explain")) {
-    // Diagnostics mode: evaluate through the full reference evaluators and
-    // carry per-analyzer sub-verdicts + timings in every fresh response.
-    // The default decides through the allocation-free SoA fast path.
-    config.options.request.diagnostics = true;
-    config.options.request.measure = true;
-  }
+  config.options.explain = has_flag(args, "explain");
   if (has_flag(args, "fkf")) {
     config.options.request.scheduler = analysis::Scheduler::kEdfFkF;
   }
