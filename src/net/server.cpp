@@ -826,13 +826,34 @@ struct AsyncServer::Impl {
       }
     }
     for (unsigned io = 0; io < io_count; ++io) {
-      io_threads.emplace_back([this, io] { io_main(io); });
+      io_threads.emplace_back([this, io] {
+        name_this_thread("reconf-io-", io);
+        io_main(io);
+      });
     }
     for (unsigned s = 0; s < shard_count; ++s) {
-      shard_threads.emplace_back([this, s] { shard_main(s); });
+      shard_threads.emplace_back([this, s] {
+        name_this_thread("reconf-shard-", s);
+        shard_main(s);
+      });
       maybe_pin(s, shard_threads.back());
     }
     return true;
+  }
+
+  /// Names the calling thread `prefix` + `index`, cut to the 15 bytes Linux
+  /// keeps, so /proc/<pid>/task/*/comm and `top -H` tell io threads from
+  /// shards. Each thread names itself: that is one prctl, where naming
+  /// another thread opens and writes its /proc comm file.
+  static void name_this_thread(const char* prefix, unsigned index) {
+#if defined(__linux__)
+    std::string name = prefix + std::to_string(index);
+    name.resize(std::min<std::size_t>(name.size(), 15));
+    ::pthread_setname_np(::pthread_self(), name.c_str());
+#else
+    (void)prefix;
+    (void)index;
+#endif
   }
 
   void publish_stats() {

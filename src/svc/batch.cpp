@@ -68,7 +68,7 @@ BatchVerdict evaluate_with_engine(const analysis::AnalysisEngine& engine,
     if (auto cached = cache->lookup(out.hash)) {
       out.cache_hit = true;
       out.accepted = cached->accepted;
-      out.accepted_by = std::move(cached->accepted_by);
+      out.accepted_by = cached->accepted_by;
       if (out.accepted) metrics.accepted.inc();
       if (timed) {
         metrics.latency_ns.record(

@@ -47,8 +47,8 @@ bool load_shard_snapshot(const std::vector<ShardCache*>& shards,
   // never depends on that: the router is the single source of placement
   // for restore and live traffic alike.
   const auto n = static_cast<std::uint32_t>(shards.size());
-  for (SnapshotEntry& e : entries) {
-    shards[shard_for_key(e.key, n)]->insert(e.key, std::move(e.verdict));
+  for (const SnapshotEntry& e : entries) {
+    shards[shard_for_key(e.key, n)]->insert(e.key, e.verdict);
   }
   if (restored != nullptr) *restored = entries.size();
   return true;

@@ -8,6 +8,7 @@
 #include <sstream>
 #include <string_view>
 
+#include "analysis/registry.hpp"
 #include "svc/shard_cache.hpp"
 
 namespace reconf::svc {
@@ -56,7 +57,7 @@ std::optional<CachedVerdict> VerdictCache::lookup(std::uint64_t key) {
 void VerdictCache::insert(std::uint64_t key, CachedVerdict verdict) {
   Stripe& st = stripe_for(key);
   const std::lock_guard<std::mutex> lock(st.mutex);
-  st.cache.insert(key, std::move(verdict));
+  st.cache.insert(key, verdict);
 }
 
 CacheStats VerdictCache::stats() const {
@@ -167,9 +168,20 @@ bool read_snapshot_entries(const std::string& path,
       return set_error(error,
                        path + ": malformed snapshot line '" + line + "'");
     }
+    // A verdict names its accepting analyzer exactly when it accepts, and
+    // only a registered analyzer can have accepted.
+    const analysis::Analyzer* by =
+        accepted_by == "-"
+            ? nullptr
+            : analysis::AnalyzerRegistry::instance().find(accepted_by);
+    if (accepted == 1 ? by == nullptr : accepted_by != "-") {
+      return set_error(error, path + ": inconsistent snapshot line '" + line +
+                                  "' (1 needs a registered analyzer, 0 "
+                                  "needs -)");
+    }
     entries.push_back(
         {key, CachedVerdict{accepted == 1,
-                            accepted_by == "-" ? "" : accepted_by}});
+                            by == nullptr ? std::string_view() : by->id()}});
   }
   if (entries.size() != count) {
     return set_error(error, path + ": truncated snapshot (" +

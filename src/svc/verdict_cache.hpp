@@ -5,6 +5,8 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace reconf::svc {
@@ -13,11 +15,16 @@ namespace reconf::svc {
 /// needs to answer a repeated request without re-running the tests. The full
 /// per-analyzer diagnostics are deliberately not cached — they are large,
 /// and a caller that wants them re-analyzes (see evaluate_with_engine).
+///
+/// Trivially copyable: a cache copies `accepted_by` into its own id table on
+/// insert, and the view a lookup returns points into that table and stays
+/// valid while the cache lives.
 struct CachedVerdict {
   bool accepted = false;
   /// Id of the first accepting analyzer ("dp"/"gn1"/…), empty on reject.
-  std::string accepted_by;
+  std::string_view accepted_by;
 };
+static_assert(std::is_trivially_copyable_v<CachedVerdict>);
 
 /// Monotonic counters for one shard, or aggregated over all shards
 /// (VerdictCache::stats() vs shard_stats()).
@@ -133,9 +140,12 @@ class VerdictCache : public VerdictStore {
   std::vector<std::unique_ptr<Stripe>> stripes_;
 };
 
-/// One cache entry: an LRU list node of ShardCache and one line of the v1
-/// snapshot format the async tier's shard fleet writes and reads
-/// (save_shard_snapshot / load_shard_snapshot in svc/shard_cache.hpp).
+/// One cache entry as it leaves or enters a cache: an element of
+/// ShardCache::entries_lru_to_mru() and one line of the v1 snapshot format
+/// the async tier's shard fleet writes and reads (save_shard_snapshot /
+/// load_shard_snapshot in svc/shard_cache.hpp). Its `accepted_by` views the
+/// id table of the cache it came from, or the analyzer registry's id when
+/// read from a file.
 struct SnapshotEntry {
   std::uint64_t key = 0;
   CachedVerdict verdict;
@@ -157,7 +167,10 @@ bool write_snapshot_entries(const std::string& path,
 /// Refuses — returning false, leaving `entries` unspecified — truncated or
 /// malformed files: a half-written snapshot must not warm a cache with
 /// silently missing entries. Malformed: a count, key or flag that does not
-/// parse whole, or an entry line without exactly three fields.
+/// parse whole, an entry line without exactly three fields, or an entry
+/// that is neither `1` with an id registered in
+/// analysis::AnalyzerRegistry::instance() nor `0` with `-`. An accepted
+/// entry's `accepted_by` views the registry's id.
 bool read_snapshot_entries(const std::string& path,
                            std::vector<SnapshotEntry>& entries,
                            std::string* error = nullptr);

@@ -491,6 +491,50 @@ TEST(NetServer, PinCoresReportsShardCpus) {
   server.stop();
 }
 
+// ------------------------------------------------------ thread names ----
+
+/// The names of this process's threads, from /proc/self/task/*/comm.
+std::vector<std::string> thread_names() {
+  std::vector<std::string> names;
+  for (const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    std::ifstream comm(task.path() / "comm");
+    std::string name;
+    if (std::getline(comm, name)) names.push_back(name);
+  }
+  return names;
+}
+
+TEST(NetServer, ServingThreadsCarryTheirRoleNames) {
+  net::ServerConfig config = test_config(3);
+  config.io_threads = 2;
+  net::AsyncServer server(config);
+  std::string error;
+  ASSERT_TRUE(server.start(&error)) << error;
+#if defined(__linux__)
+  const std::vector<std::string> want = {"reconf-io-0", "reconf-io-1",
+                                         "reconf-shard-0", "reconf-shard-1",
+                                         "reconf-shard-2"};
+  // Each thread names itself as it starts; give them up to 5 s to run.
+  std::vector<std::string> names;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  for (;;) {
+    names = thread_names();
+    const bool all = std::all_of(
+        want.begin(), want.end(), [&](const std::string& name) {
+          return std::count(names.begin(), names.end(), name) == 1;
+        });
+    if (all || std::chrono::steady_clock::now() > deadline) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  for (const std::string& name : want) {
+    EXPECT_EQ(std::count(names.begin(), names.end(), name), 1) << name;
+  }
+#endif
+  server.stop();
+}
+
 // ----------------------------------------------- clients gone early ----
 
 TEST(NetServer, ClientsClosingBeforeReadingDoNotKillTheServer) {

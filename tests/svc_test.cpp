@@ -595,10 +595,13 @@ TEST(ShardSnapshot, SaveRestoreRequeryIsBitIdentical) {
           .string();
   // Written by 4 shards, restored into 3: the format is topology-free.
   Fleet fleet(4, 64);
+  // A rejected verdict names no analyzer; the reader refuses one that does.
   for (std::uint64_t k = 1; k <= 40; ++k) {
     const std::uint64_t key = k * 0x9E3779B97F4A7C15ull;
+    const bool accepted = k % 3 != 0;
+    const char* by = !accepted ? "" : k % 2 == 0 ? "dp" : "gn2";
     fleet.shards[svc::shard_for_key(key, 4)]->insert(
-        key, svc::CachedVerdict{k % 3 != 0, k % 2 == 0 ? "dp" : "gn2"});
+        key, svc::CachedVerdict{accepted, by});
   }
   std::string error;
   ASSERT_TRUE(svc::save_shard_snapshot(fleet.shards, path, &error)) << error;
@@ -665,7 +668,13 @@ TEST(ShardSnapshot, RefusesTruncatedMalformedAndMissingFiles) {
                            // Count with trailing junk.
                            "count 1junk\n000000000000abcd 1 dp\n",
                            // An extra field after accepted_by.
-                           "count 1\n000000000000abcd 1 dp extra\n"}) {
+                           "count 1\n000000000000abcd 1 dp extra\n",
+                           // A rejection that names an analyzer.
+                           "count 1\n000000000000abcd 0 gn2\n",
+                           // An acceptance by an unregistered analyzer.
+                           "count 1\n000000000000abcd 1 bogus\n",
+                           // An acceptance that names no analyzer.
+                           "count 1\n000000000000abcd 1 -\n"}) {
     std::ofstream(bad) << "reconf-verdict-cache v1\n" << body;
     EXPECT_FALSE(svc::load_shard_snapshot(victim.shards, bad, nullptr, &error))
         << body;
