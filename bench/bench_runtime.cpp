@@ -1,15 +1,15 @@
 // bench_runtime — machine-readable baseline for the online reconfiguration
-// runtime (src/rt/). Self-timed, no google-benchmark dependency.
+// runtime (src/rt/). Self-timed.
 //
-//   bench_runtime [--out=PATH] [--merge=BENCH_perf.json] [--quick]
+//   bench_runtime [--out=PATH] [--quick]
 //
-//   --out=PATH    write the standalone runtime report JSON; "-" (default)
-//                 prints to stdout only
-//   --merge=PATH  splice the report into an existing BENCH_perf.json as its
-//                 top-level "runtime" key (replacing any previous one) —
-//                 how the committed baseline at the repo root is refreshed:
-//                   ./build/bench_runtime --merge=BENCH_perf.json
+//   --out=PATH    write the report whole — the "runtime" and "fault"
+//                 sections; "-" (default) prints to stdout only. The
+//                 committed baseline at the repo root is refreshed with
+//                   ./build/bench_runtime --out=BENCH_runtime.json
 //   --quick       CI smoke sizing: fewer seeds per family
+//
+// An unknown flag prints a usage line and exits 2.
 //
 // Measurements, per (scenario family x prefetch policy) over a fixed seed
 // set (deterministic — the numbers move only when the runtime, generator or
@@ -41,12 +41,10 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/flags.hpp"
-#include "common/report_merge.hpp"
 #include "common/stopwatch.hpp"
 #include "fault/plan.hpp"
 #include "rt/runtime.hpp"
@@ -259,22 +257,22 @@ std::string fault_report_json(const std::vector<FaultCell>& cells, int seeds) {
   return out;
 }
 
-/// Splices `section_json` into `path` as the top-level `key` via the shared
-/// report-merge helper, reporting failures on stderr.
-bool merge_into(const std::string& path, const std::string& key_name,
-                const std::string& section_json) {
-  std::string error;
-  if (!merge_report_section(path, key_name, section_json, &error)) {
-    std::fprintf(stderr, "%s\n", error.c_str());
-    return false;
-  }
-  return true;
+int usage() {
+  std::fprintf(stderr, "usage: bench_runtime [--out=PATH] [--quick]\n");
+  return 2;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   const std::vector<std::string> args(argv + 1, argv + argc);
+  static const char* const known[] = {"--out=", "--quick"};
+  for (const std::string& a : args) {
+    if (!is_known_flag(a, known)) {
+      std::fprintf(stderr, "unknown flag: %s\n", a.c_str());
+      return usage();
+    }
+  }
   const bool quick = has_flag(args, "quick");
   const int seeds = quick ? 5 : 25;
 
@@ -346,13 +344,6 @@ int main(int argc, char** argv) {
     }
     f << "{\n  \"runtime\": " << json << ",\n  \"fault\": " << fault_json
       << "\n}\n";
-  }
-
-  const std::string merge = flag_str(args, "merge");
-  if (!merge.empty()) {
-    if (!merge_into(merge, "runtime", json)) return 1;
-    if (!merge_into(merge, "fault", fault_json)) return 1;
-    std::printf("merged runtime + fault sections into %s\n", merge.c_str());
   }
 
   // The acceptance bar rides along in exit status so CI can gate on it:

@@ -134,7 +134,7 @@ FastVerdict gn1_fast(const AnalysisScratch& s, Device device,
 //   * real-valued cap crossings, consumed from per-k sorted arrays (branch
 //     C) and a β-max-heap (branch A, whose members arrive over time).
 // Every task generates O(1) events, so one k costs O(n log n) and a verdict
-// O(n² log n) — measured below cubic by bench_perf.
+// O(n² log n) — measured below cubic by bench_report.
 //
 // Branch selection and the λ filters stay exact (int64 rationals), matching
 // the reference; only the *grouping* of the floating-point sums differs,

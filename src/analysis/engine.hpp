@@ -186,8 +186,8 @@ struct AnalysisRequest {
 [[nodiscard]] AnalysisRequest fast_any_request();
 
 /// A single-analyzer spelling of the same configuration — one test id. The
-/// shape the perf benches (bench_perf, bench_report) measure each kernel
-/// through, shared so both always benchmark the identical request.
+/// shape bench_report and perfbench's layer pass time each kernel through,
+/// shared so both always measure the identical request.
 [[nodiscard]] AnalysisRequest fast_single_request(std::string test);
 
 /// Allocation-free result of AnalysisEngine::decide — the union verdict and

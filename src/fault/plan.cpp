@@ -251,6 +251,9 @@ FaultPlan generate_fault_plan(const FaultPlanGenOptions& options) {
 
 namespace {
 
+/// Removal + minimization sweeps before declaring a fixpoint.
+constexpr int kShrinkRounds = 6;
+
 /// Commits `candidate` when it still reproduces; returns whether it did.
 bool try_commit(FaultPlan& best, FaultPlan candidate,
                 const PlanShrinkPredicate& still_fails) {
@@ -262,11 +265,10 @@ bool try_commit(FaultPlan& best, FaultPlan candidate,
 }  // namespace
 
 FaultPlan shrink_fault_plan(const FaultPlan& plan,
-                            const PlanShrinkPredicate& still_fails,
-                            int max_rounds) {
+                            const PlanShrinkPredicate& still_fails) {
   if (!still_fails(plan)) return plan;
   FaultPlan best = plan;
-  for (int round = 0; round < max_rounds; ++round) {
+  for (int round = 0; round < kShrinkRounds; ++round) {
     bool progressed = false;
 
     // Greedy removal: halves first (fast on long plans), then singles.

@@ -107,11 +107,10 @@ using PlanShrinkPredicate = std::function<bool(const FaultPlan&)>;
 /// Delta-debugs a failing fault plan to a locally minimal repro, mirroring
 /// oracle::shrink: greedy event removal (halves first, then singles), then
 /// per-field bisection (extra / count / factor toward their smallest
-/// fault-preserving values, port-slow windows narrowed), looped to fixpoint.
-/// Every committed candidate satisfies `still_fails`; if the input itself
-/// does not, it is returned unchanged.
-[[nodiscard]] FaultPlan shrink_fault_plan(const FaultPlan& plan,
-                                          const PlanShrinkPredicate& still_fails,
-                                          int max_rounds = 6);
+/// fault-preserving values, port-slow windows narrowed), looped to fixpoint
+/// or at most 6 rounds. Every committed candidate satisfies `still_fails`;
+/// if the input itself does not, it is returned unchanged.
+[[nodiscard]] FaultPlan shrink_fault_plan(
+    const FaultPlan& plan, const PlanShrinkPredicate& still_fails);
 
 }  // namespace reconf::fault

@@ -10,22 +10,25 @@ namespace reconf::oracle {
 
 namespace {
 
+/// Removal + bisection sweeps before declaring a fixpoint.
+constexpr int kRounds = 6;
+/// Hard cap on predicate evaluations (each can cost a simulation).
+constexpr std::uint64_t kEvalBudget = 50000;
+
 /// Mutable working copy plus the bookkeeping shared by all shrink passes.
 class Shrinker {
  public:
-  Shrinker(const TaskSet& ts, Device device, const ShrinkPredicate& pred,
-           const ShrinkConfig& config)
+  Shrinker(const TaskSet& ts, Device device, const ShrinkPredicate& pred)
       : tasks_(ts.tasks().begin(), ts.tasks().end()),
         device_(device),
-        pred_(pred),
-        config_(config) {}
+        pred_(pred) {}
 
   ShrinkOutcome run() {
     if (!check(tasks_, device_)) {
       // Not a witness (or flaky): hand it back untouched.
       return {TaskSet{std::move(tasks_)}, device_, evals_, false};
     }
-    for (int round = 0; round < config_.max_rounds && !budget_spent(); ++round) {
+    for (int round = 0; round < kRounds && !budget_spent(); ++round) {
       bool changed = false;
       changed |= remove_tasks();
       changed |= remove_task_pairs();
@@ -40,7 +43,7 @@ class Shrinker {
 
  private:
   [[nodiscard]] bool budget_spent() const {
-    return evals_ >= config_.max_evals;
+    return evals_ >= kEvalBudget;
   }
 
   bool check(const std::vector<Task>& tasks, Device device) {
@@ -220,18 +223,16 @@ class Shrinker {
   std::vector<Task> tasks_;
   Device device_;
   const ShrinkPredicate& pred_;
-  ShrinkConfig config_;
   std::uint64_t evals_ = 0;
 };
 
 }  // namespace
 
 ShrinkOutcome shrink(const TaskSet& ts, Device device,
-                     const ShrinkPredicate& still_fails,
-                     const ShrinkConfig& config) {
+                     const ShrinkPredicate& still_fails) {
   RECONF_EXPECTS(!ts.empty());
   RECONF_EXPECTS(device.valid());
-  return Shrinker(ts, device, still_fails, config).run();
+  return Shrinker(ts, device, still_fails).run();
 }
 
 }  // namespace reconf::oracle

@@ -14,30 +14,23 @@ namespace reconf::oracle {
 /// analyzer lineup plus a fixed-seed oracle probe.
 using ShrinkPredicate = std::function<bool(const TaskSet&, Device)>;
 
-struct ShrinkConfig {
-  /// Removal + bisection sweeps before declaring a fixpoint.
-  int max_rounds = 6;
-  /// Hard cap on predicate evaluations (each can cost a simulation).
-  std::uint64_t max_evals = 50000;
-};
-
 struct ShrinkOutcome {
   TaskSet taskset;
   Device device{};
   std::uint64_t evals = 0;        ///< predicate evaluations spent
-  bool hit_eval_budget = false;   ///< stopped by max_evals, not a fixpoint
+  bool hit_eval_budget = false;   ///< stopped by the budget, not a fixpoint
 };
 
 /// Delta-debugs a disagreement witness to a locally minimal repro:
 /// greedy task removal, then per-field parameter bisection (WCET, deadline,
 /// period, area — each toward 1), device-width bisection, and a whole-set
-/// time rescale (dividing every C/D/T by their gcd), looped to fixpoint.
-/// Every committed candidate satisfies `still_fails`; if the input itself
-/// does not, it is returned unchanged. Monotonicity is not assumed — a
-/// candidate that stops reproducing is simply not committed, so the result
-/// is minimal only locally, which is what a readable repro needs.
+/// time rescale (dividing every C/D/T by their gcd), looped to fixpoint or
+/// at most 6 rounds, within 50,000 predicate evaluations. Every committed
+/// candidate satisfies `still_fails`; if the input itself does not, it is
+/// returned unchanged. Monotonicity is not assumed — a candidate that stops
+/// reproducing is simply not committed, so the result is minimal only
+/// locally, which is what a readable repro needs.
 [[nodiscard]] ShrinkOutcome shrink(const TaskSet& ts, Device device,
-                                   const ShrinkPredicate& still_fails,
-                                   const ShrinkConfig& config = {});
+                                   const ShrinkPredicate& still_fails);
 
 }  // namespace reconf::oracle

@@ -49,34 +49,36 @@ enum class OverrunAction {
 }
 
 /// How the runtime recovers from injected (or real) faults. All integers —
-/// the recovery path is part of the bit-stable replay contract.
+/// the recovery path is part of the bit-stable replay contract. Only the
+/// overrun action is configurable; the rest are fixed.
 struct RecoveryPolicy {
   OverrunAction overrun = OverrunAction::kAbort;
 
   /// Port-load failure: retries before giving up on the job (demand side)
   /// or rescheduling the prefetch (speculative side).
-  int max_load_retries = 3;
+  static constexpr int kMaxLoadRetries = 3;
   /// Backoff after the n-th consecutive failure is
-  /// min(retry_backoff << (n-1), retry_backoff_cap) ticks.
-  Ticks retry_backoff = 8;
-  Ticks retry_backoff_cap = 128;
+  /// min(kRetryBackoff << (n-1), kRetryBackoffCap) ticks.
+  static constexpr Ticks kRetryBackoff = 8;
+  static constexpr Ticks kRetryBackoffCap = 128;
 
   /// Graceful degradation (armed only under OverrunAction::kDegrade, the
   /// one action that can overload an admitted set): when at least
-  /// `shed_miss_threshold` deadline misses land within a sliding
-  /// `shed_window`, the runtime sheds the lowest-value live task and
+  /// `kShedMissThreshold` deadline misses land within a sliding
+  /// `kShedWindow`, the runtime sheds the lowest-value live task and
   /// re-validates the survivors through a fresh AdmissionSession — the
   /// degraded set is provably schedulable, not just smaller.
-  int shed_miss_threshold = 2;
-  Ticks shed_window = 1000;
+  static constexpr int kShedMissThreshold = 2;
+  static constexpr Ticks kShedWindow = 1000;
 
-  [[nodiscard]] Ticks backoff_after(int consecutive_failures) const noexcept {
+  [[nodiscard]] static constexpr Ticks backoff_after(
+      int consecutive_failures) noexcept {
     if (consecutive_failures <= 0) return 0;
-    Ticks b = retry_backoff;
-    for (int i = 1; i < consecutive_failures && b < retry_backoff_cap; ++i) {
+    Ticks b = kRetryBackoff;
+    for (int i = 1; i < consecutive_failures && b < kRetryBackoffCap; ++i) {
       b *= 2;
     }
-    return b < retry_backoff_cap ? b : retry_backoff_cap;
+    return b < kRetryBackoffCap ? b : kRetryBackoffCap;
   }
 };
 

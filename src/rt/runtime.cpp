@@ -117,7 +117,7 @@ class Runtime {
         config_(config),
         device_(scenario.device),
         reconf_(scenario.reconf),
-        session_(scenario.device, config.admission),
+        session_(scenario.device),
         policy_(make_prefetch_policy(config.prefetch)) {
     RECONF_EXPECTS(device_.valid());
     RECONF_EXPECTS(scenario.horizon > 0);
@@ -306,11 +306,11 @@ class Runtime {
     }
     if (missed_any && shedding_armed()) {
       while (!recent_misses_.empty() &&
-             recent_misses_.front() + config_.recovery.shed_window <= now) {
+             recent_misses_.front() + RecoveryPolicy::kShedWindow <= now) {
         recent_misses_.erase(recent_misses_.begin());
       }
       if (static_cast<int>(recent_misses_.size()) >=
-          config_.recovery.shed_miss_threshold) {
+          RecoveryPolicy::kShedMissThreshold) {
         shed_lowest_value(now);
         recent_misses_.clear();
       }
@@ -434,12 +434,12 @@ class Runtime {
         int failures = 0;
         while (injector_->load_fails(now)) {
           ++failures;
-          if (failures > config_.recovery.max_load_retries) {
+          if (failures > RecoveryPolicy::kMaxLoadRetries) {
             ++result_.faults.load_aborts;
             --s.outstanding;
             return false;
           }
-          const Ticks backoff = config_.recovery.backoff_after(failures);
+          const Ticks backoff = RecoveryPolicy::backoff_after(failures);
           ++result_.faults.load_retries;
           result_.faults.retry_backoff_ticks += backoff;
           stall += slowed + backoff;
@@ -711,7 +711,7 @@ class Runtime {
           ++result_.faults.prefetch_refails;
           ++consecutive_prefetch_failures_;
           const Ticks backoff =
-              config_.recovery.backoff_after(consecutive_prefetch_failures_);
+              RecoveryPolicy::backoff_after(consecutive_prefetch_failures_);
           result_.faults.retry_backoff_ticks += backoff;
           port_retry_at_ = done_at + backoff;
           ++result_.prefetch_aborted;
@@ -860,7 +860,7 @@ class Runtime {
     // draining member it refuses cannot be shed (it is already leaving) —
     // it only blocks the "protected" promotion below.
     bool drains_ok = true;
-    svc::AdmissionSession probe(device_, config_.admission);
+    svc::AdmissionSession probe(device_);
     for (std::size_t i = 0; i < slots_.size(); ++i) {
       Slot& s = slots_[i];
       if (!s.in_session || s.shed) continue;

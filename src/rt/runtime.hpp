@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "analysis/engine.hpp"
 #include "common/types.hpp"
 #include "rt/prefetch.hpp"
 #include "rt/recovery.hpp"
@@ -33,10 +32,6 @@ using AdmissionProbe = std::function<void(
 struct RuntimeConfig {
   /// Which built-in prefetch heuristic drives the reconfiguration port.
   PrefetchKind prefetch = PrefetchKind::kNone;
-
-  /// Analyzer lineup for the admission gate. The default is the serving
-  /// configuration (paper trio, SoA fast path, allocation-free decide()).
-  analysis::AnalysisRequest admission = analysis::fast_any_request();
 
   bool record_trace = true;
   /// Attach a sim::InvariantChecker to every dispatch (area cap, EDF order,
@@ -200,11 +195,11 @@ struct RuntimeResult {
 };
 
 /// Runs `scenario` through the online runtime: every arrival / mode change
-/// is gated through AnalysisEngine::decide via an svc::AdmissionSession,
-/// admitted tasks release periodic jobs dispatched by EDF next-fit under the
-/// paper's unrestricted-migration area model, and reconfiguration loads
-/// overlap execution through the single prefetch port when a policy is
-/// configured.
+/// is gated through AnalysisEngine::decide via an svc::AdmissionSession on
+/// the serving lineup (analysis::fast_any_request()), admitted tasks
+/// release periodic jobs dispatched by EDF next-fit under the paper's
+/// unrestricted-migration area model, and reconfiguration loads overlap
+/// execution through the single prefetch port when a policy is configured.
 ///
 /// Guarantees (the conformance suite pins these):
 ///  * a task releases jobs only while it is covered by an admission-gate

@@ -264,8 +264,6 @@ TEST(Recovery, DegradeShedsLowestValueAndProtectsSurvivors) {
 
 TEST(Recovery, PortRetryWithBoundedBackoff) {
   rt::RecoveryPolicy policy;
-  policy.retry_backoff = 8;
-  policy.retry_backoff_cap = 128;
   EXPECT_EQ(policy.backoff_after(0), 0);
   EXPECT_EQ(policy.backoff_after(1), 8);
   EXPECT_EQ(policy.backoff_after(2), 16);

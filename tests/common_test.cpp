@@ -1,9 +1,6 @@
 #include <atomic>
 #include <cstdlib>
-#include <filesystem>
-#include <fstream>
 #include <numeric>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -12,7 +9,6 @@
 
 #include "common/env.hpp"
 #include "common/flags.hpp"
-#include "common/report_merge.hpp"
 #include "common/thread_pool.hpp"
 #include "common/types.hpp"
 
@@ -173,40 +169,6 @@ TEST(FlagsDeathTest, OutOfRangeIntegerExitsTwoWithAMessage) {
   const std::vector<std::string> garbage = {"--rho=x"};
   EXPECT_EXIT((void)int_flag(garbage, "rho", 0, 0, kMaxLong),
               ::testing::ExitedWithCode(2), "invalid value for --rho: 'x'");
-}
-
-// ------------------------------------------------------- report merge ----
-
-std::string read_text(const std::string& path) {
-  std::ifstream in(path);
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
-}
-
-TEST(ReportMerge, ArraySectionJoinsAnObjectSectionAndBothSurvive) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "reconf_merge_test.json")
-          .string();
-  std::filesystem::remove(path);
-  // An object section whose nested "mode" key and "}" inside a string must
-  // not be mistaken for top-level structure.
-  const std::string runtime = "{\"mode\": \"nested\", \"note\": \"a } b\"}";
-  ASSERT_TRUE(merge_report_section(path, "runtime", runtime));
-  ASSERT_TRUE(merge_report_section(path, "analysis", "[\n    {\"n\": 4}\n  ]"));
-  ASSERT_TRUE(merge_report_section(path, "mode", "\"quick\""));
-  // Replacing each value in place leaves the other sections untouched.
-  ASSERT_TRUE(merge_report_section(path, "analysis", "[{\"n\": 8}]"));
-  ASSERT_TRUE(merge_report_section(path, "mode", "\"full\""));
-  EXPECT_EQ(read_text(path), "{\n  \"runtime\": " + runtime +
-                                 ",\n  \"analysis\": [{\"n\": 8}],"
-                                 "\n  \"mode\": \"full\"\n}\n");
-
-  std::ofstream(path) << "[1, 2]\n";
-  std::string error;
-  EXPECT_FALSE(merge_report_section(path, "mode", "\"full\"", &error));
-  EXPECT_NE(error.find("not a JSON object"), std::string::npos) << error;
-  std::filesystem::remove(path);
 }
 
 }  // namespace

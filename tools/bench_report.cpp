@@ -1,16 +1,17 @@
 // bench_report — machine-readable perf baseline for the analysis kernels.
-// Self-timed (no google-benchmark dependency), so it runs everywhere the
-// library builds, including the CI smoke job. End-to-end serving numbers
-// are not here: the repository benchmark (perfbench/) owns those.
+// Self-timed, so it runs everywhere the library builds, including the CI
+// smoke job. End-to-end serving numbers are not here: the repository
+// benchmark (perfbench/) owns those.
 //
 //   bench_report [--out=BENCH_perf.json] [--quick]
 //
-//   --out=PATH   the JSON report to update (default BENCH_perf.json in the
-//                current directory): only this tool's members are
-//                replaced, so bench_runtime's "runtime" and "fault"
-//                sections survive; "-" prints to stdout only
+//   --out=PATH   the JSON report to write whole (default BENCH_perf.json in
+//                the current directory); the file is byte-identical to what
+//                this tool prints on stdout; "-" prints to stdout only
 //   --quick      CI smoke sizing: fewer repetitions, shorter percentile
 //                pass — trend-quality numbers in ~a second
+//
+// An unknown flag prints a usage line and exits 2.
 //
 // Measurements:
 //   * ns/op for the reference evaluators (dp_test/gn1_test/gn2_test, the
@@ -18,16 +19,16 @@
 //     (AnalysisEngine::decide over single-analyzer engines) at
 //     N ∈ {4, 8, 16, 32, 64}, median of R repetitions;
 //   * the log2(t(64)/t(32)) complexity exponent per series — the fast GN2
-//     sweep must stay visibly below the reference's ~3;
+//     sweep must stay visibly below the reference's ~3 (the paper's O(N³));
 //   * latency percentiles (p50/p95/p99, nanoseconds) from obs histograms:
 //     whole single-analyzer decide() calls, timed by this tool, and the svc
 //     request latency over a mixed-duplicate stream. The ns/op series
-//     above run with obs DISABLED (baseline comparability — the committed
-//     baseline predates src/obs/); the percentile pass then re-enables it.
+//     above run with obs DISABLED, so against the committed baseline they
+//     price the obs kill switch; the percentile pass then re-enables it.
 //
 // The committed BENCH_perf.json at the repo root holds the numbers this
-// tool (and bench_runtime) last produced on the reference container;
-// refresh this tool's members with
+// tool last produced (bench_runtime writes BENCH_runtime.json); refresh it
+// with
 //   cmake --build build -j && ./build/bench_report --out=BENCH_perf.json
 // and commit the diff alongside any change that moves the numbers.
 
@@ -35,6 +36,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <fstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -43,7 +45,7 @@
 #include "analysis/engine.hpp"
 #include "analysis/gn1.hpp"
 #include "analysis/gn2.hpp"
-#include "common/report_merge.hpp"
+#include "common/flags.hpp"
 #include "common/rng.hpp"
 #include "common/stopwatch.hpp"
 #include "gen/generator.hpp"
@@ -220,18 +222,16 @@ std::vector<Percentiles> run_percentile_pass(std::size_t iters,
   return out;
 }
 
-/// This tool's members of the report, in file order, as (key, JSON value).
-/// The report's other members belong to other tools (bench_runtime writes
-/// "runtime" and "fault").
-std::vector<std::pair<std::string, std::string>> report_members(
-    const std::vector<Series>& analysis,
-    const std::vector<Percentiles>& percentiles, bool quick) {
+/// The whole report, in file order. The runtime and fault records are
+/// bench_runtime's, in BENCH_runtime.json.
+std::string report_json(const std::vector<Series>& analysis,
+                        const std::vector<Percentiles>& percentiles,
+                        bool quick) {
   char buf[256];
-  std::vector<std::pair<std::string, std::string>> members;
-  members.emplace_back("schema", "\"reconf-bench-perf/1\"");
-  members.emplace_back("mode", quick ? "\"quick\"" : "\"full\"");
+  std::string json = "{\n  \"schema\": \"reconf-bench-perf/1\",\n";
+  json += quick ? "  \"mode\": \"quick\",\n" : "  \"mode\": \"full\",\n";
 
-  std::string json = "[\n";
+  json += "  \"analysis\": [\n";
   for (std::size_t s = 0; s < analysis.size(); ++s) {
     const Series& series = analysis[s];
     for (std::size_t p = 0; p < series.ns_per_op.size(); ++p) {
@@ -246,20 +246,16 @@ std::vector<std::pair<std::string, std::string>> report_members(
       json += buf;
     }
   }
-  json += "  ]";
-  members.emplace_back("analysis", json);
 
-  json = "{";
+  json += "  ],\n  \"complexity_exponents\": {";
   for (std::size_t s = 0; s < analysis.size(); ++s) {
     std::snprintf(buf, sizeof buf, "%s\"%s_%s\": %.2f",
                   s == 0 ? "" : ", ", analysis[s].test.c_str(),
                   analysis[s].path.c_str(), analysis[s].exponent());
     json += buf;
   }
-  json += "}";
-  members.emplace_back("complexity_exponents", json);
 
-  json = "{";
+  json += "},\n  \"speedup\": {";
   // fast vs reference at the largest N, per test.
   bool first = true;
   for (const Series& ref : analysis) {
@@ -273,10 +269,8 @@ std::vector<std::pair<std::string, std::string>> report_members(
       first = false;
     }
   }
-  json += "}";
-  members.emplace_back("speedup", json);
 
-  json = "[\n";
+  json += "},\n  \"latency_percentiles_ns\": [\n";
   for (std::size_t i = 0; i < percentiles.size(); ++i) {
     const Percentiles& p = percentiles[i];
     std::snprintf(buf, sizeof buf,
@@ -289,28 +283,30 @@ std::vector<std::pair<std::string, std::string>> report_members(
                   i + 1 == percentiles.size() ? "" : ",");
     json += buf;
   }
-  json += "  ]";
-  members.emplace_back("latency_percentiles_ns", json);
-  return members;
+  json += "  ]\n}\n";
+  return json;
+}
+
+int usage() {
+  std::fprintf(stderr,
+               "usage: bench_report [--out=BENCH_perf.json] [--quick]\n");
+  return 2;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string out_path = "BENCH_perf.json";
-  bool quick = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--quick") {
-      quick = true;
-    } else if (a.rfind("--out=", 0) == 0) {
-      out_path = a.substr(6);
-    } else {
-      std::fprintf(stderr,
-                   "usage: bench_report [--out=BENCH_perf.json] [--quick]\n");
-      return 2;
+  const std::vector<std::string> args(argv + 1, argv + argc);
+  static const char* const known[] = {"--out=", "--quick"};
+  for (const std::string& a : args) {
+    if (!is_known_flag(a, known)) {
+      std::fprintf(stderr, "unknown flag: %s\n", a.c_str());
+      return usage();
     }
   }
+  const bool quick = has_flag(args, "quick");
+  const std::string out_path =
+      flag_value(args, "out").value_or("BENCH_perf.json");
 
   const int reps = quick ? 3 : 7;
   const double min_rep_ns = quick ? 2e6 : 2e7;
@@ -325,22 +321,15 @@ int main(int argc, char** argv) {
   const auto percentiles =
       run_percentile_pass(quick ? 500 : 5000, quick ? 500 : 2000);
 
-  const auto members = report_members(analysis_series, percentiles, quick);
-  std::string json = "{\n";
-  for (std::size_t i = 0; i < members.size(); ++i) {
-    json += "  \"" + members[i].first + "\": " + members[i].second +
-            (i + 1 == members.size() ? "\n" : ",\n");
-  }
-  json += "}\n";
+  const std::string json = report_json(analysis_series, percentiles, quick);
   if (out_path != "-") {
-    for (const auto& [key, value] : members) {
-      std::string error;
-      if (!merge_report_section(out_path, key, value, &error)) {
-        std::fprintf(stderr, "%s\n", error.c_str());
-        return 1;
-      }
+    std::ofstream out(out_path);
+    if (!out) {
+      std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
+      return 1;
     }
-    std::fprintf(stderr, "bench_report: updated %s\n", out_path.c_str());
+    out << json;
+    std::fprintf(stderr, "bench_report: wrote %s\n", out_path.c_str());
   }
   std::fputs(json.c_str(), stdout);
 
