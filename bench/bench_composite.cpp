@@ -13,15 +13,15 @@
 #include <vector>
 
 #include "analysis/engine.hpp"
-#include "bench_common.hpp"
 #include "common/thread_pool.hpp"
+#include "gen/generator.hpp"
 #include "gen/rng.hpp"
 
 int main() {
   using namespace reconf;
 
-  const int per_bin = benchx::samples_per_bin();
-  const int bins = benchx::bins();
+  const int per_bin = 1000;
+  const int bins = 20;
   const Device dev{100};
 
   struct Workload {
@@ -110,8 +110,7 @@ int main() {
             only_gn1.fetch_add(1, std::memory_order_relaxed);
           if (gn2 && !dp && !gn1)
             only_gn2.fetch_add(1, std::memory_order_relaxed);
-        },
-        benchx::threads());
+        });
 
     const double n = static_cast<double>(samples.load());
     const auto pct = [n](const std::atomic<std::uint64_t>& v) {

@@ -11,15 +11,15 @@
 #include "analysis/dp.hpp"
 #include "analysis/gn1.hpp"
 #include "analysis/gn2.hpp"
-#include "bench_common.hpp"
 #include "common/thread_pool.hpp"
+#include "gen/generator.hpp"
 #include "gen/rng.hpp"
 #include "mp/mp_tests.hpp"
 
 int main() {
   using namespace reconf;
 
-  const int samples = benchx::samples_per_bin() * 4;
+  const int samples = 4000;
 
   std::printf("=== multiprocessor specialization crosscheck ===\n\n");
   std::printf("%-4s %-4s | %-10s %-10s %-10s | %-8s %-8s %-8s\n", "m", "n",
@@ -75,8 +75,7 @@ int main() {
             if (gfb) acc_gfb.fetch_add(1, std::memory_order_relaxed);
             if (bcl) acc_bcl.fetch_add(1, std::memory_order_relaxed);
             if (bak2) acc_bak2.fetch_add(1, std::memory_order_relaxed);
-          },
-          benchx::threads());
+          });
 
       const double total = static_cast<double>(count.load());
       const auto pct = [total](const std::atomic<std::uint64_t>& v) {

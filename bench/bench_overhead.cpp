@@ -12,8 +12,8 @@
 
 #include "analysis/engine.hpp"
 #include "analysis/overhead.hpp"
-#include "bench_common.hpp"
 #include "common/thread_pool.hpp"
+#include "gen/generator.hpp"
 #include "gen/rng.hpp"
 #include "sim/engine.hpp"
 
@@ -21,7 +21,7 @@ int main() {
   using namespace reconf;
 
   const Device dev{100};
-  const int samples = benchx::samples_per_bin();
+  const int samples = 1000;
   // EDF-FkF capability filter: the engine keeps only the FkF-sound subset
   // (DP, GN2) of the default lineup — the simulated scheduler below blocks.
   analysis::AnalysisRequest fkf_request = analysis::fast_any_request();
@@ -60,7 +60,8 @@ int main() {
           const bool accepted = fkf_engine.decide(inflated, dev).accepted();
           if (accepted) analysis_acc.fetch_add(1, std::memory_order_relaxed);
 
-          sim::SimConfig cfg = benchx::figure_sim_config();
+          sim::SimConfig cfg;
+          cfg.horizon_periods = 40;
           cfg.reconf.per_column = rho;
           cfg.scheduler = sim::SchedulerKind::kEdfNf;
           const bool nf_ok = sim::simulate(*ts, dev, cfg).schedulable;
@@ -70,8 +71,7 @@ int main() {
           if (fkf_ok) sim_fkf_acc.fetch_add(1, std::memory_order_relaxed);
           if (accepted && !fkf_ok)
             optimism.fetch_add(1, std::memory_order_relaxed);
-        },
-        benchx::threads());
+        });
 
     const double total = static_cast<double>(n.load());
     const auto pct = [total](const std::atomic<std::uint64_t>& v) {

@@ -16,8 +16,8 @@
 #include "analysis/gn1.hpp"
 #include "analysis/gn2.hpp"
 #include "analysis/sensitivity.hpp"
-#include "bench_common.hpp"
 #include "common/thread_pool.hpp"
+#include "gen/generator.hpp"
 #include "gen/rng.hpp"
 #include "sim/engine.hpp"
 
@@ -56,7 +56,7 @@ int main() {
   };
   constexpr std::size_t kNumCriteria = std::size(criteria);
 
-  const int samples = benchx::samples_per_bin() / 2 + 1;
+  const int samples = 501;
   const Device dev{100};
 
   struct Workload {
@@ -98,8 +98,7 @@ int main() {
             sum_permille[c].fetch_add(crit.value_or(0),
                                       std::memory_order_relaxed);
           }
-        },
-        benchx::threads());
+        });
 
     const double total = static_cast<double>(n.load());
     std::printf("%-24s", w.name);

@@ -1,30 +1,24 @@
 #include "exp/series.hpp"
 
-#include <memory>
 #include <utility>
 
-#include "partition/partitioned.hpp"
 #include "sim/engine.hpp"
 
 namespace reconf::exp {
 
-SeriesSpec engine_series(std::string name, analysis::AnalysisRequest request) {
+SeriesSpec engine_series(std::string name, analysis::AnalysisRequest request,
+                         const analysis::AnalyzerRegistry& registry) {
   // Sweep predicates only consume accepted(): early exit keeps the verdict
   // and skips the expensive tail.
   request.early_exit = true;
-  auto engine =
-      std::make_shared<analysis::AnalysisEngine>(std::move(request));
-  return {std::move(name), [engine](const TaskSet& ts, Device dev) {
+  auto engine = std::make_shared<const analysis::AnalysisEngine>(
+      std::move(request), registry);
+  return {std::move(name),
+          [engine](const TaskSet& ts, Device dev) {
             return engine->run(ts, dev).accepted();
-          }};
-}
-
-SeriesSpec analyzer_series(const std::string& id,
-                           analysis::AnalyzerConfig config) {
-  analysis::AnalysisRequest request;
-  request.tests = {id};
-  request.config = std::move(config);
-  return engine_series(id, std::move(request));
+          },
+          engine,
+          std::nullopt};
 }
 
 namespace {
@@ -66,27 +60,31 @@ SeriesSpec sim_series(sim::SchedulerKind scheduler, sim::SimConfig base) {
   base.scheduler = scheduler;
   base.stop_on_first_miss = true;
   base.record_trace = false;
+  std::optional<analysis::Scheduler> refutes;
+  if (base.placement == sim::PlacementMode::kUnrestrictedMigration &&
+      base.reconf.free()) {
+    if (scheduler == sim::SchedulerKind::kEdfNf) {
+      refutes = analysis::Scheduler::kEdfNf;
+    } else if (scheduler == sim::SchedulerKind::kEdfFkF) {
+      refutes = analysis::Scheduler::kEdfFkF;
+    }
+  }
   std::string name = std::string("SIM-") + sim::to_string(scheduler);
-  return {std::move(name), [base](const TaskSet& ts, Device dev) {
+  return {std::move(name),
+          [base](const TaskSet& ts, Device dev) {
             return sim::simulate(ts, dev, base).schedulable;
-          }};
+          },
+          nullptr, refutes};
 }
 
-SeriesSpec partitioned_series() {
-  return one_test_series("PART", "partition", {});
-}
-
-std::vector<SeriesSpec> paper_series(sim::SimConfig sim_base, bool include_any,
-                                     bool include_fkf_sim) {
+std::vector<SeriesSpec> paper_series(sim::SimConfig sim_base) {
   std::vector<SeriesSpec> out;
   out.push_back(dp_series());
   out.push_back(gn1_series());
   out.push_back(gn2_series());
-  if (include_any) out.push_back(any_test_series());
+  out.push_back(any_test_series());
   out.push_back(sim_series(sim::SchedulerKind::kEdfNf, sim_base));
-  if (include_fkf_sim) {
-    out.push_back(sim_series(sim::SchedulerKind::kEdfFkF, sim_base));
-  }
+  out.push_back(sim_series(sim::SchedulerKind::kEdfFkF, sim_base));
   return out;
 }
 

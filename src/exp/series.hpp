@@ -1,11 +1,14 @@
 #pragma once
 
 #include <functional>
+#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "analysis/engine.hpp"
 #include "analysis/options.hpp"
+#include "analysis/registry.hpp"
 #include "common/types.hpp"
 #include "sim/config.hpp"
 #include "task/taskset.hpp"
@@ -18,17 +21,28 @@ namespace reconf::exp {
 struct SeriesSpec {
   std::string name;
   std::function<bool(const TaskSet&, Device)> accept;
+
+  /// The engine behind a bound series; null for simulations and bare
+  /// predicates. run_sweep reads its analyzers' Capabilities to decide
+  /// which simulations' misses refute the series' acceptances.
+  std::shared_ptr<const analysis::AnalysisEngine> engine;
+
+  /// Set only on a simulation of the paper's model (EDF-NF or EDF-FkF,
+  /// unrestricted migration, free reconfiguration): the scheduler whose
+  /// missed deadline on a sample refutes a bound series' acceptance of that
+  /// same sample. EDF-US and contiguous placement are outside the theorems
+  /// and refute nothing.
+  std::optional<analysis::Scheduler> refutes;
 };
 
-/// A curve from an arbitrary AnalysisRequest: the engine is resolved once
-/// and shared by every (concurrent) evaluation. This is how new registry
-/// backends get into figures without touching the harness.
-[[nodiscard]] SeriesSpec engine_series(std::string name,
-                                       analysis::AnalysisRequest request);
-
-/// A single-analyzer curve by registry id (name defaults to the id).
-[[nodiscard]] SeriesSpec analyzer_series(const std::string& id,
-                                         analysis::AnalyzerConfig config = {});
+/// A bound series from an arbitrary AnalysisRequest: the engine is resolved
+/// once against `registry` and shared by every (concurrent) evaluation. This
+/// is how any registered analyzer gets into a figure without touching the
+/// harness; `registry` must outlive the series.
+[[nodiscard]] SeriesSpec engine_series(
+    std::string name, analysis::AnalysisRequest request,
+    const analysis::AnalyzerRegistry& registry =
+        analysis::AnalyzerRegistry::instance());
 
 /// The three bound tests of the paper.
 [[nodiscard]] SeriesSpec dp_series(analysis::DpOptions options = {});
@@ -39,18 +53,13 @@ struct SeriesSpec {
 [[nodiscard]] SeriesSpec any_test_series();
 
 /// Simulation upper bound (synchronous release at t = 0), for the given
-/// scheduler. `base` carries horizon and placement settings; its scheduler
-/// field is overridden.
+/// scheduler. `base` carries horizon, placement and overhead settings; its
+/// scheduler field is overridden.
 [[nodiscard]] SeriesSpec sim_series(sim::SchedulerKind scheduler,
                                     sim::SimConfig base = {});
 
-/// Partitioned-EDF baseline (Danne & Platzner RAW'06).
-[[nodiscard]] SeriesSpec partitioned_series();
-
-/// The figure line-up used by the paper (DP, GN1, GN2 + simulation) plus
-/// ANY; `sim_base` configures the simulation horizon.
-[[nodiscard]] std::vector<SeriesSpec> paper_series(sim::SimConfig sim_base = {},
-                                                   bool include_any = true,
-                                                   bool include_fkf_sim = true);
+/// The figure line-up used by the paper: DP, GN1, GN2, ANY, SIM-EDF-NF and
+/// SIM-EDF-FkF; `sim_base` configures the simulation horizon.
+[[nodiscard]] std::vector<SeriesSpec> paper_series(sim::SimConfig sim_base = {});
 
 }  // namespace reconf::exp

@@ -64,8 +64,8 @@ struct PartitionResult {
                                               const PartitionConfig& config = {});
 
 /// Convenience: true iff `partition_tasks` finds a feasible allocation.
-/// This is the acceptance criterion bench_partitioned compares against the
-/// global tests.
+/// This is the acceptance criterion of bench_paper's PART-* series, which
+/// the Fig. 3 sweeps compare against the global tests.
 [[nodiscard]] bool partitioned_schedulable(const TaskSet& ts, Device device,
                                            const PartitionConfig& config = {});
 

@@ -67,7 +67,6 @@
 #include "analysis/sensitivity.hpp"
 #include "common/rng.hpp"
 #include "common/types.hpp"
-#include "exp/reporting.hpp"
 #include "exp/series.hpp"
 #include "exp/sweep.hpp"
 #include "gen/generator.hpp"

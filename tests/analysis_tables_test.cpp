@@ -16,6 +16,7 @@
 #include "analysis/gn1.hpp"
 #include "analysis/gn2.hpp"
 #include "analysis/overhead.hpp"
+#include "sim/engine.hpp"
 #include "task/fixtures.hpp"
 
 namespace reconf::analysis {
@@ -151,6 +152,20 @@ TEST(Composite, AcceptsAllThreePaperTables) {
   const AnalysisEngine trio{AnalysisRequest{}};
   for (const TaskSet& ts : {paper_table1(), paper_table2(), paper_table3()}) {
     EXPECT_TRUE(trio.run(ts, paper_device_small()).accepted());
+  }
+}
+
+TEST(Composite, EveryTableMeetsEveryDeadlineInSimulation) {
+  // The accepted sets really are schedulable: synchronous release over the
+  // hyperperiod, under both EDF variants.
+  for (const TaskSet& ts : {paper_table1(), paper_table2(), paper_table3()}) {
+    for (const auto scheduler :
+         {sim::SchedulerKind::kEdfNf, sim::SchedulerKind::kEdfFkF}) {
+      sim::SimConfig cfg;
+      cfg.scheduler = scheduler;
+      EXPECT_TRUE(sim::simulate(ts, paper_device_small(), cfg).schedulable)
+          << sim::to_string(scheduler);
+    }
   }
 }
 

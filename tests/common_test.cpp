@@ -1,5 +1,4 @@
 #include <atomic>
-#include <cstdlib>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -7,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/env.hpp"
 #include "common/flags.hpp"
 #include "common/thread_pool.hpp"
 #include "common/types.hpp"
@@ -84,23 +82,6 @@ TEST(ParallelFor, ResultIndependentOfThreadCount) {
   const double expect = run(1);
   EXPECT_DOUBLE_EQ(run(2), expect);
   EXPECT_DOUBLE_EQ(run(8), expect);
-}
-
-TEST(Env, Int64FallsBackWhenUnset) {
-  ::unsetenv("RECONF_TEST_KNOB");
-  EXPECT_EQ(env_int64("RECONF_TEST_KNOB", 42), 42);
-}
-
-TEST(Env, Int64ParsesValue) {
-  ::setenv("RECONF_TEST_KNOB", "1234", 1);
-  EXPECT_EQ(env_int64("RECONF_TEST_KNOB", 42), 1234);
-  ::unsetenv("RECONF_TEST_KNOB");
-}
-
-TEST(Env, Int64RejectsGarbage) {
-  ::setenv("RECONF_TEST_KNOB", "12x", 1);
-  EXPECT_EQ(env_int64("RECONF_TEST_KNOB", 7), 7);
-  ::unsetenv("RECONF_TEST_KNOB");
 }
 
 // ------------------------------------------------------------- flags ----

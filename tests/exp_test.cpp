@@ -1,11 +1,11 @@
-#include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
-#include "exp/reporting.hpp"
 #include "exp/series.hpp"
 #include "exp/sweep.hpp"
+#include "oracle/inject.hpp"
 
 namespace reconf::exp {
 namespace {
@@ -124,34 +124,59 @@ TEST(Series, AnyIsUnionOfIndividualTests) {
   }
 }
 
-TEST(Reporting, CsvHasHeaderAndOneRowPerBin) {
-  const auto result = run_sweep(small_config());
-  std::ostringstream os;
-  write_csv(result, os);
-  const std::string csv = os.str();
-  EXPECT_NE(csv.find("us_target,us_achieved_mean,samples,DP,GN1,GN2"),
-            std::string::npos);
-  EXPECT_NE(csv.find("DP_wilson_lo,DP_wilson_hi"), std::string::npos);
-  std::size_t rows = 0;
-  for (const char c : csv) rows += c == '\n' ? 1 : 0;
-  EXPECT_EQ(rows, 1u + result.bins.size());
-}
+TEST(Refutation, PairsEveryBoundWithThePaperSimulationsBySoundness) {
+  SweepConfig cfg = small_config();
+  cfg.series = paper_series();
+  cfg.series.push_back(sim_series(sim::SchedulerKind::kEdfUs));
+  sim::SimConfig contiguous;
+  contiguous.placement = sim::PlacementMode::kContiguousNoMigration;
+  cfg.series.push_back(sim_series(sim::SchedulerKind::kEdfNf, contiguous));
+  const auto result = run_sweep(cfg);
 
-TEST(Reporting, TableMentionsEverySeries) {
-  const auto result = run_sweep(small_config());
-  const std::string table = format_table(result);
-  for (const auto& name : result.series_names) {
-    EXPECT_NE(table.find(name), std::string::npos) << name;
+  // DP, GN1, GN2 and ANY against SIM-EDF-NF (4) and SIM-EDF-FkF (5); the
+  // EDF-US and contiguous simulations are outside the theorems.
+  std::vector<std::string> pairs;
+  for (const RefutationPair& p : result.refutation_pairs) {
+    pairs.push_back(result.series_names[p.bound] + "/" +
+                    result.series_names[p.simulation] +
+                    (p.sound ? "" : " (unsound)"));
+  }
+  EXPECT_EQ(pairs, (std::vector<std::string>{
+                       "DP/SIM-EDF-NF", "DP/SIM-EDF-FkF", "GN1/SIM-EDF-NF",
+                       "GN1/SIM-EDF-FkF (unsound)", "GN2/SIM-EDF-NF",
+                       "GN2/SIM-EDF-FkF", "ANY/SIM-EDF-NF",
+                       "ANY/SIM-EDF-FkF (unsound)"}));
+  for (const BinResult& bin : result.bins) {
+    ASSERT_EQ(bin.refuted.size(), result.refutation_pairs.size());
+    for (std::size_t p = 0; p < bin.refuted.size(); ++p) {
+      if (result.refutation_pairs[p].sound) {
+        EXPECT_EQ(bin.refuted[p], 0u);
+      }
+    }
   }
 }
 
-TEST(Reporting, AsciiChartHasAxisAndSeries) {
-  const auto result = run_sweep(small_config());
-  const std::string chart = ascii_chart(result, 8);
-  EXPECT_NE(chart.find("1.00"), std::string::npos);
-  EXPECT_NE(chart.find("0.00"), std::string::npos);
-  EXPECT_NE(chart.find("U_S"), std::string::npos);
-  EXPECT_NE(chart.find("series:"), std::string::npos);
+TEST(Refutation, CountsTheAcceptancesOfAnUnsoundBoundThatSimulationMisses) {
+  // "inject-us-bound" accepts whenever U_S <= A(H) and claims EDF-NF
+  // soundness — a necessary condition passed off as sufficient.
+  analysis::AnalyzerRegistry registry;
+  const std::string id = oracle::populate_injected_registry(
+      registry, oracle::InjectMode::kOverAccept);
+  analysis::AnalysisRequest request;
+  request.tests = {id};
+
+  SweepConfig cfg = small_config();
+  cfg.series = {engine_series("INJECT", request, registry),
+                sim_series(sim::SchedulerKind::kEdfNf)};
+  const auto result = run_sweep(cfg);
+  ASSERT_EQ(result.refutation_pairs.size(), 1u);
+  EXPECT_TRUE(result.refutation_pairs[0].sound);
+  std::uint64_t refuted = 0;
+  for (const BinResult& bin : result.bins) {
+    EXPECT_LE(bin.refuted[0], bin.accepted[0]);
+    refuted += bin.refuted[0];
+  }
+  EXPECT_GT(refuted, 0u);
 }
 
 }  // namespace

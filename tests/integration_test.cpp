@@ -88,7 +88,7 @@ TEST(Integration, SweepAgreesWithDirectEvaluation) {
     req.profile = cfg.profile;
     req.target_system_util = cfg.bin_target(0);
     req.seed = gen::derive_seed(cfg.seed, flat);
-    const auto ts = gen::generate_with_retries(req, cfg.gen_attempts);
+    const auto ts = gen::generate_with_retries(req, exp::kGenAttempts);
     if (!ts) continue;
     ++samples;
     direct += analysis::dp_test(*ts, cfg.device).accepted() ? 1 : 0;
