@@ -1,15 +1,15 @@
 #pragma once
 
-// Templated implementations of Theorems 1-3. Each evaluator is written once
-// over a numeric policy (math::DoublePolicy for the fast sweeps,
-// math::ExactPolicy for tie-exact verdicts) and instantiated by the public
-// entry points in dp.cpp / gn1.cpp / gn2.cpp.
+// The exact evaluation of Theorems 1-3 behind the *_test_exact entry
+// points: every inequality in BigRational arithmetic, so the knife-edge
+// equalities of the paper's Table 1 are decided exactly. The ground truth
+// the property and parity suites compare the floating-point kernels
+// (detail/kernels.hpp) against.
 //
-// Branch decisions that select *which* formula applies (e.g. the three-way
-// case split of β_λ, the λ-candidate filtering) are always taken with exact
-// int64 rational comparisons regardless of policy, so both policies walk the
-// same formula tree and differ only in the arithmetic of the final
-// inequality.
+// Branch decisions that select *which* formula applies (the three-way case
+// split of β_λ, the λ-candidate filtering) are taken with exact int64
+// rational comparisons, as in the kernels, so both walk the same formula
+// tree. The theorems are stated in analysis/dp.hpp, gn1.hpp and gn2.hpp.
 
 #include <algorithm>
 #include <vector>
@@ -17,13 +17,12 @@
 #include "analysis/options.hpp"
 #include "analysis/report.hpp"
 #include "common/types.hpp"
+#include "math/bigrational.hpp"
 #include "math/intdiv.hpp"
 #include "math/rational.hpp"
 #include "task/taskset.hpp"
 
 namespace reconf::analysis::detail {
-
-using math::floor_div;
 
 /// Rejects with a note when basic feasibility prerequisites fail. Every
 /// sufficient test must reject such tasksets; checking up front also lets
@@ -45,77 +44,59 @@ using math::floor_div;
   return false;
 }
 
-// ---------------------------------------------------------------------------
-// Theorem 1 (DP): ∀τk: U_S(Γ) ≤ A_bnd·(1 − U_T(τk)) + U_S(τk),
-// A_bnd = A(H) − A_max + 1 (integer-area correction; Lemma 1).
-// ---------------------------------------------------------------------------
-template <class P>
-TestReport dp_eval(const TaskSet& ts, Device device, const DpOptions& opt) {
-  using Real = typename P::Real;
+/// Appends τ_k's diagnostic; the first failing task decides the verdict.
+inline void record_exact(TestReport& report, const TaskDiagnostic& diag) {
+  report.per_task.push_back(diag);
+  if (!diag.pass && !report.first_failing_task) {
+    report.first_failing_task = diag.task_index;
+    report.verdict = Verdict::kInconclusive;
+  }
+}
+
+/// Theorem 1 (DP), exactly.
+inline TestReport dp_exact(const TaskSet& ts, Device device,
+                           const DpOptions& opt) {
+  using math::BigRational;
 
   TestReport report;
   report.test_name = opt.alpha == DpOptions::Alpha::kIntegerArea
                          ? "DP"
                          : "DP-original-alpha";
   if (reject_infeasible(ts, device, report)) return report;
-
-  if (opt.require_implicit_deadlines && !ts.all_implicit_deadline()) {
+  if (!ts.all_implicit_deadline()) {
     report.note = "DP requires implicit deadlines (D = T)";
     report.refused = true;
     return report;
   }
 
   const Area bonus = opt.alpha == DpOptions::Alpha::kIntegerArea ? 1 : 0;
-  const Area abnd_area = device.width - ts.max_area() + bonus;
-  const Real abnd = P::from_int(abnd_area);
+  const BigRational abnd(device.width - ts.max_area() + bonus);
 
-  Real us = P::from_int(0);
-  for (const Task& t : ts) {
-    us = us + P::ratio(t.wcet * t.area, t.period);
-  }
+  BigRational us(0);
+  for (const Task& t : ts) us += BigRational(t.wcet * t.area, t.period);
 
   report.verdict = Verdict::kSchedulable;
   for (std::size_t k = 0; k < ts.size(); ++k) {
     const Task& tk = ts[k];
-    const Real ut_k = P::ratio(tk.wcet, tk.period);
-    const Real us_k = P::ratio(tk.wcet * tk.area, tk.period);
-    const Real rhs = abnd * (P::from_int(1) - ut_k) + us_k;
-
-    TaskDiagnostic diag;
-    diag.task_index = k;
-    diag.lhs = P::to_double(us);
-    diag.rhs = P::to_double(rhs);
-    diag.pass = P::le(us, rhs);
-    report.per_task.push_back(diag);
-
-    if (!diag.pass && !report.first_failing_task) {
-      report.first_failing_task = k;
-      report.verdict = Verdict::kInconclusive;
-    }
+    const BigRational rhs =
+        abnd * (BigRational(1) - BigRational(tk.wcet, tk.period)) +
+        BigRational(tk.wcet * tk.area, tk.period);
+    record_exact(report, {.task_index = k,
+                          .pass = us <= rhs,
+                          .lhs = us.to_double(),
+                          .rhs = rhs.to_double()});
   }
   return report;
 }
 
-// ---------------------------------------------------------------------------
-// Theorem 2 (GN1): ∀τk:
-//   Σ_{i≠k} A_i·min(β_i, 1 − C_k/D_k) < R_k·(1 − C_k/D_k)
-// where N_i = max(0, ⌊(D_k − D_i)/T_i⌋ + 1),
-//       W̄_i = N_i·C_i + min(C_i, max(D_k − N_i·T_i, 0)),
-//       β_i  = W̄_i / D_i        (published; option: / D_k per BCL)
-//       R_k  = A(H) − A_k + 1    (Lemma 3 / worked example; option: no +1).
-// ---------------------------------------------------------------------------
-template <class P>
-TestReport gn1_eval(const TaskSet& ts, Device device, const Gn1Options& opt) {
-  using Real = typename P::Real;
+/// Theorem 2 (GN1), exactly.
+inline TestReport gn1_exact(const TaskSet& ts, Device device,
+                            const Gn1Options& opt) {
+  using math::BigRational;
 
   TestReport report;
   report.test_name = "GN1";
   if (reject_infeasible(ts, device, report)) return report;
-
-  // Theorem 2 descends from BCL's constrained-deadline interference bound:
-  // the W̄_i window arithmetic under-counts interference once D_i > T_i.
-  // Found by the differential oracle (heavy_tail_arbitrary family): without
-  // this gate GN1 accepts arbitrary-deadline sets the simulator refutes.
   if (!ts.all_constrained_deadline()) {
     report.note = "GN1 requires constrained deadlines (D <= T)";
     report.refused = true;
@@ -125,20 +106,19 @@ TestReport gn1_eval(const TaskSet& ts, Device device, const Gn1Options& opt) {
   report.verdict = Verdict::kSchedulable;
   for (std::size_t k = 0; k < ts.size(); ++k) {
     const Task& tk = ts[k];
-    const Real slack_frac =
-        P::from_int(1) - P::ratio(tk.wcet, tk.deadline);  // 1 − C_k/D_k
-
+    const BigRational slack_frac =
+        BigRational(1) - BigRational(tk.wcet, tk.deadline);  // 1 − C_k/D_k
     const Area rk_area =
         device.width - tk.area +
         (opt.rhs == Gn1Options::Rhs::kLemma3PlusOne ? 1 : 0);
-    const Real rhs = P::from_int(rk_area) * slack_frac;
+    const BigRational rhs = BigRational(rk_area) * slack_frac;
 
-    Real lhs = P::from_int(0);
+    BigRational lhs(0);
     for (std::size_t i = 0; i < ts.size(); ++i) {
       if (i == k) continue;
       const Task& ti = ts[i];
       const std::int64_t ni = std::max<std::int64_t>(
-          0, floor_div(tk.deadline - ti.deadline, ti.period) + 1);
+          0, math::floor_div(tk.deadline - ti.deadline, ti.period) + 1);
       const Ticks carry =
           std::min(ti.wcet, std::max<Ticks>(tk.deadline - ni * ti.period, 0));
       const Ticks w_bar = ni * ti.wcet + carry;
@@ -146,50 +126,31 @@ TestReport gn1_eval(const TaskSet& ts, Device device, const Gn1Options& opt) {
           opt.normalization == Gn1Options::Normalization::kPublishedDi
               ? ti.deadline
               : tk.deadline;
-      const Real beta = P::ratio(w_bar, denom);
-      lhs = lhs + P::from_int(ti.area) * P::min(beta, slack_frac);
+      lhs += BigRational(ti.area) *
+             math::rmin(BigRational(w_bar, denom), slack_frac);
     }
-
-    TaskDiagnostic diag;
-    diag.task_index = k;
-    diag.lhs = P::to_double(lhs);
-    diag.rhs = P::to_double(rhs);
-    diag.pass = P::lt(lhs, rhs);
-    report.per_task.push_back(diag);
-
-    if (!diag.pass && !report.first_failing_task) {
-      report.first_failing_task = k;
-      report.verdict = Verdict::kInconclusive;
-    }
+    record_exact(report, {.task_index = k,
+                          .pass = lhs < rhs,
+                          .lhs = lhs.to_double(),
+                          .rhs = rhs.to_double()});
   }
   return report;
 }
 
-// ---------------------------------------------------------------------------
-// Theorem 3 (GN2): schedulable by EDF-FkF if for every τk there exists
-// λ ≥ C_k/T_k (among the discontinuity candidates) with λ_k = λ·max(1,T_k/D_k)
-// satisfying either
-//   1) Σ A_i·min(β_λ(i), 1 − λ_k) <  A_bnd·(1 − λ_k), or
-//   2) Σ A_i·min(β_λ(i), 1)      <  (A_bnd − A_min)(1 − λ_k) + A_min
-// with A_bnd = A(H) − A_max + 1 and
-//   β_λ(i) = max(u_i, u_i(1 − D_i/D_k) + C_i/D_k)   if u_i ≤ λ
-//          = C_k/T_k  [option: λ]                    if u_i > λ ∧ λ ≥ C_i/D_i
-//          = u_i + (C_i − λ·D_i)/D_k                 otherwise.
-// Candidate λ values are the β discontinuities the paper's complexity
-// argument enumerates: {C_i/T_i} ∪ {C_i/D_i : D_i > T_i} (∪ {C_k/T_k}).
-// ---------------------------------------------------------------------------
-template <class P>
-TestReport gn2_eval(const TaskSet& ts, Device device, const Gn2Options& opt) {
-  using Real = typename P::Real;
+/// Theorem 3 (GN2), exactly: every candidate λ re-sums all n β_λ(i), the
+/// O(N³) evaluation the paper describes.
+inline TestReport gn2_exact(const TaskSet& ts, Device device,
+                            const Gn2Options& opt) {
+  using math::BigRational;
   using math::Rational;
 
   TestReport report;
   report.test_name = "GN2";
   if (reject_infeasible(ts, device, report)) return report;
 
-  const Real abnd = P::from_int(device.width - ts.max_area() + 1);
-  const Real amin = P::from_int(ts.min_area());
-  const Real one = P::from_int(1);
+  const BigRational abnd(device.width - ts.max_area() + 1);
+  const BigRational amin(ts.min_area());
+  const BigRational one(1);
 
   // Global candidate pool (exact): β_λ discontinuities.
   std::vector<Rational> pool;
@@ -211,79 +172,54 @@ TestReport gn2_eval(const TaskSet& ts, Device device, const Gn2Options& opt) {
 
     TaskDiagnostic diag;
     diag.task_index = k;
-    diag.pass = false;
-
     for (const Rational& lambda : pool) {
       if (lambda < uk_exact) continue;  // theorem requires λ ≥ C_k/T_k
       const Rational lk_exact = lambda * lk_scale;
-      if (!(lk_exact < Rational(1))) continue;  // degenerate: no slack bound
+      if (!(lk_exact < Rational(1))) break;  // no slack bound from here on
 
-      const Real lambda_r = P::ratio(lambda.num(), lambda.den());
-      const Real lk = P::ratio(lk_exact.num(), lk_exact.den());
-      const Real one_minus_lk = one - lk;
+      const BigRational lambda_r(lambda);
+      const BigRational one_minus_lk = one - BigRational(lk_exact);
 
-      Real lhs_capped = P::from_int(0);  // Σ A_i·min(β, 1 − λ_k)
-      Real lhs_unit = P::from_int(0);    // Σ A_i·min(β, 1)
-      for (std::size_t i = 0; i < ts.size(); ++i) {
-        const Task& ti = ts[i];
+      BigRational lhs_capped(0);  // Σ A_i·min(β, 1 − λ_k)
+      BigRational lhs_unit(0);    // Σ A_i·min(β, 1)
+      for (const Task& ti : ts) {
         const Rational ui_exact(ti.wcet, ti.period);
-        // Branch selection is exact; formula arithmetic is per-policy.
-        Real beta;
+        BigRational beta;
         if (!(ui_exact > lambda)) {  // u_i ≤ λ
-          const Real ui = P::ratio(ti.wcet, ti.period);
-          const Real alt = ui * (one - P::ratio(ti.deadline, tk.deadline)) +
-                           P::ratio(ti.wcet, tk.deadline);
-          beta = P::max(ui, alt);
+          const BigRational ui(ui_exact);
+          const BigRational alt =
+              ui * (one - BigRational(ti.deadline, tk.deadline)) +
+              BigRational(ti.wcet, tk.deadline);
+          beta = math::rmax(ui, alt);
         } else if (!(Rational(ti.wcet, ti.deadline) > lambda)) {
           // u_i > λ ∧ λ ≥ C_i/D_i
-          beta = opt.bak2_middle_branch ? lambda_r
-                                        : P::ratio(tk.wcet, tk.period);
+          beta = BigRational(uk_exact);
         } else {
-          const Real ui = P::ratio(ti.wcet, ti.period);
-          beta = ui + (P::from_int(ti.wcet) - lambda_r * P::from_int(ti.deadline)) /
-                          P::from_int(tk.deadline);
+          beta = BigRational(ui_exact) +
+                 (BigRational(ti.wcet) - lambda_r * BigRational(ti.deadline)) /
+                     BigRational(tk.deadline);
         }
-        const Real ai = P::from_int(ti.area);
-        lhs_capped = lhs_capped + ai * P::min(beta, one_minus_lk);
-        lhs_unit = lhs_unit + ai * P::min(beta, one);
+        const BigRational ai(ti.area);
+        lhs_capped += ai * math::rmin(beta, one_minus_lk);
+        lhs_unit += ai * math::rmin(beta, one);
       }
 
-      const Real rhs1 = abnd * one_minus_lk;
-      const Real rhs2 = (abnd - amin) * one_minus_lk + amin;
-
-      const bool cond1 = P::lt(lhs_capped, rhs1);
-      const bool cond2 = opt.non_strict_condition2 ? P::le(lhs_unit, rhs2)
-                                                   : P::lt(lhs_unit, rhs2);
-      if (cond1 || cond2) {
-        diag.pass = true;
-        diag.lambda = lambda.to_double();
-        diag.condition = cond1 ? 1 : 2;
-        diag.lhs = cond1 ? P::to_double(lhs_capped) : P::to_double(lhs_unit);
-        diag.rhs = cond1 ? P::to_double(rhs1) : P::to_double(rhs2);
-        break;
-      }
-      // Keep the last failing comparison for diagnostics — the *nearer*
-      // miss of the two conditions, so --explain shows the inequality the
-      // taskset almost satisfied instead of unconditionally condition 2.
+      const BigRational rhs1 = abnd * one_minus_lk;
+      const BigRational rhs2 = (abnd - amin) * one_minus_lk + amin;
+      const bool cond1 = lhs_capped < rhs1;
+      const bool cond2 =
+          opt.non_strict_condition2 ? lhs_unit <= rhs2 : lhs_unit < rhs2;
+      diag.pass = cond1 || cond2;
       diag.lambda = lambda.to_double();
-      const Real miss1 = lhs_capped - rhs1;
-      const Real miss2 = lhs_unit - rhs2;
-      if (P::lt(miss1, miss2)) {
-        diag.condition = -1;
-        diag.lhs = P::to_double(lhs_capped);
-        diag.rhs = P::to_double(rhs1);
-      } else {
-        diag.condition = -2;
-        diag.lhs = P::to_double(lhs_unit);
-        diag.rhs = P::to_double(rhs2);
-      }
+      // On failure keep the nearer miss of the two conditions.
+      const bool first =
+          diag.pass ? cond1 : lhs_capped - rhs1 < lhs_unit - rhs2;
+      diag.condition = diag.pass ? (first ? 1 : 2) : (first ? -1 : -2);
+      diag.lhs = (first ? lhs_capped : lhs_unit).to_double();
+      diag.rhs = (first ? rhs1 : rhs2).to_double();
+      if (diag.pass) break;
     }
-
-    report.per_task.push_back(diag);
-    if (!diag.pass && !report.first_failing_task) {
-      report.first_failing_task = k;
-      report.verdict = Verdict::kInconclusive;
-    }
+    record_exact(report, diag);
   }
   return report;
 }

@@ -2,14 +2,13 @@
 
 #include <algorithm>
 
+#include "math/eps.hpp"
 #include "math/intdiv.hpp"
-#include "math/numeric_policy.hpp"
 
 namespace reconf::analysis::detail {
 
 namespace {
 
-using math::DoublePolicy;
 using math::Rational;
 
 // Per-task sweep state bits (AnalysisScratch::state).
@@ -22,25 +21,87 @@ constexpr std::uint8_t kCapCapped = 1u << 3; ///< C task: min(β, cap) == cap si
   return static_cast<double>(v);
 }
 
+/// Copies the verdict into the report, if any, and returns it.
+FastVerdict finish(FastVerdict out, TestReport* report) {
+  if (report != nullptr) {
+    report->verdict = out.verdict;
+    if (out.first_failing_task >= 0) {
+      report->first_failing_task =
+          static_cast<std::size_t>(out.first_failing_task);
+    }
+  }
+  return out;
+}
+
+/// Settles what every test settles before evaluating: an empty taskset is
+/// trivially schedulable, and a task failing the basic feasibility
+/// prerequisites makes every sufficient test reject. True when settled;
+/// otherwise the report, if any, gets room for one diagnostic per task.
+bool settled_up_front(const AnalysisScratch& s, Device device,
+                      TestReport* report, FastVerdict& out) {
+  const char* note = nullptr;
+  if (s.n == 0) {
+    out.verdict = Verdict::kSchedulable;
+    note = "empty taskset";
+  } else if (const std::ptrdiff_t bad = s.first_infeasible(device, &note);
+             bad >= 0) {
+    out.first_failing_task = bad;
+  } else {
+    if (report != nullptr) report->per_task.reserve(s.n);
+    return false;
+  }
+  if (report != nullptr) report->note = note;
+  out = finish(out, report);
+  return true;
+}
+
+/// The test declines an input outside its model: inconclusive, no failing
+/// task, `note` says why.
+FastVerdict refuse(TestReport* report, const char* note) {
+  if (report != nullptr) {
+    report->note = note;
+    report->refused = true;
+  }
+  return finish(FastVerdict{}, report);
+}
+
+/// Records τ_k's outcome. Returns true when the kernel should stop: the
+/// serving path (no report) stops at the first failing task.
+bool record(FastVerdict& out, TestReport* report, const TaskDiagnostic& diag) {
+  if (report != nullptr) report->per_task.push_back(diag);
+  if (diag.pass) return false;
+  if (out.first_failing_task < 0) {
+    out.first_failing_task = static_cast<std::ptrdiff_t>(diag.task_index);
+  }
+  return report == nullptr;
+}
+
+/// The verdict once every task is recorded.
+FastVerdict conclude(FastVerdict out, TestReport* report) {
+  out.verdict = out.first_failing_task < 0 ? Verdict::kSchedulable
+                                           : Verdict::kInconclusive;
+  return finish(out, report);
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Theorem 1. Identical floating-point expression sequence as
-// dp_eval<DoublePolicy> — the system-utilization sum is accumulated in task
-// order with the same per-element ratio, so verdicts are bit-identical.
+// Theorem 1 (DP; stated in analysis/dp.hpp). The system-utilization sum is
+// accumulated in task order.
 // ---------------------------------------------------------------------------
 FastVerdict dp_fast(const AnalysisScratch& s, Device device,
-                    const DpOptions& opt) {
+                    const DpOptions& opt, TestReport* report) {
+  if (report != nullptr) {
+    report->test_name = opt.alpha == DpOptions::Alpha::kIntegerArea
+                            ? "DP"
+                            : "DP-original-alpha";
+  }
   FastVerdict out;
-  if (s.n == 0) {
-    out.verdict = Verdict::kSchedulable;
-    return out;
+  if (settled_up_front(s, device, report, out)) return out;
+  // DP descends from GFB, which assumes implicit deadlines.
+  if (!s.all_implicit) {
+    return refuse(report, "DP requires implicit deadlines (D = T)");
   }
-  if (const std::ptrdiff_t bad = s.first_infeasible(device); bad >= 0) {
-    out.first_failing_task = bad;
-    return out;
-  }
-  if (opt.require_implicit_deadlines && !s.all_implicit) return out;
 
   const Area bonus = opt.alpha == DpOptions::Alpha::kIntegerArea ? 1 : 0;
   const double abnd = d(device.width - s.max_area + bonus);
@@ -54,34 +115,33 @@ FastVerdict dp_fast(const AnalysisScratch& s, Device device,
     const double ut_k = d(s.wcet[k]) / d(s.period[k]);
     const double us_k = d(s.wcet[k] * s.area[k]) / d(s.period[k]);
     const double rhs = abnd * (1.0 - ut_k) + us_k;
-    if (!DoublePolicy::le(us, rhs)) {
-      out.first_failing_task = static_cast<std::ptrdiff_t>(k);
+    if (record(out, report,
+               {.task_index = k,
+                .pass = math::le(us, rhs),
+                .lhs = us,
+                .rhs = rhs})) {
       return out;
     }
   }
-  out.verdict = Verdict::kSchedulable;
-  return out;
+  return conclude(out, report);
 }
 
 // ---------------------------------------------------------------------------
-// Theorem 2. Same double loop as gn1_eval<DoublePolicy> (the interference
-// sum is inherently per-(k,i)), over SoA arrays and with an early return at
-// the first failing task instead of diagnostics. Bit-identical verdicts.
+// Theorem 2 (GN1; stated in analysis/gn1.hpp, variants in options.hpp). The
+// interference sum is inherently per-(k, i).
 // ---------------------------------------------------------------------------
 FastVerdict gn1_fast(const AnalysisScratch& s, Device device,
-                     const Gn1Options& opt) {
+                     const Gn1Options& opt, TestReport* report) {
+  if (report != nullptr) report->test_name = "GN1";
   FastVerdict out;
-  if (s.n == 0) {
-    out.verdict = Verdict::kSchedulable;
-    return out;
+  if (settled_up_front(s, device, report, out)) return out;
+  // Theorem 2 descends from BCL's constrained-deadline interference bound:
+  // the W̄_i window arithmetic under-counts interference once D_i > T_i.
+  // Found by the differential oracle (heavy_tail_arbitrary family): without
+  // this gate GN1 accepts arbitrary-deadline sets the simulator refutes.
+  if (!s.all_constrained) {
+    return refuse(report, "GN1 requires constrained deadlines (D <= T)");
   }
-  if (const std::ptrdiff_t bad = s.first_infeasible(device); bad >= 0) {
-    out.first_failing_task = bad;
-    return out;
-  }
-  // Mirrors the reference evaluator's constrained-deadline gate (BCL's
-  // window bound is unsound for D > T); parity demands identical refusals.
-  if (!s.all_constrained) return out;
 
   const bool plus_one = opt.rhs == Gn1Options::Rhs::kLemma3PlusOne;
   const bool denom_di =
@@ -105,25 +165,27 @@ FastVerdict gn1_fast(const AnalysisScratch& s, Device device,
       const double beta = d(w_bar) / d(denom);
       lhs = lhs + d(s.area[i]) * std::min(beta, slack_frac);
     }
-    if (!DoublePolicy::lt(lhs, rhs)) {
-      out.first_failing_task = static_cast<std::ptrdiff_t>(k);
+    if (record(out, report,
+               {.task_index = k,
+                .pass = math::lt(lhs, rhs),
+                .lhs = lhs,
+                .rhs = rhs})) {
       return out;
     }
   }
-  out.verdict = Verdict::kSchedulable;
-  return out;
+  return conclude(out, report);
 }
 
 // ---------------------------------------------------------------------------
-// Theorem 3 as an incremental λ-sweep.
-//
-// For a fixed τ_k the reference walks every candidate λ and re-sums all n
-// β_λ(i) contributions. But as λ grows through the sorted candidate pool,
-// each task's contribution is piecewise linear in λ with O(1) pieces:
+// Theorem 3 (GN2; stated in analysis/gn2.hpp), evaluated as an incremental
+// λ-sweep. Re-summing all n β_λ(i) per (k, λ) costs O(n³). But as λ grows
+// through the sorted candidate pool, each task's contribution is piecewise
+// linear in λ with O(1) pieces:
 //
 //   branch C (λ < min(C_i/D_i, u_i)):  β = u_i + (C_i − λD_i)/D_k  (linear)
-//   branch B (C_i/D_i ≤ λ < u_i)    :  β = C_k/T_k (or λ)          (shared)
-//   branch A (u_i ≤ λ)              :  β = max(u_i, …)             (constant)
+//   branch B (C_i/D_i ≤ λ < u_i)    :  β = C_k/T_k                 (shared)
+//   branch A (u_i ≤ λ)              :  β = max(u_i, u_i(1 − D_i/D_k)
+//                                              + C_i/D_k)         (constant)
 //
 // and the caps min(β, 1) / min(β, 1 − λ_k) each switch sides at most once
 // per piece. The sweep therefore keeps one aggregate per (branch × cap
@@ -136,29 +198,21 @@ FastVerdict gn1_fast(const AnalysisScratch& s, Device device,
 // Every task generates O(1) events, so one k costs O(n log n) and a verdict
 // O(n² log n) — measured below cubic by bench_report.
 //
-// Branch selection and the λ filters stay exact (int64 rationals), matching
-// the reference; only the *grouping* of the floating-point sums differs,
-// which the ε-tolerant comparisons absorb.
+// Branch selection and the λ filters stay exact (int64 rationals), like
+// the exact evaluator; only the floating-point sums are regrouped, which
+// the ε-tolerant comparisons absorb.
 // ---------------------------------------------------------------------------
 FastVerdict gn2_fast(AnalysisScratch& s, Device device, const Gn2Options& opt,
-                     std::span<Gn2Choice> choices) {
-  RECONF_EXPECTS(choices.empty() || choices.size() == s.n);
+                     TestReport* report) {
+  if (report != nullptr) report->test_name = "GN2";
   FastVerdict out;
-  if (s.n == 0) {
-    out.verdict = Verdict::kSchedulable;
-    return out;
-  }
-  if (const std::ptrdiff_t bad = s.first_infeasible(device); bad >= 0) {
-    out.first_failing_task = bad;
-    return out;
-  }
+  if (settled_up_front(s, device, report, out)) return out;
   s.prepare_gn2();
 
   const std::size_t n = s.n;
   const double abnd = d(device.width - s.max_area + 1);
   const double amin = d(s.min_area);
 
-  out.verdict = Verdict::kSchedulable;
   for (std::size_t k = 0; k < n; ++k) {
     const Rational& uk_x = s.util_x[k];
     const Rational lk_scale =
@@ -184,8 +238,7 @@ FastVerdict gn2_fast(AnalysisScratch& s, Device device, const Gn2Options& opt,
     // Linear β-side aggregates for branch C: Σ a_i·β = Σ a_i·u_i +
     // (Σ a_iC_i − λ·Σ a_iD_i)/D_k, one instance per cap. The a_i·C_i and
     // a_i·D_i sums hold integer values but live in doubles: exact below
-    // 2^53 (every serving-realistic magnitude) and merely rounded beyond —
-    // an int64 would be signed-overflow UB on hostile NDJSON parameters.
+    // 2^53 (every serving-realistic magnitude) and merely rounded beyond.
     double unit_au = 0.0;
     double unit_ac = 0.0;
     double unit_ad = 0.0;
@@ -237,7 +290,8 @@ FastVerdict gn2_fast(AnalysisScratch& s, Device device, const Gn2Options& opt,
     std::size_t p2 = 0;  // ev_cap_up pointer
     std::size_t p3 = 0;  // ev_cap_dn pointer
 
-    bool passed = false;
+    TaskDiagnostic diag;
+    diag.task_index = k;
     // The theorem requires λ ≥ C_k/T_k; pool is sorted and exact.
     for (auto it = std::lower_bound(s.pool.begin(), s.pool.end(), uk_x);
          it != s.pool.end(); ++it) {
@@ -339,7 +393,7 @@ FastVerdict gn2_fast(AnalysisScratch& s, Device device, const Gn2Options& opt,
       }
 
       // ---- O(1) evaluation of both conditions at this candidate.
-      const double beta_b = opt.bak2_middle_branch ? lam_d : uk_d;
+      const double beta_b = uk_d;  // branch B's shared β = C_k/T_k
       const double c_unit_lin =
           unit_au + (unit_ac - lam_d * unit_ad) / dk_d;
       const double c_cap_lin =
@@ -352,29 +406,26 @@ FastVerdict gn2_fast(AnalysisScratch& s, Device device, const Gn2Options& opt,
       const double rhs1 = abnd * cap;
       const double rhs2 = (abnd - amin) * cap + amin;
 
-      const bool cond1 = DoublePolicy::lt(lhs_capped, rhs1);
+      const bool cond1 = math::lt(lhs_capped, rhs1);
       const bool cond2 = opt.non_strict_condition2
-                             ? DoublePolicy::le(lhs_unit, rhs2)
-                             : DoublePolicy::lt(lhs_unit, rhs2);
-      if (cond1 || cond2) {
-        passed = true;
-        if (!choices.empty()) {
-          choices[k] = {true, lambda.to_double(), cond1 ? 1 : 2};
-        }
-        break;
+                             ? math::le(lhs_unit, rhs2)
+                             : math::lt(lhs_unit, rhs2);
+      diag.pass = cond1 || cond2;
+      if (report != nullptr) {
+        diag.lambda = lam_d;
+        // On failure keep the *nearer* miss of the two conditions, so
+        // --explain shows the inequality the taskset almost satisfied.
+        const bool one =
+            diag.pass ? cond1 : math::lt(lhs_capped - rhs1, lhs_unit - rhs2);
+        diag.condition = diag.pass ? (one ? 1 : 2) : (one ? -1 : -2);
+        diag.lhs = one ? lhs_capped : lhs_unit;
+        diag.rhs = one ? rhs1 : rhs2;
       }
+      if (diag.pass) break;
     }
-
-    if (!passed) {
-      out.verdict = Verdict::kInconclusive;
-      if (out.first_failing_task < 0) {
-        out.first_failing_task = static_cast<std::ptrdiff_t>(k);
-      }
-      if (choices.empty()) return out;  // serving path: first failure decides
-      choices[k] = {false, 0.0, 0};
-    }
+    if (record(out, report, diag)) return out;
   }
-  return out;
+  return conclude(out, report);
 }
 
 }  // namespace reconf::analysis::detail

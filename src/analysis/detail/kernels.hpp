@@ -1,31 +1,33 @@
 #pragma once
 
-// Allocation-free fast-path kernels for Theorems 1–3 over an AnalysisScratch
-// (detail/scratch.hpp). These are the serving-path twins of the templated
-// reference evaluators in detail/evaluators.hpp:
+// The floating-point implementation of Theorems 1–3: kernels over an
+// AnalysisScratch (detail/scratch.hpp). Every double-valued verdict of the
+// three theorems comes from here — dp_test/gn1_test/gn2_test and
+// AnalysisEngine::run() pass a TestReport, AnalysisEngine::decide() passes
+// none. The *_test_exact entry points evaluate the same conditions in exact
+// arithmetic instead (detail/evaluators.hpp).
 //
-//  * same branch decisions — formula selection (β_λ branches, λ-candidate
-//    filtering, feasibility) is taken with exact int64 rational comparisons,
-//    exactly like the reference;
-//  * same DoublePolicy comparison semantics (ε-guarded < and ≤);
-//  * no TestReport, no per-task vectors, no strings — the result is a
-//    16-byte FastVerdict and the only storage touched is the scratch.
+//  * Formula selection (β_λ branches, λ-candidate filtering, feasibility)
+//    is taken with exact int64 rational comparisons, exactly like the exact
+//    evaluators; only the final inequalities are compared in double, with
+//    the ε guard of math/eps.hpp.
+//  * Given nullptr, a kernel returns at the first failing task and touches
+//    no storage but the scratch, allocating nothing once it is warm: the
+//    result is a 16-byte FastVerdict.
+//  * Given a TestReport, it evaluates every task and fills the report: test
+//    name, per-task lhs/rhs/pass, GN2's λ and condition (on failure the
+//    nearer miss at the last λ), first_failing_task, and the
+//    empty/infeasible/refusal notes. The verdict and first failing task
+//    are the same either way.
 //
-// dp_fast and gn1_fast evaluate the identical floating-point expression
-// sequence as dp_eval/gn1_eval<DoublePolicy> (bit-identical verdicts by
-// construction). gn2_fast replaces the reference's O(n) inner sum per
-// (k, λ) with an incremental λ-sweep: tasks are walked in the exact global
+// gn2_fast is an incremental λ-sweep: tasks are walked in the exact global
 // C/T and min(C/D, C/T) orders, each task's β-branch changes at most twice,
 // and the min() caps against 1 and 1 − λ_k are tracked by per-k sorted
 // crossing events plus a β-heap — amortized O(1) per (k, λ), O(n² log n)
-// per verdict instead of O(n³). Its sums are regrouped (aggregate partial
-// sums instead of the reference's task-order accumulation), so individual
-// lhs values may differ from the reference by O(1e-13) rounding; the
-// ε-tolerant comparisons absorb this, and the fastpath parity suite checks
-// verdict identity over the generated corpus.
-
-#include <cstddef>
-#include <span>
+// per verdict instead of the O(n³) of re-summing every β per candidate.
+// Its sums are aggregate partial sums, so an lhs may differ from the exact
+// value by O(1e-13) rounding; the fastpath parity suite checks verdicts,
+// per-task passes and GN2's λ/condition against the exact evaluators.
 
 #include "analysis/detail/scratch.hpp"
 #include "analysis/options.hpp"
@@ -34,28 +36,19 @@
 
 namespace reconf::analysis::detail {
 
-/// Per-task GN2 witness for parity testing: the first λ candidate and
-/// condition (1 or 2) that satisfied Theorem 3 for τ_k.
-struct Gn2Choice {
-  bool pass = false;
-  double lambda = 0.0;
-  int condition = 0;
-};
-
-/// Theorem 1 over the scratch. Bit-identical to dp_eval<DoublePolicy>.
+/// Theorem 1 over the scratch.
 [[nodiscard]] FastVerdict dp_fast(const AnalysisScratch& s, Device device,
-                                  const DpOptions& opt);
+                                  const DpOptions& opt,
+                                  TestReport* report = nullptr);
 
-/// Theorem 2 over the scratch. Bit-identical to gn1_eval<DoublePolicy>.
+/// Theorem 2 over the scratch.
 [[nodiscard]] FastVerdict gn1_fast(const AnalysisScratch& s, Device device,
-                                   const Gn1Options& opt);
+                                   const Gn1Options& opt,
+                                   TestReport* report = nullptr);
 
-/// Theorem 3 as the incremental λ-sweep. When `choices` is non-empty it
-/// must have size n; every task is then evaluated (no early exit) and its
-/// witness recorded — the parity suite's hook. An empty span is the serving
-/// path: returns at the first failing task.
+/// Theorem 3 as the incremental λ-sweep.
 [[nodiscard]] FastVerdict gn2_fast(AnalysisScratch& s, Device device,
                                    const Gn2Options& opt,
-                                   std::span<Gn2Choice> choices = {});
+                                   TestReport* report = nullptr);
 
 }  // namespace reconf::analysis::detail

@@ -70,15 +70,14 @@ void AnalysisScratch::prepare_gn2() {
                    });
 }
 
-std::ptrdiff_t AnalysisScratch::first_infeasible(Device device) const noexcept {
-  // Mirrors basic_feasibility_issue exactly — same checks, same order — so
-  // the fast path reports the same first_failing_task as the reference.
-  if (!device.valid()) return 0;
+std::ptrdiff_t AnalysisScratch::first_infeasible(
+    Device device, const char** why) const noexcept {
+  // The same per-task rule, in the same order, as basic_feasibility_issue,
+  // so the kernels name the same first_failing_task and note.
   for (std::size_t i = 0; i < n; ++i) {
-    const bool well_formed =
-        wcet[i] > 0 && deadline[i] > 0 && period[i] > 0 && area[i] > 0;
-    if (!well_formed || wcet[i] > deadline[i] || wcet[i] > period[i] ||
-        area[i] > device.width) {
+    if (const char* reason = task_infeasibility(wcet[i], deadline[i],
+                                                period[i], area[i], device)) {
+      if (why != nullptr) *why = reason;
       return static_cast<std::ptrdiff_t>(i);
     }
   }

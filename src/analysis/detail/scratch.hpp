@@ -1,12 +1,14 @@
 #pragma once
 
-// Structure-of-arrays evaluation substrate for the fast-path kernels
-// (detail/kernels.hpp). One AnalysisScratch holds:
+// Structure-of-arrays evaluation substrate for the kernels
+// (detail/kernels.hpp), the floating-point evaluation of Theorems 1–3
+// behind both dp_test/gn1_test/gn2_test and AnalysisEngine::decide. One
+// AnalysisScratch holds:
 //
 //  * a contiguous SoA mirror of the bound taskset — wcet[]/deadline[]/
-//    period[]/area[] plus the precomputed double utilizations the
-//    DoublePolicy formulas read — so the kernels stream over cache-dense
-//    arrays instead of 64-byte Task structs with std::string names;
+//    period[]/area[] plus the precomputed double utilizations the formulas
+//    read — so the kernels stream over cache-dense arrays instead of
+//    64-byte Task structs with std::string names;
 //  * the GN2 λ-candidate pool and the exact global task orders (by C/T and
 //    by min(C/D, C/T)) the incremental λ-sweep advances over;
 //  * reusable per-k working buffers (crossing-event arrays, the branch-A
@@ -15,8 +17,9 @@
 // All storage is capacity-reused: build() only allocates when the taskset
 // outgrows every previous one seen by this scratch, so a warmed-up arena
 // evaluates verdicts with zero heap allocation. Use thread_scratch() for
-// the per-thread arena the engine's fast path shares across analyzers and
-// across batch items; a scratch is not thread-safe.
+// the per-thread arena the engine's decide() shares across analyzers and
+// across batch items; the report entry points bind a scratch of their own.
+// A scratch is not thread-safe.
 
 #include <cstdint>
 #include <vector>
@@ -38,7 +41,7 @@ struct AnalysisScratch {
   std::vector<Ticks> deadline;
   std::vector<Ticks> period;
   std::vector<Area> area;
-  std::vector<double> util;  ///< C_i/T_i exactly as DoublePolicy::ratio
+  std::vector<double> util;  ///< C_i/T_i, one double division
 
   // --------------------------------------- GN2 pool and exact orders ----
   // Built lazily by prepare_gn2() — the exact-rational sorts cost more than
@@ -83,8 +86,10 @@ struct AnalysisScratch {
   void prepare_gn2();
 
   /// First task index violating the basic feasibility prerequisites every
-  /// test rejects on (same order as basic_feasibility_issue), or −1.
-  [[nodiscard]] std::ptrdiff_t first_infeasible(Device device) const noexcept;
+  /// test rejects on (same order as basic_feasibility_issue), or −1. When
+  /// `why` is given it receives the violation's reason.
+  [[nodiscard]] std::ptrdiff_t first_infeasible(
+      Device device, const char** why = nullptr) const noexcept;
 };
 
 /// The calling thread's scratch arena. The engine fast path binds it to the

@@ -13,7 +13,8 @@ namespace reconf::analysis {
 ///   ∀τk ∈ Γ: U_S(Γ) ≤ (A(H) − A_max + 1)·(1 − U_T(τk)) + U_S(τk)
 ///
 /// Sufficient for EDF-FkF, hence also for EDF-NF (Danne's dominance result).
-/// Fast path (double arithmetic, tolerance-guarded comparisons).
+/// Refuses tasksets without implicit deadlines. Evaluated by the SoA kernel
+/// (double arithmetic, tolerance-guarded comparisons; detail/kernels.hpp).
 [[nodiscard]] TestReport dp_test(const TaskSet& ts, Device device,
                                  const DpOptions& options = {});
 

@@ -60,7 +60,9 @@ class DpAnalyzer final : public Analyzer {
       const AnalyzerConfig& config) const noexcept override {
     std::uint64_t h = mix64(id_hash(id()));
     h = mix64(h ^ static_cast<std::uint64_t>(config.dp.alpha));
-    h = mix64(h ^ (config.dp.require_implicit_deadlines ? 1u : 0u));
+    // The implicit-deadline gate, always on. Fixed values are still mixed:
+    // persisted cache-snapshot keys depend on them.
+    h = mix64(h ^ 1u);
     return h;
   }
 };
@@ -124,7 +126,7 @@ class Gn2Analyzer final : public Analyzer {
       const AnalyzerConfig& config) const noexcept override {
     std::uint64_t h = mix64(id_hash(id()));
     h = mix64(h ^ (config.gn2.non_strict_condition2 ? 1u : 0u));
-    h = mix64(h ^ (config.gn2.bak2_middle_branch ? 1u : 0u));
+    h = mix64(h ^ 0u);  // the published middle branch (fixed; see dp)
     return h;
   }
 };
@@ -267,7 +269,7 @@ class PartitionAnalyzer final : public Analyzer {
       const AnalyzerConfig& config) const noexcept override {
     std::uint64_t h = mix64(id_hash(id()));
     h = mix64(h ^ static_cast<std::uint64_t>(config.partition.heuristic));
-    h = mix64(h ^ static_cast<std::uint64_t>(config.partition.order));
+    h = mix64(h ^ 0u);  // density-decreasing task order (fixed; see dp)
     return h;
   }
 };
@@ -437,7 +439,7 @@ AnalysisEngine::AnalysisEngine(AnalysisRequest request,
         &metrics.histogram("reconf_engine_latency_ns{analyzer=\"" + id +
                            "\"}");
     cell.span_name = analyzer->id();
-    cell.fast_cat = analyzer->has_fast_path() ? "fast" : "reference";
+    cell.fast_cat = analyzer->has_fast_path() ? "fast" : "report";
     obs_.push_back(cell);
   }
 }
@@ -459,7 +461,7 @@ AnalysisReport AnalysisEngine::run(const TaskSet& ts, Device device) const {
 
     const ObsCell& oc = obs_[i];
     {
-      const obs::Span analyzer_span(oc.span_name, "reference");
+      const obs::Span analyzer_span(oc.span_name, "report");
       Stopwatch watch;
       outcome.report = analyzer.run(ts, device, request_.config);
       outcome.seconds = watch.seconds();

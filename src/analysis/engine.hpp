@@ -132,8 +132,8 @@ class Analyzer {
   /// `scratch` must already be bound to `ts` (AnalysisScratch::build); the
   /// engine binds its thread-local arena once per verdict and shares it
   /// across analyzers. Must agree with run() on verdict and
-  /// first_failing_task for every input (the fastpath parity suite enforces
-  /// this for the built-in kernels). Default: adapts run(), allocating.
+  /// first_failing_task for every input (the built-in kernels serve both).
+  /// Default: adapts run(), allocating.
   [[nodiscard]] virtual FastVerdict run_fast(detail::AnalysisScratch& scratch,
                                              const TaskSet& ts, Device device,
                                              const AnalyzerConfig& config)
@@ -155,9 +155,8 @@ class UnknownAnalyzerError : public std::invalid_argument {
 
 /// Everything that parameterizes one analysis: which tests, under which
 /// scheduler restriction, with which options, and how eagerly run() stops.
-/// How a verdict is evaluated is the caller's choice of engine method:
-/// run() for the timed reference report, decide() for the untimed kernel
-/// verdict.
+/// What a caller gets is its choice of engine method: run() for the timed
+/// report with per-task diagnostics, decide() for the untimed verdict.
 struct AnalysisRequest {
   /// Registry ids to run. Defaults to the paper's Section 6 lineup.
   /// Duplicates are ignored; an empty list builds an engine that runs
@@ -244,9 +243,10 @@ class AnalysisEngine {
   AnalysisEngine(AnalysisEngine&&) noexcept = default;
   AnalysisEngine& operator=(AnalysisEngine&&) noexcept = default;
 
-  /// The reference report: runs the selected analyzers in execution order
-  /// through Analyzer::run (full per-task diagnostics), timing each one
-  /// into AnalyzerOutcome::seconds and reconf_engine_latency_ns. Verdict
+  /// The report: runs the selected analyzers in execution order through
+  /// Analyzer::run (full per-task diagnostics; for DP/GN1/GN2 the SoA
+  /// kernels given a TestReport), timing each one into
+  /// AnalyzerOutcome::seconds and reconf_engine_latency_ns. Verdict
   /// and accepted_by depend only on (taskset, device, fingerprint()) —
   /// never on early_exit or thread interleaving.
   [[nodiscard]] AnalysisReport run(const TaskSet& ts, Device device) const;
@@ -259,12 +259,10 @@ class AnalysisEngine {
   /// counters move as for run() with early_exit.
   ///
   /// Returns the same verdict and accepting analyzer as run() for every
-  /// input: every branch decision and λ filter is taken with the same exact
-  /// rational comparisons in both paths. The GN2 kernel regroups its
-  /// floating-point sums, a ~1e-13 perturbation that the ε-guarded
-  /// DoublePolicy comparisons absorb. The fastpath parity suite enforces
-  /// identical verdict, accepted_by, first_failing_task and GN2
-  /// λ/condition across a randomized corpus.
+  /// input: for DP/GN1/GN2 both evaluate the same kernels
+  /// (detail/kernels.hpp), decide() without a report. The fastpath parity
+  /// suite checks the two against each other and the kernels against the
+  /// exact evaluators across a randomized corpus.
   [[nodiscard]] Decision decide(const TaskSet& ts, Device device) const;
 
   /// Fingerprint of the resolved configuration: the ordered analyzer ids
@@ -315,9 +313,9 @@ class AnalysisEngine {
     /// Span names and decide()'s span category, resolved at construction so
     /// the hot loop never makes the id()/has_fast_path() virtual calls just
     /// to label a (usually inactive) span. The name view aliases the
-    /// analyzer's static id storage. run() spans are always "reference".
+    /// analyzer's static id storage. run() spans are always "report".
     std::string_view span_name;
-    const char* fast_cat = "reference";
+    const char* fast_cat = "report";
   };
 
   [[nodiscard]] static const AnalyzerRegistry& default_registry();

@@ -19,7 +19,8 @@ namespace reconf::analysis {
 /// holds (condition 2 strict by default; see Gn2Options in
 /// analysis/options.hpp).
 ///
-/// Runtime is O(N³) over the candidate set, as the paper notes.
+/// Evaluated by the kernel's incremental λ-sweep, O(N² log N); the exact
+/// variant re-sums every candidate, the O(N³) the paper notes.
 [[nodiscard]] TestReport gn2_test(const TaskSet& ts, Device device,
                                   const Gn2Options& options = {});
 

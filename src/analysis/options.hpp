@@ -3,7 +3,9 @@
 namespace reconf::analysis {
 
 /// Options for the DP test (Theorem 1 — Danne & Platzner's bound with the
-/// paper's integer-area correction).
+/// paper's integer-area correction). DP descends from GFB, which assumes
+/// implicit deadlines (D = T), so the test refuses every other taskset
+/// instead of returning an unsound verdict.
 struct DpOptions {
   /// Work-conserving bound A_bnd used on the right-hand side:
   ///  * kIntegerArea — A(H) − A_max + 1 (Lemma 1, the paper's correction for
@@ -12,11 +14,6 @@ struct DpOptions {
   ///    real-valued areas). Kept for the ablation bench.
   enum class Alpha { kIntegerArea, kOriginalReal };
   Alpha alpha = Alpha::kIntegerArea;
-
-  /// DP descends from GFB, which assumes implicit deadlines (D = T). When
-  /// true (default) the test refuses tasksets violating that assumption
-  /// instead of returning an unsound verdict.
-  bool require_implicit_deadlines = true;
 };
 
 /// Options for the GN1 test (Theorem 2 — EDF-NF bound derived from BCL).
@@ -40,17 +37,14 @@ struct Gn1Options {
 };
 
 /// Options for the GN2 test (Theorem 3 — EDF-FkF bound derived from BAK2).
+/// The middle branch of β_λ(i) (u_i > λ ∧ λ ≥ C_i/D_i, reachable only when
+/// D_i > T_i) is C_k/T_k as the paper prints it, where Baker's BAK2, which
+/// the lemma follows, uses λ.
 struct Gn2Options {
   /// Condition 2 comparison. The theorem prints `≤`, but at the exact
   /// equality occurring for Table 1 that accepts a taskset the paper reports
   /// as rejected; strict `<` (default) reproduces the paper's verdicts.
   bool non_strict_condition2 = false;
-
-  /// Middle branch of β_λ(i) (u_i > λ ∧ λ ≥ C_i/D_i): the paper prints
-  /// C_k/T_k; Baker's BAK2, which the lemma follows, uses λ. The branch can
-  /// only trigger for post-period deadlines (D_i > T_i). Default: as
-  /// published.
-  bool bak2_middle_branch = false;
 };
 
 }  // namespace reconf::analysis

@@ -8,14 +8,13 @@ namespace reconf::exp {
 
 SeriesSpec engine_series(std::string name, analysis::AnalysisRequest request,
                          const analysis::AnalyzerRegistry& registry) {
-  // Sweep predicates only consume accepted(): early exit keeps the verdict
-  // and skips the expensive tail.
-  request.early_exit = true;
+  // Sweep predicates only consume accepted(): decide() answers it from the
+  // kernels and stops at the first acceptance, building no report.
   auto engine = std::make_shared<const analysis::AnalysisEngine>(
       std::move(request), registry);
   return {std::move(name),
           [engine](const TaskSet& ts, Device dev) {
-            return engine->run(ts, dev).accepted();
+            return engine->decide(ts, dev).accepted();
           },
           engine,
           std::nullopt};

@@ -9,6 +9,7 @@
 #include "common/json_escape.hpp"
 #include "common/rng.hpp"
 #include "svc/json.hpp"
+#include "task/task.hpp"
 
 namespace reconf::fault {
 
@@ -35,11 +36,18 @@ using svc::json::Value;
                        what);
 }
 
+/// Every field is a tick value or a small count, held to the input domain
+/// (task/task.hpp) so an overrun or slow window cannot overflow a job's
+/// remaining time.
 Ticks require_nonneg(const Value& obj, const char* key, int line) {
   const Value* v = obj.find(key);
   if (v == nullptr) fail(line, std::string("missing \"") + key + "\"");
   if (v->kind != Value::Kind::kNumber || !v->integral || v->integer < 0) {
     fail(line, std::string("\"") + key + "\" must be a non-negative integer");
+  }
+  if (v->integer > kMaxTicks) {
+    fail(line, std::string("\"") + key + "\" out of range (max " +
+                   std::to_string(kMaxTicks) + ")");
   }
   return static_cast<Ticks>(v->integer);
 }

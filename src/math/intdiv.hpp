@@ -3,8 +3,8 @@
 // Integer division helpers with mathematical (floor) semantics. C++ integer
 // division truncates toward zero, which is wrong for the negative numerators
 // that show up in the analysis window counts (N_i = ⌊(D_k − D_i)/T_i⌋ + 1
-// with D_k < D_i). Shared by analysis/detail/evaluators.hpp, the SoA fast
-// kernels and analysis/workload.cpp — one definition, one set of tests.
+// with D_k < D_i). Shared by the exact evaluators, the SoA kernels, mp/
+// and analysis/workload.cpp — one definition, one set of tests.
 
 #include <cstdint>
 

@@ -4,7 +4,8 @@
 #include <vector>
 
 #include "math/bigrational.hpp"
-#include "math/numeric_policy.hpp"
+#include "math/eps.hpp"
+#include "math/intdiv.hpp"
 #include "math/rational.hpp"
 
 namespace reconf::mp {
@@ -40,13 +41,6 @@ bool reject_infeasible(const TaskSet& ts, MpPlatform platform,
     }
   }
   return false;
-}
-
-/// Floor division with mathematical semantics for negative numerators.
-constexpr std::int64_t floor_div(std::int64_t num, std::int64_t den) {
-  std::int64_t q = num / den;
-  if (num % den != 0 && num < 0) --q;
-  return q;
 }
 
 }  // namespace
@@ -110,7 +104,7 @@ TestReport bcl_test(const TaskSet& ts, MpPlatform platform) {
       if (i == k) continue;
       const Task& ti = ts[i];
       const std::int64_t ni = std::max<std::int64_t>(
-          0, floor_div(tk.deadline - ti.deadline, ti.period) + 1);
+          0, math::floor_div(tk.deadline - ti.deadline, ti.period) + 1);
       const Ticks carry =
           std::min(ti.wcet, std::max<Ticks>(tk.deadline - ni * ti.period, 0));
       const Ticks w_bar = ni * ti.wcet + carry;
@@ -134,8 +128,6 @@ TestReport bcl_test(const TaskSet& ts, MpPlatform platform) {
 }
 
 TestReport bak1_test(const TaskSet& ts, MpPlatform platform) {
-  using P = math::DoublePolicy;
-
   TestReport report;
   report.test_name = "BAK1";
   if (reject_infeasible(ts, platform, report)) return report;
@@ -170,7 +162,7 @@ TestReport bak1_test(const TaskSet& ts, MpPlatform platform) {
     diag.lhs = lhs;
     diag.rhs = rhs;
     diag.lambda = lambda_k;
-    diag.pass = P::le(lhs, rhs);
+    diag.pass = math::le(lhs, rhs);
     report.per_task.push_back(diag);
     if (!diag.pass && !report.first_failing_task) {
       report.first_failing_task = k;
@@ -181,8 +173,6 @@ TestReport bak1_test(const TaskSet& ts, MpPlatform platform) {
 }
 
 TestReport bak2_test(const TaskSet& ts, MpPlatform platform) {
-  using P = math::DoublePolicy;
-
   TestReport report;
   report.test_name = "BAK2";
   if (reject_infeasible(ts, platform, report)) return report;
@@ -245,8 +235,8 @@ TestReport bak2_test(const TaskSet& ts, MpPlatform platform) {
 
       const double rhs1 = m * one_minus_lk;
       const double rhs2 = (m - 1.0) * one_minus_lk + 1.0;
-      const bool cond1 = P::lt(lhs_capped, rhs1);
-      const bool cond2 = P::lt(lhs_unit, rhs2);
+      const bool cond1 = math::lt(lhs_capped, rhs1);
+      const bool cond2 = math::lt(lhs_unit, rhs2);
       if (cond1 || cond2) {
         diag.pass = true;
         diag.lambda = lambda_r;

@@ -39,6 +39,9 @@ constexpr std::uint64_t kFirstConnId = 2;
 
 constexpr std::size_t kReadChunk = 64 * 1024;
 
+/// Per-connection write buffer cap before reads pause (flow control).
+constexpr std::size_t kMaxOutbuf = 4u << 20;
+
 /// Longest an io thread sleeps in its poller before re-checking the stop
 /// flag (and re-arming a listener paused on a full fd table).
 constexpr int kPollTimeoutMs = 10;
@@ -752,7 +755,7 @@ struct AsyncServer::Impl {
   /// bounds; write while the buffer has unsent bytes.
   void update_interest(Poller& poller, Conn& conn) {
     const bool backlogged =
-        conn.outbuf.size() - conn.out_off > config.max_outbuf;
+        conn.outbuf.size() - conn.out_off > kMaxOutbuf;
     const bool stopping_now = stop.load(std::memory_order_acquire);
     const bool want_read = !conn.read_closed && conn.blocked == nullptr &&
                            !backlogged && !stopping_now;

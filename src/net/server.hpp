@@ -27,8 +27,6 @@ struct ServerConfig {
                                   ///< the connection (false)
   long long request_timeout_ms = 0;  ///< 0 = no per-request deadline
   bool pin_cores = false;   ///< pin shard workers to cores (Linux only)
-  std::size_t max_outbuf = 4u << 20;  ///< per-conn write buffer cap before
-                                      ///< reads pause (flow control)
   svc::BatchOptions options;  ///< pipeline analysis configuration
 };
 

@@ -17,8 +17,8 @@ analysis::AnalysisRequest reference_request(std::vector<std::string> tests) {
   analysis::AnalysisRequest request;
   request.tests = std::move(tests);
   // Reference configuration: every analyzer runs (no early exit), so each
-  // run() outcome is a genuine reference-evaluator verdict to hold against
-  // both decide() and the simulation.
+  // run() outcome is a full report's verdict to hold against both decide()
+  // and the simulation.
   request.early_exit = false;
   return request;
 }
@@ -106,7 +106,7 @@ void DifferentialHarness::adjudicate(const TaskSet& ts, Device device,
   FamilyStats& fs = stats.families[family];
   ++fs.tasksets;
 
-  // ---- fast path vs reference path --------------------------------------
+  // ---- decide() vs run() ------------------------------------------------
   if (decision.verdict != report.verdict ||
       decision.accepted_by != report.accepted_by()) {
     ++stats.fast_slow_divergences;

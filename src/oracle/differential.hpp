@@ -17,8 +17,8 @@ enum class DisagreementKind {
   /// An analyzer accepted while a simulation it claims soundness for missed
   /// a deadline — a real bug, the class the oracle exists to catch.
   kSufficiencyViolation,
-  /// AnalysisEngine::run() and AnalysisEngine::decide() (the reference and
-  /// SoA fast paths) returned different verdicts or accepting analyzers.
+  /// AnalysisEngine::run() and AnalysisEngine::decide() (the report and
+  /// verdict-only paths) returned different verdicts or accepting analyzers.
   kFastSlowDivergence,
   /// The tightened InvariantChecker flagged a simulation, or Danne
   /// dominance failed across schedulers — the referee itself is suspect.
@@ -88,8 +88,8 @@ struct OracleStats {
                                         std::uint64_t master_seed);
 
 /// Adjudicates tasksets against the simulation oracle: every analyzer of
-/// the configured lineup through the reference path, the engine's fast
-/// decide() against its reference run(), and both against hyperperiod-
+/// the configured lineup through the report path, the engine's
+/// decide() against its run(), and both against hyperperiod-
 /// bounded simulation evidence. Stateless after construction; `adjudicate`
 /// is const and thread-safe, so one harness serves every fuzz worker.
 class DifferentialHarness {

@@ -2,7 +2,6 @@
 
 #include <cstdio>
 #include <istream>
-#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -146,9 +145,7 @@ ReproCase parse_repro_line(const std::string& line) {
       out.kind = require_string(val, "kind");
     } else if (key == "device") {
       const long long width = require_positive_int(val, "device");
-      if (width > std::numeric_limits<Area>::max()) {
-        bad_repro("device width out of range");
-      }
+      if (const char* why = width_domain_error(width)) bad_repro(why);
       out.device = Device{static_cast<Area>(width)};
       has_device = true;
     } else if (key == "tasks") {

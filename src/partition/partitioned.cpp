@@ -50,20 +50,9 @@ PartitionResult partition_tasks(const TaskSet& ts, Device device,
 
   std::vector<std::size_t> order(ts.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
-  switch (config.order) {
-    case AllocOrder::kByDensityDecreasing:
-      std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-        return edf_density(ts[a]) > edf_density(ts[b]);
-      });
-      break;
-    case AllocOrder::kByAreaDecreasing:
-      std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-        return ts[a].area > ts[b].area;
-      });
-      break;
-    case AllocOrder::kAsGiven:
-      break;
-  }
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return edf_density(ts[a]) > edf_density(ts[b]);
+  });
 
   constexpr double kDensityEps = 1e-9;
 

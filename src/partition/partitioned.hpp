@@ -28,16 +28,10 @@ enum class AllocHeuristic {
 
 [[nodiscard]] const char* to_string(AllocHeuristic h) noexcept;
 
-/// Task ordering before allocation (decreasing tends to pack better).
-enum class AllocOrder {
-  kByDensityDecreasing,
-  kByAreaDecreasing,
-  kAsGiven,
-};
-
+/// Tasks are allocated in decreasing density order (a decreasing order
+/// tends to pack better).
 struct PartitionConfig {
   AllocHeuristic heuristic = AllocHeuristic::kFirstFit;
-  AllocOrder order = AllocOrder::kByDensityDecreasing;
 };
 
 struct Partition {

@@ -14,10 +14,13 @@
 // deadline model, cost class). An `AnalysisEngine` resolves an
 // `AnalysisRequest` (test ids, optional scheduler restriction, per-test
 // options, early exit) once and then serves thread-safe, deterministic
-// verdicts two ways: run() is the timed reference report (per-analyzer
-// reports and timings), decide() the untimed, allocation-free kernel
-// verdict. Both agree on every verdict, and the engine's configuration
-// fingerprint keys caching.
+// verdicts two ways: run() is the timed report (per-analyzer reports with
+// per-task diagnostics, and timings), decide() the untimed, allocation-free
+// verdict. For the paper's three tests both evaluate the same SoA kernels
+// (analysis/detail/kernels.hpp); the exact BigRational evaluation stays
+// available as dp_test_exact/gn1_test_exact/gn2_test_exact. Both methods
+// agree on every verdict, and the engine's configuration fingerprint keys
+// caching.
 //
 // Typical use:
 //

@@ -52,14 +52,26 @@ using svc::json::Value;
   throw ScenarioError("scenario line " + std::to_string(line) + ": " + what);
 }
 
+/// Fails unless `v` ≤ `max`: tick values stay inside the input domain
+/// (task/task.hpp), so no release, deadline or load time the runtime forms
+/// from them can overflow, and column counts are never truncated.
+Ticks at_most(Ticks v, Ticks max, const char* key, int line) {
+  if (v > max) {
+    fail(line, std::string("\"") + key + "\" out of range (max " +
+                   std::to_string(max) + ")");
+  }
+  return v;
+}
+
 /// Positive integer field, with the same strictness as the svc codec.
-Ticks require_ticks(const Value& obj, const char* key, int line) {
+Ticks require_ticks(const Value& obj, const char* key, int line,
+                    Ticks max = kMaxTicks) {
   const Value* v = obj.find(key);
   if (v == nullptr) fail(line, std::string("missing \"") + key + "\"");
   if (v->kind != Value::Kind::kNumber || !v->integral || v->integer <= 0) {
     fail(line, std::string("\"") + key + "\" must be a positive integer");
   }
-  return static_cast<Ticks>(v->integer);
+  return at_most(v->integer, max, key, line);
 }
 
 /// Non-negative integer field with a default.
@@ -70,7 +82,7 @@ Ticks optional_ticks(const Value& obj, const char* key, Ticks fallback,
   if (v->kind != Value::Kind::kNumber || !v->integral || v->integer < 0) {
     fail(line, std::string("\"") + key + "\" must be a non-negative integer");
   }
-  return static_cast<Ticks>(v->integer);
+  return at_most(v->integer, kMaxTicks, key, line);
 }
 
 std::string require_string(const Value& obj, const char* key, int line) {
@@ -128,7 +140,7 @@ Scenario parse_scenario(const std::string& text) {
         scenario.name = name->text;
       }
       scenario.device.width =
-          static_cast<Area>(require_ticks(obj, "device", line_no));
+          static_cast<Area>(require_ticks(obj, "device", line_no, kMaxWidth));
       scenario.horizon = require_ticks(obj, "horizon", line_no);
       scenario.reconf.per_column = optional_ticks(obj, "rho", 0, line_no);
       scenario.reconf.fixed = optional_ticks(obj, "reconf_fixed", 0, line_no);
@@ -157,7 +169,8 @@ Scenario parse_scenario(const std::string& text) {
       event.task.wcet = require_ticks(obj, "c", line_no);
       event.task.deadline = require_ticks(obj, "d", line_no);
       event.task.period = require_ticks(obj, "t", line_no);
-      event.task.area = static_cast<Area>(require_ticks(obj, "a", line_no));
+      event.task.area =
+          static_cast<Area>(require_ticks(obj, "a", line_no, kMaxWidth));
       event.task.name = event.name;
       if (obj.find("value") != nullptr) {
         event.value = require_ticks(obj, "value", line_no);

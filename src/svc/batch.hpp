@@ -89,8 +89,8 @@ struct BatchVerdict {
 /// `explain` picks the engine method. Off (the serving default), a fresh
 /// verdict comes from decide(): the untimed SoA kernels, no per-task
 /// reports. On (reconf_serve --explain), it comes from run(): the timed
-/// reference evaluators, whose per-analyzer sub-verdicts and timings fill
-/// the NDJSON "sub" array. Verdicts are identical either way, so cached
+/// reports, whose per-analyzer sub-verdicts and timings fill the NDJSON
+/// "sub" array. Verdicts are identical either way, so cached
 /// entries are shared.
 struct BatchOptions {
   analysis::AnalysisRequest request = analysis::fast_any_request();

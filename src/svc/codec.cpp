@@ -3,7 +3,6 @@
 #include <charconv>
 #include <cstring>
 #include <iterator>
-#include <limits>
 #include <optional>
 #include <string_view>
 #include <utility>
@@ -160,8 +159,8 @@ class RequestReader {
       device_error_ = "device must be an integer";
     } else if (*v <= 0) {
       device_error_ = "device must be positive";
-    } else if (*v > std::numeric_limits<Area>::max()) {
-      device_error_ = "device width out of range";
+    } else if (const char* why = width_domain_error(*v)) {
+      device_error_ = why;
     } else {
       out_.device = Device{static_cast<Area>(*v)};
     }
@@ -283,10 +282,11 @@ class RequestReader {
       task_error(index, " requires keys c, d, t, a");
       return;
     }
-    // io::make_task_checked's range rule and message, without building its
+    // io::make_task_checked's domain rule and message, without building its
     // context string for every task.
-    if (fields[3] > std::numeric_limits<Area>::max()) {
-      task_error(index, ": area out of range");
+    if (const char* why =
+            task_domain_error(fields[0], fields[1], fields[2], fields[3])) {
+      task_error(index, std::string(": ") + why);
       return;
     }
     Task& t = tasks_.emplace_back();

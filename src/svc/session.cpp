@@ -14,6 +14,16 @@ AdmissionSession::AdmissionSession(Device device,
 }
 
 AdmissionDecision AdmissionSession::try_admit(const Task& t) {
+  AdmissionDecision out;
+  const char* why = width_domain_error(device_.width);
+  if (why == nullptr) {
+    why = task_domain_error(t.wcet, t.deadline, t.period, t.area);
+  }
+  if (why != nullptr) {
+    out.error = why;
+    return out;
+  }
+
   std::vector<Task> tasks;
   tasks.reserve(admitted_.size() + 1);
   tasks.assign(admitted_.begin(), admitted_.end());
@@ -21,7 +31,6 @@ AdmissionDecision AdmissionSession::try_admit(const Task& t) {
   TaskSet candidate{std::move(tasks)};
 
   const analysis::Decision decision = engine_.decide(candidate, device_);
-  AdmissionDecision out;
   out.admitted = decision.accepted();
   out.accepted_by = std::string(decision.accepted_by);
   if (out.admitted) admitted_ = std::move(candidate);

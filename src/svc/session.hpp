@@ -15,6 +15,9 @@ struct AdmissionDecision {
   /// Id of the first accepting analyzer ("dp"/"gn1"/"gn2"/…); empty when
   /// rejected.
   std::string accepted_by;
+  /// Set, naming the bound, when the task or the device lies outside the
+  /// input domain (task/task.hpp); such a task is refused unanalyzed.
+  std::string error;
 };
 
 /// Incremental online admission control over one device — the runtime-facing
@@ -39,7 +42,8 @@ class AdmissionSession {
       analysis::AnalysisRequest request = analysis::fast_any_request());
 
   /// Decides task `t` against the currently admitted set; on acceptance the
-  /// task becomes part of the set.
+  /// task becomes part of the set. A task outside the input domain is
+  /// refused with AdmissionDecision::error set.
   AdmissionDecision try_admit(const Task& t);
 
   /// Removes the first admitted task identical to `t` (all of C, D, T, A and

@@ -1,7 +1,6 @@
 #include "task/io.hpp"
 
 #include <iomanip>
-#include <limits>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -24,8 +23,8 @@ Task make_task_checked(const std::string& name, long long wcet,
   if (wcet <= 0 || deadline <= 0 || period <= 0 || area <= 0) {
     throw std::runtime_error(context + ": task parameters must be positive");
   }
-  if (area > std::numeric_limits<Area>::max()) {
-    throw std::runtime_error(context + ": area out of range");
+  if (const char* why = task_domain_error(wcet, deadline, period, area)) {
+    throw std::runtime_error(context + ": " + why);
   }
   Task t;
   t.name = name == "-" ? std::string{} : name;
@@ -71,9 +70,12 @@ ParsedTaskSet read_taskset(std::istream& is) {
       }
       saw_header = true;
     } else if (word == "device") {
-      long width = 0;
+      long long width = 0;
       if (!(ls >> width) || width <= 0) {
         parse_error(line_no, "expected 'device <positive width>'");
+      }
+      if (const char* why = width_domain_error(width)) {
+        parse_error(line_no, why);
       }
       device.width = static_cast<Area>(width);
     } else if (word == "task") {
@@ -82,7 +84,7 @@ ParsedTaskSet read_taskset(std::istream& is) {
       long long c = 0;
       long long d = 0;
       long long p = 0;
-      long area = 0;
+      long long area = 0;
       if (!(ls >> name >> c >> d >> p >> area)) {
         parse_error(line_no, "expected 'task <name> <C> <D> <T> <A>'");
       }

@@ -31,7 +31,8 @@ struct ParsedTaskSet {
 [[nodiscard]] ParsedTaskSet read_taskset(std::istream& is);
 
 /// Builds a task from raw tick/area values with the validation every ingest
-/// path must apply (all parameters positive, area within Area's range).
+/// path must apply (all parameters positive, inside the input domain of
+/// task/task.hpp).
 /// Throws std::runtime_error naming `context` on violation. Shared by the v1
 /// text parser above and the svc NDJSON codec. A `name` of "-" means unnamed,
 /// matching the v1 serialization.

@@ -61,6 +61,42 @@ struct Task {
   }
 };
 
+/// The input domain. Every ingest path — io::make_task_checked (the v1 text
+/// format, oracle repros), the NDJSON codec's "tasks" and "device", the
+/// runtime's scenario and fault-plan parsers and
+/// svc::AdmissionSession::try_admit — refuses a task, device or tick value
+/// outside it with an error that names the bound:
+///
+///  * C, D, T ≤ kMaxTicks (below 2^31): the product of any two tick values
+///    fits in int64, so every int64 product the analyses form (A·C, N_i·T_i)
+///    and every math::Rational they build (C/T, λ·T_k/D_k) stays exact.
+///  * A ≤ A(H) ≤ kMaxWidth (below 2^29): the simulator and the runtime sum
+///    column counts in int32 — at most three counts of up to A(H) at once,
+///    in the runtime's residency bookkeeping — so no such sum overflows.
+inline constexpr Ticks kMaxTicks = (Ticks{1} << 31) - 1;
+inline constexpr Area kMaxWidth = (Area{1} << 29) - 1;
+
+/// Why positive task parameters (C, D, T, A) lie outside the input domain,
+/// naming the bound, or nullptr.
+[[nodiscard]] constexpr const char* task_domain_error(long long c, long long d,
+                                                      long long t,
+                                                      long long a) noexcept {
+  static_assert(kMaxTicks == 2147483647 && kMaxWidth == 536870911);
+  if (c > kMaxTicks || d > kMaxTicks || t > kMaxTicks) {
+    return "C, D or T out of range (max 2147483647)";
+  }
+  if (a > kMaxWidth) return "area out of range (max 536870911)";
+  return nullptr;
+}
+
+/// Why a positive device width lies outside the input domain, naming the
+/// bound, or nullptr.
+[[nodiscard]] constexpr const char* width_domain_error(
+    long long width) noexcept {
+  return width > kMaxWidth ? "device width out of range (max 536870911)"
+                           : nullptr;
+}
+
 /// Convenience factory from paper units: make_task(1.26, 7, 7, 9).
 [[nodiscard]] inline Task make_task(double wcet_units, double deadline_units,
                                     double period_units, Area area,

@@ -71,17 +71,9 @@ std::optional<FeasibilityIssue> basic_feasibility_issue(const TaskSet& ts,
   if (!device.valid()) return FeasibilityIssue{0, "device width must be > 0"};
   for (std::size_t i = 0; i < ts.size(); ++i) {
     const Task& t = ts[i];
-    if (!t.well_formed()) {
-      return FeasibilityIssue{i, "task parameters must be positive"};
-    }
-    if (t.wcet > t.deadline) {
-      return FeasibilityIssue{i, "C > D: job can never meet its deadline"};
-    }
-    if (t.wcet > t.period) {
-      return FeasibilityIssue{i, "C > T: task over-utilizes even alone"};
-    }
-    if (t.area > device.width) {
-      return FeasibilityIssue{i, "A > A(H): task does not fit on the device"};
+    if (const char* why = task_infeasibility(t.wcet, t.deadline, t.period,
+                                             t.area, device)) {
+      return FeasibilityIssue{i, why};
     }
   }
   return std::nullopt;

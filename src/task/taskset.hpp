@@ -47,7 +47,11 @@ class TaskSet {
 
   [[nodiscard]] Area max_area() const noexcept { return max_area_; }
   [[nodiscard]] Area min_area() const noexcept { return min_area_; }
-  [[nodiscard]] Area total_area() const noexcept { return total_area_; }
+  /// Σ A_i, in int64: n areas can sum past int32 even inside the input
+  /// domain.
+  [[nodiscard]] std::int64_t total_area() const noexcept {
+    return total_area_;
+  }
   [[nodiscard]] Ticks max_period() const noexcept { return max_period_; }
   [[nodiscard]] Ticks max_deadline() const noexcept { return max_deadline_; }
 
@@ -78,7 +82,7 @@ class TaskSet {
   double us_ = 0.0;
   Area max_area_ = 0;
   Area min_area_ = 0;
-  Area total_area_ = 0;
+  std::int64_t total_area_ = 0;
   Ticks max_period_ = 0;
   Ticks max_deadline_ = 0;
   bool all_implicit_ = true;
@@ -96,5 +100,22 @@ struct FeasibilityIssue {
 
 [[nodiscard]] std::optional<FeasibilityIssue> basic_feasibility_issue(
     const TaskSet& ts, Device device);
+
+/// The per-task half of basic_feasibility_issue: why a task (C, D, T, A)
+/// fails those prerequisites on `device`, or nullptr. Shared with the
+/// analysis kernels' SoA mirror so both name the same reason; inline, as
+/// it runs once per task on every kernel verdict.
+[[nodiscard]] inline const char* task_infeasibility(Ticks c, Ticks d,
+                                                    Ticks t, Area a,
+                                                    Device device) noexcept {
+  if (!device.valid()) return "device width must be > 0";
+  if (c <= 0 || d <= 0 || t <= 0 || a <= 0) {
+    return "task parameters must be positive";
+  }
+  if (c > d) return "C > D: job can never meet its deadline";
+  if (c > t) return "C > T: task over-utilizes even alone";
+  if (a > device.width) return "A > A(H): task does not fit on the device";
+  return nullptr;
+}
 
 }  // namespace reconf

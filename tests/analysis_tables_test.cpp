@@ -259,10 +259,6 @@ TEST(EdgeCases, DpRefusesConstrainedDeadlinesByDefault) {
   const auto strict = dp_test(ts, paper_device_small());
   EXPECT_FALSE(strict.accepted());
   EXPECT_NE(strict.note.find("implicit"), std::string::npos);
-
-  DpOptions relaxed;
-  relaxed.require_implicit_deadlines = false;
-  EXPECT_TRUE(dp_test(ts, paper_device_small(), relaxed).accepted());
 }
 
 TEST(EdgeCases, Gn1HandlesConstrainedDeadlines) {

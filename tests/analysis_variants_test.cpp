@@ -43,15 +43,6 @@ TEST(DpVariants, TestNameDistinguishesVariants) {
   EXPECT_EQ(dp_test(paper_table1(), paper_device_small()).test_name, "DP");
 }
 
-TEST(DpVariants, ImplicitDeadlineGateIsPerOption) {
-  const TaskSet constrained({make_task(1, 4, 8, 3)});
-  DpOptions relaxed;
-  relaxed.require_implicit_deadlines = false;
-  EXPECT_FALSE(dp_test(constrained, paper_device_small()).accepted());
-  EXPECT_TRUE(
-      dp_test(constrained, paper_device_small(), relaxed).accepted());
-}
-
 // -------------------------------------------------------------- GN1 opts --
 TEST(Gn1Variants, AllFourCombinationsEvaluate) {
   for (const auto norm : {Gn1Options::Normalization::kPublishedDi,
@@ -94,32 +85,6 @@ TEST(Gn1Variants, WholeDeviceTaskMakesRhsCollapse) {
 }
 
 // -------------------------------------------------------------- GN2 opts --
-TEST(Gn2Variants, MiddleBranchOptionOnlyMattersForPostPeriodDeadlines) {
-  // D ≤ T keeps the middle branch dormant: verdicts identical.
-  Gn2Options bak2;
-  bak2.bak2_middle_branch = true;
-  for (const TaskSet& ts : {paper_table1(), paper_table2(), paper_table3()}) {
-    EXPECT_EQ(gn2_test(ts, paper_device_small()).accepted(),
-              gn2_test(ts, paper_device_small(), bak2).accepted());
-  }
-}
-
-TEST(Gn2Variants, MiddleBranchDiffersOnPostPeriodDeadlines) {
-  // D_i > T_i activates the branch (u_i > λ ∧ λ ≥ C_i/D_i). The published
-  // value C_k/T_k is at most λ, so the published test is never *less*
-  // accepting than Baker's on these sets; verify both run and the published
-  // one dominates on a directed example.
-  const TaskSet ts({
-      make_task(6, 14, 8, 4),   // u = 0.75, C/D ≈ 0.43: post-period deadline
-      make_task(2, 10, 10, 5),  // u = 0.2
-  });
-  Gn2Options bak2;
-  bak2.bak2_middle_branch = true;
-  const bool published = gn2_test(ts, paper_device_small()).accepted();
-  const bool baker = gn2_test(ts, paper_device_small(), bak2).accepted();
-  EXPECT_GE(published, baker);
-}
-
 TEST(Gn2Variants, NonStrictOptionOnlyAddsAcceptance) {
   Gn2Options printed;
   printed.non_strict_condition2 = true;

@@ -85,6 +85,16 @@ TEST(FaultPlanCodec, RejectsMalformedPlans) {
   EXPECT_THROW(fault::parse_fault_plan(
                    header + R"({"at":1,"fault":"fabric","naem":"a"})"),
                fault::FaultPlanError);
+  // Tick values beyond the input domain: an overrun this large overflowed
+  // the overrunning job's remaining time.
+  EXPECT_THROW(
+      fault::parse_fault_plan(
+          header +
+          R"({"at":1,"fault":"wcet","name":"a","extra":9223372036854775000})"),
+      fault::FaultPlanError);
+  EXPECT_THROW(fault::parse_fault_plan(
+                   header + R"({"at":4294967296,"fault":"fabric"})"),
+               fault::FaultPlanError);
 }
 
 TEST(FaultPlanCodec, GeneratorIsDeterministic) {

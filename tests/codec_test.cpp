@@ -531,8 +531,12 @@ TEST(CodecParse, NumberAcceptSet) {
   };
   EXPECT_EQ(svc::parse_request_line(c_of("+5")).taskset[0].wcet, 5);
   EXPECT_EQ(svc::parse_request_line(c_of("007")).taskset[0].wcet, 7);
-  EXPECT_EQ(svc::parse_request_line(c_of("999999999999999999")).taskset[0].wcet,
-            999999999999999999);
+  EXPECT_EQ(svc::parse_request_line(c_of("2147483647")).taskset[0].wcet,
+            2147483647);
+  // An int64 beyond the input domain is read as an integer, then refused
+  // by the domain rule that names the bound.
+  EXPECT_EQ(error_of(c_of("999999999999999999")),
+            "bad request: tasks[0]: C, D or T out of range (max 2147483647)");
   EXPECT_EQ(error_of(c_of("-0")), "bad request: tasks[0].c must be positive");
   EXPECT_EQ(error_of(c_of("1e2")),
             "bad request: tasks[0].c must be an integer");
@@ -690,9 +694,7 @@ svc::BatchRequest parse_members(const JsonValue& doc, std::string id) {
     bad_request("requires either 'taskset' or both 'device' and 'tasks'");
   }
   const long long width = require_positive_int(*device, "device");
-  if (width > std::numeric_limits<Area>::max()) {
-    bad_request("device width out of range");
-  }
+  if (const char* why = width_domain_error(width)) bad_request(why);
   out.device = Device{static_cast<Area>(width)};
   if (tasks->kind != JsonValue::Kind::kArray) {
     bad_request("tasks must be an array");

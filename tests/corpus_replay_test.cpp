@@ -1,6 +1,6 @@
 // Replays the committed NDJSON regression corpus (tests/corpus/*.ndjson)
-// through the analysis engine: every entry runs through both the reference
-// path (AnalysisEngine::run) and the SoA fast path (::decide), their
+// through the analysis engine: every entry runs through both the report
+// path (AnalysisEngine::run) and the verdict-only path (::decide), their
 // verdicts must agree with each other and with the entry's recorded
 // expectation, and entries carrying simulation expectations are re-checked
 // against the oracle. A corpus entry is a frozen bug class: sets the paper
@@ -77,7 +77,7 @@ TEST_F(CorpusReplay, AnalyzeAndDecideMatchEveryRecordedExpectation) {
     const analysis::Decision decision =
         engine.decide(repro.taskset, repro.device);
 
-    // Fast and reference paths must agree on every frozen witness.
+    // run() and decide() must agree on every frozen witness.
     EXPECT_EQ(report.verdict, decision.verdict)
         << repro.id << ": run() and decide() diverge\n"
         << io::to_string(repro.taskset, repro.device);

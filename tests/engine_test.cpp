@@ -530,7 +530,6 @@ TEST(EngineParity, BitIdenticalToLegacyCompositeAcrossGeneratedTasksets) {
   {
     CompositeOptions o;
     o.dp.alpha = analysis::DpOptions::Alpha::kOriginalReal;
-    o.dp.require_implicit_deadlines = false;
     configs.push_back(o);
     CompositeOptions g1;
     g1.gn1.normalization = analysis::Gn1Options::Normalization::kBclWindowDk;
@@ -538,7 +537,6 @@ TEST(EngineParity, BitIdenticalToLegacyCompositeAcrossGeneratedTasksets) {
     configs.push_back(g1);
     CompositeOptions g2;
     g2.gn2.non_strict_condition2 = true;
-    g2.gn2.bak2_middle_branch = true;
     configs.push_back(g2);
   }
 

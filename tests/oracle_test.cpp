@@ -1,6 +1,6 @@
 // The differential oracle end to end: adversarial families, the simulation
-// probe, differential adjudication (including the engine's fast vs
-// reference paths), the counterexample shrinker, and the NDJSON repro
+// probe, differential adjudication (including the engine's decide() vs
+// run() paths), the counterexample shrinker, and the NDJSON repro
 // round-trip. The self-tests inject known-broken analyzers and assert the
 // pipeline catches them and reduces each witness to a tiny repro — the
 // property the whole subsystem exists to provide.

@@ -97,17 +97,6 @@ TEST(Partitioned, HeuristicsProduceFeasibleAllocations) {
   }
 }
 
-TEST(Partitioned, OrderingModesWork) {
-  const TaskSet ts({make_task(2, 8, 8, 3), make_task(3, 9, 9, 5),
-                    make_task(1, 4, 4, 2)});
-  for (const auto o : {AllocOrder::kByDensityDecreasing,
-                       AllocOrder::kByAreaDecreasing, AllocOrder::kAsGiven}) {
-    PartitionConfig cfg;
-    cfg.order = o;
-    EXPECT_TRUE(partition_tasks(ts, Device{15}, cfg).feasible);
-  }
-}
-
 TEST(Partitioned, RejectsInfeasibleInput) {
   EXPECT_FALSE(partitioned_schedulable(TaskSet({make_task(6, 5, 5, 2)}),
                                        Device{10}));  // C > D

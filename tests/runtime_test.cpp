@@ -186,6 +186,30 @@ TEST(ScenarioCodec, RejectsMalformedInput) {
       parse_scenario(header + "{\"at\":0,\"event\":\"arrive\",\"name\":\"a\","
                               "\"c\":100,\"d\":400,\"perid\":400,\"a\":10}\n"),
       ScenarioError);
+  // The input domain: no truncating cast, no tick value past 2^31 - 1.
+  EXPECT_THROW(parse_scenario("{\"device\":4294967396,\"horizon\":1000}\n"),
+               ScenarioError);
+  EXPECT_THROW(
+      parse_scenario("{\"device\":100,\"horizon\":4294967296}\n"),
+      ScenarioError);
+  EXPECT_THROW(parse_scenario("{\"device\":100,\"horizon\":1000,"
+                              "\"rho\":4294967296}\n"),
+               ScenarioError);
+  EXPECT_THROW(
+      parse_scenario(header + "{\"at\":0,\"event\":\"arrive\",\"name\":\"a\","
+                              "\"c\":100,\"d\":400,\"t\":400,"
+                              "\"a\":4294967306}\n"),
+      ScenarioError);
+  try {
+    (void)parse_scenario(header +
+                         "{\"at\":0,\"event\":\"arrive\",\"name\":\"a\","
+                         "\"c\":1,\"d\":4294967231,\"t\":4294967279,"
+                         "\"a\":1}\n");
+    ADD_FAILURE() << "out-of-domain deadline accepted";
+  } catch (const ScenarioError& e) {
+    EXPECT_NE(std::string(e.what()).find("max 2147483647"), std::string::npos)
+        << e.what();
+  }
   // Missing header / required fields.
   EXPECT_THROW(parse_scenario(arrive), ScenarioError);
   EXPECT_THROW(parse_scenario("{\"device\":100}\n"), ScenarioError);

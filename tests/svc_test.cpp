@@ -36,8 +36,8 @@ namespace reconf {
 namespace {
 
 /// The diagnostic spelling of the serving default (reconf_serve --explain):
-/// misses go through the engine's run() — reference evaluators,
-/// per-analyzer timings, sub-verdicts.
+/// misses go through the engine's run() — full reports, per-analyzer
+/// timings, sub-verdicts.
 svc::BatchOptions explain_options() {
   svc::BatchOptions options;
   options.explain = true;
@@ -248,6 +248,24 @@ TEST(AdmissionSession, RejectionLeavesAdmittedSetUntouched) {
   EXPECT_TRUE(decision.accepted_by.empty());
   ASSERT_EQ(session.admitted().size(), 1u);
   EXPECT_EQ(session.admitted()[0].area, 3);
+}
+
+TEST(AdmissionSession, RefusesTasksOutsideTheInputDomain) {
+  svc::AdmissionSession session(Device{100});
+  Task huge;
+  huge.wcet = huge.deadline = huge.period = 200000000000000000LL;
+  huge.area = 60;
+  const auto decision = session.try_admit(huge);
+  EXPECT_FALSE(decision.admitted);
+  EXPECT_TRUE(decision.accepted_by.empty());
+  EXPECT_EQ(decision.error, "C, D or T out of range (max 2147483647)");
+  EXPECT_TRUE(session.admitted().empty());
+
+  // A device outside the domain refuses every task; inside, no error.
+  svc::AdmissionSession wide(Device{kMaxWidth + 1});
+  EXPECT_EQ(wide.try_admit(make_task(1.00, 5, 5, 3)).error,
+            "device width out of range (max 536870911)");
+  EXPECT_TRUE(session.try_admit(make_task(1.00, 5, 5, 3)).error.empty());
 }
 
 TEST(AdmissionSession, RemoveThenReadmitDecidesAlike) {

@@ -180,6 +180,38 @@ TEST(TaskSetIo, RejectsMalformedInput) {
                std::runtime_error);
 }
 
+TEST(TaskSetIo, HoldsTasksAndDeviceToTheInputDomain) {
+  const auto error_of = [](const std::string& text) -> std::string {
+    try {
+      (void)io::from_string(text);
+    } catch (const std::runtime_error& e) {
+      return e.what();
+    }
+    return "";
+  };
+  // At the bounds: accepted as written.
+  const io::ParsedTaskSet at_bound = io::from_string(
+      "taskset v1\ndevice 536870911\n"
+      "task x 2147483647 2147483647 2147483647 536870911\n");
+  EXPECT_EQ(at_bound.device.width, kMaxWidth);
+  EXPECT_EQ(at_bound.taskset[0].period, kMaxTicks);
+  EXPECT_EQ(at_bound.taskset[0].area, kMaxWidth);
+  // One past a bound: refused with a message naming it, never truncated.
+  EXPECT_EQ(error_of("taskset v1\ndevice 10\n"
+                     "task x 1 2147483648 2147483648 1\n"),
+            "taskset parse error at line 3: C, D or T out of range "
+            "(max 2147483647)");
+  EXPECT_EQ(error_of("taskset v1\ndevice 10\ntask x 1 2 2 536870912\n"),
+            "taskset parse error at line 3: area out of range "
+            "(max 536870911)");
+  EXPECT_EQ(error_of("taskset v1\ndevice 4294967306\n"),
+            "taskset parse error at line 2: device width out of range "
+            "(max 536870911)");
+  EXPECT_THROW((void)io::make_task_checked("-", 200000000000000000LL, 1, 1,
+                                           1, "here"),
+               std::runtime_error);
+}
+
 TEST(TaskSetIo, FormatTableMentionsAggregates) {
   const std::string table = io::format_table(fixtures::paper_table3(),
                                              fixtures::paper_device_small());

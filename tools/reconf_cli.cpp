@@ -59,7 +59,9 @@ void print_outcome(const analysis::AnalyzerOutcome& o) {
   const analysis::TestReport& r = o.report;
   std::printf("  %-9s: %s", o.id.c_str(),
               r.accepted() ? "SCHEDULABLE" : "inconclusive");
-  if (!r.accepted() && r.first_failing_task) {
+  // A feasibility reject names its task but records no diagnostics.
+  if (!r.accepted() && r.first_failing_task &&
+      *r.first_failing_task < r.per_task.size()) {
     const auto& d = r.per_task[*r.first_failing_task];
     std::printf(" (k=%zu: lhs=%.4f rhs=%.4f)", *r.first_failing_task + 1,
                 d.lhs, d.rhs);

@@ -1,6 +1,6 @@
 // reconf_fuzz — adversarial differential fuzzer: generates tasksets across
 // the oracle's adversarial families, adjudicates every analyzer (and the
-// engine's fast vs reference paths) against the hyperperiod-bounded
+// engine's decide() vs run() paths) against the hyperperiod-bounded
 // simulation oracle, delta-debugs any disagreement to a minimal NDJSON
 // repro, and reports a disagreement matrix plus machine-readable stats.
 //

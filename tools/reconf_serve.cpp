@@ -25,12 +25,11 @@
 //                       override it. Unknown ids abort with the registered
 //                       list.
 //   --fkf               keep only the EDF-FkF-sound analyzers (drops GN1)
-//   --explain           full diagnostics: evaluate through the reference
-//                       evaluators and attach the per-analyzer "sub" array
-//                       (sub-verdicts + timings) to every fresh response.
-//                       Default is the allocation-free SoA fast path, which
-//                       answers the verdict only — identical verdicts, ~an
-//                       order of magnitude more throughput on misses
+//   --explain           full diagnostics: evaluate through the engine's
+//                       run() reports and attach the per-analyzer "sub"
+//                       array (sub-verdicts + timings) to every fresh
+//                       response. Default is decide(), which answers the
+//                       verdict only, allocation-free — identical verdicts
 //   --stats             print throughput and cache statistics to stderr
 //   --max-queue=N       parsed requests an io thread may have queued toward
 //                       the shard workers, split evenly across its shard
