@@ -215,8 +215,11 @@ FastVerdict gn2_fast(AnalysisScratch& s, Device device, const Gn2Options& opt,
 
   for (std::size_t k = 0; k < n; ++k) {
     const Rational& uk_x = s.util_x[k];
+    // λ_k = λ·max(1, T_k/D_k). With D_k ≥ T_k the scale is 1, and λ_k is
+    // λ itself: no product to form and normalize per candidate.
+    const bool unit_scale = s.period[k] <= s.deadline[k];
     const Rational lk_scale =
-        math::rmax(Rational(1), Rational(s.period[k], s.deadline[k]));
+        unit_scale ? Rational(1) : Rational(s.period[k], s.deadline[k]);
     const double uk_d = s.util[k];
     const double dk_d = d(s.deadline[k]);
     const double scale_d = lk_scale.to_double();
@@ -296,7 +299,7 @@ FastVerdict gn2_fast(AnalysisScratch& s, Device device, const Gn2Options& opt,
     for (auto it = std::lower_bound(s.pool.begin(), s.pool.end(), uk_x);
          it != s.pool.end(); ++it) {
       const Rational& lambda = *it;
-      const Rational lk_x = lambda * lk_scale;
+      const Rational lk_x = unit_scale ? lambda : lambda * lk_scale;
       // λ_k ≥ 1 leaves no slack bound, and λ only grows from here.
       if (!(lk_x < Rational(1))) break;
       const double lam_d = lambda.to_double();

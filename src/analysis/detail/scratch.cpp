@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "common/contracts.hpp"
+
 namespace reconf::analysis::detail {
 
 void AnalysisScratch::build(const TaskSet& ts) {
@@ -29,6 +31,68 @@ void AnalysisScratch::build(const TaskSet& ts) {
     util[i] = static_cast<double>(t.wcet) /
               static_cast<double>(t.period > 0 ? t.period : 1);
   }
+}
+
+void AnalysisScratch::push(const Task& t) {
+  wcet.push_back(t.wcet);
+  deadline.push_back(t.deadline);
+  period.push_back(t.period);
+  area.push_back(t.area);
+  // The same guarded division as build().
+  util.push_back(static_cast<double>(t.wcet) /
+                 static_cast<double>(t.period > 0 ? t.period : 1));
+  fold(n++);
+  gn2_ready = false;
+}
+
+void AnalysisScratch::pop() {
+  RECONF_EXPECTS(n > 0);
+  --n;
+  wcet.pop_back();
+  deadline.pop_back();
+  period.pop_back();
+  area.pop_back();
+  util.pop_back();
+  max_area = 0;
+  min_area = 0;
+  all_implicit = true;
+  all_constrained = true;
+  for (std::size_t i = 0; i < n; ++i) fold(i);
+  gn2_ready = false;
+}
+
+void AnalysisScratch::reserve(std::size_t rows) {
+  wcet.reserve(rows);
+  deadline.reserve(rows);
+  period.reserve(rows);
+  area.reserve(rows);
+  util.reserve(rows);
+  pool.reserve(2 * rows);  // C/T, plus C/D where D > T
+  util_x.reserve(rows);
+  vc_x.reserve(rows);
+  order_u.reserve(rows);
+  order_vc.reserve(rows);
+  ev_unit.reserve(rows);
+  ev_cap_up.reserve(rows);
+  ev_cap_dn.reserve(rows);
+  heap_a.reserve(rows);
+  state.reserve(rows);
+}
+
+void AnalysisScratch::fold(std::size_t i) noexcept {
+  // TaskSet's rule: the first task's area seeds both bounds even when it is
+  // malformed; only well-formed tasks move them or the deadline model.
+  if (i == 0) {
+    max_area = area[0];
+    min_area = area[0];
+  }
+  if (wcet[i] <= 0 || deadline[i] <= 0 || period[i] <= 0 || area[i] <= 0) {
+    return;
+  }
+  max_area = std::max(max_area, area[i]);
+  min_area = std::min(min_area, area[i]);
+  all_implicit = all_implicit && deadline[i] == period[i];
+  all_constrained = all_constrained && deadline[i] <= period[i];
 }
 
 void AnalysisScratch::prepare_gn2() {
@@ -59,15 +123,16 @@ void AnalysisScratch::prepare_gn2() {
 
   std::sort(pool.begin(), pool.end());
   pool.erase(std::unique(pool.begin(), pool.end()), pool.end());
-  // Stable sorts keep ties in task order, making the sweep deterministic.
-  std::stable_sort(order_u.begin(), order_u.end(),
-                   [&](std::uint32_t a, std::uint32_t b) {
-                     return util_x[a] < util_x[b];
-                   });
-  std::stable_sort(order_vc.begin(), order_vc.end(),
-                   [&](std::uint32_t a, std::uint32_t b) {
-                     return vc_x[a] < vc_x[b];
-                   });
+  // Ties break by task index — a stable sort's order, without its buffer —
+  // which keeps the sweep deterministic.
+  const auto by = [](const std::vector<math::Rational>& key) {
+    return [&key](std::uint32_t a, std::uint32_t b) {
+      const auto c = key[a] <=> key[b];
+      return c != 0 ? c < 0 : a < b;
+    };
+  };
+  std::sort(order_u.begin(), order_u.end(), by(util_x));
+  std::sort(order_vc.begin(), order_vc.end(), by(vc_x));
 }
 
 std::ptrdiff_t AnalysisScratch::first_infeasible(

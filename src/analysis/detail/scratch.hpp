@@ -17,9 +17,12 @@
 // All storage is capacity-reused: build() only allocates when the taskset
 // outgrows every previous one seen by this scratch, so a warmed-up arena
 // evaluates verdicts with zero heap allocation. Use thread_scratch() for
-// the per-thread arena the engine's decide() shares across analyzers and
-// across batch items; the report entry points bind a scratch of their own.
-// A scratch is not thread-safe.
+// the per-thread arena AnalysisEngine::decide(ts, device) binds and shares
+// across analyzers and across batch items; the report entry points bind a
+// scratch of their own. A scratch can also stay bound across verdicts:
+// svc::AdmissionSession keeps its admitted rows in one, push()es each
+// candidate's row, decides, and pop()s it again on rejection. A scratch is
+// not thread-safe.
 
 #include <cstdint>
 #include <vector>
@@ -77,9 +80,21 @@ struct AnalysisScratch {
   std::vector<HeapEntry> heap_a;
   std::vector<std::uint8_t> state;  ///< per-task sweep state bits
 
-  /// Rebuilds the SoA mirror for `ts`, reusing capacity. Invalidates the
-  /// GN2 section (rebuilt on demand by prepare_gn2).
+  /// Rebuilds the SoA mirror for `ts`, reusing capacity; the summary
+  /// (areas, deadline model) is the TaskSet's own. Invalidates the GN2
+  /// section (rebuilt on demand by prepare_gn2).
   void build(const TaskSet& ts);
+
+  /// Appends the row (C, D, T, A) of `t` — names are not mirrored — and
+  /// folds it into the summary by TaskSet's rule, so pushing n tasks binds
+  /// what build() of those n tasks binds. Invalidates the GN2 section.
+  void push(const Task& t);
+  /// Drops the last row and refolds the summary over the rows left.
+  /// Invalidates the GN2 section.
+  void pop();
+  /// Reserves every buffer for `rows` rows, so a fresh scratch binds and
+  /// evaluates sets up to that size without growing.
+  void reserve(std::size_t rows);
 
   /// Builds the GN2 candidate pool and exact orders for the bound taskset.
   /// Idempotent per build(); called by gn2_fast.
@@ -90,6 +105,10 @@ struct AnalysisScratch {
   /// `why` is given it receives the violation's reason.
   [[nodiscard]] std::ptrdiff_t first_infeasible(
       Device device, const char** why = nullptr) const noexcept;
+
+ private:
+  /// Folds row `i` into max_area/min_area/all_implicit/all_constrained.
+  void fold(std::size_t i) noexcept;
 };
 
 /// The calling thread's scratch arena. The engine fast path binds it to the

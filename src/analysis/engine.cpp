@@ -51,8 +51,7 @@ class DpAnalyzer final : public Analyzer {
     return dp_test(ts, device, config.dp);
   }
   bool has_fast_path() const noexcept override { return true; }
-  FastVerdict run_fast(detail::AnalysisScratch& scratch, const TaskSet&,
-                       Device device,
+  FastVerdict run_fast(detail::AnalysisScratch& scratch, Device device,
                        const AnalyzerConfig& config) const override {
     return detail::dp_fast(scratch, device, config.dp);
   }
@@ -85,8 +84,7 @@ class Gn1Analyzer final : public Analyzer {
     return gn1_test(ts, device, config.gn1);
   }
   bool has_fast_path() const noexcept override { return true; }
-  FastVerdict run_fast(detail::AnalysisScratch& scratch, const TaskSet&,
-                       Device device,
+  FastVerdict run_fast(detail::AnalysisScratch& scratch, Device device,
                        const AnalyzerConfig& config) const override {
     return detail::gn1_fast(scratch, device, config.gn1);
   }
@@ -117,8 +115,7 @@ class Gn2Analyzer final : public Analyzer {
     return gn2_test(ts, device, config.gn2);
   }
   bool has_fast_path() const noexcept override { return true; }
-  FastVerdict run_fast(detail::AnalysisScratch& scratch, const TaskSet&,
-                       Device device,
+  FastVerdict run_fast(detail::AnalysisScratch& scratch, Device device,
                        const AnalyzerConfig& config) const override {
     return detail::gn2_fast(scratch, device, config.gn2);
   }
@@ -310,12 +307,19 @@ std::uint64_t Analyzer::options_fingerprint(
   return 0;
 }
 
-FastVerdict Analyzer::run_fast(detail::AnalysisScratch&, const TaskSet& ts,
+FastVerdict Analyzer::run_fast(detail::AnalysisScratch& scratch,
                                Device device,
                                const AnalyzerConfig& config) const {
   // Adapter for analyzers without a dedicated kernel: evaluate the full
-  // report (allocates) and keep the summary.
-  const TestReport report = run(ts, device, config);
+  // report on the bound rows (allocates) and keep the summary.
+  std::vector<Task> tasks(scratch.n);
+  for (std::size_t i = 0; i < scratch.n; ++i) {
+    tasks[i].wcet = scratch.wcet[i];
+    tasks[i].deadline = scratch.deadline[i];
+    tasks[i].period = scratch.period[i];
+    tasks[i].area = scratch.area[i];
+  }
+  const TestReport report = run(TaskSet(std::move(tasks)), device, config);
   FastVerdict out;
   out.verdict = report.verdict;
   if (report.first_failing_task.has_value()) {
@@ -490,20 +494,22 @@ AnalysisReport AnalysisEngine::run(const TaskSet& ts, Device device) const {
 }
 
 Decision AnalysisEngine::decide(const TaskSet& ts, Device device) const {
-  const obs::Span decide_span("engine.decide", "engine");
-  Decision out;
-  if (analyzers_.empty()) return out;
-
   detail::AnalysisScratch& scratch = detail::thread_scratch();
   scratch.build(ts);
+  return decide(scratch, device);
+}
 
+Decision AnalysisEngine::decide(detail::AnalysisScratch& bound,
+                                Device device) const {
+  const obs::Span decide_span("engine.decide", "engine");
+  Decision out;
   for (std::size_t i = 0; i < analyzers_.size(); ++i) {
     const Analyzer& analyzer = *analyzers_[i];
     const ObsCell& oc = obs_[i];
     FastVerdict v;
     {
       const obs::Span analyzer_span(oc.span_name, oc.fast_cat);
-      v = analyzer.run_fast(scratch, ts, device, request_.config);
+      v = analyzer.run_fast(bound, device, request_.config);
     }
 
     // The hot-path telemetry promise: one relaxed increment per analyzer

@@ -128,14 +128,15 @@ class Analyzer {
   /// instead of the default adapter (which runs run() and summarizes).
   [[nodiscard]] virtual bool has_fast_path() const noexcept { return false; }
 
-  /// Fast evaluation: verdict + first failing task, no diagnostics.
-  /// `scratch` must already be bound to `ts` (AnalysisScratch::build); the
-  /// engine binds its thread-local arena once per verdict and shares it
-  /// across analyzers. Must agree with run() on verdict and
+  /// Fast evaluation of the set bound in `scratch`: verdict + first failing
+  /// task, no diagnostics. The engine binds the set once per verdict
+  /// (AnalysisScratch::build, or an admission session's push) and shares
+  /// the scratch across analyzers. Must agree with run() on verdict and
   /// first_failing_task for every input (the built-in kernels serve both).
-  /// Default: adapts run(), allocating.
+  /// Default: adapts run() on a TaskSet built from the bound rows (C, D, T,
+  /// A; no analysis reads names), allocating.
   [[nodiscard]] virtual FastVerdict run_fast(detail::AnalysisScratch& scratch,
-                                             const TaskSet& ts, Device device,
+                                             Device device,
                                              const AnalyzerConfig& config)
       const;
 };
@@ -251,12 +252,10 @@ class AnalysisEngine {
   /// never on early_exit or thread interleaving.
   [[nodiscard]] AnalysisReport run(const TaskSet& ts, Device device) const;
 
-  /// The untimed kernel verdict: evaluates analyzers in execution order
-  /// through Analyzer::run_fast over a thread-local SoA scratch, stopping at
-  /// the first acceptance, and never reads a clock. Zero heap allocation per
-  /// call once the calling thread's arena is warm (analyzers without a
-  /// kernel adapt run() and do allocate). The reconf_engine_verdicts_total
-  /// counters move as for run() with early_exit.
+  /// The untimed kernel verdict: binds `ts` in the calling thread's SoA
+  /// scratch and decides it (the overload below). Zero heap allocation per
+  /// call once the arena is warm (analyzers without a kernel adapt run()
+  /// and do allocate).
   ///
   /// Returns the same verdict and accepting analyzer as run() for every
   /// input: for DP/GN1/GN2 both evaluate the same kernels
@@ -264,6 +263,15 @@ class AnalysisEngine {
   /// suite checks the two against each other and the kernels against the
   /// exact evaluators across a randomized corpus.
   [[nodiscard]] Decision decide(const TaskSet& ts, Device device) const;
+
+  /// The one decide loop: evaluates analyzers in execution order through
+  /// Analyzer::run_fast over the set already bound in `bound`, stopping at
+  /// the first acceptance, and never reads a clock. The
+  /// reconf_engine_verdicts_total counters move as for run() with
+  /// early_exit. svc::AdmissionSession calls it on the scratch that holds
+  /// its admitted rows plus the candidate's.
+  [[nodiscard]] Decision decide(detail::AnalysisScratch& bound,
+                                Device device) const;
 
   /// Fingerprint of the resolved configuration: the ordered analyzer ids
   /// and each analyzer's options fingerprint. Two engines with equal

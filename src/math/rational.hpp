@@ -17,6 +17,11 @@ namespace reconf::math {
 /// int64 — callers needing unbounded growth use BigRational instead. In this
 /// library Rational carries small quantities: utilizations C/T, deadlines
 /// ratios and lambda candidates, whose reduced terms stay tiny.
+///
+/// Each operation forms its unreduced result in int128. When that result
+/// fits in int64 (nearly always, inside the input domain) it is reduced
+/// with an int64 gcd; only a wider one pays the int128 Euclid loop. Both
+/// give the same numerator and denominator.
 class Rational {
  public:
   constexpr Rational() = default;
@@ -100,6 +105,15 @@ class Rational {
     if (d < 0) {
       n = -n;
       d = -d;
+    }
+    // INT64_MIN is left to the wide path: normalize() negates the numerator.
+    if (n > Int128{INT64_MIN} && n <= Int128{INT64_MAX} &&
+        d <= Int128{INT64_MAX}) {
+      Rational r;
+      r.num_ = static_cast<std::int64_t>(n);
+      r.den_ = static_cast<std::int64_t>(d);
+      r.normalize();
+      return r;
     }
     const Int128 g = gcd_i128(n < 0 ? -n : n, d);
     if (g > 1) {

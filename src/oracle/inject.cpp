@@ -2,6 +2,8 @@
 
 #include <memory>
 
+#include "analysis/detail/scratch.hpp"
+
 namespace reconf::oracle {
 
 namespace {
@@ -66,10 +68,10 @@ class SplitBrainAnalyzer final : public Analyzer {
     return report;  // always inconclusive
   }
   bool has_fast_path() const noexcept override { return true; }
-  FastVerdict run_fast(analysis::detail::AnalysisScratch&, const TaskSet& ts,
-                       Device, const AnalyzerConfig&) const override {
+  FastVerdict run_fast(analysis::detail::AnalysisScratch& scratch, Device,
+                       const AnalyzerConfig&) const override {
     FastVerdict v;
-    if (ts.size() % 2 == 0) v.verdict = Verdict::kSchedulable;
+    if (scratch.n % 2 == 0) v.verdict = Verdict::kSchedulable;
     return v;
   }
 };

@@ -84,7 +84,6 @@ void publish_counters(const RuntimeResult& r) {
 struct Slot {
   Task task;
   Ticks next_release = kNoTick;  ///< kNoTick = drained, never releases again
-  Ticks resume_release = kNoTick;  ///< saved across a rejected mode change
   std::uint64_t sequence = 0;
   int outstanding = 0;   ///< released, not yet completed/abandoned jobs
   bool in_session = false;
@@ -92,6 +91,9 @@ struct Slot {
   bool loaded_by_prefetch = false; ///< resident via the port, not yet used
   Ticks value = 1;    ///< shed order under graceful degradation
   bool shed = false;  ///< dropped by graceful degradation
+  /// The dispatch whose residency check last counted this slot's running
+  /// jobs (dispatches count from 1).
+  std::uint64_t counted_at = 0;
   TaskAccount acct;
 };
 
@@ -161,13 +163,47 @@ class Runtime {
     return reconf_.placement_ticks(s.task.area);
   }
 
-  [[nodiscard]] Slot* find_releasing(const std::string& name) {
-    for (std::size_t i = slots_.size(); i-- > 0;) {
-      if (slots_[i].acct.name == name && slots_[i].next_release != kNoTick) {
-        return &slots_[i];
-      }
+  /// The newest still-releasing slot named `name`.
+  [[nodiscard]] std::optional<std::size_t> find_releasing(
+      const std::string& name) const {
+    for (auto it = releasing_.rbegin(); it != releasing_.rend(); ++it) {
+      if (slots_[*it].acct.name == name) return *it;
     }
-    return nullptr;
+    return std::nullopt;
+  }
+
+  /// The earliest next_release over the releasing slots, or kNoTick.
+  void refresh_earliest_release() {
+    earliest_release_ = kNoTick;
+    for (const std::size_t i : releasing_) {
+      earliest_release_ = std::min(earliest_release_, slots_[i].next_release);
+    }
+  }
+
+  /// Drains slot `i`: it releases no more jobs, and it leaves the session
+  /// once its outstanding jobs have ended.
+  void stop_releasing(std::size_t i) {
+    Slot& s = slots_[i];
+    s.next_release = kNoTick;
+    const auto at = std::find(releasing_.begin(), releasing_.end(), i);
+    RECONF_ASSERT(at != releasing_.end());
+    releasing_.erase(at);
+    refresh_earliest_release();
+    if (s.outstanding == 0) settle_due_ = true;
+  }
+
+  /// One of `s`'s jobs left the table (completed, missed, cut at its
+  /// budget, abandoned or shed).
+  void job_ended(Slot& s) {
+    --s.outstanding;
+    if (s.outstanding == 0 && s.next_release == kNoTick) settle_due_ = true;
+  }
+
+  /// Flips `s.resident`, keeping resident_area_ in step.
+  void set_resident(Slot& s, bool resident) {
+    if (s.resident == resident) return;
+    s.resident = resident;
+    resident_area_ += resident ? s.task.area : -std::int64_t{s.task.area};
   }
 
   /// The admission gate: one try_admit (decide() underneath), latency and
@@ -218,7 +254,9 @@ class Runtime {
     s.acct.name = e.name;
     s.acct.task = t;
     s.acct.first_release = s.next_release;
+    earliest_release_ = std::min(earliest_release_, s.next_release);
     slots_.push_back(std::move(s));
+    releasing_.push_back(slots_.size() - 1);
     slot_tasks_.push_back(t);
     ts_dirty_ = true;
     return slots_.size() - 1;
@@ -232,7 +270,7 @@ class Runtime {
       t.name = e.name;
       switch (e.kind) {
         case EventKind::kArrive: {
-          if (find_releasing(e.name) != nullptr) {
+          if (find_releasing(e.name).has_value()) {
             ++result_.ignored_events;  // name still live: ambiguous, skip
             break;
           }
@@ -240,21 +278,21 @@ class Runtime {
           break;
         }
         case EventKind::kDepart: {
-          Slot* s = find_releasing(e.name);
-          if (s == nullptr) {
+          const std::optional<std::size_t> s = find_releasing(e.name);
+          if (!s) {
             // Departure of a task the gate rejected (or that already left):
             // nothing to drain. Scenarios are written before admission
             // verdicts are known, so this is a counted no-op, not an error.
             ++result_.ignored_events;
             break;
           }
-          s->next_release = kNoTick;  // drain: outstanding jobs finish
+          stop_releasing(*s);  // drain: outstanding jobs finish
           settle_departures(now);
           break;
         }
         case EventKind::kModeChange: {
-          Slot* old = find_releasing(e.name);
-          if (old == nullptr) {
+          const std::optional<std::size_t> old = find_releasing(e.name);
+          if (!old) {
             ++result_.ignored_events;
             break;
           }
@@ -263,7 +301,7 @@ class Runtime {
           // transient union, so deadlines already guaranteed stay
           // guaranteed. Rejection leaves the old generation untouched.
           if (gate(t, e.at, e.kind).admitted) {
-            old->next_release = kNoTick;
+            stop_releasing(*old);
             settle_departures(now);
             open_slot(e, t);
           }
@@ -290,7 +328,7 @@ class Runtime {
         ++result_.deadline_misses;
         ++s.acct.missed;
         if (s.acct.first_miss == kNoTick) s.acct.first_miss = now;
-        --s.outstanding;
+        job_ended(s);
         if (checker_ != nullptr) {
           checker_->on_deadline_miss(now, a.job.task_index);
         }
@@ -347,7 +385,7 @@ class Runtime {
           ++result_.faults.fabric_reloads;
         }
         if (!running_job) {
-          s.resident = false;
+          set_resident(s, false);
           s.loaded_by_prefetch = false;
           for (RuntimeJob& a : table_.active()) {
             if (a.job.task_index == i && !a.running) {
@@ -362,9 +400,10 @@ class Runtime {
   }
 
   void release_jobs(Ticks now) {
-    for (std::size_t i = 0; i < slots_.size(); ++i) {
+    if (earliest_release_ > now) return;
+    for (const std::size_t i : releasing_) {
       Slot& s = slots_[i];
-      while (s.next_release != kNoTick && s.next_release <= now) {
+      while (s.next_release <= now) {
         RuntimeJob a;
         a.job.task_index = i;
         a.job.sequence = s.sequence++;
@@ -375,13 +414,14 @@ class Runtime {
         if (injector_ != nullptr) {
           a.overrun_left = injector_->wcet_overrun(s.acct.name, a.job.release);
         }
-        table_.active().push_back(a);
+        table_.insert(a);
         s.next_release += s.task.period;
         ++s.outstanding;
         ++s.acct.released;
         ++result_.releases;
       }
     }
+    refresh_earliest_release();
   }
 
   /// Charges (at most once per job) the placement of a job entering the
@@ -436,7 +476,7 @@ class Runtime {
           ++failures;
           if (failures > RecoveryPolicy::kMaxLoadRetries) {
             ++result_.faults.load_aborts;
-            --s.outstanding;
+            job_ended(s);
             return false;
           }
           const Ticks backoff = RecoveryPolicy::backoff_after(failures);
@@ -450,7 +490,7 @@ class Runtime {
     a.reconfig_remaining = stall;
     result_.stall_ticks += stall;
     s.acct.stall_ticks += stall;
-    s.resident = true;  // loading as part of the job's occupancy
+    set_resident(s, true);  // loading as part of the job's occupancy
     s.loaded_by_prefetch = false;
     return true;
   }
@@ -461,7 +501,7 @@ class Runtime {
   void evict(std::size_t slot) {
     Slot& s = slots_[slot];
     RECONF_ASSERT(s.resident);
-    s.resident = false;
+    set_resident(s, false);
     s.loaded_by_prefetch = false;
     for (RuntimeJob& a : table_.active()) {
       if (a.job.task_index == slot && !a.running) {
@@ -480,20 +520,27 @@ class Runtime {
   /// first). Idle configurations therefore never block a ready job, which
   /// is what keeps the dispatch exactly EDF-NF work-conserving (Lemma 2).
   void reconcile_residency(Area running_area) {
+    // The idle-resident area: the running sum less each slot that has a
+    // running job, counted once (a running job's configuration is always
+    // resident). O(active), and all a dispatch costs when the fabric fits.
+    std::int64_t extra = resident_area_;
+    for (const RuntimeJob& a : table_.active()) {
+      if (!a.running) continue;
+      Slot& s = slots_[a.job.task_index];
+      if (s.counted_at == result_.dispatches) continue;
+      RECONF_ASSERT(s.resident);
+      s.counted_at = result_.dispatches;
+      extra -= s.task.area;
+    }
+    if (port_.active) extra += slots_[port_.slot].task.area;
+    if (running_area + extra <= device_.width) return;
+
     const auto has_running = [&](std::size_t slot) {
       for (const RuntimeJob& a : table_.active()) {
         if (a.running && a.job.task_index == slot) return true;
       }
       return false;
     };
-    Area extra = 0;
-    for (std::size_t i = 0; i < slots_.size(); ++i) {
-      if (slots_[i].resident && !has_running(i)) {
-        extra += slots_[i].task.area;
-      }
-    }
-    if (port_.active) extra += slots_[port_.slot].task.area;
-
     while (running_area + extra > device_.width) {
       // Pure cache victims: resident, idle, nothing outstanding.
       std::optional<std::size_t> victim;
@@ -562,7 +609,6 @@ class Runtime {
   /// enters the running set.
   void dispatch(Ticks now) {
     ++result_.dispatches;
-    table_.sort();
     const auto charge = [this, now](RuntimeJob& a) {
       return on_enter_running(a, now);
     };
@@ -599,10 +645,10 @@ class Runtime {
     for (const RuntimeJob& a : table_.active()) {
       if (a.running) running_area += a.job.area;
     }
-    for (std::size_t i = 0; i < slots_.size(); ++i) {
+    for (const std::size_t i : releasing_) {
       const Slot& s = slots_[i];
       if (s.resident || s.outstanding != 0) continue;
-      if (s.next_release == kNoTick || s.next_release <= now) continue;
+      if (s.next_release <= now) continue;
       const Ticks load = load_ticks(s);
       if (load <= 0) continue;
       PrefetchCandidate c;
@@ -681,9 +727,7 @@ class Runtime {
     if (next_event_ < scenario_.events.size()) {
       next = std::min(next, scenario_.events[next_event_].at);
     }
-    for (const Slot& s : slots_) {
-      if (s.next_release != kNoTick) next = std::min(next, s.next_release);
-    }
+    next = std::min(next, earliest_release_);
     next = table_.next_event_time(now, next);
     if (port_.active) next = std::min(next, now + port_.remaining);
     if (port_retry_at_ != kNoTick && port_retry_at_ > now) {
@@ -717,7 +761,7 @@ class Runtime {
           ++result_.prefetch_aborted;
         } else {
           Slot& s = slots_[port_.slot];
-          s.resident = true;
+          set_resident(s, true);
           s.loaded_by_prefetch = true;
           consecutive_prefetch_failures_ = 0;
           ++result_.prefetch_completed;
@@ -749,6 +793,7 @@ class Runtime {
               ++result_.faults.overrun_skips;
               if (s.next_release != kNoTick) {
                 s.next_release += s.task.period;
+                refresh_earliest_release();
               }
               break;
             case OverrunAction::kDegrade:
@@ -762,7 +807,7 @@ class Runtime {
           }
           // Abort / skip: the job ends at its budget — not a completion,
           // not a miss; its deadline guarantee is forfeit by injection.
-          --s.outstanding;
+          job_ended(s);
           active.erase(active.begin() + static_cast<std::ptrdiff_t>(i));
           continue;
         }
@@ -770,7 +815,7 @@ class Runtime {
         ++s.acct.completed;
         s.acct.total_response += response;
         s.acct.max_response = std::max(s.acct.max_response, response);
-        --s.outstanding;
+        job_ended(s);
         ++result_.completions;
         active.erase(active.begin() + static_cast<std::ptrdiff_t>(i));
         continue;
@@ -783,8 +828,11 @@ class Runtime {
 
   /// Finalizes drains: a slot that stopped releasing and has no outstanding
   /// job leaves the admission session — the analyzed set stays a superset
-  /// of the releasing set at every instant in between.
+  /// of the releasing set at every instant in between. Runs only when a
+  /// drained slot's last job has ended since the last pass (settle_due_).
   void settle_departures(Ticks now) {
+    if (!settle_due_) return;
+    settle_due_ = false;
     for (Slot& s : slots_) {
       if (s.in_session && s.next_release == kNoTick && s.outstanding == 0) {
         const bool removed = session_.remove(s.task);
@@ -801,11 +849,11 @@ class Runtime {
   void shed_slot(std::size_t index, Ticks now, bool revalidation_reject) {
     Slot& s = slots_[index];
     s.shed = true;
-    s.next_release = kNoTick;
+    stop_releasing(index);
     std::vector<RuntimeJob>& active = table_.active();
     for (std::size_t j = 0; j < active.size();) {
       if (active[j].job.task_index == index) {
-        --s.outstanding;
+        job_ended(s);
         active.erase(active.begin() + static_cast<std::ptrdiff_t>(j));
         continue;
       }
@@ -849,7 +897,7 @@ class Runtime {
     std::vector<RuntimeJob>& active = table_.active();
     for (std::size_t j = 0; j < active.size();) {
       if (active[j].degraded) {
-        --slots_[active[j].job.task_index].outstanding;
+        job_ended(slots_[active[j].job.task_index]);
         active.erase(active.begin() + static_cast<std::ptrdiff_t>(j));
         continue;
       }
@@ -912,6 +960,14 @@ class Runtime {
 
   std::size_t next_event_ = 0;
   std::vector<Slot> slots_;
+  /// Indices of the slots still releasing (next_release != kNoTick), in
+  /// slot order, and their earliest next_release (kNoTick when none).
+  std::vector<std::size_t> releasing_;
+  Ticks earliest_release_ = kNoTick;
+  /// A drained slot's last job has ended since settle_departures last ran.
+  bool settle_due_ = false;
+  /// Σ area over the resident slots.
+  std::int64_t resident_area_ = 0;
   std::vector<Task> slot_tasks_;
   TaskSet ts_cache_;
   bool ts_dirty_ = false;

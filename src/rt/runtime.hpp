@@ -23,8 +23,10 @@ namespace reconf::rt {
 
 /// Conformance hook: called once per admission attempt with the exact
 /// candidate set the gate evaluated (current admitted set plus the
-/// candidate), so tests can independently re-run AnalysisEngine::decide and
-/// check the runtime never admits what the analysis rejects.
+/// candidate, in that order), so tests can independently re-run
+/// AnalysisEngine::decide and check the runtime never admits what the
+/// analysis rejects. The gate itself decides bound rows; this TaskSet is
+/// built only when a probe is set.
 using AdmissionProbe = std::function<void(
     const TaskSet& candidate, Device device,
     const svc::AdmissionDecision& decision)>;
@@ -215,6 +217,18 @@ struct RuntimeResult {
 ///
 /// Events addressing a name that is not live (a depart scripted for a task
 /// the gate rejected) are counted no-ops — see RuntimeResult::ignored_events.
+///
+/// Cost per event-loop step: each step touches only what it changes. The
+/// gate appends the candidate's row to the session's bound rows and pops it
+/// on rejection (svc/session.hpp); the job table stays in EDF order as jobs
+/// are released (sim/job_table.hpp), so a dispatch sorts nothing; the
+/// still-releasing slots are an index list with their earliest release
+/// cached, which releases, the next-event time, name lookups and the
+/// prefetch candidate scan read; drained slots are settled only after a
+/// last job ended; and the resident area is a running sum, so the residency
+/// check is O(active jobs) whenever the fabric fits. None of it changes a
+/// verdict, a counter or a dispatch: runtime_test's GoldenRecord pins every
+/// RuntimeResult field over generated runs.
 [[nodiscard]] RuntimeResult run_scenario(const Scenario& scenario,
                                          const RuntimeConfig& config = {});
 

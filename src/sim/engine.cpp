@@ -35,7 +35,9 @@ class Engine {
         device_(device),
         config_(config),
         map_(device.width),
-        heavy_(ts.size(), false) {
+        heavy_(ts.size(), false),
+        priority_{config.scheduler == SchedulerKind::kEdfUs ? &heavy_
+                                                            : nullptr} {
     RECONF_EXPECTS(device.valid());
     RECONF_EXPECTS(config.offsets.empty() ||
                    config.offsets.size() == ts.size());
@@ -143,7 +145,7 @@ class Engine {
       a.job.abs_deadline = now + ts_[i].deadline;
       a.job.remaining = ts_[i].wcet;
       a.job.area = ts_[i].area;
-      jobs_.active().push_back(a);
+      jobs_.insert(a, priority_);
       next_release_[i] += inter_arrival(i);
       ++result_.jobs_released;
     }
@@ -160,9 +162,6 @@ class Engine {
   /// placement mode (paper Definitions 1-2; modes in sim/config.hpp).
   void dispatch(Ticks now) {
     ++result_.dispatches;
-    jobs_.sort(PriorityLess{
-        config_.scheduler == SchedulerKind::kEdfUs ? &heavy_ : nullptr});
-
     Area occupied = 0;
     if (config_.placement == PlacementMode::kUnrestrictedMigration) {
       // Columns are virtual: jobs that stay running and merely move count
@@ -254,6 +253,7 @@ class Engine {
   SimConfig config_;
   placement::ColumnMap map_;
   std::vector<bool> heavy_;
+  PriorityLess priority_;  ///< the queue order of jobs_
 
   std::vector<Ticks> next_release_;
   std::vector<std::uint64_t> sequence_;

@@ -41,9 +41,10 @@ struct MigrationPass {
   std::uint64_t relocations = 0;  ///< placed jobs whose columns moved
 };
 
-/// The active jobs of one EDF dispatcher, and the steps of the event loop
-/// the simulator (sim::simulate) and the online runtime (rt::run_scenario)
-/// share: priority order, the unrestricted-migration placement pass, the
+/// The active jobs of one EDF dispatcher, kept in priority order as they
+/// are released, and the steps of the event loop the simulator
+/// (sim::simulate) and the online runtime (rt::run_scenario) share: the
+/// ordered insert, the unrestricted-migration placement pass, the
 /// completion and deadline part of the next event, the stall-then-execute
 /// advance, and the snapshot handed to observers. Releases, misses and
 /// completions stay with each engine, whose accounting differs.
@@ -60,13 +61,19 @@ class JobTable {
     return active_;
   }
 
-  /// Sorts the queue into priority order; `less` compares jobs.
+  /// Queues a released job at its place in priority order; `less` compares
+  /// jobs and must be the one order every insert into this table uses. The
+  /// queue is thus always in priority order and a dispatch sorts nothing,
+  /// as the FreeRTOS EDF port keeps its ready list. Erasing keeps the
+  /// order, and a queued job's priority never changes (EdfOrder and EDF-US
+  /// read only its deadline, release, task and sequence; both are total).
   template <class Less = EdfOrder>
-  void sort(Less less = {}) {
-    std::sort(active_.begin(), active_.end(),
-              [&less](const Record& a, const Record& b) {
-                return less(a.job, b.job);
-              });
+  void insert(const Record& record, Less less = {}) {
+    active_.insert(std::upper_bound(active_.begin(), active_.end(), record,
+                                    [&less](const Record& a, const Record& b) {
+                                      return less(a.job, b.job);
+                                    }),
+                   record);
   }
 
   /// Chooses the running set in queue order under unrestricted migration

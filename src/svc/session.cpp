@@ -11,6 +11,7 @@ AdmissionSession::AdmissionSession(Device device,
                                    analysis::AnalysisRequest request)
     : device_(device), engine_(std::move(request)) {
   RECONF_EXPECTS(device.valid());
+  rows_.reserve(kReservedRows);
 }
 
 AdmissionDecision AdmissionSession::try_admit(const Task& t) {
@@ -24,16 +25,19 @@ AdmissionDecision AdmissionSession::try_admit(const Task& t) {
     return out;
   }
 
+  rows_.push(t);
+  const analysis::Decision decision = engine_.decide(rows_, device_);
+  out.admitted = decision.accepted();
+  out.accepted_by = std::string(decision.accepted_by);
+  if (!out.admitted) {
+    rows_.pop();
+    return out;
+  }
   std::vector<Task> tasks;
   tasks.reserve(admitted_.size() + 1);
   tasks.assign(admitted_.begin(), admitted_.end());
   tasks.push_back(t);
-  TaskSet candidate{std::move(tasks)};
-
-  const analysis::Decision decision = engine_.decide(candidate, device_);
-  out.admitted = decision.accepted();
-  out.accepted_by = std::string(decision.accepted_by);
-  if (out.admitted) admitted_ = std::move(candidate);
+  admitted_ = TaskSet(std::move(tasks));
   return out;
 }
 
@@ -44,6 +48,7 @@ bool AdmissionSession::remove(const Task& t) {
       std::vector<Task> rest(admitted_.begin(), it);
       rest.insert(rest.end(), it + 1, admitted_.end());
       admitted_ = TaskSet(std::move(rest));
+      rows_.build(admitted_);
       return true;
     }
   }

@@ -2,6 +2,7 @@
 
 #include <string>
 
+#include "analysis/detail/scratch.hpp"
 #include "analysis/engine.hpp"
 #include "common/types.hpp"
 #include "task/task.hpp"
@@ -26,10 +27,15 @@ struct AdmissionDecision {
 /// decide instantly whether the new task can be admitted without
 /// endangering the deadlines already guaranteed.
 ///
-/// The session keeps the currently admitted set. `try_admit` decides the
-/// extended set through AnalysisEngine::decide and, on acceptance, keeps
-/// that candidate as the admitted set; tasks can later `remove`
-/// (accelerator released).
+/// The session keeps the currently admitted set twice: as a TaskSet (what
+/// `admitted()` returns) and as rows bound in an AnalysisScratch of its own.
+/// `try_admit` appends the candidate's row to the bound rows, decides them
+/// through AnalysisEngine's bound decide — the loop decide(ts) runs — and
+/// pops the row again on rejection, so a rejected attempt copies no Task
+/// and builds no TaskSet. Only an acceptance or a `remove` (accelerator
+/// released) rebuilds the TaskSet. The scratch is the session's, not the
+/// thread's: the runtime's shed re-validation runs a second session on the
+/// same thread while the first one's rows stay bound.
 ///
 /// Not thread-safe: one session serves one admission stream.
 class AdmissionSession {
@@ -59,9 +65,15 @@ class AdmissionSession {
   }
 
  private:
+  /// Rows the scratch is sized for up front, so a fresh session does not
+  /// regrow its buffers while its admitted set grows. The runtime's gate
+  /// decides sets of about 9 rows on average; larger ones regrow once.
+  static constexpr std::size_t kReservedRows = 16;
+
   Device device_;
   analysis::AnalysisEngine engine_;
   TaskSet admitted_;
+  analysis::detail::AnalysisScratch rows_;  ///< admitted_, bound
 };
 
 }  // namespace reconf::svc

@@ -9,6 +9,7 @@
 // re-summing evaluation at serving sizes; and the engine's decide() must
 // agree with its run() on sets up to n = 64.
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -210,6 +211,110 @@ TEST(FastPathParity, EngineDecideMatchesRunUpToSixtyFourTasks) {
     ASSERT_EQ(decision.verdict, report.verdict) << "n=" << ts.size();
     ASSERT_EQ(std::string(decision.accepted_by), report.accepted_by())
         << "n=" << ts.size();
+  }
+}
+
+/// Task (C, D, T, A) without a name.
+Task row(Ticks c, Ticks d, Ticks t, Area a) {
+  Task task;
+  task.wcet = c;
+  task.deadline = d;
+  task.period = t;
+  task.area = a;
+  return task;
+}
+
+/// `order` must equal the task indices stable-sorted by `key`.
+void expect_stable_order(const std::vector<std::uint32_t>& order,
+                         const std::vector<math::Rational>& key,
+                         const std::string& what) {
+  std::vector<std::uint32_t> reference(key.size());
+  for (std::uint32_t i = 0; i < reference.size(); ++i) reference[i] = i;
+  std::stable_sort(reference.begin(), reference.end(),
+                   [&key](std::uint32_t a, std::uint32_t b) {
+                     return key[a] < key[b];
+                   });
+  EXPECT_EQ(order, reference) << what;
+}
+
+// prepare_gn2 sorts its two exact task orders with the task index as the
+// tie-break: the order a stable sort gives, which the λ-sweep's determinism
+// rests on. Tied keys: C/T = 1/2 = 2/4 = 3/6, and C/D = 1/4 with D > T
+// (order_vc then reads C/D), also tied with a C/T of 1/4.
+TEST(FastPathParity, Gn2TaskOrdersBreakTiesByTaskIndex) {
+  const std::vector<Task> tied = {
+      row(3, 6, 6, 2),  row(1, 4, 2, 1), row(2, 4, 4, 3),  row(2, 8, 4, 1),
+      row(1, 2, 2, 4),  row(1, 4, 4, 2), row(3, 12, 5, 1), row(1, 3, 3, 2),
+      row(3, 6, 6, 1)};
+  Xoshiro256ss rng(0x0D3E'0001);
+  std::vector<Task> tasks = tied;
+  AnalysisScratch scratch;
+  for (int round = 0; round < 200; ++round) {
+    if (round > 0) {
+      // Shuffles of the tied rows, then random sets over a few small keys.
+      tasks = tied;
+      for (std::size_t i = tasks.size(); i > 1; --i) {
+        std::swap(tasks[i - 1],
+                  tasks[static_cast<std::size_t>(
+                      rng.uniform_int(0, static_cast<std::int64_t>(i) - 1))]);
+      }
+      if (round % 2 == 0) {
+        tasks.clear();
+        const auto n = rng.uniform_int(1, 24);
+        for (std::int64_t i = 0; i < n; ++i) {
+          const Ticks t = 2 * rng.uniform_int(1, 3);
+          const Ticks c = rng.uniform_int(1, t);
+          tasks.push_back(row(c, t * rng.uniform_int(1, 2), t, 1));
+        }
+      }
+    }
+    scratch.build(TaskSet(tasks));
+    scratch.prepare_gn2();
+    const std::string what = "round " + std::to_string(round);
+    expect_stable_order(scratch.order_u, scratch.util_x, what + " order_u");
+    expect_stable_order(scratch.order_vc, scratch.vc_x, what + " order_vc");
+  }
+}
+
+// An admission session binds its rows by push and pop; whatever sequence
+// got them there, the mirror must equal build() of the same tasks.
+TEST(FastPathParity, PushAndPopBindWhatBuildBinds) {
+  Xoshiro256ss rng(0x0D3E'0002);
+  AnalysisScratch pushed;
+  AnalysisScratch built;
+  std::vector<Task> tasks;
+  for (int step = 0; step < 2'000; ++step) {
+    if (!tasks.empty() && rng.uniform_int(0, 2) == 0) {
+      tasks.pop_back();
+      pushed.pop();
+    } else {
+      // Mostly well-formed rows, some with a non-positive field (TaskSet
+      // leaves those out of its summary but for the first row's area).
+      const Ticks t = rng.uniform_int(1, 50);
+      Task task = row(rng.uniform_int(1, t), rng.uniform_int(1, 2 * t), t,
+                      static_cast<Area>(rng.uniform_int(1, 12)));
+      if (rng.uniform_int(0, 9) == 0) task.wcet = 0;
+      tasks.push_back(task);
+      pushed.push(task);
+    }
+    built.build(TaskSet(tasks));
+    ASSERT_EQ(pushed.n, built.n) << "step " << step;
+    EXPECT_EQ(pushed.max_area, built.max_area) << "step " << step;
+    EXPECT_EQ(pushed.min_area, built.min_area) << "step " << step;
+    EXPECT_EQ(pushed.all_implicit, built.all_implicit) << "step " << step;
+    EXPECT_EQ(pushed.all_constrained, built.all_constrained)
+        << "step " << step;
+    EXPECT_EQ(pushed.wcet, built.wcet) << "step " << step;
+    EXPECT_EQ(pushed.deadline, built.deadline) << "step " << step;
+    EXPECT_EQ(pushed.period, built.period) << "step " << step;
+    EXPECT_EQ(pushed.area, built.area) << "step " << step;
+    EXPECT_EQ(pushed.util, built.util) << "step " << step;
+    const TaskSet ts(tasks);
+    EXPECT_EQ(built.max_area, ts.max_area()) << "step " << step;
+    EXPECT_EQ(built.min_area, ts.min_area()) << "step " << step;
+    EXPECT_EQ(built.all_implicit, ts.all_implicit_deadline()) << "step " << step;
+    EXPECT_EQ(built.all_constrained, ts.all_constrained_deadline())
+        << "step " << step;
   }
 }
 

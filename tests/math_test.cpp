@@ -1,10 +1,12 @@
 #include <cstdint>
 #include <limits>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/rng.hpp"
 #include "math/checked.hpp"
 #include "math/gcd_lcm.hpp"
 #include "math/intdiv.hpp"
@@ -121,6 +123,144 @@ TEST(Rational, UnaryMinusAndCompoundOps) {
   r /= Rational(-8);
   EXPECT_EQ(r, Rational(-1, 4));
   EXPECT_EQ(-r, Rational(1, 4));
+}
+
+/// The int128 path's reduction, written out independently: Euclid on the
+/// unreduced int128 result, denominator made positive.
+std::pair<math::Int128, math::Int128> reduce_i128(math::Int128 n,
+                                                  math::Int128 d) {
+  if (d < 0) {
+    n = -n;
+    d = -d;
+  }
+  math::Int128 a = n < 0 ? -n : n;
+  math::Int128 b = d;
+  while (b != 0) {
+    const math::Int128 t = a % b;
+    a = b;
+    b = t;
+  }
+  return {n / a, d / a};
+}
+
+bool fits_i64(math::Int128 v) {
+  return v >= math::Int128{INT64_MIN} && v <= math::Int128{INT64_MAX};
+}
+
+/// How many results expect_ops_match_int128 compared, and how many of those
+/// were wider than int64 before reduction (the int128 path's share).
+struct Compared {
+  int all = 0;
+  int wide = 0;
+};
+
+/// Checks the four operations on (a, b) against reduce_i128 of their
+/// unreduced int128 results, wherever the reduced result fits in int64.
+Compared expect_ops_match_int128(const Rational& a, const Rational& b) {
+  using math::Int128;
+  const Int128 an = a.num(), ad = a.den(), bn = b.num(), bd = b.den();
+  struct Op {
+    const char* name;
+    Int128 n, d;
+    Rational (*apply)(const Rational&, const Rational&);
+  };
+  const Op ops[] = {
+      {"+", an * bd + bn * ad, ad * bd,
+       [](const Rational& x, const Rational& y) { return x + y; }},
+      {"-", an * bd - bn * ad, ad * bd,
+       [](const Rational& x, const Rational& y) { return x - y; }},
+      {"*", an * bn, ad * bd,
+       [](const Rational& x, const Rational& y) { return x * y; }},
+      {"/", an * bd, ad * bn,
+       [](const Rational& x, const Rational& y) { return x / y; }},
+  };
+  Compared compared;
+  for (const Op& op : ops) {
+    if (op.d == 0) continue;  // division by zero
+    const auto [num, den] = reduce_i128(op.n, op.d);
+    if (!fits_i64(num) || !fits_i64(den)) continue;
+    const Rational got = op.apply(a, b);
+    EXPECT_EQ(got.num(), static_cast<std::int64_t>(num))
+        << a << " " << op.name << " " << b;
+    EXPECT_EQ(got.den(), static_cast<std::int64_t>(den))
+        << a << " " << op.name << " " << b;
+    ++compared.all;
+    if (!fits_i64(op.n) || !fits_i64(op.d)) ++compared.wide;
+  }
+  return compared;
+}
+
+// Results that fit in int64 reduce with an int64 gcd, wider ones with the
+// int128 Euclid loop; both must give the int128 reduction's terms.
+TEST(Rational, Int64NormalizationMatchesTheInt128Path) {
+  Xoshiro256ss rng(0x4A71'0001);
+  const std::int64_t bounds[] = {10, 1'000, std::int64_t{1} << 31,
+                                 std::int64_t{1} << 40,
+                                 std::int64_t{1} << 62, INT64_MAX};
+  Compared compared;
+  for (int i = 0; i < 20'000; ++i) {
+    const std::int64_t hi = bounds[rng.uniform_int(0, 5)];
+    // Magnitude and sign apart: uniform_int's span must fit in int64.
+    const auto draw = [&](bool positive) {
+      const std::int64_t v = rng.uniform_int(positive ? 1 : 0, hi);
+      return !positive && rng.uniform_int(0, 1) == 1 ? -v : v;
+    };
+    Rational a(draw(false), draw(true));
+    Rational b(draw(false), draw(true));
+    if (i % 4 == 0) {
+      // x/g and g/z with a wide g: products wider than int64 that reduce.
+      const std::int64_t g =
+          rng.uniform_int(std::int64_t{1} << 33, std::int64_t{1} << 45);
+      a = Rational(draw(false), g);
+      b = Rational(g, draw(true));
+    }
+    const Compared c = expect_ops_match_int128(a, b);
+    compared.all += c.all;
+    compared.wide += c.wide;
+  }
+  // Both paths ran: most results fit in int64, some only once reduced.
+  EXPECT_GT(compared.all, 30'000);
+  EXPECT_GT(compared.wide, 100);
+
+  const std::int64_t kMax = INT64_MAX;
+  const std::int64_t k31 = (std::int64_t{1} << 31) - 1;
+  const std::pair<Rational, Rational> edges[] = {
+      // zero, as either operand and as a result
+      {Rational(0), Rational(5, 7)},
+      {Rational(3, 4), Rational(3, 4)},
+      {Rational(0, 9), Rational(0, 2)},
+      // negative numerators and denominators
+      {Rational(-3, 4), Rational(2, -9)},
+      {Rational(-7, 12), Rational(-5, 18)},
+      // products near 2^62: ticks at the input domain's bound
+      {Rational(k31, k31 - 2), Rational(k31 - 4, k31 - 6)},
+      {Rational(k31 - 1, k31), Rational(-(k31 - 3), k31 - 1)},
+      {Rational(std::int64_t{1} << 31, 3), Rational(std::int64_t{1} << 31, 5)},
+      // unreduced results at and just past the int64 limit
+      {Rational(kMax, 3), Rational(0)},
+      {Rational(kMax), Rational(1)},
+      {Rational(kMax, 2), Rational(1, 2)},
+      {Rational(1, kMax), Rational(1)},
+      {Rational(-kMax), Rational(1)},
+      {Rational(-kMax), Rational(-1)},
+      {Rational(kMax - 1, kMax), Rational(kMax, kMax - 1)},
+  };
+  for (const auto& [a, b] : edges) {
+    EXPECT_GT(expect_ops_match_int128(a, b).all, 0) << a << " and " << b;
+  }
+  // INT64_MIN itself as an unreduced numerator: left to the int128 path.
+  EXPECT_EQ((Rational(-kMax) - Rational(1)).num(), INT64_MIN);
+  EXPECT_EQ((Rational(-kMax) - Rational(1)).den(), 1);
+}
+
+// A result that does not fit in int64 even reduced trips narrow_i128's
+// precondition, on either path's side of the int64 limit.
+TEST(RationalDeathTest, ResultsPastInt64TripNarrowI128) {
+  const std::int64_t kMax = INT64_MAX;
+  EXPECT_DEATH((void)(Rational(kMax) + Rational(1)), "Precondition violated");
+  EXPECT_DEATH((void)(Rational(kMax) * Rational(2)), "Precondition violated");
+  EXPECT_DEATH((void)(Rational(1, kMax) * Rational(1, 3)),
+               "Precondition violated");
 }
 
 TEST(Rational, StreamsHumanReadably) {

@@ -25,6 +25,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -481,6 +482,168 @@ TEST(CorpusReplay, SummaryIsInsensitiveToTraceAndInvariantRecording) {
   off.check_invariants = false;
   EXPECT_EQ(run_scenario(s, on).summary_json(),
             run_scenario(s, off).summary_json());
+}
+
+// --------------------------------------------------------- golden record --
+
+/// One canonical line holding every RuntimeResult field but the wall-clock
+/// admission_nanos: the counters, the peak utilization as a hex float, each
+/// admission record, task account and shed record, and a hash of the trace.
+std::string canonical_line(const std::string& label, const RuntimeResult& r) {
+  const auto num = [](auto v) { return std::to_string(v); };
+  const auto tick = [](Ticks v) {
+    return v == kNoTick ? std::string("-") : std::to_string(v);
+  };
+  std::string out = label + " " + r.scenario + " h=" + num(r.horizon);
+  out += " adm=" + num(r.admitted) + "/" + num(r.rejected);
+  out += " rel=" + num(r.releases) + " done=" + num(r.completions) +
+         " miss=" + num(r.deadline_misses);
+  out += " disp=" + num(r.dispatches) + " pre=" + num(r.preemptions);
+  out += " stall=" + num(r.stall_ticks) + " hid=" + num(r.hidden_ticks);
+  out += " load=" + num(r.cold_loads) + "/" + num(r.warm_hits) + "/" +
+         num(r.prefetch_hits) + "/" + num(r.prefetch_partial);
+  out += " pf=" + num(r.prefetch_started) + "/" + num(r.prefetch_completed) +
+         "/" + num(r.prefetch_aborted);
+  out += " evict=" + num(r.evictions) + " ign=" + num(r.ignored_events);
+  char peak[64];
+  std::snprintf(peak, sizeof peak, "%a", r.peak_admitted_system_util);
+  out += " peak=" + std::string(peak) + " busy=" + num(r.busy_area_time);
+  out += " gates=";
+  for (const AdmissionRecord& a : r.admissions) {
+    out += num(a.at) + ":" + to_string(a.kind)[0] + ":" + a.name + ":" +
+           (a.admitted ? a.accepted_by : "-") + ";";
+  }
+  out += " tasks=";
+  for (const TaskAccount& t : r.tasks) {
+    // The task's own name is printed only where it differs from the
+    // account's; kNoTick prints as '-'.
+    out += t.name + "(" + num(t.task.wcet) + "," + num(t.task.deadline) +
+           "," + num(t.task.period) + "," + num(t.task.area) +
+           (t.task.name == t.name ? "" : "," + t.task.name) + ")";
+    for (const Ticks v :
+         {t.first_release, static_cast<Ticks>(t.released),
+          static_cast<Ticks>(t.completed), static_cast<Ticks>(t.missed),
+          t.max_response, t.total_response, t.stall_ticks, t.hidden_ticks,
+          t.first_miss, t.drained_at}) {
+      out += ":" + tick(v);
+    }
+    out += ";";
+  }
+  out += " viol=" + num(r.invariant_violations.size());
+  if (r.fault_mode) {
+    const FaultRecoveryStats& f = r.faults;
+    out += " faults=";
+    for (const std::uint64_t v :
+         {f.wcet_overruns, f.overrun_aborts, f.overrun_skips,
+          f.overrun_degrades, f.port_failures, f.load_retries, f.load_aborts,
+          f.prefetch_refails, static_cast<std::uint64_t>(f.retry_backoff_ticks),
+          f.port_slow_events, f.port_slowed_loads,
+          static_cast<std::uint64_t>(f.port_slow_ticks), f.fabric_faults,
+          f.fabric_reloads, f.fabric_invalidations, f.sheds,
+          f.shed_revalidation_rejects, f.post_shed_misses}) {
+      out += num(v) + "/";
+    }
+    out += " sheds=";
+    for (const ShedRecord& s : r.sheds) {
+      out += num(s.at) + ":" + s.name + ":" +
+             (s.revalidation_reject ? "r" : "v") + ";";
+    }
+  }
+  std::uint64_t h = 0xcbf29ce484222325ull;  // FNV-1a over the segments
+  for (const sim::TraceSegment& s : r.trace.segments()) {
+    for (const std::int64_t v :
+         {static_cast<std::int64_t>(s.task_index),
+          static_cast<std::int64_t>(s.sequence), s.begin, s.end,
+          static_cast<std::int64_t>(s.col_lo),
+          static_cast<std::int64_t>(s.col_hi),
+          static_cast<std::int64_t>(s.reconfiguring)}) {
+      for (int byte = 0; byte < 8; ++byte) {
+        h ^= static_cast<std::uint64_t>(v) >> (8 * byte) & 0xffu;
+        h *= 0x100000001b3ull;
+      }
+    }
+  }
+  char trace[32];
+  std::snprintf(trace, sizeof trace, "%016llx",
+                static_cast<unsigned long long>(h));
+  out += " trace=" + num(r.trace.segments().size()) + ":" + trace;
+  return out;
+}
+
+// Every runtime counter, record and trace over generated scenarios, pinned
+// across builds: 40 scenarios per family under each prefetch policy, plus
+// 40 churn and 40 reconf-heavy ones under a generated fault plan for each
+// overrun action, with the invariant checker and the trace on. The
+// expected lines come from a build that sorted the job table at every
+// dispatch and rebuilt the gate's candidate set per attempt. Both engines
+// dispatch through sim::JobTable, so DispatchParity alone cannot see an
+// order both would get wrong. On a mismatch the lines this build produces
+// are written to generated.actual in the working directory.
+TEST(GoldenRecord, GeneratedRunsMatchTheCommittedLines) {
+  constexpr PrefetchKind kPolicies[] = {
+      PrefetchKind::kNone, PrefetchKind::kStatic, PrefetchKind::kHybrid};
+  std::vector<std::string> lines;
+  for (const ScenarioFamily family : kFamilies) {
+    for (std::uint64_t seed = 0; seed < 40; ++seed) {
+      const Scenario s = make_scenario(family, seed, 20);
+      for (const PrefetchKind policy : kPolicies) {
+        RuntimeConfig config;
+        config.prefetch = policy;
+        lines.push_back(canonical_line(
+            std::string(to_string(family)) + "/" + std::to_string(seed) +
+                "/" + to_string(policy),
+            run_scenario(s, config)));
+      }
+    }
+  }
+  for (const ScenarioFamily family :
+       {ScenarioFamily::kChurn, ScenarioFamily::kReconfHeavy}) {
+    for (std::uint64_t seed = 0; seed < 40; ++seed) {
+      const Scenario s = make_scenario(family, seed, 20);
+      fault::FaultPlanGenOptions gen;
+      gen.horizon = s.horizon;
+      gen.names = arrival_names(s);
+      gen.faults = 8;
+      gen.seed = seed;
+      const fault::FaultPlan plan = fault::generate_fault_plan(gen);
+      for (const OverrunAction action :
+           {OverrunAction::kAbort, OverrunAction::kSkipNext,
+            OverrunAction::kDegrade}) {
+        RuntimeConfig config;
+        config.prefetch = kPolicies[seed % 3];
+        config.recovery.overrun = action;
+        config.faults = &plan;
+        lines.push_back(canonical_line(
+            std::string("faults/") + to_string(family) + "/" +
+                std::to_string(seed) + "/" + to_string(action) + "/" +
+                to_string(config.prefetch),
+            run_scenario(s, config)));
+      }
+    }
+  }
+
+  std::vector<std::string> expected;
+  {
+    std::istringstream in(read_file(std::filesystem::path(RECONF_CORPUS_DIR) /
+                                    "scenarios" / "generated.expected"));
+    std::string line;
+    while (std::getline(in, line)) expected.push_back(line);
+  }
+  std::size_t differ = 0;
+  for (std::size_t i = 0; i < std::max(lines.size(), expected.size()); ++i) {
+    const std::string got = i < lines.size() ? lines[i] : "<none>";
+    const std::string want = i < expected.size() ? expected[i] : "<none>";
+    if (got == want) continue;
+    if (++differ <= 3) {
+      ADD_FAILURE() << "line " << i + 1 << "\n  got:  " << got
+                    << "\n  want: " << want;
+    }
+  }
+  EXPECT_EQ(differ, 0u) << "of " << lines.size() << " lines";
+  if (differ != 0) {
+    std::ofstream actual("generated.actual");
+    for (const std::string& l : lines) actual << l << '\n';
+  }
 }
 
 // ------------------------------------------------------ event semantics --
