@@ -1,18 +1,18 @@
-// bench_runtime — machine-readable baseline for the online reconfiguration
-// runtime (src/rt/). Self-timed.
+// bench_runtime — the online reconfiguration runtime's (src/rt/) committed
+// record, BENCH_runtime.json.
 //
-//   bench_runtime [--out=PATH] [--quick]
+//   bench_runtime [--out=PATH]
 //
-//   --out=PATH    write the report whole — the "runtime" and "fault"
-//                 sections; "-" (default) prints to stdout only. The
-//                 committed baseline at the repo root is refreshed with
+//   --out=PATH    the record to write whole; the file is byte-identical to
+//                 what this tool prints on stdout; "-" (default) prints to
+//                 stdout only. The committed record at the repo root is
+//                 refreshed with
 //                   ./build/bench_runtime --out=BENCH_runtime.json
-//   --quick       CI smoke sizing: fewer seeds per family
 //
 // An unknown flag prints a usage line and exits 2.
 //
-// Measurements, per (scenario family x prefetch policy) over a fixed seed
-// set (deterministic — the numbers move only when the runtime, generator or
+// Measurements, per (scenario family x prefetch policy) over 25 fixed seeds
+// (deterministic — the numbers move only when the runtime, generator or
 // analyzers change):
 //   * admit_rate        gate acceptances / gate attempts
 //   * admitted_util     mean peak admitted system utilization, normalized
@@ -22,16 +22,15 @@
 //   * stall_hiding      hidden / (hidden + stalled) load ticks — the
 //                       prefetch acceptance bar: hybrid >= 0.5 on the
 //                       reconf-heavy family
-//   * admission_ns      mean wall nanoseconds per admission-gate attempt
-//   * run_us            mean wall microseconds per full scenario replay
 //
-// The "fault" section benches the recovery path (src/fault/ + the runtime's
+// The "fault" section covers the recovery path (src/fault/ + the runtime's
 // recovery policies): reconf-heavy scenarios replayed under a generated
-// fault plan once per overrun action, against the fault-free replay of the
-// same scenarios. `overhead` is run_us / fault-free run_us — the price of
-// injection + recovery; the fault-free path itself carries no injector in
-// the loop (config.faults == nullptr short-circuits), which the plain cells
-// above keep honest.
+// fault plan once per overrun action, with the injected faults and the
+// recoveries counted.
+//
+// No timing is recorded, so a run reproduces the committed file byte for
+// byte; the repository benchmark's traced runtime-scenarios workload
+// (perfbench/) times run_scenario and the admission gate.
 //
 // The zero-cost families (steady, churn) run under the no-prefetch policy
 // only — with nothing to load, every policy is identical on them. The
@@ -45,7 +44,6 @@
 #include <vector>
 
 #include "common/flags.hpp"
-#include "common/stopwatch.hpp"
 #include "fault/plan.hpp"
 #include "rt/runtime.hpp"
 #include "rt/scenario.hpp"
@@ -53,6 +51,8 @@
 namespace {
 
 using namespace reconf;
+
+constexpr int kSeeds = 25;
 
 struct Cell {
   rt::ScenarioFamily family = rt::ScenarioFamily::kSteady;
@@ -64,9 +64,7 @@ struct Cell {
   std::uint64_t misses = 0;
   Ticks stalled = 0;
   Ticks hidden = 0;
-  double util_sum = 0.0;       ///< sigma of per-scenario peak util / W
-  double admission_ns = 0.0;   ///< sigma wall ns inside the gate
-  double run_seconds = 0.0;    ///< sigma wall seconds per replay
+  double util_sum = 0.0;  ///< sigma of per-scenario peak util / W
 
   [[nodiscard]] double admit_rate() const {
     return attempts == 0 ? 0.0
@@ -88,12 +86,12 @@ struct Cell {
   }
 };
 
-Cell measure(rt::ScenarioFamily family, rt::PrefetchKind policy, int seeds,
+Cell measure(rt::ScenarioFamily family, rt::PrefetchKind policy,
              int arrivals) {
   Cell cell;
   cell.family = family;
   cell.policy = policy;
-  for (int seed = 0; seed < seeds; ++seed) {
+  for (int seed = 0; seed < kSeeds; ++seed) {
     rt::ScenarioGenOptions gen;
     gen.family = family;
     gen.seed = static_cast<std::uint64_t>(seed);
@@ -104,10 +102,7 @@ Cell measure(rt::ScenarioFamily family, rt::PrefetchKind policy, int seeds,
     config.prefetch = policy;
     config.record_trace = false;
     config.check_invariants = false;
-
-    Stopwatch watch;
     const rt::RuntimeResult r = rt::run_scenario(scenario, config);
-    cell.run_seconds += watch.seconds();
 
     ++cell.scenarios;
     cell.attempts += r.admitted + r.rejected;
@@ -118,7 +113,6 @@ Cell measure(rt::ScenarioFamily family, rt::PrefetchKind policy, int seeds,
     cell.hidden += r.hidden_ticks;
     cell.util_sum += r.peak_admitted_system_util /
                      static_cast<double>(scenario.device.width);
-    cell.admission_ns += static_cast<double>(r.admission_nanos);
   }
   return cell;
 }
@@ -129,17 +123,15 @@ std::string cell_json(const Cell& c) {
       buf, sizeof(buf),
       "{\"family\": \"%s\", \"policy\": \"%s\", \"scenarios\": %d, "
       "\"admit_rate\": %.3f, \"admitted_util\": %.3f, \"miss_rate\": %.4f, "
-      "\"stall_hiding\": %.3f, \"admission_ns\": %.0f, \"run_us\": %.0f}",
+      "\"stall_hiding\": %.3f}",
       rt::to_string(c.family), rt::to_string(c.policy), c.scenarios,
-      c.admit_rate(), c.admitted_util(), c.miss_rate(), c.stall_hiding(),
-      c.attempts == 0 ? 0.0 : c.admission_ns / static_cast<double>(c.attempts),
-      c.scenarios == 0 ? 0.0 : c.run_seconds * 1e6 / c.scenarios);
+      c.admit_rate(), c.admitted_util(), c.miss_rate(), c.stall_hiding());
   return buf;
 }
 
-std::string report_json(const std::vector<Cell>& cells, int seeds) {
-  std::string out = "{\n    \"schema\": \"reconf-bench-runtime/1\",\n";
-  out += "    \"seeds_per_family\": " + std::to_string(seeds) + ",\n";
+std::string report_json(const std::vector<Cell>& cells) {
+  std::string out = "{\n    \"schema\": \"reconf-bench-runtime/2\",\n";
+  out += "    \"seeds_per_family\": " + std::to_string(kSeeds) + ",\n";
   out += "    \"cells\": [\n";
   for (std::size_t i = 0; i < cells.size(); ++i) {
     out += "      " + cell_json(cells[i]);
@@ -151,8 +143,7 @@ std::string report_json(const std::vector<Cell>& cells, int seeds) {
 }
 
 /// The recovery-path cell: reconf-heavy scenarios replayed under a generated
-/// fault plan with one fixed overrun action. The fault-free replay of the
-/// same scenarios (same prefetch policy) is the overhead denominator.
+/// fault plan with one fixed overrun action.
 struct FaultCell {
   rt::OverrunAction action = rt::OverrunAction::kAbort;
   int scenarios = 0;
@@ -164,23 +155,18 @@ struct FaultCell {
   std::uint64_t post_shed_misses = 0;
   std::uint64_t misses = 0;
   std::uint64_t releases = 0;
-  double run_seconds = 0.0;
-  double baseline_seconds = 0.0;
 
   [[nodiscard]] double miss_rate() const {
     return releases == 0 ? 0.0
                          : static_cast<double>(misses) /
                                static_cast<double>(releases);
   }
-  [[nodiscard]] double overhead() const {
-    return baseline_seconds == 0.0 ? 0.0 : run_seconds / baseline_seconds;
-  }
 };
 
-FaultCell measure_fault(rt::OverrunAction action, int seeds, int arrivals) {
+FaultCell measure_fault(rt::OverrunAction action, int arrivals) {
   FaultCell cell;
   cell.action = action;
-  for (int seed = 0; seed < seeds; ++seed) {
+  for (int seed = 0; seed < kSeeds; ++seed) {
     rt::ScenarioGenOptions gen;
     gen.family = rt::ScenarioFamily::kReconfHeavy;
     gen.seed = static_cast<std::uint64_t>(seed);
@@ -198,18 +184,9 @@ FaultCell measure_fault(rt::OverrunAction action, int seeds, int arrivals) {
     config.prefetch = rt::PrefetchKind::kHybrid;
     config.record_trace = false;
     config.check_invariants = false;
-
-    Stopwatch base_watch;
-    const rt::RuntimeResult base = rt::run_scenario(scenario, config);
-    cell.baseline_seconds += base_watch.seconds();
-    (void)base;
-
     config.faults = &plan;
     config.recovery.overrun = action;
-
-    Stopwatch watch;
     const rt::RuntimeResult r = rt::run_scenario(scenario, config);
-    cell.run_seconds += watch.seconds();
 
     ++cell.scenarios;
     cell.overruns += r.faults.wcet_overruns;
@@ -230,23 +207,20 @@ std::string fault_cell_json(const FaultCell& c) {
       buf, sizeof(buf),
       "{\"action\": \"%s\", \"scenarios\": %d, \"overruns\": %llu, "
       "\"port_failures\": %llu, \"retries\": %llu, \"fabric\": %llu, "
-      "\"sheds\": %llu, \"post_shed_misses\": %llu, \"miss_rate\": %.4f, "
-      "\"overhead\": %.3f, \"run_us\": %.0f}",
+      "\"sheds\": %llu, \"post_shed_misses\": %llu, \"miss_rate\": %.4f}",
       rt::to_string(c.action), c.scenarios,
       static_cast<unsigned long long>(c.overruns),
       static_cast<unsigned long long>(c.port_failures),
       static_cast<unsigned long long>(c.retries),
       static_cast<unsigned long long>(c.fabric),
       static_cast<unsigned long long>(c.sheds),
-      static_cast<unsigned long long>(c.post_shed_misses), c.miss_rate(),
-      c.overhead(),
-      c.scenarios == 0 ? 0.0 : c.run_seconds * 1e6 / c.scenarios);
+      static_cast<unsigned long long>(c.post_shed_misses), c.miss_rate());
   return buf;
 }
 
-std::string fault_report_json(const std::vector<FaultCell>& cells, int seeds) {
-  std::string out = "{\n    \"schema\": \"reconf-bench-fault/1\",\n";
-  out += "    \"seeds_per_action\": " + std::to_string(seeds) + ",\n";
+std::string fault_report_json(const std::vector<FaultCell>& cells) {
+  std::string out = "{\n    \"schema\": \"reconf-bench-fault/2\",\n";
+  out += "    \"seeds_per_action\": " + std::to_string(kSeeds) + ",\n";
   out += "    \"cells\": [\n";
   for (std::size_t i = 0; i < cells.size(); ++i) {
     out += "      " + fault_cell_json(cells[i]);
@@ -258,7 +232,7 @@ std::string fault_report_json(const std::vector<FaultCell>& cells, int seeds) {
 }
 
 int usage() {
-  std::fprintf(stderr, "usage: bench_runtime [--out=PATH] [--quick]\n");
+  std::fprintf(stderr, "usage: bench_runtime [--out=PATH]\n");
   return 2;
 }
 
@@ -266,21 +240,18 @@ int usage() {
 
 int main(int argc, char** argv) {
   const std::vector<std::string> args(argv + 1, argv + argc);
-  static const char* const known[] = {"--out=", "--quick"};
+  static const char* const known[] = {"--out="};
   for (const std::string& a : args) {
     if (!is_known_flag(a, known)) {
       std::fprintf(stderr, "unknown flag: %s\n", a.c_str());
       return usage();
     }
   }
-  const bool quick = has_flag(args, "quick");
-  const int seeds = quick ? 5 : 25;
 
   std::vector<Cell> cells;
   for (const rt::ScenarioFamily family :
        {rt::ScenarioFamily::kSteady, rt::ScenarioFamily::kChurn}) {
-    cells.push_back(measure(family, rt::PrefetchKind::kNone, seeds,
-                            /*arrivals=*/10));
+    cells.push_back(measure(family, rt::PrefetchKind::kNone, /*arrivals=*/10));
   }
   // The prefetch regime: sigma-areas exceed the fabric at 8 fat arrivals,
   // so every release risks a cold configuration while some columns stay
@@ -288,8 +259,8 @@ int main(int argc, char** argv) {
   for (const rt::PrefetchKind policy :
        {rt::PrefetchKind::kNone, rt::PrefetchKind::kStatic,
         rt::PrefetchKind::kHybrid}) {
-    cells.push_back(measure(rt::ScenarioFamily::kReconfHeavy, policy, seeds,
-                            /*arrivals=*/8));
+    cells.push_back(
+        measure(rt::ScenarioFamily::kReconfHeavy, policy, /*arrivals=*/8));
   }
 
   // The recovery-path cells: one per overrun action, all on the
@@ -300,51 +271,22 @@ int main(int argc, char** argv) {
   for (const rt::OverrunAction action :
        {rt::OverrunAction::kAbort, rt::OverrunAction::kSkipNext,
         rt::OverrunAction::kDegrade}) {
-    fault_cells.push_back(measure_fault(action, seeds, /*arrivals=*/8));
+    fault_cells.push_back(measure_fault(action, /*arrivals=*/8));
   }
 
-  std::printf(
-      "family        policy   admit  util   miss     hiding  gate-ns  "
-      "run-us\n");
-  for (const Cell& c : cells) {
-    std::printf("%-13s %-8s %.3f  %.3f  %.4f   %.3f  %7.0f  %6.0f\n",
-                rt::to_string(c.family), rt::to_string(c.policy),
-                c.admit_rate(), c.admitted_util(), c.miss_rate(),
-                c.stall_hiding(),
-                c.attempts == 0
-                    ? 0.0
-                    : c.admission_ns / static_cast<double>(c.attempts),
-                c.scenarios == 0 ? 0.0 : c.run_seconds * 1e6 / c.scenarios);
-  }
-  std::printf(
-      "\nfault action  overruns ports  retries  sheds  miss     overhead  "
-      "run-us\n");
-  for (const FaultCell& c : fault_cells) {
-    std::printf("%-13s %8llu %5llu %8llu %6llu  %.4f   %.3fx  %7.0f\n",
-                rt::to_string(c.action),
-                static_cast<unsigned long long>(c.overruns),
-                static_cast<unsigned long long>(c.port_failures),
-                static_cast<unsigned long long>(c.retries),
-                static_cast<unsigned long long>(c.sheds), c.miss_rate(),
-                c.overhead(),
-                c.scenarios == 0 ? 0.0 : c.run_seconds * 1e6 / c.scenarios);
-  }
-
-  const std::string json = report_json(cells, seeds);
-  const std::string fault_json = fault_report_json(fault_cells, seeds);
+  const std::string json = "{\n  \"runtime\": " + report_json(cells) +
+                           ",\n  \"fault\": " +
+                           fault_report_json(fault_cells) + "\n}\n";
   const std::string out = flag_str(args, "out");
-  if (out.empty() || out == "-") {
-    std::printf("\n\"runtime\": %s\n", json.c_str());
-    std::printf("\n\"fault\": %s\n", fault_json.c_str());
-  } else {
+  if (!out.empty() && out != "-") {
     std::ofstream f(out);
     if (!f) {
       std::fprintf(stderr, "cannot write %s\n", out.c_str());
       return 1;
     }
-    f << "{\n  \"runtime\": " << json << ",\n  \"fault\": " << fault_json
-      << "\n}\n";
+    f << json;
   }
+  std::fputs(json.c_str(), stdout);
 
   // The acceptance bar rides along in exit status so CI can gate on it:
   // hybrid must hide >= 50% of load time on the reconf-heavy family and

@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
     gen::GenRequest req;
     req.profile = gen::GenProfile::unconstrained(10);
     req.target_system_util = us;
-    req.seed = gen::derive_seed(seed, static_cast<std::uint64_t>(us));
+    req.seed = derive_seed(seed, static_cast<std::uint64_t>(us));
     const auto ts = gen::generate_with_retries(req);
     if (!ts) {
       std::printf("%-6.0f | (target unreachable)\n", us);

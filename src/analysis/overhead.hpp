@@ -33,7 +33,7 @@ struct OverheadModel {
 /// Returns a taskset with C_i := C_i + placement_ticks(A_i)·placements, the
 /// analysis-side treatment of reconfiguration overhead. Use together with
 /// the simulator's SimConfig::reconf to compare analysis vs simulation
-/// (bench_overhead).
+/// (bench_paper's "overhead" section).
 [[nodiscard]] TaskSet inflate_for_overhead(const TaskSet& ts,
                                            const OverheadModel& model);
 

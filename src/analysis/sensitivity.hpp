@@ -20,10 +20,11 @@ using AcceptPredicate = std::function<bool(const TaskSet&, Device)>;
 ///
 /// A classic pessimism metric: the ratio of the simulator's critical scale
 /// to a bound test's critical scale quantifies how much real capacity the
-/// bound leaves on the table (bench_sensitivity). Requires `accept` to be
-/// monotone in WCETs (true for DP/GN1/partitioned/simulation-as-upper-bound
-/// within search tolerance; GN2 is near-monotone — the search returns the
-/// largest passing point found by bisection either way).
+/// bound leaves on the table (bench_paper's "sensitivity" section).
+/// Requires `accept` to be monotone in WCETs (true for DP/GN1/partitioned/
+/// simulation-as-upper-bound within search tolerance; GN2 is near-monotone
+/// — the search returns the largest passing point found by bisection either
+/// way).
 ///
 /// Returns nullopt when even the smallest sensible scaling (every WCET at
 /// 1 tick) is rejected. `max_permille` caps the search (default 4x).

@@ -89,4 +89,34 @@ class Xoshiro256ss {
   std::uint64_t state_[4];
 };
 
+namespace detail {
+
+/// Compile-time golden pins for the generation path's seeding chain. Every
+/// synthetic taskset — experiment sweeps and the fuzz oracle alike — draws
+/// from streams derived by these exact functions, so a drifting value here
+/// would silently detach CI failure seeds from local reproductions. A build
+/// that fails these static_asserts is a build whose fuzz seeds lie; the
+/// richer runtime goldens (incl. doubles and whole tasksets) live in
+/// tests/rng_golden_test.cpp.
+constexpr std::uint64_t splitmix_first(std::uint64_t seed) {
+  SplitMix64 mix(seed);
+  return mix.next();
+}
+
+constexpr std::uint64_t xoshiro_first(std::uint64_t seed) {
+  Xoshiro256ss rng(seed);
+  return rng.next();
+}
+
+static_assert(splitmix_first(0) == 0xE220A8397B1DCDAFull,
+              "SplitMix64 reference stream drifted");
+static_assert(derive_seed(0, 0) != derive_seed(0, 1),
+              "derive_seed must separate stream indices");
+static_assert(derive_seed(1, 0) != derive_seed(2, 0),
+              "derive_seed must separate master seeds");
+static_assert(xoshiro_first(0) != xoshiro_first(1),
+              "Xoshiro256ss seeding must depend on the seed");
+
+}  // namespace detail
+
 }  // namespace reconf

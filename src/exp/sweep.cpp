@@ -4,8 +4,8 @@
 #include <vector>
 
 #include "common/contracts.hpp"
+#include "common/rng.hpp"
 #include "common/thread_pool.hpp"
-#include "gen/rng.hpp"
 
 namespace reconf::exp {
 
@@ -74,7 +74,7 @@ SweepResult run_sweep(const SweepConfig& config) {
         gen::GenRequest request;
         request.profile = config.profile;
         request.target_system_util = config.bin_target(static_cast<int>(bin));
-        request.seed = gen::derive_seed(config.seed, flat);
+        request.seed = derive_seed(config.seed, flat);
 
         const auto ts = gen::generate_with_retries(request, kGenAttempts);
         if (!ts) {

@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "common/contracts.hpp"
-#include "gen/rng.hpp"
+#include "common/rng.hpp"
 
 namespace reconf::gen {
 

@@ -13,7 +13,7 @@
 // analysis/ so that the specialization property — FPGA test on unit-area
 // tasks ⇔ multiprocessor test on m processors — is a meaningful
 // cross-validation, exercised by tests/mp_crosscheck_test.cpp and
-// bench/bench_mp_crosscheck.cpp.
+// bench_paper's "specialization" section.
 
 #include "analysis/report.hpp"
 #include "common/types.hpp"

@@ -5,8 +5,8 @@
 #include <string>
 
 #include "common/contracts.hpp"
+#include "common/rng.hpp"
 #include "gen/generator.hpp"
-#include "gen/rng.hpp"
 #include "reconf/cost_model.hpp"
 #include "rt/runtime.hpp"
 #include "rt/scenario.hpp"
@@ -18,8 +18,8 @@ namespace {
 /// Seed-domain separation per family: two families fed the same master seed
 /// must not draw correlated streams.
 std::uint64_t family_seed(const FamilyRequest& r) {
-  return gen::derive_seed(r.seed,
-                          0xFA417Full ^ static_cast<std::uint64_t>(r.family));
+  return derive_seed(r.seed,
+                     0xFA417Full ^ static_cast<std::uint64_t>(r.family));
 }
 
 Ticks wcet_cap(const Task& t) { return std::min(t.deadline, t.period); }

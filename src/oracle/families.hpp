@@ -77,7 +77,7 @@ struct FuzzCase {
 
 /// Deterministically generates one taskset of the requested family: a pure
 /// function of `request` on every platform (integer/IEEE-754 arithmetic
-/// only — see gen/rng.hpp). Every produced task is individually feasible
+/// only — see common/rng.hpp). Every produced task is individually feasible
 /// (C ≤ min(D, T), A ≤ width), so rejections are always analysis decisions
 /// rather than trivial input garbage.
 [[nodiscard]] FuzzCase make_fuzz_case(const FamilyRequest& request);

@@ -3,7 +3,7 @@
 #include <string>
 #include <utility>
 
-#include "gen/rng.hpp"
+#include "common/rng.hpp"
 #include "sim/engine.hpp"
 
 namespace reconf::oracle {
@@ -48,7 +48,7 @@ SchedulerEvidence probe_scheduler(const TaskSet& ts, Device device,
     sim::SimConfig cfg = base_config(scheduler, config);
     // Offsets are a pure function of (offset_seed, scheduler, trial, i):
     // a disagreement found in CI replays bit-identically anywhere.
-    gen::Xoshiro256ss rng(gen::derive_seed(
+    Xoshiro256ss rng(derive_seed(
         config.offset_seed ^ static_cast<std::uint64_t>(scheduler),
         static_cast<std::uint64_t>(trial)));
     cfg.offsets.reserve(ts.size());

@@ -73,7 +73,6 @@
 #include "exp/series.hpp"
 #include "exp/sweep.hpp"
 #include "gen/generator.hpp"
-#include "gen/rng.hpp"
 #include "mp/mp_tests.hpp"
 #include "partition/partitioned.hpp"
 #include "placement/column_map.hpp"

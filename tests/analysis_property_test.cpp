@@ -13,8 +13,8 @@
 #include "analysis/dp.hpp"
 #include "analysis/gn1.hpp"
 #include "analysis/gn2.hpp"
+#include "common/rng.hpp"
 #include "gen/generator.hpp"
-#include "gen/rng.hpp"
 #include "task/io.hpp"
 
 namespace reconf::analysis {
@@ -36,7 +36,7 @@ TEST_P(PropertySweep, VerdictsArePermutationInvariant) {
   const Device dev{100};
 
   std::vector<Task> shuffled(ts->begin(), ts->end());
-  gen::Xoshiro256ss rng(GetParam());
+  Xoshiro256ss rng(GetParam());
   for (std::size_t i = shuffled.size(); i > 1; --i) {
     std::swap(shuffled[i - 1],
               shuffled[static_cast<std::size_t>(

@@ -14,10 +14,10 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.hpp"
 #include "fault/chaos.hpp"
 #include "fault/injector.hpp"
 #include "fault/plan.hpp"
-#include "gen/rng.hpp"
 #include "rt/prefetch.hpp"
 #include "rt/recovery.hpp"
 #include "rt/runtime.hpp"
@@ -444,7 +444,7 @@ TEST(ChaosSoak, ThousandDrawsInvariantClean) {
   const int draws = 1'026;
   for (int i = 0; i < draws; ++i) {
     const std::uint64_t seed =
-        gen::derive_seed(0xC4A05u, static_cast<std::uint64_t>(i));
+        derive_seed(0xC4A05u, static_cast<std::uint64_t>(i));
     rt::ScenarioGenOptions sgen;
     sgen.family = kFamilies[i % std::size(kFamilies)];
     sgen.arrivals = 4;

@@ -20,8 +20,8 @@
 #include "analysis/gn2.hpp"
 #include "analysis/hash.hpp"
 #include "analysis/registry.hpp"
+#include "common/rng.hpp"
 #include "gen/generator.hpp"
-#include "gen/rng.hpp"
 #include "mp/mp_tests.hpp"
 #include "obs/metrics.hpp"
 #include "task/fixtures.hpp"
@@ -499,7 +499,7 @@ TEST(EngineParity, BitIdenticalToLegacyCompositeAcrossGeneratedTasksets) {
     gen::GenRequest req;
     req.profile = gen::GenProfile::unconstrained(2 + static_cast<int>(i % 9));
     req.target_system_util = 5.0 + 90.0 * static_cast<double>(i % 17) / 16.0;
-    req.seed = gen::derive_seed(0x9A617E57, i);
+    req.seed = derive_seed(0x9A617E57, i);
     auto ts = gen::generate(req);
     if (!ts) continue;
     tasksets.push_back(*ts);

@@ -1,3 +1,5 @@
+#include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -93,6 +95,56 @@ TEST(Sweep, SeedChangesSamples) {
     any_diff = any_diff || a.bins[i].accepted != b.bins[i].accepted;
   }
   EXPECT_TRUE(any_diff);
+}
+
+TEST(Sweep, AppendingBarePredicatesLeavesEveryEarlierSeriesUnchanged) {
+  SweepConfig cfg = small_config();
+  cfg.series = paper_series();
+  const auto before = run_sweep(cfg);
+
+  // What bench_paper appends: the sets one bound accepts and neither other
+  // does, as predicates with no engine.
+  const std::vector<SeriesSpec> bounds = {dp_series(), gn1_series(),
+                                          gn2_series()};
+  for (std::size_t k = 0; k < bounds.size(); ++k) {
+    cfg.series.push_back({bounds[k].name + "-only",
+                          [bounds, k](const TaskSet& ts, Device dev) {
+                            for (std::size_t j = 0; j < bounds.size(); ++j) {
+                              if (bounds[j].accept(ts, dev) != (j == k)) {
+                                return false;
+                              }
+                            }
+                            return true;
+                          },
+                          nullptr, std::nullopt});
+  }
+  const auto after = run_sweep(cfg);
+
+  const std::size_t earlier = before.series_names.size();
+  ASSERT_EQ(after.series_names.size(), earlier + bounds.size());
+  ASSERT_EQ(after.refutation_pairs.size(), before.refutation_pairs.size());
+  for (std::size_t p = 0; p < before.refutation_pairs.size(); ++p) {
+    EXPECT_EQ(after.refutation_pairs[p].bound,
+              before.refutation_pairs[p].bound);
+    EXPECT_EQ(after.refutation_pairs[p].simulation,
+              before.refutation_pairs[p].simulation);
+    EXPECT_EQ(after.refutation_pairs[p].sound,
+              before.refutation_pairs[p].sound);
+  }
+  EXPECT_EQ(after.generation_failures, before.generation_failures);
+  ASSERT_EQ(after.bins.size(), before.bins.size());
+  for (std::size_t b = 0; b < before.bins.size(); ++b) {
+    const BinResult& was = before.bins[b];
+    const BinResult& now = after.bins[b];
+    EXPECT_EQ(now.samples, was.samples);
+    EXPECT_EQ(std::vector<std::uint64_t>(now.accepted.begin(),
+                                         now.accepted.begin() +
+                                             static_cast<std::ptrdiff_t>(
+                                                 earlier)),
+              was.accepted)
+        << "bin " << b;
+    EXPECT_EQ(now.refuted, was.refuted) << "bin " << b;
+  }
 }
 
 TEST(Series, PaperSeriesHasExpectedLineup) {

@@ -23,8 +23,8 @@
 #include "analysis/engine.hpp"
 #include "analysis/gn1.hpp"
 #include "analysis/gn2.hpp"
+#include "common/rng.hpp"
 #include "gen/generator.hpp"
-#include "gen/rng.hpp"
 #include "mp/mp_tests.hpp"
 #include "task/fixtures.hpp"
 #include "task/task.hpp"
@@ -73,7 +73,7 @@ std::vector<TaskSet> generate_corpus(std::uint64_t salt, std::size_t want,
     req.profile.deadline_ratio_max = dc.ratio_max;
     req.target_system_util = 5.0 + 90.0 * static_cast<double>(i % 19) / 18.0;
     req.target_tolerance = 2.0;
-    req.seed = gen::derive_seed(salt, i);
+    req.seed = derive_seed(salt, i);
     if (auto ts = gen::generate(req)) out.push_back(std::move(*ts));
   }
   return out;

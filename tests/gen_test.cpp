@@ -3,8 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.hpp"
 #include "gen/generator.hpp"
-#include "gen/rng.hpp"
 
 namespace reconf::gen {
 namespace {

@@ -87,7 +87,7 @@ TEST(Integration, SweepAgreesWithDirectEvaluation) {
     gen::GenRequest req;
     req.profile = cfg.profile;
     req.target_system_util = cfg.bin_target(0);
-    req.seed = gen::derive_seed(cfg.seed, flat);
+    req.seed = derive_seed(cfg.seed, flat);
     const auto ts = gen::generate_with_retries(req, exp::kGenAttempts);
     if (!ts) continue;
     ++samples;
@@ -109,7 +109,7 @@ TEST(Integration, UmbrellaHeaderExposesTheWholeApi) {
   placement::ColumnMap map(dev.width);
   (void)map.find_gap(3, placement::Strategy::kBestFit);
   (void)sim::default_horizon(ts, sim::SimConfig{});
-  (void)gen::derive_seed(1, 2);
+  (void)derive_seed(1, 2);
   math::BigRational exact(1, 3);
   (void)exact.to_double();
 }

@@ -14,7 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "analysis/registry.hpp"
-#include "gen/rng.hpp"
+#include "common/rng.hpp"
 #include "oracle/differential.hpp"
 #include "oracle/families.hpp"
 #include "oracle/inject.hpp"
@@ -158,7 +158,7 @@ std::vector<Disagreement> hunt(const DifferentialHarness& harness,
     req.family = all_families()[static_cast<std::size_t>(i) %
                                 all_families().size()];
     req.num_tasks = 2 + i % 9;
-    req.seed = gen::derive_seed(0xB16B00B5, static_cast<std::uint64_t>(i));
+    req.seed = derive_seed(0xB16B00B5, static_cast<std::uint64_t>(i));
     const FuzzCase fuzz = make_fuzz_case(req);
     std::vector<Disagreement> here;
     harness.adjudicate(fuzz.taskset, fuzz.device, req.family, req.seed,
@@ -182,7 +182,7 @@ TEST(Differential, BuiltinAnalyzersAdjudicateCleanly) {
     req.family = all_families()[static_cast<std::size_t>(i) %
                                 all_families().size()];
     req.num_tasks = 2 + i % 9;
-    req.seed = gen::derive_seed(0x5A11, static_cast<std::uint64_t>(i));
+    req.seed = derive_seed(0x5A11, static_cast<std::uint64_t>(i));
     const FuzzCase fuzz = make_fuzz_case(req);
     harness.adjudicate(fuzz.taskset, fuzz.device, req.family, req.seed,
                        stats, &found);

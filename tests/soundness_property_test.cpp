@@ -21,8 +21,8 @@
 #include "analysis/dp.hpp"
 #include "analysis/gn1.hpp"
 #include "analysis/gn2.hpp"
+#include "common/rng.hpp"
 #include "gen/generator.hpp"
-#include "gen/rng.hpp"
 #include "sim/engine.hpp"
 #include "task/io.hpp"
 
@@ -79,7 +79,7 @@ TEST_P(SoundnessSweep, AcceptedTasksetsMeetAllDeadlinesInSimulation) {
       << dump(*ts, dev);
 
   // Random release offsets: sufficient tests quantify over all patterns.
-  gen::Xoshiro256ss rng(c.seed ^ 0xABCDEF);
+  Xoshiro256ss rng(c.seed ^ 0xABCDEF);
   for (int trial = 0; trial < 3; ++trial) {
     sim::SimConfig cfg = sim_cfg(sim::SchedulerKind::kEdfNf);
     cfg.offsets.reserve(ts->size());

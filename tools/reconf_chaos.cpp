@@ -22,7 +22,9 @@
 // .chaos files — the artifacts CI uploads.
 //
 // The final stdout line is a summary of integer counters only — byte-
-// identical for the same flags on every platform and run.
+// identical for the same flags on every platform and run: the run totals
+// (releases, completions, misses, dispatches, preemptions) and the fault
+// and recovery counters, each summed over the draws.
 //
 // Replay mode: parse each .chaos file (scenario + fault plan + "#expect
 // <action>/<prefetch> <summary_json>" lines) and re-run every expectation;
@@ -48,9 +50,9 @@
 #include <vector>
 
 #include "common/flags.hpp"
+#include "common/rng.hpp"
 #include "fault/chaos.hpp"
 #include "fault/plan.hpp"
-#include "gen/rng.hpp"
 #include "rt/prefetch.hpp"
 #include "rt/recovery.hpp"
 #include "rt/runtime.hpp"
@@ -307,10 +309,11 @@ int run_matrix(const std::vector<std::string>& args) {
                                                    rt::PrefetchKind::kHybrid};
 
   std::uint64_t failed = 0;
+  rt::RuntimeResult runs;  // only the run totals the summary prints
   rt::FaultRecoveryStats total;
   for (long long i = 0; i < count; ++i) {
     const std::uint64_t draw_seed =
-        gen::derive_seed(seed, 0xC4A05ull ^ static_cast<std::uint64_t>(i));
+        derive_seed(seed, 0xC4A05ull ^ static_cast<std::uint64_t>(i));
     rt::ScenarioGenOptions sgen;
     sgen.family = kFamilies[i % std::size(kFamilies)];
     sgen.device.width = width;
@@ -328,6 +331,11 @@ int run_matrix(const std::vector<std::string>& args) {
     ChaosConfig config{kActions[(i / 3) % std::size(kActions)],
                        kPrefetch[i % std::size(kPrefetch)]};
     const rt::RuntimeResult result = run_case(scenario, plan, config);
+    runs.releases += result.releases;
+    runs.completions += result.completions;
+    runs.deadline_misses += result.deadline_misses;
+    runs.dispatches += result.dispatches;
+    runs.preemptions += result.preemptions;
     const rt::FaultRecoveryStats& f = result.faults;
     total.wcet_overruns += f.wcet_overruns;
     total.overrun_aborts += f.overrun_aborts;
@@ -374,12 +382,20 @@ int run_matrix(const std::vector<std::string>& args) {
   }
 
   // Integer counters only: byte-identical for the same flags, everywhere.
+  // The run totals move with any change to what the runs do, the fault
+  // counters with any change to how they recover.
   std::printf(
-      "reconf_chaos: draws=%lld failed=%llu overruns=%llu aborts=%llu "
-      "skips=%llu degrades=%llu port_failures=%llu retries=%llu "
+      "reconf_chaos: draws=%lld failed=%llu releases=%llu completions=%llu "
+      "misses=%llu dispatches=%llu preemptions=%llu overruns=%llu "
+      "aborts=%llu skips=%llu degrades=%llu port_failures=%llu retries=%llu "
       "load_aborts=%llu fabric=%llu sheds=%llu post_shed_misses=%llu "
       "seed=%llu\n",
       count, static_cast<unsigned long long>(failed),
+      static_cast<unsigned long long>(runs.releases),
+      static_cast<unsigned long long>(runs.completions),
+      static_cast<unsigned long long>(runs.deadline_misses),
+      static_cast<unsigned long long>(runs.dispatches),
+      static_cast<unsigned long long>(runs.preemptions),
       static_cast<unsigned long long>(total.wcet_overruns),
       static_cast<unsigned long long>(total.overrun_aborts),
       static_cast<unsigned long long>(total.overrun_skips),

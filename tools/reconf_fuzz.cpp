@@ -39,9 +39,9 @@
 
 #include "analysis/registry.hpp"
 #include "common/flags.hpp"
+#include "common/rng.hpp"
 #include "common/stopwatch.hpp"
 #include "common/thread_pool.hpp"
-#include "gen/rng.hpp"
 #include "oracle/differential.hpp"
 #include "oracle/families.hpp"
 #include "oracle/inject.hpp"
@@ -155,10 +155,10 @@ oracle::FamilyRequest request_for_index(const Options& opt,
                                         std::uint64_t index) {
   oracle::FamilyRequest request;
   request.family = opt.families[index % opt.families.size()];
-  request.seed = gen::derive_seed(opt.seed, index);
+  request.seed = derive_seed(opt.seed, index);
   const int span = opt.tasks_hi - opt.tasks_lo + 1;
   request.num_tasks =
-      opt.tasks_lo + static_cast<int>(gen::derive_seed(request.seed, 0x7A5C) %
+      opt.tasks_lo + static_cast<int>(derive_seed(request.seed, 0x7A5C) %
                                       static_cast<std::uint64_t>(span));
   return request;
 }
