@@ -1,12 +1,11 @@
 #include "fault/plan.hpp"
 
 #include <algorithm>
-#include <span>
-#include <sstream>
 #include <utility>
 
 #include "common/contracts.hpp"
 #include "common/json_escape.hpp"
+#include "common/minimize.hpp"
 #include "common/rng.hpp"
 #include "svc/json.hpp"
 #include "task/task.hpp"
@@ -67,41 +66,17 @@ std::string optional_name(const Value& obj, int line) {
   return v->text;
 }
 
-void reject_unknown_keys(const Value& obj, std::span<const char* const> known,
-                         int line) {
-  for (const auto& [key, value] : obj.members) {
-    (void)value;
-    bool ok = false;
-    for (const char* k : known) ok = ok || key == k;
-    if (!ok) fail(line, "unknown key \"" + key + "\"");
-  }
-}
-
 }  // namespace
 
 FaultPlan parse_fault_plan(const std::string& text) {
   FaultPlan plan;
-  std::istringstream in(text);
-  std::string raw;
-  int line_no = 0;
   bool have_header = false;
   Ticks last_at = 0;
-  while (std::getline(in, raw)) {
-    ++line_no;
-    if (raw.empty() || raw[0] == '#') continue;
-    Value obj;
-    try {
-      obj = svc::json::parse(raw);
-    } catch (const svc::json::JsonError& e) {
-      fail(line_no, e.what());
-    }
-    if (obj.kind != Value::Kind::kObject) {
-      fail(line_no, "expected a JSON object");
-    }
-
+  svc::json::for_each_object_line(text, fail, [&](const Value& obj,
+                                                  int line_no) {
     if (!have_header) {
       static constexpr const char* kHeaderKeys[] = {"fault_plan"};
-      reject_unknown_keys(obj, kHeaderKeys, line_no);
+      svc::json::reject_unknown_keys(obj, kHeaderKeys, line_no, fail);
       const Value* name = obj.find("fault_plan");
       if (name == nullptr) fail(line_no, "missing \"fault_plan\" header");
       if (name->kind != Value::Kind::kString) {
@@ -109,7 +84,7 @@ FaultPlan parse_fault_plan(const std::string& text) {
       }
       plan.name = name->text;
       have_header = true;
-      continue;
+      return;
     }
 
     FaultEvent event;
@@ -123,14 +98,14 @@ FaultPlan parse_fault_plan(const std::string& text) {
     }
     if (kind->text == "wcet") {
       static constexpr const char* kKeys[] = {"at", "fault", "name", "extra"};
-      reject_unknown_keys(obj, kKeys, line_no);
+      svc::json::reject_unknown_keys(obj, kKeys, line_no, fail);
       event.kind = FaultKind::kWcetOverrun;
       event.name = optional_name(obj, line_no);
       if (event.name.empty()) fail(line_no, "\"wcet\" requires \"name\"");
       event.extra = require_positive(obj, "extra", line_no);
     } else if (kind->text == "port-fail") {
       static constexpr const char* kKeys[] = {"at", "fault", "count"};
-      reject_unknown_keys(obj, kKeys, line_no);
+      svc::json::reject_unknown_keys(obj, kKeys, line_no, fail);
       event.kind = FaultKind::kPortFail;
       event.count = static_cast<int>(
           obj.find("count") != nullptr ? require_positive(obj, "count", line_no)
@@ -139,7 +114,7 @@ FaultPlan parse_fault_plan(const std::string& text) {
     } else if (kind->text == "port-slow") {
       static constexpr const char* kKeys[] = {"at", "fault", "until",
                                               "factor"};
-      reject_unknown_keys(obj, kKeys, line_no);
+      svc::json::reject_unknown_keys(obj, kKeys, line_no, fail);
       event.kind = FaultKind::kPortSlow;
       event.until = require_positive(obj, "until", line_no);
       if (event.until <= event.at) {
@@ -152,7 +127,7 @@ FaultPlan parse_fault_plan(const std::string& text) {
       if (event.factor > 1024) fail(line_no, "\"factor\" is absurd");
     } else if (kind->text == "fabric") {
       static constexpr const char* kKeys[] = {"at", "fault", "name"};
-      reject_unknown_keys(obj, kKeys, line_no);
+      svc::json::reject_unknown_keys(obj, kKeys, line_no, fail);
       event.kind = FaultKind::kFabric;
       event.name = optional_name(obj, line_no);
     } else {
@@ -162,7 +137,7 @@ FaultPlan parse_fault_plan(const std::string& text) {
     }
     last_at = event.at;
     plan.events.push_back(std::move(event));
-  }
+  });
   if (!have_header) {
     throw FaultPlanError(
         "fault plan: missing header line ({\"fault_plan\":\"...\"})");
@@ -259,103 +234,39 @@ FaultPlan generate_fault_plan(const FaultPlanGenOptions& options) {
 
 namespace {
 
-/// Removal + minimization sweeps before declaring a fixpoint.
-constexpr int kShrinkRounds = 6;
-
-/// Commits `candidate` when it still reproduces; returns whether it did.
-bool try_commit(FaultPlan& best, FaultPlan candidate,
-                const PlanShrinkPredicate& still_fails) {
-  if (!still_fails(candidate)) return false;
-  best = std::move(candidate);
-  return true;
-}
+/// The fields each fault kind carries; on an event of another kind a
+/// field's floor is its own value, so the minimizer leaves it alone.
+constexpr minimize::Field<FaultEvent> kEventFields[] = {
+    {[](const FaultEvent& e) -> std::int64_t { return e.extra; },
+     [](FaultEvent& e, std::int64_t v) { e.extra = v; },
+     [](const FaultEvent& e) -> std::int64_t {
+       return e.kind == FaultKind::kWcetOverrun ? 1 : e.extra;
+     }},
+    {[](const FaultEvent& e) -> std::int64_t { return e.count; },
+     [](FaultEvent& e, std::int64_t v) { e.count = static_cast<int>(v); },
+     [](const FaultEvent& e) -> std::int64_t {
+       return e.kind == FaultKind::kPortFail ? 1 : e.count;
+     }},
+    {[](const FaultEvent& e) -> std::int64_t { return e.factor; },
+     [](FaultEvent& e, std::int64_t v) { e.factor = v; },
+     [](const FaultEvent& e) -> std::int64_t {
+       return e.kind == FaultKind::kPortSlow ? 2 : e.factor;
+     }},
+    {[](const FaultEvent& e) -> std::int64_t { return e.until; },
+     [](FaultEvent& e, std::int64_t v) { e.until = v; },
+     [](const FaultEvent& e) -> std::int64_t {
+       return e.kind == FaultKind::kPortSlow ? e.at + 1 : e.until;
+     }},
+};
 
 }  // namespace
 
 FaultPlan shrink_fault_plan(const FaultPlan& plan,
                             const PlanShrinkPredicate& still_fails) {
-  if (!still_fails(plan)) return plan;
-  FaultPlan best = plan;
-  for (int round = 0; round < kShrinkRounds; ++round) {
-    bool progressed = false;
-
-    // Greedy removal: halves first (fast on long plans), then singles.
-    for (std::size_t half = best.events.size() / 2; half >= 1; half /= 2) {
-      for (std::size_t lo = 0; lo + half <= best.events.size();) {
-        FaultPlan candidate = best;
-        candidate.events.erase(
-            candidate.events.begin() + static_cast<std::ptrdiff_t>(lo),
-            candidate.events.begin() + static_cast<std::ptrdiff_t>(lo + half));
-        if (try_commit(best, std::move(candidate), still_fails)) {
-          progressed = true;  // same lo now names the next chunk
-        } else {
-          ++lo;
-        }
-      }
-      if (half == 1) break;
-    }
-
-    // Field minimization: binary-search each magnitude to the smallest
-    // still-failing value (a failed probe raises the floor instead of
-    // giving up, so the result is the true minimum, not the first halving
-    // that happened to stop reproducing).
-    for (std::size_t i = 0; i < best.events.size(); ++i) {
-      const auto minimize = [&](Ticks FaultEvent::*field, Ticks floor) {
-        Ticks lo = floor;  // smallest value not yet known to fail
-        while (best.events[i].*field > lo) {
-          FaultPlan candidate = best;
-          const Ticks cur = candidate.events[i].*field;
-          const Ticks mid = lo + (cur - lo) / 2;
-          candidate.events[i].*field = mid;
-          if (try_commit(best, std::move(candidate), still_fails)) {
-            progressed = true;
-          } else {
-            lo = mid + 1;
-          }
-        }
-      };
-      switch (best.events[i].kind) {
-        case FaultKind::kWcetOverrun:
-          minimize(&FaultEvent::extra, 1);
-          break;
-        case FaultKind::kPortFail: {
-          int lo = 1;
-          while (best.events[i].count > lo) {
-            FaultPlan candidate = best;
-            const int mid = lo + (candidate.events[i].count - lo) / 2;
-            candidate.events[i].count = mid;
-            if (try_commit(best, std::move(candidate), still_fails)) {
-              progressed = true;
-            } else {
-              lo = mid + 1;
-            }
-          }
-          break;
-        }
-        case FaultKind::kPortSlow: {
-          minimize(&FaultEvent::factor, 2);
-          // Narrow the window toward at+1 the same way.
-          Ticks lo = best.events[i].at + 1;
-          while (best.events[i].until > lo) {
-            FaultPlan candidate = best;
-            const Ticks mid = lo + (candidate.events[i].until - lo) / 2;
-            candidate.events[i].until = mid;
-            if (try_commit(best, std::move(candidate), still_fails)) {
-              progressed = true;
-            } else {
-              lo = mid + 1;
-            }
-          }
-          break;
-        }
-        case FaultKind::kFabric:
-          break;
-      }
-    }
-
-    if (!progressed) break;
-  }
-  return best;
+  using Minimizer = minimize::Minimizer<FaultPlan, FaultEvent>;
+  static constexpr Minimizer::Shape kShape{&FaultPlan::events, 0,
+                                           kEventFields, {}, {}};
+  return Minimizer::run(kShape, plan, still_fails).best;
 }
 
 }  // namespace reconf::fault

@@ -104,12 +104,12 @@ struct FaultPlanGenOptions {
 /// and assumes equal answers).
 using PlanShrinkPredicate = std::function<bool(const FaultPlan&)>;
 
-/// Delta-debugs a failing fault plan to a locally minimal repro, mirroring
-/// oracle::shrink: greedy event removal (halves first, then singles), then
-/// per-field bisection (extra / count / factor toward their smallest
-/// fault-preserving values, port-slow windows narrowed), looped to fixpoint
-/// or at most 6 rounds. Every committed candidate satisfies `still_fails`;
-/// if the input itself does not, it is returned unchanged.
+/// Delta-debugs a failing fault plan to a locally minimal repro through the
+/// one minimizer (common/minimize.hpp), within its round and evaluation
+/// budgets: events are its units (every one may go), and its fields are
+/// those of each event's kind — extra >= 1, count >= 1, factor >= 2 and
+/// until >= at + 1. Every committed candidate satisfies `still_fails`; if
+/// the input itself does not, it is returned unchanged.
 [[nodiscard]] FaultPlan shrink_fault_plan(
     const FaultPlan& plan, const PlanShrinkPredicate& still_fails);
 

@@ -1,8 +1,10 @@
 #include "oracle/repro.hpp"
 
+#include <charconv>
 #include <cstdio>
 #include <istream>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 
 #include "common/json_escape.hpp"
@@ -52,13 +54,22 @@ Task parse_task(const Value& v, std::size_t index) {
   return io::make_task_checked(name.empty() ? "-" : name, c, d, t, a, where);
 }
 
+/// The whole of `text` as one unsigned decimal or 0x-prefixed hex number.
+/// (std::stoull would wrap "-1" and stop at the first stray byte.)
 std::uint64_t parse_seed(const std::string& text) {
-  if (text.empty()) return 0;
-  try {
-    return std::stoull(text, nullptr, 0);  // accepts 0x... and decimal
-  } catch (const std::exception&) {
+  std::string_view digits = text;
+  int base = 10;
+  if (digits.starts_with("0x") || digits.starts_with("0X")) {
+    digits.remove_prefix(2);
+    base = 16;
+  }
+  std::uint64_t seed = 0;
+  const char* end = digits.data() + digits.size();
+  const auto [ptr, ec] = std::from_chars(digits.data(), end, seed, base);
+  if (ec != std::errc{} || ptr != end) {
     bad_repro("unparsable seed '" + text + "'");
   }
+  return seed;
 }
 
 }  // namespace

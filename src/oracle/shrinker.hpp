@@ -21,15 +21,13 @@ struct ShrinkOutcome {
   bool hit_eval_budget = false;   ///< stopped by the budget, not a fixpoint
 };
 
-/// Delta-debugs a disagreement witness to a locally minimal repro:
-/// greedy task removal, then per-field parameter bisection (WCET, deadline,
-/// period, area — each toward 1), device-width bisection, and a whole-set
-/// time rescale (dividing every C/D/T by their gcd), looped to fixpoint or
-/// at most 6 rounds, within 50,000 predicate evaluations. Every committed
-/// candidate satisfies `still_fails`; if the input itself does not, it is
-/// returned unchanged. Monotonicity is not assumed — a candidate that stops
-/// reproducing is simply not committed, so the result is minimal only
-/// locally, which is what a readable repro needs.
+/// Delta-debugs a disagreement witness to a locally minimal repro through
+/// the one minimizer (common/minimize.hpp): tasks are its units (one always
+/// stays), C, D, T, A and the device width its fields, each floored at 1.
+/// Two task-set moves join every round: dropping one task while sweeping
+/// the device width over powers of two, and dividing every C/D/T by their
+/// gcd. Every committed candidate satisfies `still_fails`; if the input
+/// itself does not, it is returned unchanged after one evaluation.
 [[nodiscard]] ShrinkOutcome shrink(const TaskSet& ts, Device device,
                                    const ShrinkPredicate& still_fails);
 

@@ -1,8 +1,6 @@
 #include "rt/scenario.hpp"
 
 #include <algorithm>
-#include <span>
-#include <sstream>
 #include <utility>
 
 #include "common/contracts.hpp"
@@ -94,45 +92,18 @@ std::string require_string(const Value& obj, const char* key, int line) {
   return v->text;
 }
 
-void reject_unknown_keys(const Value& obj, std::span<const char* const> known,
-                         int line) {
-  for (const auto& [key, value] : obj.members) {
-    (void)value;
-    bool ok = false;
-    for (const char* k : known) ok = ok || key == k;
-    if (!ok) fail(line, "unknown key \"" + key + "\"");
-  }
-}
-
-Value parse_object_line(const std::string& text, int line) {
-  Value v;
-  try {
-    v = svc::json::parse(text);
-  } catch (const svc::json::JsonError& e) {
-    fail(line, e.what());
-  }
-  if (v.kind != Value::Kind::kObject) fail(line, "expected a JSON object");
-  return v;
-}
-
 }  // namespace
 
 Scenario parse_scenario(const std::string& text) {
   Scenario scenario;
-  std::istringstream in(text);
-  std::string raw;
-  int line_no = 0;
   bool have_header = false;
   Ticks last_at = 0;
-  while (std::getline(in, raw)) {
-    ++line_no;
-    if (raw.empty() || raw[0] == '#') continue;
-    const Value obj = parse_object_line(raw, line_no);
-
+  svc::json::for_each_object_line(text, fail, [&](const Value& obj,
+                                                  int line_no) {
     if (!have_header) {
       static constexpr const char* kHeaderKeys[] = {
           "scenario", "device", "horizon", "rho", "reconf_fixed"};
-      reject_unknown_keys(obj, kHeaderKeys, line_no);
+      svc::json::reject_unknown_keys(obj, kHeaderKeys, line_no, fail);
       if (const Value* name = obj.find("scenario")) {
         if (name->kind != Value::Kind::kString) {
           fail(line_no, "\"scenario\" must be a string");
@@ -145,7 +116,7 @@ Scenario parse_scenario(const std::string& text) {
       scenario.reconf.per_column = optional_ticks(obj, "rho", 0, line_no);
       scenario.reconf.fixed = optional_ticks(obj, "reconf_fixed", 0, line_no);
       have_header = true;
-      continue;
+      return;
     }
 
     ScenarioEvent event;
@@ -158,12 +129,12 @@ Scenario parse_scenario(const std::string& text) {
     event.name = require_string(obj, "name", line_no);
     if (kind == "depart") {
       static constexpr const char* kDepartKeys[] = {"at", "event", "name"};
-      reject_unknown_keys(obj, kDepartKeys, line_no);
+      svc::json::reject_unknown_keys(obj, kDepartKeys, line_no, fail);
       event.kind = EventKind::kDepart;
     } else if (kind == "arrive" || kind == "mode-change") {
       static constexpr const char* kTaskKeys[] = {
           "at", "event", "name", "c", "d", "t", "a", "start", "value"};
-      reject_unknown_keys(obj, kTaskKeys, line_no);
+      svc::json::reject_unknown_keys(obj, kTaskKeys, line_no, fail);
       event.kind =
           kind == "arrive" ? EventKind::kArrive : EventKind::kModeChange;
       event.task.wcet = require_ticks(obj, "c", line_no);
@@ -187,7 +158,7 @@ Scenario parse_scenario(const std::string& text) {
     }
     last_at = event.at;
     scenario.events.push_back(std::move(event));
-  }
+  });
   if (!have_header) {
     throw ScenarioError("scenario: missing header line "
                         "({\"device\":...,\"horizon\":...})");

@@ -1,6 +1,7 @@
 #include "svc/json.hpp"
 
 #include <cmath>
+#include <sstream>
 
 namespace reconf::svc::json {
 
@@ -316,6 +317,36 @@ Value parse(const std::string& src) {
   Value v = read_value(lex, scratch);
   lex.finish();
   return v;
+}
+
+void for_each_object_line(
+    const std::string& text, LineFail fail,
+    const std::function<void(const Value& obj, int line)>& on_object) {
+  std::istringstream in(text);
+  std::string raw;
+  int line = 0;
+  while (std::getline(in, raw)) {
+    ++line;
+    if (raw.empty() || raw[0] == '#') continue;
+    Value obj;
+    try {
+      obj = parse(raw);
+    } catch (const JsonError& e) {
+      fail(line, e.what());
+    }
+    if (obj.kind != Value::Kind::kObject) fail(line, "expected a JSON object");
+    on_object(obj, line);
+  }
+}
+
+void reject_unknown_keys(const Value& obj, std::span<const char* const> known,
+                         int line, LineFail fail) {
+  for (const auto& [key, value] : obj.members) {
+    (void)value;
+    bool ok = false;
+    for (const char* k : known) ok = ok || key == k;
+    if (!ok) fail(line, "unknown key \"" + key + "\"");
+  }
 }
 
 }  // namespace reconf::svc::json

@@ -1,6 +1,8 @@
 #pragma once
 
 #include <cstddef>
+#include <functional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -125,5 +127,24 @@ struct Value {
 /// oracle repros, metrics snapshots. Hand-rolled on Lexer because the
 /// container bakes no JSON dependency. Throws JsonError on malformed input.
 [[nodiscard]] Value parse(const std::string& src);
+
+/// Reports a malformed line of an NDJSON file by throwing: each file format
+/// names itself and the line number in its own error type.
+using LineFail = void (*)(int line, const std::string& what);
+
+/// Reads an NDJSON file of objects (the scenario and fault-plan formats):
+/// blank lines and lines that start with '#' are skipped, and every other
+/// line must parse as one JSON object, handed to `on_object` with its
+/// 1-based line number. A line that does not parse goes to `fail` with the
+/// parser's message, one that holds some other value with "expected a JSON
+/// object".
+void for_each_object_line(
+    const std::string& text, LineFail fail,
+    const std::function<void(const Value& obj, int line)>& on_object);
+
+/// Fails the line through `fail` on the first member of `obj` whose key is
+/// not in `known`, naming that key.
+void reject_unknown_keys(const Value& obj, std::span<const char* const> known,
+                         int line, LineFail fail);
 
 }  // namespace reconf::svc::json

@@ -1,4 +1,5 @@
 #include <atomic>
+#include <cstdint>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -7,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "common/flags.hpp"
+#include "common/minimize.hpp"
 #include "common/thread_pool.hpp"
 #include "common/types.hpp"
 
@@ -150,6 +152,117 @@ TEST(FlagsDeathTest, OutOfRangeIntegerExitsTwoWithAMessage) {
   const std::vector<std::string> garbage = {"--rho=x"};
   EXPECT_EXIT((void)int_flag(garbage, "rho", 0, 0, kMaxLong),
               ::testing::ExitedWithCode(2), "invalid value for --rho: 'x'");
+}
+
+// ---------------------------------------------------------- minimize ----
+
+/// A synthetic case for the minimizer: removable parts with two integer
+/// fields, and one case-wide integer.
+struct Part {
+  std::int64_t weight = 0;  ///< floor 1
+  std::int64_t level = 0;   ///< floor 3
+};
+
+struct Bundle {
+  std::vector<Part> parts;
+  std::int64_t capacity = 0;  ///< floor 1
+};
+
+using BundleMinimizer = minimize::Minimizer<Bundle, Part>;
+
+constexpr minimize::Field<Part> kPartFields[] = {
+    {[](const Part& p) { return p.weight; },
+     [](Part& p, std::int64_t v) { p.weight = v; },
+     [](const Part&) -> std::int64_t { return 1; }},
+    {[](const Part& p) { return p.level; },
+     [](Part& p, std::int64_t v) { p.level = v; },
+     [](const Part&) -> std::int64_t { return 3; }},
+};
+
+constexpr minimize::Field<Bundle> kCapacity[] = {
+    {[](const Bundle& b) { return b.capacity; },
+     [](Bundle& b, std::int64_t v) { b.capacity = v; },
+     [](const Bundle&) -> std::int64_t { return 1; }},
+};
+
+constexpr BundleMinimizer::Shape kBundleShape{&Bundle::parts, 0, kPartFields,
+                                              kCapacity, {}};
+
+/// Monotone: fails while three parts sit at level 7 or above, their
+/// weights sum to 40 or more and the capacity is at least 5. Parts below
+/// level 7 count for nothing, so each must go.
+bool bundle_fails(const Bundle& b) {
+  int high = 0;
+  std::int64_t weight = 0;
+  for (const Part& p : b.parts) {
+    if (p.level < 7) continue;
+    ++high;
+    weight += p.weight;
+  }
+  return high >= 3 && weight >= 40 && b.capacity >= 5;
+}
+
+TEST(Minimize, ResultIsOneMinimalUnderAMonotonePredicate) {
+  // Every prefix of one part list that fails: some need single parts
+  // dropped, some runs or pairs.
+  std::vector<Part> pool;
+  for (std::int64_t i = 0; i < 12; ++i) {
+    pool.push_back({3 + (i * 7) % 11, 3 + (i * 5) % 13});
+  }
+  int cases = 0;
+  for (std::size_t n = 1; n <= pool.size(); ++n) {
+    const Bundle start{
+        {pool.begin(), pool.begin() + static_cast<std::ptrdiff_t>(n)}, 1000};
+    if (!bundle_fails(start)) continue;
+    ++cases;
+    const minimize::Outcome<Bundle> out =
+        BundleMinimizer::run(kBundleShape, start, bundle_fails);
+    EXPECT_FALSE(out.hit_eval_budget);
+    ASSERT_TRUE(bundle_fails(out.best));
+    EXPECT_EQ(out.best.capacity, 5);
+    Bundle lowered = out.best;
+    --lowered.capacity;
+    EXPECT_FALSE(bundle_fails(lowered));
+    for (std::size_t i = 0; i < out.best.parts.size(); ++i) {
+      Bundle dropped = out.best;
+      dropped.parts.erase(dropped.parts.begin() +
+                          static_cast<std::ptrdiff_t>(i));
+      EXPECT_FALSE(bundle_fails(dropped))
+          << "prefix " << n << ": part " << i << " can go";
+      for (const minimize::Field<Part>& f : kPartFields) {
+        const Part& p = out.best.parts[i];
+        ASSERT_GE(f.get(p), f.floor(p)) << "prefix " << n << ": part " << i;
+        if (f.get(p) == f.floor(p)) continue;
+        lowered = out.best;
+        f.set(lowered.parts[i], f.get(p) - 1);
+        EXPECT_FALSE(bundle_fails(lowered))
+            << "prefix " << n << ": a field of part " << i << " can drop";
+      }
+    }
+  }
+  EXPECT_GE(cases, 5);
+}
+
+TEST(Minimize, StopsAtExactlyTheBudgetWithAFailingResult) {
+  // 400 parts of which 300 must stay: the pair pass alone tries 44,850
+  // pairs, so the budget ends while the weights are being bisected.
+  Bundle start;
+  start.capacity = 1 << 20;
+  for (int i = 0; i < 400; ++i) start.parts.push_back({1 << 20, 1 << 20});
+  const auto fails = [](const Bundle& b) {
+    if (b.parts.size() < 300) return false;
+    for (const Part& p : b.parts) {
+      if (p.weight < 1000) return false;
+    }
+    return true;
+  };
+
+  const minimize::Outcome<Bundle> out =
+      BundleMinimizer::run(kBundleShape, start, fails);
+  EXPECT_EQ(out.evals, minimize::kEvalBudget);
+  EXPECT_TRUE(out.hit_eval_budget);
+  EXPECT_EQ(out.best.parts.size(), 300u);
+  EXPECT_TRUE(fails(out.best));
 }
 
 }  // namespace

@@ -1,14 +1,14 @@
 // Integration tests for the serving core (src/net/): pipelined and
 // fragmented NDJSON over real TCP connections, byte-compared against a
 // single-process replay through the same evaluate_with_engine funnel;
-// oversized/malformed line recovery; concurrent connections; clients that
-// close before reading; a full fd table (accepts pause, no busy-spin);
-// snapshot topology portability (save under one shard count, warm-restore
-// under another); core pinning; graceful EOF flush; the poll(2) fallback
-// backend selected via RECONF_NET_POLL=1; and the stream transport
-// (reconf_serve's stdio) on pipes, regular files and /dev/null, answering
-// one request log byte-identically to TCP and the committed wire corpus
-// byte-identically to its recorded answers.
+// oversized/malformed line recovery; concurrent connections with interleaved
+// stats requests; clients that close before reading; a full fd table
+// (accepts pause, no busy-spin); snapshot topology portability (save under
+// one shard count, warm-restore under another); core pinning; graceful EOF
+// flush; the poll(2) fallback backend selected via RECONF_NET_POLL=1; and
+// the stream transport (reconf_serve's stdio) on pipes, regular files and
+// /dev/null, answering one request log byte-identically to TCP and the
+// committed wire corpus byte-identically to its recorded answers.
 
 #include <algorithm>
 #include <cctype>
@@ -46,8 +46,8 @@ namespace {
 
 // ------------------------------------------------------------ helpers ----
 
-/// A valid request line whose canonical hash is unique per `g` (same
-/// mixed-radix scheme as tools/reconf_loadgen).
+/// A valid request line whose canonical hash is unique per `g` below
+/// 36,000 (C = 1 + g mod 600, A = 1 + (g / 600) mod 60).
 std::string request_line(std::uint64_t g, const std::string& id) {
   const unsigned c = static_cast<unsigned>(1 + g % 600);
   const unsigned a = static_cast<unsigned>(1 + (g / 600) % 60);
@@ -277,6 +277,13 @@ TEST(NetServer, ConcurrentConnectionsKeepPerConnectionOrder) {
 
   constexpr unsigned kConns = 8;
   constexpr std::uint64_t kPerConn = 50;
+  // A stats request follows every 10th request, so snapshots are taken
+  // while the other connections keep the shards busy.
+  constexpr std::uint64_t kStatsEvery = 10;
+  constexpr std::uint64_t kLinesPerConn = kPerConn + kPerConn / kStatsEvery;
+  const auto id = [](unsigned c, const std::string& n) {
+    return "c" + std::to_string(c) + "-" + n;
+  };
   std::vector<std::vector<std::string>> replies(kConns);
   {
     std::vector<std::thread> clients;
@@ -288,13 +295,16 @@ TEST(NetServer, ConcurrentConnectionsKeepPerConnectionOrder) {
           // Half the keys are shared across connections (cross-conn cache
           // traffic on the owning shards), half are private.
           const std::uint64_t g = (i % 2 == 0) ? i : 1000 + c * kPerConn + i;
-          wire += request_line(
-              g, "c" + std::to_string(c) + "-" + std::to_string(i));
+          wire += request_line(g, id(c, std::to_string(i)));
           wire += '\n';
+          if ((i + 1) % kStatsEvery == 0) {
+            wire += "{\"id\":\"" + id(c, "s" + std::to_string(i)) +
+                    "\",\"stats\":true}\n";
+          }
         }
         send_all(fd, wire);
         ::shutdown(fd, SHUT_WR);
-        replies[c] = read_lines(fd, kPerConn);
+        replies[c] = read_lines(fd, kLinesPerConn);
         ::close(fd);
       });
     }
@@ -303,19 +313,27 @@ TEST(NetServer, ConcurrentConnectionsKeepPerConnectionOrder) {
   server.stop();
 
   for (unsigned c = 0; c < kConns; ++c) {
-    ASSERT_EQ(replies[c].size(), kPerConn) << "connection " << c;
+    ASSERT_EQ(replies[c].size(), kLinesPerConn) << "connection " << c;
+    std::size_t line = 0;
     for (std::uint64_t i = 0; i < kPerConn; ++i) {
-      const std::string id =
-          "\"id\":\"c" + std::to_string(c) + "-" + std::to_string(i) + "\"";
-      EXPECT_NE(replies[c][i].find(id), std::string::npos)
-          << "conn " << c << " response " << i << " out of order: "
-          << replies[c][i];
-      EXPECT_NE(replies[c][i].find("\"verdict\":"), std::string::npos);
+      const std::string& reply = replies[c][line++];
+      EXPECT_NE(reply.find("\"id\":\"" + id(c, std::to_string(i)) + "\""),
+                std::string::npos)
+          << "conn " << c << " response " << i << " out of order: " << reply;
+      EXPECT_NE(reply.find("\"verdict\":"), std::string::npos);
+      if ((i + 1) % kStatsEvery != 0) continue;
+      const std::string& snap = replies[c][line++];
+      EXPECT_NE(
+          snap.find("\"id\":\"" + id(c, "s" + std::to_string(i)) + "\""),
+          std::string::npos)
+          << "conn " << c << " stats after " << i
+          << " out of order: " << snap;
+      EXPECT_NE(snap.find("\"stats\":"), std::string::npos) << snap;
     }
   }
   const net::ServerTotals totals = server.totals();
   EXPECT_EQ(totals.connections, kConns);
-  EXPECT_EQ(totals.served, kConns * kPerConn);
+  EXPECT_EQ(totals.served, kConns * kLinesPerConn);
 }
 
 TEST(NetServer, FinalLineWithoutNewlineIsAnsweredAtEof) {

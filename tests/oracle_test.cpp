@@ -380,6 +380,18 @@ TEST(Repro, RejectsMalformedEntries) {
                        "\"kind\":\"k\",\"device\":1,\"tasks\":["
                        "{\"c\":1,\"d\":1,\"t\":1,\"a\":1}],\"bogus\":1}"),
       std::runtime_error);
+  // A seed is one unsigned decimal or 0x hex number, whole.
+  const auto with_seed = [](const std::string& seed) {
+    return "{\"schema\":\"reconf-repro/1\",\"id\":\"x\",\"kind\":\"k\","
+           "\"device\":1,\"tasks\":[{\"c\":1,\"d\":1,\"t\":1,\"a\":1}],"
+           "\"seed\":\"" + seed + "\"}";
+  };
+  EXPECT_EQ(parse_repro_line(with_seed("0x1f")).seed, 0x1fu);
+  EXPECT_EQ(parse_repro_line(with_seed("31")).seed, 31u);
+  for (const char* seed : {"-1", "0x1fzz"}) {
+    EXPECT_THROW(parse_repro_line(with_seed(seed)), std::runtime_error)
+        << seed;
+  }
 }
 
 TEST(Repro, ReadCorpusSkipsCommentsAndReportsLineNumbers) {

@@ -59,8 +59,8 @@
 //                       "listening on HOST:PORT ..."). Runs until SIGINT or
 //                       SIGTERM
 //   --port-file=PATH    after binding, write the actual port to PATH —
-//                       how scripts pair --listen=127.0.0.1:0 with a
-//                       reconf_loadgen --port=$(cat PATH)
+//                       how a client such as perfbench's driver finds a
+//                       server started with --listen=127.0.0.1:0
 //   --io-threads=N      event-loop threads framing and parsing (default 1).
 //                       TCP connections are spread over them; stdio is one
 //                       connection, served by the first
