@@ -9,6 +9,7 @@ namespace reconf::analysis::detail {
 
 namespace {
 
+using math::Int128;
 using math::Rational;
 
 // Per-task sweep state bits (AnalysisScratch::state).
@@ -19,6 +20,20 @@ constexpr std::uint8_t kCapCapped = 1u << 3; ///< C task: min(β, cap) == cap si
 
 [[nodiscard]] inline double d(std::int64_t v) {
   return static_cast<double>(v);
+}
+
+/// The double nearest p/q (q > 0) — the same double as the reduced
+/// fraction's to_double(). Below 2^53 both terms convert exactly, and IEEE
+/// division rounds the exact quotient correctly whether or not the terms
+/// share a factor, so no reduction is needed; wider terms pay `reduced`.
+template <class Reduced>
+[[nodiscard]] double quotient(Int128 p, Int128 q, Reduced reduced) {
+  constexpr Int128 kExact = Int128{1} << 53;
+  if (p < kExact && p > -kExact && q < kExact) {
+    return static_cast<double>(static_cast<std::int64_t>(p)) /
+           static_cast<double>(static_cast<std::int64_t>(q));
+  }
+  return reduced().to_double();
 }
 
 /// Copies the verdict into the report, if any, and returns it.
@@ -214,15 +229,17 @@ FastVerdict gn2_fast(AnalysisScratch& s, Device device, const Gn2Options& opt,
   const double amin = d(s.min_area);
 
   for (std::size_t k = 0; k < n; ++k) {
-    const Rational& uk_x = s.util_x[k];
     // λ_k = λ·max(1, T_k/D_k). With D_k ≥ T_k the scale is 1, and λ_k is
-    // λ itself: no product to form and normalize per candidate.
+    // λ itself: no product to form per candidate. Otherwise λ_k stays the
+    // unreduced λ.num·T_k / λ.den·D_k: it is compared by cross-multiplying
+    // and converted by quotient(), so no candidate pays a gcd.
     const bool unit_scale = s.period[k] <= s.deadline[k];
-    const Rational lk_scale =
-        unit_scale ? Rational(1) : Rational(s.period[k], s.deadline[k]);
+    const Ticks tk = s.period[k];
+    const Ticks dk = s.deadline[k];
     const double uk_d = s.util[k];
-    const double dk_d = d(s.deadline[k]);
-    const double scale_d = lk_scale.to_double();
+    const double dk_d = d(dk);
+    const double scale_d =
+        unit_scale ? 1.0 : quotient(tk, dk, [&] { return Rational(tk, dk); });
 
     // ---- per-k sweep initialization (conceptually at λ = −∞, where every
     // task sits in branch C on the min(β,1)=1 side; the linear β−cap model
@@ -295,18 +312,27 @@ FastVerdict gn2_fast(AnalysisScratch& s, Device device, const Gn2Options& opt,
 
     TaskDiagnostic diag;
     diag.task_index = k;
-    // The theorem requires λ ≥ C_k/T_k; pool is sorted and exact.
-    for (auto it = std::lower_bound(s.pool.begin(), s.pool.end(), uk_x);
-         it != s.pool.end(); ++it) {
-      const Rational& lambda = *it;
-      const Rational lk_x = unit_scale ? lambda : lambda * lk_scale;
+    // The theorem requires λ ≥ C_k/T_k, which sits at pool position
+    // pos_u[k]. The walk is indexed by pool position j: a key is at most λ
+    // exactly when its position is at most j.
+    for (std::size_t j = s.pos_u[k]; j < s.pool.size(); ++j) {
+      const Rational& lambda = s.pool[j];
+      const double lam_d = s.pool_d[j];
+      double cap = 0.0;  // 1 − λ_k
       // λ_k ≥ 1 leaves no slack bound, and λ only grows from here.
-      if (!(lk_x < Rational(1))) break;
-      const double lam_d = lambda.to_double();
-      const double cap = 1.0 - lk_x.to_double();  // 1 − λ_k
+      if (unit_scale) {
+        if (!(lambda.num() < lambda.den())) break;
+        cap = 1.0 - lam_d;
+      } else {
+        const Int128 lk_num = Int128{lambda.num()} * tk;
+        const Int128 lk_den = Int128{lambda.den()} * dk;
+        if (!(lk_num < lk_den)) break;
+        cap = 1.0 - quotient(lk_num, lk_den,
+                             [&] { return lambda * Rational(tk, dk); });
+      }
 
       // (a) exact C departures: λ reached min(C_i/D_i, u_i).
-      while (pc < n && !(s.vc_x[s.order_vc[pc]] > lambda)) {
+      while (pc < n && s.pos_vc[s.order_vc[pc]] <= j) {
         const std::uint32_t i = s.order_vc[pc++];
         const std::int64_t ai = s.area[i];
         if (s.state[i] & kUnitBig) {
@@ -324,13 +350,13 @@ FastVerdict gn2_fast(AnalysisScratch& s, Device device, const Gn2Options& opt,
           cap_ad -= d(ai) * d(s.deadline[i]);
         }
         s.state[i] &= static_cast<std::uint8_t>(~kInC);
-        if (s.util_x[i] > lambda) {  // u_i > λ ∧ λ ≥ C_i/D_i: branch B
+        if (s.pos_u[i] > j) {  // u_i > λ ∧ λ ≥ C_i/D_i: branch B
           s.state[i] |= kInB;
           area_b += ai;
         }
       }
       // (b) exact A entries: λ reached u_i.
-      while (pa < n && !(s.util_x[s.order_u[pa]] > lambda)) {
+      while (pa < n && s.pos_u[s.order_u[pa]] <= j) {
         const std::uint32_t i = s.order_u[pa++];
         const std::int64_t ai = s.area[i];
         if (s.state[i] & kInB) {

@@ -6,13 +6,21 @@
 
 namespace reconf::analysis::detail {
 
+namespace {
+
+/// The safe-denominator guard every key reads through: values are only
+/// consulted for feasible tasksets, whose ticks are positive.
+[[nodiscard]] Ticks guarded(Ticks v) noexcept { return v > 0 ? v : 1; }
+
+}  // namespace
+
 void AnalysisScratch::build(const TaskSet& ts) {
   n = ts.size();
   max_area = ts.max_area();
   min_area = ts.min_area();
   all_implicit = ts.all_implicit_deadline();
   all_constrained = ts.all_constrained_deadline();
-  gn2_ready = false;
+  gn2_rows = 0;
 
   wcet.resize(n);
   deadline.resize(n);
@@ -29,7 +37,7 @@ void AnalysisScratch::build(const TaskSet& ts) {
     // Malformed tasks (non-positive T) are rejected by first_infeasible
     // before any kernel reads these; guard the division anyway.
     util[i] = static_cast<double>(t.wcet) /
-              static_cast<double>(t.period > 0 ? t.period : 1);
+              static_cast<double>(guarded(t.period));
   }
 }
 
@@ -40,13 +48,13 @@ void AnalysisScratch::push(const Task& t) {
   area.push_back(t.area);
   // The same guarded division as build().
   util.push_back(static_cast<double>(t.wcet) /
-                 static_cast<double>(t.period > 0 ? t.period : 1));
+                 static_cast<double>(guarded(t.period)));
   fold(n++);
-  gn2_ready = false;
 }
 
 void AnalysisScratch::pop() {
   RECONF_EXPECTS(n > 0);
+  if (gn2_rows == n) erase_gn2_row();
   --n;
   wcet.pop_back();
   deadline.pop_back();
@@ -58,7 +66,6 @@ void AnalysisScratch::pop() {
   all_implicit = true;
   all_constrained = true;
   for (std::size_t i = 0; i < n; ++i) fold(i);
-  gn2_ready = false;
 }
 
 void AnalysisScratch::reserve(std::size_t rows) {
@@ -68,8 +75,12 @@ void AnalysisScratch::reserve(std::size_t rows) {
   area.reserve(rows);
   util.reserve(rows);
   pool.reserve(2 * rows);  // C/T, plus C/D where D > T
+  pool_d.reserve(2 * rows);
+  pool_refs.reserve(2 * rows);
   util_x.reserve(rows);
   vc_x.reserve(rows);
+  pos_u.reserve(rows);
+  pos_vc.reserve(rows);
   order_u.reserve(rows);
   order_vc.reserve(rows);
   ev_unit.reserve(rows);
@@ -96,33 +107,29 @@ void AnalysisScratch::fold(std::size_t i) noexcept {
 }
 
 void AnalysisScratch::prepare_gn2() {
-  if (gn2_ready) return;
-  gn2_ready = true;
+  state.resize(n);
+  // An empty section — n == 0 included — is sorted afresh, which also
+  // drops whatever rows an earlier build() left in the arrays.
+  if (gn2_rows > 0) {
+    while (gn2_rows < n) insert_gn2_row();
+    return;
+  }
 
   util_x.resize(n);
   vc_x.resize(n);
+  pos_u.resize(n);
+  pos_vc.resize(n);
   order_u.resize(n);
   order_vc.resize(n);
-  state.resize(n);
-  pool.clear();
-
   for (std::size_t i = 0; i < n; ++i) {
-    // Same safe-denominator guard as util: values are only consulted for
-    // feasible tasksets.
-    const Ticks t = period[i] > 0 ? period[i] : 1;
-    const Ticks d = deadline[i] > 0 ? deadline[i] : 1;
+    const Ticks t = guarded(period[i]);
+    const Ticks d = guarded(deadline[i]);
     util_x[i] = math::Rational(wcet[i], t);
     vc_x[i] = d > t ? math::Rational(wcet[i], d)  // C/D < C/T
                     : util_x[i];                  // min is C/T
     order_u[i] = static_cast<std::uint32_t>(i);
     order_vc[i] = static_cast<std::uint32_t>(i);
-
-    pool.push_back(util_x[i]);
-    if (d > t) pool.emplace_back(wcet[i], d);
   }
-
-  std::sort(pool.begin(), pool.end());
-  pool.erase(std::unique(pool.begin(), pool.end()), pool.end());
   // Ties break by task index — a stable sort's order, without its buffer —
   // which keeps the sweep deterministic.
   const auto by = [](const std::vector<math::Rational>& key) {
@@ -133,6 +140,135 @@ void AnalysisScratch::prepare_gn2() {
   };
   std::sort(order_u.begin(), order_u.end(), by(util_x));
   std::sort(order_vc.begin(), order_vc.end(), by(vc_x));
+
+  // The pool is the merge of the two sorted key lists — every C/T, and the
+  // C/D of the rows with D > T — with equal keys folded into one entry.
+  pool.clear();
+  pool_d.clear();
+  pool_refs.clear();
+  const auto two_keys = [this](std::uint32_t i) {
+    return guarded(deadline[i]) > guarded(period[i]);
+  };
+  const auto add = [this](const math::Rational& key) {
+    if (pool.empty() || !(pool.back() == key)) {
+      pool.push_back(key);
+      pool_d.push_back(key.to_double());
+      pool_refs.push_back(0);
+    }
+    ++pool_refs.back();
+    return static_cast<std::uint32_t>(pool.size() - 1);
+  };
+  std::size_t a = 0;
+  std::size_t b = 0;
+  for (;;) {
+    while (b < n && !two_keys(order_vc[b])) ++b;
+    if (a == n && b == n) break;
+    if (b == n || (a < n && util_x[order_u[a]] < vc_x[order_vc[b]])) {
+      const std::uint32_t i = order_u[a++];
+      pos_u[i] = add(util_x[i]);
+    } else {
+      const std::uint32_t i = order_vc[b++];
+      pos_vc[i] = add(vc_x[i]);
+    }
+  }
+  for (std::uint32_t i = 0; i < n; ++i) {
+    if (!two_keys(i)) pos_vc[i] = pos_u[i];
+  }
+  gn2_rows = n;
+}
+
+std::uint32_t AnalysisScratch::pool_insert(const math::Rational& key) {
+  const auto it = std::lower_bound(pool.begin(), pool.end(), key);
+  const auto at = static_cast<std::uint32_t>(it - pool.begin());
+  if (it != pool.end() && *it == key) {
+    ++pool_refs[at];
+    return at;
+  }
+  pool.insert(it, key);
+  pool_d.insert(pool_d.begin() + at, key.to_double());
+  pool_refs.insert(pool_refs.begin() + at, 1);
+  for (std::size_t r = 0; r < gn2_rows; ++r) {
+    if (pos_u[r] >= at) ++pos_u[r];
+    if (pos_vc[r] >= at) ++pos_vc[r];
+  }
+  return at;
+}
+
+void AnalysisScratch::pool_erase(std::uint32_t at) {
+  if (--pool_refs[at] > 0) return;
+  pool.erase(pool.begin() + at);
+  pool_d.erase(pool_d.begin() + at);
+  pool_refs.erase(pool_refs.begin() + at);
+  for (std::size_t r = 0; r < gn2_rows; ++r) {
+    if (pos_u[r] > at) --pos_u[r];
+    if (pos_vc[r] > at) --pos_vc[r];
+  }
+}
+
+void AnalysisScratch::insert_gn2_row() {
+  const auto i = static_cast<std::uint32_t>(gn2_rows);
+  const Ticks t = guarded(period[i]);
+  const Ticks d = guarded(deadline[i]);
+  util_x.push_back(math::Rational(wcet[i], t));
+  vc_x.push_back(d > t ? math::Rational(wcet[i], d) : util_x[i]);
+
+  // The pool first (it renumbers the rows already in), then this row.
+  std::uint32_t pu = pool_insert(util_x[i]);
+  std::uint32_t pv = pu;
+  if (d > t) {
+    const std::size_t before = pool.size();
+    pv = pool_insert(vc_x[i]);
+    // C/D <= C/T: a new entry for it lands at or before C/T's.
+    if (pool.size() != before && pv <= pu) ++pu;
+  }
+  pos_u.push_back(pu);
+  pos_vc.push_back(pv);
+
+  // Row i has the largest index, so it goes after every equal key: the
+  // tie-break the sorted build uses. Keys compare as pool positions.
+  const auto after = [](const std::vector<std::uint32_t>& pos) {
+    return [&pos](std::uint32_t key_pos, std::uint32_t row) {
+      return key_pos < pos[row];
+    };
+  };
+  order_u.insert(std::upper_bound(order_u.begin(), order_u.end(), pu,
+                                  after(pos_u)),
+                 i);
+  order_vc.insert(std::upper_bound(order_vc.begin(), order_vc.end(), pv,
+                                   after(pos_vc)),
+                  i);
+  ++gn2_rows;
+}
+
+void AnalysisScratch::erase_gn2_row() {
+  const auto i = static_cast<std::uint32_t>(gn2_rows - 1);
+  const std::uint32_t pu = pos_u[i];
+  const std::uint32_t pv = pos_vc[i];
+  // The last row is the last of its equal keys in both orders.
+  const auto last_of = [](std::vector<std::uint32_t>& order,
+                          const std::vector<std::uint32_t>& pos,
+                          std::uint32_t key_pos) {
+    const auto it = std::upper_bound(
+        order.begin(), order.end(), key_pos,
+        [&pos](std::uint32_t k, std::uint32_t row) { return k < pos[row]; });
+    RECONF_ASSERT(it != order.begin());
+    return it - 1;
+  };
+  const auto u_at = last_of(order_u, pos_u, pu);
+  RECONF_ASSERT(*u_at == i);
+  order_u.erase(u_at);
+  const auto vc_at = last_of(order_vc, pos_vc, pv);
+  RECONF_ASSERT(*vc_at == i);
+  order_vc.erase(vc_at);
+
+  --gn2_rows;
+  // C/T's position is the larger one: drop it first, so C/D's stays put.
+  pool_erase(pu);
+  if (guarded(deadline[i]) > guarded(period[i])) pool_erase(pv);
+  util_x.pop_back();
+  vc_x.pop_back();
+  pos_u.pop_back();
+  pos_vc.pop_back();
 }
 
 std::ptrdiff_t AnalysisScratch::first_infeasible(

@@ -6,6 +6,7 @@
 #include <limits>
 #include <memory>
 #include <optional>
+#include <tuple>
 #include <utility>
 
 #include "common/contracts.hpp"
@@ -134,6 +135,11 @@ class Runtime {
     }
     result_.scenario = scenario.name;
     result_.horizon = scenario.horizon;
+    // Each arrival or mode change gates once and opens at most one slot.
+    slots_.reserve(scenario.events.size());
+    releasing_.reserve(scenario.events.size());
+    resident_.reserve(scenario.events.size());
+    result_.admissions.reserve(scenario.events.size());
   }
 
   RuntimeResult run() {
@@ -199,11 +205,22 @@ class Runtime {
     if (s.outstanding == 0 && s.next_release == kNoTick) settle_due_ = true;
   }
 
-  /// Flips `s.resident`, keeping resident_area_ in step.
-  void set_resident(Slot& s, bool resident) {
+  /// Flips slot `i`'s residency, keeping resident_ and resident_area_ in
+  /// step.
+  void set_resident(std::size_t i, bool resident) {
+    Slot& s = slots_[i];
     if (s.resident == resident) return;
     s.resident = resident;
-    resident_area_ += resident ? s.task.area : -std::int64_t{s.task.area};
+    if (resident) {
+      resident_.push_back(i);
+      resident_area_ += s.task.area;
+    } else {
+      const auto at = std::find(resident_.begin(), resident_.end(), i);
+      RECONF_ASSERT(at != resident_.end());
+      *at = resident_.back();
+      resident_.pop_back();
+      resident_area_ -= s.task.area;
+    }
   }
 
   /// The admission gate: one try_admit (decide() underneath), latency and
@@ -257,7 +274,7 @@ class Runtime {
     earliest_release_ = std::min(earliest_release_, s.next_release);
     slots_.push_back(std::move(s));
     releasing_.push_back(slots_.size() - 1);
-    slot_tasks_.push_back(t);
+    slot_max_area_ = std::max(slot_max_area_, t.area);
     ts_dirty_ = true;
     return slots_.size() - 1;
   }
@@ -385,7 +402,7 @@ class Runtime {
           ++result_.faults.fabric_reloads;
         }
         if (!running_job) {
-          set_resident(s, false);
+          set_resident(i, false);
           s.loaded_by_prefetch = false;
           for (RuntimeJob& a : table_.active()) {
             if (a.job.task_index == i && !a.running) {
@@ -399,8 +416,10 @@ class Runtime {
     }
   }
 
+  /// Releases every due job and recomputes earliest_release_ on the way.
   void release_jobs(Ticks now) {
     if (earliest_release_ > now) return;
+    earliest_release_ = kNoTick;
     for (const std::size_t i : releasing_) {
       Slot& s = slots_[i];
       while (s.next_release <= now) {
@@ -420,8 +439,8 @@ class Runtime {
         ++s.acct.released;
         ++result_.releases;
       }
+      earliest_release_ = std::min(earliest_release_, s.next_release);
     }
-    refresh_earliest_release();
   }
 
   /// Charges (at most once per job) the placement of a job entering the
@@ -490,7 +509,7 @@ class Runtime {
     a.reconfig_remaining = stall;
     result_.stall_ticks += stall;
     s.acct.stall_ticks += stall;
-    set_resident(s, true);  // loading as part of the job's occupancy
+    set_resident(a.job.task_index, true);  // loading with the job's occupancy
     s.loaded_by_prefetch = false;
     return true;
   }
@@ -501,7 +520,7 @@ class Runtime {
   void evict(std::size_t slot) {
     Slot& s = slots_[slot];
     RECONF_ASSERT(s.resident);
-    set_resident(s, false);
+    set_resident(slot, false);
     s.loaded_by_prefetch = false;
     for (RuntimeJob& a : table_.active()) {
       if (a.job.task_index == slot && !a.running) {
@@ -542,26 +561,22 @@ class Runtime {
       return false;
     };
     while (running_area + extra > device_.width) {
-      // Pure cache victims: resident, idle, nothing outstanding.
+      // Pure cache victims: resident, idle, nothing outstanding. Farthest
+      // next release first (kNoTick — drained — farthest of all), ties by
+      // larger area, then higher slot, for determinism.
       std::optional<std::size_t> victim;
-      for (std::size_t i = 0; i < slots_.size(); ++i) {
+      for (const std::size_t i : resident_) {
         const Slot& s = slots_[i];
-        if (!s.resident || s.outstanding != 0) continue;
+        if (s.outstanding != 0) continue;
         if (port_.active && port_.slot == i) continue;
-        if (!victim) {
-          victim = i;
-          continue;
+        if (victim) {
+          const Slot& v = slots_[*victim];
+          if (std::tie(s.next_release, s.task.area, i) <
+              std::tie(v.next_release, v.task.area, *victim)) {
+            continue;
+          }
         }
-        // Farthest next release first (kNoTick — drained — farthest of
-        // all), ties by larger area, then higher slot, for determinism.
-        const Slot& v = slots_[*victim];
-        if (s.next_release != v.next_release) {
-          if (s.next_release > v.next_release) victim = i;
-        } else if (s.task.area != v.task.area) {
-          if (s.task.area > v.task.area) victim = i;
-        } else {
-          victim = i;
-        }
+        victim = i;
       }
       if (victim) {
         extra -= slots_[*victim].task.area;
@@ -578,9 +593,9 @@ class Runtime {
       // (latest earliest-deadline) first.
       std::optional<std::size_t> waiting;
       Ticks waiting_key = std::numeric_limits<Ticks>::min();
-      for (std::size_t i = 0; i < slots_.size(); ++i) {
+      for (const std::size_t i : resident_) {
         const Slot& s = slots_[i];
-        if (!s.resident || has_running(i)) continue;
+        if (has_running(i)) continue;
         Ticks key = std::numeric_limits<Ticks>::max();
         for (const RuntimeJob& a : table_.active()) {
           if (a.job.task_index == i && !a.running) {
@@ -617,14 +632,20 @@ class Runtime {
                                charge)
             .occupied;
     result_.preemptions += table_.count_preemptions();
+    running_area_ = used;
     reconcile_residency(used);
-    if (config_.observer != nullptr || checker_ != nullptr) {
+    if (config_.observer != nullptr) {
       if (ts_dirty_) {
-        ts_cache_ = TaskSet(slot_tasks_);
+        std::vector<Task> tasks;
+        tasks.reserve(slots_.size());
+        for (const Slot& s : slots_) tasks.push_back(s.task);
+        ts_cache_ = TaskSet(std::move(tasks));
         ts_dirty_ = false;
       }
-      table_.notify(now, used, ts_cache_, device_, config_.observer,
-                    checker_.get());
+      table_.observe(now, used, ts_cache_, device_, *config_.observer);
+    }
+    if (checker_ != nullptr) {
+      table_.check(now, used, slot_max_area_, device_, *checker_);
     }
   }
 
@@ -641,10 +662,6 @@ class Runtime {
     }
     candidates_.clear();
     candidate_slots_.clear();
-    Area running_area = 0;
-    for (const RuntimeJob& a : table_.active()) {
-      if (a.running) running_area += a.job.area;
-    }
     for (const std::size_t i : releasing_) {
       const Slot& s = slots_[i];
       if (s.resident || s.outstanding != 0) continue;
@@ -665,7 +682,7 @@ class Runtime {
     PrefetchContext ctx;
     ctx.now = now;
     ctx.device_width = device_.width;
-    ctx.running_area = running_area;
+    ctx.running_area = running_area_;
     ctx.candidates = candidates_;
     const std::optional<std::size_t> pick = policy_->choose(ctx);
     if (!pick || *pick >= candidates_.size()) return;
@@ -675,22 +692,23 @@ class Runtime {
     // Make room, evicting only configurations needed later than the pick
     // (or not at all). If that cannot free enough area, skip this round.
     Area extra = 0;
-    for (std::size_t i = 0; i < slots_.size(); ++i) {
-      if (slots_[i].resident && slots_[i].outstanding == 0) {
-        extra += slots_[i].task.area;
-      }
+    for (const std::size_t i : resident_) {
+      if (slots_[i].outstanding == 0) extra += slots_[i].task.area;
     }
-    Area need = running_area + extra + c.area - device_.width;
+    Area need = running_area_ + extra + c.area - device_.width;
     if (need > 0) {
       evictable_.clear();
-      for (std::size_t i = 0; i < slots_.size(); ++i) {
+      Area evictable_area = 0;
+      for (const std::size_t i : resident_) {
         const Slot& s = slots_[i];
-        if (!s.resident || s.outstanding != 0) continue;
+        if (s.outstanding != 0) continue;
         if (s.next_release != kNoTick && s.next_release <= c.next_release) {
           continue;  // sooner-needed: never sacrificed for a prefetch
         }
         evictable_.push_back(i);
+        evictable_area += s.task.area;
       }
+      if (evictable_area < need) return;  // cannot free enough: skip
       std::sort(evictable_.begin(), evictable_.end(),
                 [&](std::size_t x, std::size_t y) {
                   const Slot& a = slots_[x];
@@ -702,10 +720,7 @@ class Runtime {
                 });
       Area freed = 0;
       std::size_t take = 0;
-      while (take < evictable_.size() && freed < need) {
-        freed += slots_[evictable_[take++]].task.area;
-      }
-      if (freed < need) return;
+      while (freed < need) freed += slots_[evictable_[take++]].task.area;
       for (std::size_t i = 0; i < take; ++i) evict(evictable_[i]);
     }
     port_.active = true;
@@ -760,9 +775,8 @@ class Runtime {
           port_retry_at_ = done_at + backoff;
           ++result_.prefetch_aborted;
         } else {
-          Slot& s = slots_[port_.slot];
-          set_resident(s, true);
-          s.loaded_by_prefetch = true;
+          set_resident(port_.slot, true);
+          slots_[port_.slot].loaded_by_prefetch = true;
           consecutive_prefetch_failures_ = 0;
           ++result_.prefetch_completed;
         }
@@ -966,9 +980,17 @@ class Runtime {
   Ticks earliest_release_ = kNoTick;
   /// A drained slot's last job has ended since settle_departures last ran.
   bool settle_due_ = false;
-  /// Σ area over the resident slots.
+  /// The resident slots, in no particular order — every search over them
+  /// breaks ties by slot explicitly — and their Σ area.
+  std::vector<std::size_t> resident_;
   std::int64_t resident_area_ = 0;
-  std::vector<Task> slot_tasks_;
+  /// Σ area of the running set, from the last placement pass.
+  Area running_area_ = 0;
+  /// A_max over the slots: the checker's Lemma 1 input (every slot's task
+  /// is admitted, hence well-formed, so TaskSet's A_max is the plain max).
+  Area slot_max_area_ = 0;
+  /// The slots' tasks as the observer's TaskSet, rebuilt only for an
+  /// observer and only after a slot opened.
   TaskSet ts_cache_;
   bool ts_dirty_ = false;
   sim::JobTable<RuntimeJob> table_;

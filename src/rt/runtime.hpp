@@ -220,13 +220,21 @@ struct RuntimeResult {
 ///
 /// Cost per event-loop step: each step touches only what it changes. The
 /// gate appends the candidate's row to the session's bound rows and pops it
-/// on rejection (svc/session.hpp); the job table stays in EDF order as jobs
-/// are released (sim/job_table.hpp), so a dispatch sorts nothing; the
-/// still-releasing slots are an index list with their earliest release
-/// cached, which releases, the next-event time, name lookups and the
-/// prefetch candidate scan read; drained slots are settled only after a
-/// last job ended; and the resident area is a running sum, so the residency
-/// check is O(active jobs) whenever the fabric fits. None of it changes a
+/// on rejection; the session keeps GN2's exact keys, orders and candidate
+/// pool for its admitted rows between attempts, so an attempt derives only
+/// the candidate's keys, and only a departure rebuilds them
+/// (svc/session.hpp). The job table stays in EDF order as jobs are released
+/// (sim/job_table.hpp), so a dispatch sorts nothing; the still-releasing
+/// slots are an index list with their earliest release cached, which
+/// releases, the next-event time, name lookups and the prefetch candidate
+/// scan read; drained slots are settled only after a last job ended; the
+/// resident slots are a list with their area as a running sum, so the
+/// residency check is O(active jobs) whenever the fabric fits and eviction
+/// searches walk the resident slots only; the prefetch pass takes the
+/// running area from the placement pass and gives up before sorting when
+/// the evictable area cannot cover its pick; the invariant checker reads
+/// the job table in place, and the TaskSet of the slots is built only for
+/// RuntimeConfig::observer. None of it changes a
 /// verdict, a counter or a dispatch: runtime_test's GoldenRecord pins every
 /// RuntimeResult field over generated runs.
 [[nodiscard]] RuntimeResult run_scenario(const Scenario& scenario,

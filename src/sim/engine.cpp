@@ -177,8 +177,12 @@ class Engine {
       occupied = dispatch_contiguous();
     }
     result_.preemptions += jobs_.count_preemptions();
-    jobs_.notify(now, occupied, ts_, device_, config_.observer,
-                 checker_.get());
+    if (config_.observer != nullptr) {
+      jobs_.observe(now, occupied, ts_, device_, *config_.observer);
+    }
+    if (checker_ != nullptr) {
+      jobs_.check(now, occupied, ts_.max_area(), device_, *checker_);
+    }
   }
 
   /// Contiguous placement without live migration: running jobs keep their

@@ -1,7 +1,5 @@
 #include "sim/invariants.hpp"
 
-#include "task/job.hpp"
-
 namespace reconf::sim {
 
 void InvariantChecker::violate(Ticks now, const std::string& what) {
@@ -32,106 +30,17 @@ void InvariantChecker::on_deadline_miss(Ticks now, std::size_t task_index) {
 
 void InvariantChecker::on_dispatch(const DispatchSnapshot& snap,
                                    const TaskSet& ts, Device device) {
-  ++dispatches_;
-
-  for (std::size_t i = 0; i < snap.active.size(); ++i) {
-    const std::size_t task = snap.active[i].task_index;
-    if (task < shed_.size() && shed_[task]) {
-      violate(snap.now, "job of shed task " + std::to_string(task) +
-                            " still in the dispatch queue");
-      break;
+  struct SnapshotJobs {
+    const DispatchSnapshot& snap;
+    [[nodiscard]] std::size_t size() const { return snap.active.size(); }
+    [[nodiscard]] const Job& job(std::size_t i) const {
+      return snap.active[i];
     }
-  }
-
-  Area occupied = 0;
-  bool any_waiting = false;
-  for (std::size_t i = 0; i < snap.active.size(); ++i) {
-    if (snap.running[i] != 0) {
-      occupied += snap.active[i].area;
-    } else {
-      any_waiting = true;
+    [[nodiscard]] bool running(std::size_t i) const {
+      return snap.running[i] != 0;
     }
-  }
-
-  if (occupied != snap.occupied) {
-    violate(snap.now, "snapshot occupied area is inconsistent");
-  }
-  if (occupied > device.width) {
-    violate(snap.now, "occupied area exceeds A(H)");
-  }
-
-  // Expired jobs must have been adjudicated as misses before this dispatch.
-  for (std::size_t i = 0; i < snap.active.size(); ++i) {
-    if (snap.active[i].remaining > 0 &&
-        snap.active[i].abs_deadline <= snap.now) {
-      violate(snap.now, "unfinished job scheduled past its deadline");
-      break;
-    }
-  }
-
-  // The queue must be in exact EDF priority order (EDF-US reorders by the
-  // heaviness class the snapshot does not carry, so it is exempt).
-  if (scheduler_ == SchedulerKind::kEdfNf ||
-      scheduler_ == SchedulerKind::kEdfFkF) {
-    for (std::size_t i = 1; i < snap.active.size(); ++i) {
-      if (edf_before(snap.active[i], snap.active[i - 1])) {
-        violate(snap.now, "dispatch queue is not in EDF order");
-        break;
-      }
-    }
-  }
-
-  if (scheduler_ == SchedulerKind::kEdfFkF) {
-    bool seen_waiting = false;
-    for (std::size_t i = 0; i < snap.running.size(); ++i) {
-      if (snap.running[i] == 0) {
-        seen_waiting = true;
-      } else if (seen_waiting) {
-        violate(snap.now, "EDF-FkF prefix property violated");
-        break;
-      }
-    }
-  }
-
-  if (placement_ != PlacementMode::kUnrestrictedMigration) return;
-
-  // EDF-FkF blocks on its queue head: the first waiting job must genuinely
-  // not fit, or the scheduler idled capacity it was supposed to use.
-  if (scheduler_ == SchedulerKind::kEdfFkF) {
-    for (std::size_t i = 0; i < snap.active.size(); ++i) {
-      if (snap.running[i] != 0) continue;
-      if (occupied + snap.active[i].area <= device.width) {
-        violate(snap.now,
-                "EDF-FkF blocked although its queue head fits (occupied " +
-                    std::to_string(occupied) + " + " +
-                    std::to_string(snap.active[i].area) + " <= " +
-                    std::to_string(device.width) + ")");
-      }
-      break;  // only the head of the waiting suffix blocks
-    }
-  }
-
-  if (scheduler_ == SchedulerKind::kEdfFkF && any_waiting) {
-    const Area bound = device.width - (ts.max_area() - 1);
-    if (occupied < bound) {
-      violate(snap.now, "Lemma 1 global-alpha bound violated (occupied " +
-                            std::to_string(occupied) + " < " +
-                            std::to_string(bound) + ")");
-    }
-  }
-
-  if (scheduler_ == SchedulerKind::kEdfNf) {
-    for (std::size_t i = 0; i < snap.active.size(); ++i) {
-      if (snap.running[i] != 0) continue;
-      const Area bound = device.width - (snap.active[i].area - 1);
-      if (occupied < bound) {
-        violate(snap.now, "Lemma 2 interval-alpha bound violated (occupied " +
-                              std::to_string(occupied) + " < " +
-                              std::to_string(bound) + ")");
-        break;
-      }
-    }
-  }
+  };
+  check(snap.now, SnapshotJobs{snap}, snap.occupied, ts.max_area(), device);
 }
 
 }  // namespace reconf::sim

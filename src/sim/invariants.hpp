@@ -5,6 +5,7 @@
 
 #include "sim/config.hpp"
 #include "sim/observer.hpp"
+#include "task/job.hpp"
 
 namespace reconf::sim {
 
@@ -40,8 +41,19 @@ class InvariantChecker final : public DispatchObserver {
   InvariantChecker(SchedulerKind scheduler, PlacementMode placement)
       : scheduler_(scheduler), placement_(placement) {}
 
+  /// Checks one dispatch snapshot; reads A_max from `ts`.
   void on_dispatch(const DispatchSnapshot& snapshot, const TaskSet& ts,
                    Device device) override;
+
+  /// The checks themselves, over any view of the dispatch queue:
+  /// `jobs.size()`, `jobs.job(i)` (the i-th Job in queue order) and
+  /// `jobs.running(i)`. on_dispatch reads a snapshot through it, and
+  /// sim::JobTable::check reads its records in place, so a checked dispatch
+  /// copies nothing. `occupied` is the dispatcher's Σ of running areas and
+  /// `max_area` A_max of the task table (Lemma 1's α).
+  template <class Jobs>
+  void check(Ticks now, const Jobs& jobs, Area occupied, Area max_area,
+             Device device);
 
   /// Graceful-degradation contract (the rt layer's shed path): a shed task's
   /// jobs must never appear in a later dispatch — its fabric share really is
@@ -79,5 +91,111 @@ class InvariantChecker final : public DispatchObserver {
   std::vector<bool> shed_;
   std::vector<bool> protected_;
 };
+
+template <class Jobs>
+void InvariantChecker::check(Ticks now, const Jobs& jobs, Area occupied,
+                             Area max_area, Device device) {
+  ++dispatches_;
+  const std::size_t n = jobs.size();
+
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t task = jobs.job(i).task_index;
+    if (task < shed_.size() && shed_[task]) {
+      violate(now, "job of shed task " + std::to_string(task) +
+                       " still in the dispatch queue");
+      break;
+    }
+  }
+
+  Area running_area = 0;
+  bool any_waiting = false;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (jobs.running(i)) {
+      running_area += jobs.job(i).area;
+    } else {
+      any_waiting = true;
+    }
+  }
+
+  if (running_area != occupied) {
+    violate(now, "snapshot occupied area is inconsistent");
+  }
+  if (running_area > device.width) {
+    violate(now, "occupied area exceeds A(H)");
+  }
+
+  // Expired jobs must have been adjudicated as misses before this dispatch.
+  for (std::size_t i = 0; i < n; ++i) {
+    if (jobs.job(i).remaining > 0 && jobs.job(i).abs_deadline <= now) {
+      violate(now, "unfinished job scheduled past its deadline");
+      break;
+    }
+  }
+
+  // The queue must be in exact EDF priority order (EDF-US reorders by the
+  // heaviness class the snapshot does not carry, so it is exempt).
+  if (scheduler_ == SchedulerKind::kEdfNf ||
+      scheduler_ == SchedulerKind::kEdfFkF) {
+    for (std::size_t i = 1; i < n; ++i) {
+      if (edf_before(jobs.job(i), jobs.job(i - 1))) {
+        violate(now, "dispatch queue is not in EDF order");
+        break;
+      }
+    }
+  }
+
+  if (scheduler_ == SchedulerKind::kEdfFkF) {
+    bool seen_waiting = false;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (!jobs.running(i)) {
+        seen_waiting = true;
+      } else if (seen_waiting) {
+        violate(now, "EDF-FkF prefix property violated");
+        break;
+      }
+    }
+  }
+
+  if (placement_ != PlacementMode::kUnrestrictedMigration) return;
+
+  // EDF-FkF blocks on its queue head: the first waiting job must genuinely
+  // not fit, or the scheduler idled capacity it was supposed to use.
+  if (scheduler_ == SchedulerKind::kEdfFkF) {
+    for (std::size_t i = 0; i < n; ++i) {
+      if (jobs.running(i)) continue;
+      const Area area = jobs.job(i).area;
+      if (running_area + area <= device.width) {
+        violate(now,
+                "EDF-FkF blocked although its queue head fits (occupied " +
+                    std::to_string(running_area) + " + " +
+                    std::to_string(area) + " <= " +
+                    std::to_string(device.width) + ")");
+      }
+      break;  // only the head of the waiting suffix blocks
+    }
+  }
+
+  if (scheduler_ == SchedulerKind::kEdfFkF && any_waiting) {
+    const Area bound = device.width - (max_area - 1);
+    if (running_area < bound) {
+      violate(now, "Lemma 1 global-alpha bound violated (occupied " +
+                       std::to_string(running_area) + " < " +
+                       std::to_string(bound) + ")");
+    }
+  }
+
+  if (scheduler_ == SchedulerKind::kEdfNf) {
+    for (std::size_t i = 0; i < n; ++i) {
+      if (jobs.running(i)) continue;
+      const Area bound = device.width - (jobs.job(i).area - 1);
+      if (running_area < bound) {
+        violate(now, "Lemma 2 interval-alpha bound violated (occupied " +
+                         std::to_string(running_area) + " < " +
+                         std::to_string(bound) + ")");
+        break;
+      }
+    }
+  }
+}
 
 }  // namespace reconf::sim

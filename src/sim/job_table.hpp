@@ -46,8 +46,9 @@ struct MigrationPass {
 /// (sim::simulate) and the online runtime (rt::run_scenario) share: the
 /// ordered insert, the unrestricted-migration placement pass, the
 /// completion and deadline part of the next event, the stall-then-execute
-/// advance, and the snapshot handed to observers. Releases, misses and
-/// completions stay with each engine, whose accounting differs.
+/// advance, the invariant check (in place) and the snapshot handed to
+/// observers. Releases, misses and completions stay with each engine, whose
+/// accounting differs.
 ///
 /// `Record` is ActiveJob or a type derived from it; the placement hook is a
 /// template argument too, so a dispatch makes no indirect call.
@@ -170,21 +171,35 @@ class JobTable {
            static_cast<std::int64_t>(dt);
   }
 
-  /// Hands this dispatch's snapshot to `observer` and `checker`; either may
-  /// be null.
-  void notify(Ticks now, Area occupied, const TaskSet& ts, Device device,
-              DispatchObserver* observer, InvariantChecker* checker) {
-    if (observer == nullptr && checker == nullptr) return;
+  /// Checks this dispatch with `checker`, which reads the queue in place.
+  /// `max_area` is A_max of the task table.
+  void check(Ticks now, Area occupied, Area max_area, Device device,
+             InvariantChecker& checker) const {
+    struct Records {
+      const std::vector<Record>& active;
+      [[nodiscard]] std::size_t size() const { return active.size(); }
+      [[nodiscard]] const Job& job(std::size_t i) const {
+        return active[i].job;
+      }
+      [[nodiscard]] bool running(std::size_t i) const {
+        return active[i].running;
+      }
+    };
+    checker.check(now, Records{active_}, occupied, max_area, device);
+  }
+
+  /// Hands this dispatch's snapshot to `observer`.
+  void observe(Ticks now, Area occupied, const TaskSet& ts, Device device,
+               DispatchObserver& observer) {
     snapshot_jobs_.clear();
     snapshot_running_.clear();
     for (const Record& a : active_) {
       snapshot_jobs_.push_back(a.job);
       snapshot_running_.push_back(a.running ? 1 : 0);
     }
-    const DispatchSnapshot snap{now, snapshot_jobs_, snapshot_running_,
-                                occupied};
-    if (observer != nullptr) observer->on_dispatch(snap, ts, device);
-    if (checker != nullptr) checker->on_dispatch(snap, ts, device);
+    observer.on_dispatch(
+        DispatchSnapshot{now, snapshot_jobs_, snapshot_running_, occupied},
+        ts, device);
   }
 
  private:

@@ -327,7 +327,9 @@ void for_each_object_line(
   int line = 0;
   while (std::getline(in, raw)) {
     ++line;
-    if (raw.empty() || raw[0] == '#') continue;
+    if (!raw.empty() && raw.back() == '\r') raw.pop_back();  // CRLF files
+    const std::size_t start = raw.find_first_not_of(" \t\r");
+    if (start == std::string::npos || raw[start] == '#') continue;
     Value obj;
     try {
       obj = parse(raw);

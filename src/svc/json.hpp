@@ -133,11 +133,12 @@ struct Value {
 using LineFail = void (*)(int line, const std::string& what);
 
 /// Reads an NDJSON file of objects (the scenario and fault-plan formats):
-/// blank lines and lines that start with '#' are skipped, and every other
-/// line must parse as one JSON object, handed to `on_object` with its
-/// 1-based line number. A line that does not parse goes to `fail` with the
-/// parser's message, one that holds some other value with "expected a JSON
-/// object".
+/// a trailing CR is dropped, so CRLF files read like LF ones; lines of only
+/// spaces, tabs and CR and lines whose first other byte is '#' are skipped,
+/// the lines oracle::read_corpus skips; every other line must parse as one
+/// JSON object, handed to `on_object` with its 1-based line number. A line
+/// that does not parse goes to `fail` with the parser's message, one that
+/// holds some other value with "expected a JSON object".
 void for_each_object_line(
     const std::string& text, LineFail fail,
     const std::function<void(const Value& obj, int line)>& on_object);

@@ -33,11 +33,7 @@ AdmissionDecision AdmissionSession::try_admit(const Task& t) {
     rows_.pop();
     return out;
   }
-  std::vector<Task> tasks;
-  tasks.reserve(admitted_.size() + 1);
-  tasks.assign(admitted_.begin(), admitted_.end());
-  tasks.push_back(t);
-  admitted_ = TaskSet(std::move(tasks));
+  admitted_.append(t);
   return out;
 }
 

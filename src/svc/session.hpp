@@ -28,14 +28,19 @@ struct AdmissionDecision {
 /// endangering the deadlines already guaranteed.
 ///
 /// The session keeps the currently admitted set twice: as a TaskSet (what
-/// `admitted()` returns) and as rows bound in an AnalysisScratch of its own.
-/// `try_admit` appends the candidate's row to the bound rows, decides them
-/// through AnalysisEngine's bound decide — the loop decide(ts) runs — and
-/// pops the row again on rejection, so a rejected attempt copies no Task
-/// and builds no TaskSet. Only an acceptance or a `remove` (accelerator
-/// released) rebuilds the TaskSet. The scratch is the session's, not the
-/// thread's: the runtime's shed re-validation runs a second session on the
-/// same thread while the first one's rows stay bound.
+/// `admitted()` returns) and as rows bound in an AnalysisScratch of its own,
+/// together with the exact GN2 keys, orders and λ-candidate pool of every
+/// row a GN2 verdict has seen (analysis/detail/scratch.hpp). `try_admit`
+/// appends the candidate's row to the bound rows, decides them through
+/// AnalysisEngine's bound decide — the loop decide(ts) runs — and pops the
+/// row again on rejection, which also takes its keys out; an attempt thus
+/// derives only the candidate's keys and copies no Task on rejection. An
+/// acceptance appends the task to the TaskSet. Only `remove` (accelerator
+/// released) rebuilds: it builds the TaskSet of the remaining tasks and
+/// rebinds the rows, and the next GN2 verdict sorts their keys afresh. The
+/// scratch is the session's, not the thread's: the runtime's shed
+/// re-validation runs a second session on the same thread while the first
+/// one's rows stay bound.
 ///
 /// Not thread-safe: one session serves one admission stream.
 class AdmissionSession {

@@ -8,22 +8,31 @@
 namespace reconf {
 
 TaskSet::TaskSet(std::vector<Task> tasks) : tasks_(std::move(tasks)) {
-  if (tasks_.empty()) return;
-  max_area_ = tasks_[0].area;
-  min_area_ = tasks_[0].area;
-  for (const Task& t : tasks_) {
-    well_formed_ = well_formed_ && t.well_formed();
-    if (!t.well_formed()) continue;
-    ut_ += t.time_utilization();
-    us_ += t.system_utilization();
-    max_area_ = std::max(max_area_, t.area);
-    min_area_ = std::min(min_area_, t.area);
-    total_area_ += t.area;
-    max_period_ = std::max(max_period_, t.period);
-    max_deadline_ = std::max(max_deadline_, t.deadline);
-    all_implicit_ = all_implicit_ && t.implicit_deadline();
-    all_constrained_ = all_constrained_ && t.constrained_deadline();
+  for (std::size_t i = 0; i < tasks_.size(); ++i) fold(i);
+}
+
+void TaskSet::append(const Task& t) {
+  tasks_.push_back(t);
+  fold(tasks_.size() - 1);
+}
+
+void TaskSet::fold(std::size_t i) noexcept {
+  const Task& t = tasks_[i];
+  if (i == 0) {
+    max_area_ = t.area;
+    min_area_ = t.area;
   }
+  well_formed_ = well_formed_ && t.well_formed();
+  if (!t.well_formed()) return;
+  ut_ += t.time_utilization();
+  us_ += t.system_utilization();
+  max_area_ = std::max(max_area_, t.area);
+  min_area_ = std::min(min_area_, t.area);
+  total_area_ += t.area;
+  max_period_ = std::max(max_period_, t.period);
+  max_deadline_ = std::max(max_deadline_, t.deadline);
+  all_implicit_ = all_implicit_ && t.implicit_deadline();
+  all_constrained_ = all_constrained_ && t.constrained_deadline();
 }
 
 math::BigRational TaskSet::time_utilization_exact() const {

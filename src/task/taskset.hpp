@@ -13,15 +13,21 @@
 
 namespace reconf {
 
-/// An immutable collection of tasks with the aggregate quantities the
-/// analysis needs (Section 2 of the paper), computed once at construction:
+/// A collection of tasks with the aggregate quantities the analysis needs
+/// (Section 2 of the paper), folded in task by task as tasks are added:
 ///   U_T(Γ) = Σ C_i/T_i        (time utilization)
 ///   U_S(Γ) = Σ A_i·C_i/T_i    (system utilization)
 ///   A_max, A_min              (largest / smallest task area)
+/// Tasks are only ever added, at construction or by append(), so a set
+/// grown by append() holds exactly what constructing it from the same
+/// tasks gives, sums included bit for bit.
 class TaskSet {
  public:
   TaskSet() = default;
   explicit TaskSet(std::vector<Task> tasks);
+
+  /// Adds `t` after the last task and folds it into the aggregates.
+  void append(const Task& t);
 
   [[nodiscard]] std::size_t size() const noexcept { return tasks_.size(); }
   [[nodiscard]] bool empty() const noexcept { return tasks_.empty(); }
@@ -77,6 +83,9 @@ class TaskSet {
       const std::vector<Ticks>& extra) const;
 
  private:
+  /// Folds tasks_[i] into the aggregates; A_max/A_min start at task 0's.
+  void fold(std::size_t i) noexcept;
+
   std::vector<Task> tasks_;
   double ut_ = 0.0;
   double us_ = 0.0;

@@ -60,6 +60,21 @@ TEST(FaultPlanCodec, RoundTripsBitExactly) {
   EXPECT_EQ(back.events[2].factor, 3);
 }
 
+// A plan saved with CRLF line ends, with lines of blanks and indented
+// comments between its lines, reads as the LF file does.
+TEST(FaultPlanCodec, ReadsCrlfAndBlankLookingLines) {
+  const std::string lf = fault::format_fault_plan(storm_plan());
+  std::string crlf;
+  for (const char c : lf) {
+    if (c == '\n') {
+      crlf += "\r\n\t \r\n\r\n  # note\r\n";
+    } else {
+      crlf += c;
+    }
+  }
+  EXPECT_EQ(fault::format_fault_plan(fault::parse_fault_plan(crlf)), lf);
+}
+
 TEST(FaultPlanCodec, RejectsMalformedPlans) {
   // Missing header line.
   EXPECT_THROW(

@@ -6,8 +6,9 @@
 // task's pass, and for GN2 on the chosen λ candidate and condition; the
 // serving-mode kernels (no report) must return the same verdict and first
 // failing task as the report mode; GN2's λ-sweep must agree with BAK2's
-// re-summing evaluation at serving sizes; and the engine's decide() must
-// agree with its run() on sets up to n = 64.
+// re-summing evaluation at serving sizes; the engine's decide() must
+// agree with its run() on sets up to n = 64; and the state an admission
+// session keeps between attempts must equal what a fresh bind derives.
 
 #include <algorithm>
 #include <cstdint>
@@ -26,6 +27,7 @@
 #include "common/rng.hpp"
 #include "gen/generator.hpp"
 #include "mp/mp_tests.hpp"
+#include "svc/session.hpp"
 #include "task/fixtures.hpp"
 #include "task/task.hpp"
 
@@ -276,8 +278,31 @@ TEST(FastPathParity, Gn2TaskOrdersBreakTiesByTaskIndex) {
   }
 }
 
+/// `kept`'s GN2 section, caught up to its rows, must equal the section
+/// prepare_gn2() sorts from scratch for the same rows: keys, both orders,
+/// the pool with its doubles and key counts, and each key's pool position.
+/// `kept` is a copy, so the caller's section keeps whatever lag it had.
+void expect_same_gn2(AnalysisScratch kept, AnalysisScratch& built,
+                     const std::string& what) {
+  kept.prepare_gn2();
+  built.prepare_gn2();
+  ASSERT_EQ(kept.gn2_rows, kept.n) << what;
+  ASSERT_EQ(built.gn2_rows, built.n) << what;
+  EXPECT_EQ(kept.util_x, built.util_x) << what;
+  EXPECT_EQ(kept.vc_x, built.vc_x) << what;
+  EXPECT_EQ(kept.order_u, built.order_u) << what;
+  EXPECT_EQ(kept.order_vc, built.order_vc) << what;
+  EXPECT_EQ(kept.pool, built.pool) << what;
+  EXPECT_EQ(kept.pool_d, built.pool_d) << what;
+  EXPECT_EQ(kept.pool_refs, built.pool_refs) << what;
+  EXPECT_EQ(kept.pos_u, built.pos_u) << what;
+  EXPECT_EQ(kept.pos_vc, built.pos_vc) << what;
+}
+
 // An admission session binds its rows by push and pop; whatever sequence
-// got them there, the mirror must equal build() of the same tasks.
+// got them there, the mirror must equal build() of the same tasks — the
+// SoA rows, the summary and the kept GN2 section (brought up to date on
+// some steps, lagging on others, as decide() leaves it).
 TEST(FastPathParity, PushAndPopBindWhatBuildBinds) {
   Xoshiro256ss rng(0x0D3E'0002);
   AnalysisScratch pushed;
@@ -315,8 +340,111 @@ TEST(FastPathParity, PushAndPopBindWhatBuildBinds) {
     EXPECT_EQ(built.all_implicit, ts.all_implicit_deadline()) << "step " << step;
     EXPECT_EQ(built.all_constrained, ts.all_constrained_deadline())
         << "step " << step;
+    const std::string what = "step " + std::to_string(step);
+    expect_same_gn2(pushed, built, what);
+    if (rng.uniform_int(0, 2) == 0) pushed.prepare_gn2();
   }
 }
+
+// The runtime's gate: an admission session keeps its rows' GN2 keys between
+// attempts and takes a rejected candidate's out again. Whatever sequence
+// of arrivals, departures, mode-change transients (the new generation
+// gated next to the old one, which then leaves) and shed re-validations (a
+// fresh session on the same thread while the first keeps its rows bound)
+// got it there, each verdict and accepting analyzer must be decide()'s on
+// the full candidate set.
+// Two streams: arbitrary deadlines (D > T about half the time, so rows add
+// C/D keys to GN2's pool and GN1 refuses) and constrained ones (GN1
+// evaluates and accepts a share).
+class SessionParity : public ::testing::TestWithParam<bool> {};
+
+TEST_P(SessionParity, AdmissionSessionDecidesLikeDecideOnTheCandidateSet) {
+  const bool constrained = GetParam();
+  const Device device{16};
+  const AnalysisEngine engine(analysis::fast_any_request());
+  Xoshiro256ss rng(constrained ? 0x0D3E'0005 : 0x0D3E'0003);
+  std::uint64_t names = 0;
+  const auto draw = [&] {
+    const Ticks t = rng.uniform_int(4, 60);
+    const Ticks c = rng.uniform_int(1, t);
+    Task task = row(c, rng.uniform_int(c, constrained ? t : 2 * t), t,
+                    static_cast<Area>(rng.uniform_int(1, 8)));
+    task.name = "t" + std::to_string(names++);
+    return task;
+  };
+  std::uint64_t attempts = 0;
+  std::uint64_t by_gn1 = 0;
+  std::uint64_t by_gn2 = 0;
+  std::uint64_t rejects = 0;
+  const auto attempt = [&](svc::AdmissionSession& session,
+                           std::vector<Task>& held, const Task& t) {
+    std::vector<Task> candidate = held;
+    candidate.push_back(t);
+    const analysis::Decision want =
+        engine.decide(TaskSet(std::move(candidate)), device);
+    const svc::AdmissionDecision got = session.try_admit(t);
+    ++attempts;
+    EXPECT_EQ(got.admitted, want.accepted()) << "attempt " << attempts;
+    EXPECT_EQ(got.accepted_by, std::string(want.accepted_by))
+        << "attempt " << attempts;
+    by_gn1 += got.accepted_by == "gn1" ? 1 : 0;
+    by_gn2 += got.accepted_by == "gn2" ? 1 : 0;
+    rejects += got.admitted ? 0 : 1;
+    if (got.admitted) held.push_back(t);
+    return got.admitted;
+  };
+
+  svc::AdmissionSession session(device);
+  std::vector<Task> admitted;
+  for (int step = 0; step < 4'000; ++step) {
+    const std::int64_t op = rng.uniform_int(0, 9);
+    if (op < 6 || admitted.empty()) {
+      attempt(session, admitted, draw());
+    } else if (op < 8) {
+      const auto i = static_cast<std::size_t>(rng.uniform_int(
+          0, static_cast<std::int64_t>(admitted.size()) - 1));
+      ASSERT_TRUE(session.remove(admitted[i]));
+      admitted.erase(admitted.begin() + static_cast<std::ptrdiff_t>(i));
+    } else if (op == 8) {
+      const auto i = static_cast<std::size_t>(rng.uniform_int(
+          0, static_cast<std::int64_t>(admitted.size()) - 1));
+      const Task old = admitted[i];
+      Task next = draw();
+      next.name = old.name;
+      if (attempt(session, admitted, next)) {
+        ASSERT_TRUE(session.remove(old));
+        admitted.erase(admitted.begin() + static_cast<std::ptrdiff_t>(i));
+      }
+    } else {
+      svc::AdmissionSession probe(device);
+      std::vector<Task> survivors;
+      for (const Task& t : admitted) attempt(probe, survivors, t);
+    }
+    ASSERT_EQ(session.admitted().size(), admitted.size()) << "step " << step;
+    for (std::size_t i = 0; i < admitted.size(); ++i) {
+      ASSERT_EQ(session.admitted()[i].name, admitted[i].name);
+    }
+    // The appended TaskSet folds like one built from the same tasks.
+    const TaskSet want(admitted);
+    EXPECT_EQ(session.admitted().system_utilization(),
+              want.system_utilization())
+        << "step " << step;
+    EXPECT_EQ(session.admitted().max_area(), want.max_area())
+        << "step " << step;
+  }
+  // Each stream must reach its analyzer both ways, or the state the
+  // session keeps for it goes untested.
+  EXPECT_GT(constrained ? by_gn1 : by_gn2, attempts / 50)
+      << attempts << " attempts";
+  EXPECT_GT(rejects, attempts / 10) << attempts << " attempts";
+}
+
+INSTANTIATE_TEST_SUITE_P(FastPathParity, SessionParity,
+                         ::testing::Values(false, true),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "ConstrainedDeadlines"
+                                             : "ArbitraryDeadlines";
+                         });
 
 TEST(FastPathParity, KernelsHandleDegenerateInputs) {
   AnalysisScratch scratch;

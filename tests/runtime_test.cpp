@@ -173,6 +173,29 @@ TEST(ScenarioCodec, SkipsCommentsAndBlankLines) {
   EXPECT_EQ(s.events[0].name, "a");
 }
 
+// A scenario saved with CRLF line ends, with lines of blanks and indented
+// comments between its lines, reads as the LF file does.
+TEST(ScenarioCodec, ReadsCrlfAndBlankLookingLines) {
+  const std::string lf =
+      "{\"scenario\":\"crlf\",\"device\":100,\"horizon\":5000}\n"
+      "{\"at\":0,\"event\":\"arrive\",\"name\":\"a\","
+      "\"c\":100,\"d\":400,\"t\":400,\"a\":10}\n"
+      "{\"at\":20,\"event\":\"mode-change\",\"name\":\"a\","
+      "\"c\":50,\"d\":400,\"t\":400,\"a\":10}\n"
+      "{\"at\":30,\"event\":\"depart\",\"name\":\"a\"}\n";
+  std::string crlf;
+  for (const char c : lf) {
+    if (c == '\n') {
+      crlf += "\r\n \t\r\n\r\n  # note\r\n";
+    } else {
+      crlf += c;
+    }
+  }
+  const std::string want = format_scenario(parse_scenario(lf));
+  EXPECT_EQ(format_scenario(parse_scenario(crlf)), want);
+  EXPECT_EQ(format_scenario(parse_scenario(" \t\n" + crlf)), want);
+}
+
 TEST(ScenarioCodec, RejectsMalformedInput) {
   const std::string header =
       "{\"scenario\":\"x\",\"device\":100,\"horizon\":1000}\n";

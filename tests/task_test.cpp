@@ -53,6 +53,44 @@ TEST(TaskSet, AggregatesMatchPaperTable1) {
   EXPECT_EQ(ts.system_utilization_exact(), math::BigRational(69, 25));
 }
 
+// A set grown by append() holds what constructing it from the same tasks
+// gives: every aggregate, the sums bit for bit, and the first task's area as
+// A_max/A_min's start even when that task is malformed.
+TEST(TaskSet, AppendFoldsLikeTheConstructor) {
+  std::vector<Task> tasks = {
+      make_task(1, 4, 4, 3, "t0"),    make_task(1.26, 7, 7, 9, "t1"),
+      make_task(2.1, 5, 5, 6, "t2"),  make_task(1, 3, 6, 12, "t3"),
+      make_task(0.7, 9, 4, 1, "t4"),  make_task(3, 3, 8, 2, "t5"),
+      make_task(0.1, 11, 13, 2, "t6"),
+  };
+  tasks[0].wcet = 0;  // malformed, and the first task
+  tasks[5].area = 0;  // malformed
+  TaskSet grown;
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    grown.append(tasks[i]);
+    const TaskSet want(
+        std::vector<Task>(tasks.begin(), tasks.begin() + i + 1));
+    ASSERT_EQ(grown.size(), want.size());
+    EXPECT_EQ(grown[i].name, want[i].name) << i;
+    EXPECT_EQ(grown.time_utilization(), want.time_utilization()) << i;
+    EXPECT_EQ(grown.system_utilization(), want.system_utilization()) << i;
+    EXPECT_EQ(grown.max_area(), want.max_area()) << i;
+    EXPECT_EQ(grown.min_area(), want.min_area()) << i;
+    EXPECT_EQ(grown.total_area(), want.total_area()) << i;
+    EXPECT_EQ(grown.max_period(), want.max_period()) << i;
+    EXPECT_EQ(grown.max_deadline(), want.max_deadline()) << i;
+    EXPECT_EQ(grown.all_implicit_deadline(), want.all_implicit_deadline())
+        << i;
+    EXPECT_EQ(grown.all_constrained_deadline(),
+              want.all_constrained_deadline())
+        << i;
+    EXPECT_EQ(grown.all_well_formed(), want.all_well_formed()) << i;
+  }
+  EXPECT_EQ(grown.min_area(), 1);
+  EXPECT_EQ(grown.max_area(), 12);
+  EXPECT_FALSE(grown.all_well_formed());
+}
+
 TEST(TaskSet, HyperperiodIsLcmOfPeriods) {
   const TaskSet ts = fixtures::paper_table1();  // periods 700, 500
   ASSERT_TRUE(ts.hyperperiod().has_value());

@@ -8,8 +8,10 @@
 //   --out=PATH   the JSON report to write whole (default BENCH_perf.json in
 //                the current directory); the file is byte-identical to what
 //                this tool prints on stdout; "-" prints to stdout only
-//   --quick      CI smoke sizing: fewer repetitions, shorter percentile
-//                pass — trend-quality numbers in ~a second
+//   --quick      CI smoke sizing: fewer, shorter repetitions below N = 32
+//                and a shorter percentile pass — trend-quality numbers in
+//                a few seconds; N = 32 and 64, whose ratio the exponent
+//                guard reads, keep the full repetitions
 //
 // An unknown flag prints a usage line and exits 2.
 //
@@ -38,6 +40,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <utility>
 #include <vector>
@@ -115,7 +118,18 @@ analysis::AnalysisEngine fast_engine(const char* test) {
   return analysis::AnalysisEngine{analysis::fast_single_request(test)};
 }
 
-std::vector<Series> run_analysis_benches(int reps, double min_rep_ns) {
+/// Repetitions of one measurement and the least time each runs.
+struct Timing {
+  int reps = 0;
+  double min_rep_ns = 0.0;
+};
+constexpr Timing kFullTiming{7, 2e7};
+constexpr Timing kQuickTiming{3, 2e6};
+
+/// `small` times every N below the last two; those two — the ratio the
+/// complexity exponent and the CI guard read — always get the full timing,
+/// since shorter repetitions let timing noise alone cross the guard.
+std::vector<Series> run_analysis_benches(Timing small) {
   std::vector<Series> out;
   const Device dev{100};
   const auto add = [&](const char* test, const char* path, auto&& eval) {
@@ -124,8 +138,10 @@ std::vector<Series> run_analysis_benches(int reps, double min_rep_ns) {
       // One seed per (test, N), shared between report and fast so the
       // speedup column compares identical work.
       const TaskSet ts = make_taskset(n, 0xBA5E + static_cast<unsigned>(n));
-      s.ns_per_op.emplace_back(n, measure_ns([&] { eval(ts, dev); }, reps,
-                                             min_rep_ns));
+      const Timing t =
+          n >= kSizes[std::size(kSizes) - 2] ? kFullTiming : small;
+      s.ns_per_op.emplace_back(n, measure_ns([&] { eval(ts, dev); }, t.reps,
+                                             t.min_rep_ns));
     }
     out.push_back(std::move(s));
   };
@@ -309,15 +325,13 @@ int main(int argc, char** argv) {
   const std::string out_path =
       flag_value(args, "out").value_or("BENCH_perf.json");
 
-  const int reps = quick ? 3 : 7;
-  const double min_rep_ns = quick ? 2e6 : 2e7;
-
   // Baseline series run with obs disabled: the committed BENCH_perf.json
   // predates src/obs/, and the CI guardrails below must keep judging the
   // bare kernels. The percentile pass re-enables it afterwards.
   obs::set_enabled(false);
   std::fprintf(stderr, "bench_report: measuring analysis kernels...\n");
-  const auto analysis_series = run_analysis_benches(reps, min_rep_ns);
+  const auto analysis_series =
+      run_analysis_benches(quick ? kQuickTiming : kFullTiming);
   std::fprintf(stderr, "bench_report: collecting latency percentiles...\n");
   const auto percentiles =
       run_percentile_pass(quick ? 500 : 5000, quick ? 500 : 2000);

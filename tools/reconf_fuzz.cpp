@@ -35,6 +35,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "analysis/registry.hpp"
@@ -240,7 +241,22 @@ int main(int argc, char** argv) {
   ThreadPool pool(opt.threads);
   std::mutex merge_mutex;
   oracle::OracleStats stats;
-  std::vector<oracle::Disagreement> disagreements;
+  // The disagreements of the lowest sample indices, in sample order: workers
+  // finish in any order, so the repro set is cut by index, never by arrival,
+  // and one seed always shrinks the same cases.
+  constexpr std::size_t kMaxKept = 64;
+  struct Find {
+    std::size_t sample = 0;
+    std::size_t order = 0;  ///< position among its sample's disagreements
+    oracle::Disagreement d;
+  };
+  std::vector<Find> finds;
+  const auto keep_lowest = [&finds] {
+    std::sort(finds.begin(), finds.end(), [](const Find& a, const Find& b) {
+      return std::tie(a.sample, a.order) < std::tie(b.sample, b.order);
+    });
+    if (finds.size() > kMaxKept) finds.resize(kMaxKept);
+  };
 
   pool.parallel_for(static_cast<std::size_t>(opt.count), [&](std::size_t i) {
     const oracle::FamilyRequest request =
@@ -254,11 +270,16 @@ int main(int argc, char** argv) {
 
     std::lock_guard<std::mutex> lock(merge_mutex);
     stats.merge(local);
-    for (auto& d : found) {
-      if (disagreements.size() < 64) disagreements.push_back(std::move(d));
+    for (std::size_t j = 0; j < found.size(); ++j) {
+      finds.push_back({i, j, std::move(found[j])});
     }
+    if (finds.size() >= 2 * kMaxKept) keep_lowest();
   });
   const double seconds = clock.seconds();
+  keep_lowest();
+  std::vector<oracle::Disagreement> disagreements;
+  disagreements.reserve(finds.size());
+  for (Find& f : finds) disagreements.push_back(std::move(f.d));
 
   std::fprintf(stderr,
                "reconf_fuzz: %llu tasksets in %.1fs (%.0f/s), "
