@@ -3,6 +3,7 @@
 #include <charconv>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 
 namespace reconf {
 
@@ -68,6 +69,20 @@ bool has_flag(const std::vector<std::string>& args, std::string_view name) {
     if (a == bare) return true;
   }
   return false;
+}
+
+void write_text_file(const std::string& path, const std::string& text,
+                     const char* what) {
+  if (path == "-") {
+    std::fputs(text.c_str(), stderr);
+    return;
+  }
+  std::ofstream out(path);
+  if (!out) {
+    std::fprintf(stderr, "cannot write %s to %s\n", what, path.c_str());
+    return;
+  }
+  out << text;
 }
 
 }  // namespace reconf

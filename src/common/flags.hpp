@@ -53,4 +53,11 @@ inline constexpr long long kMaxLong = std::numeric_limits<long long>::max();
 [[nodiscard]] bool has_flag(const std::vector<std::string>& args,
                             std::string_view name);
 
+/// Writes `text` to the file an output flag names (`--metrics-out=PATH`,
+/// `--trace-out=PATH`); "-" writes it to stderr. A failed open is reported
+/// as "cannot write WHAT to PATH" and otherwise ignored: the tool's own
+/// output already went out, so its exit status does not change.
+void write_text_file(const std::string& path, const std::string& text,
+                     const char* what);
+
 }  // namespace reconf

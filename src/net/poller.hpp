@@ -37,7 +37,7 @@ struct PollEvent {
 /// they are always ready, so the poller reports them ready on every wait —
 /// without sleeping — while they have interest, exactly as poll(2) does.
 ///
-/// Not thread-safe; one Poller per I/O thread.
+/// Not thread-safe: one thread owns each Poller.
 class Poller {
  public:
   Poller();

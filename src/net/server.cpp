@@ -1,11 +1,11 @@
 #include "net/server.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
 #include <map>
-#include <mutex>
 #include <thread>
 #include <unordered_map>
 #include <utility>
@@ -16,7 +16,6 @@
 
 #if defined(__linux__)
 #include <pthread.h>
-#include <sched.h>
 #endif
 
 #include "analysis/engine.hpp"
@@ -42,12 +41,12 @@ constexpr std::size_t kReadChunk = 64 * 1024;
 /// Per-connection write buffer cap before reads pause (flow control).
 constexpr std::size_t kMaxOutbuf = 4u << 20;
 
-/// Longest an io thread sleeps in its poller before re-checking the stop
+/// Longest the io thread sleeps in its poller before re-checking the stop
 /// flag (and re-arming a listener paused on a full fd table).
 constexpr int kPollTimeoutMs = 10;
 
-/// One parsed request in flight from an io thread to its shard owner, with
-/// the engine its io thread resolved for its lineup.
+/// One parsed request in flight from the io thread to its shard owner, with
+/// the engine the io thread resolved for its lineup.
 struct RequestMsg {
   std::uint64_t conn = 0;
   std::uint64_t seq = 0;
@@ -55,16 +54,16 @@ struct RequestMsg {
   svc::BatchRequest request;
 };
 
-/// One formatted response line on its way back to the owning io thread.
+/// One formatted response line on its way back to the io thread.
 struct ResponseMsg {
   std::uint64_t conn = 0;
   std::uint64_t seq = 0;
   std::string text;
 };
 
-/// Coalescing self-pipe: shard workers (and the acceptor handing off a new
-/// connection) wake an io thread parked in poll/epoll. The atomic pending
-/// flag keeps a burst of notifications down to one pipe write.
+/// Coalescing self-pipe: shard workers wake the io thread parked in
+/// poll/epoll. The atomic pending flag keeps a burst of notifications down
+/// to one pipe write.
 struct WakePipe {
   int fds[2] = {-1, -1};
   std::atomic<bool> pending{false};
@@ -87,11 +86,17 @@ struct WakePipe {
     [[maybe_unused]] const ssize_t n = ::write(fds[1], &byte, 1);
   }
 
+  /// Empties the pipe, then clears the flag. The other order loses every
+  /// later wake-up: a notify() between the clear and the read writes a
+  /// byte the read swallows, and leaves the flag set over an empty pipe.
+  /// In this order such a notify() finds the flag still set and writes
+  /// nothing; its answer is already in a ring, which the io thread drains
+  /// after this.
   void drain() {
-    pending.store(false, std::memory_order_seq_cst);
     char buf[64];
     while (::read(fds[0], buf, sizeof buf) > 0) {
     }
+    pending.store(false, std::memory_order_seq_cst);
   }
 };
 
@@ -103,9 +108,9 @@ struct PendingOut {
   std::string text;  ///< formatted line, or the request id when is_stats
 };
 
-/// Per-connection state, owned by exactly one io thread. A TCP connection
-/// reads and writes one socket; a stream (start_stream) reads `fd` and
-/// writes `out_fd`.
+/// Per-connection state, owned by the io thread. A TCP connection reads and
+/// writes one socket; a stream (start_stream) reads `fd` and writes
+/// `out_fd`.
 struct Conn {
   int fd = -1;
   int out_fd = -1;
@@ -136,44 +141,29 @@ struct Conn {
 
 struct AsyncServer::Impl {
   ServerConfig config;
-  unsigned io_count = 1;
   unsigned shard_count = 1;
 
   int listen_fd = -1;
   std::atomic<bool> stop{false};
-  /// io threads that have observed stop and will never push again. Shard
-  /// workers exit only when this reaches io_count AND their rings are empty
-  /// — the release/acquire pair makes "saw all-stopped then saw empty" a
-  /// proof that no request can still be in flight toward the worker.
-  std::atomic<unsigned> io_stopped{0};
-  std::atomic<bool> accept_failed{false};
+  /// Set once the io thread has observed stop and will never push again.
+  /// A shard worker exits only when this is set AND its ring is empty — the
+  /// release/acquire pair makes "saw stopped then saw empty" a proof that
+  /// no request can still be in flight toward the worker.
+  std::atomic<bool> io_stopped{false};
 
-  /// rings[io][shard]: requests. back[shard][io]: responses.
-  std::vector<std::vector<std::unique_ptr<SpscRing<RequestMsg>>>> requests;
-  std::vector<std::vector<std::unique_ptr<SpscRing<ResponseMsg>>>> responses;
+  /// Per shard: the requests the io thread routed to it, its responses back
+  /// to the io thread, the parker its worker sleeps on and its cache.
+  std::vector<std::unique_ptr<SpscRing<RequestMsg>>> requests;
+  std::vector<std::unique_ptr<SpscRing<ResponseMsg>>> responses;
   std::vector<std::unique_ptr<Parker>> shard_parkers;
-  /// kicks[io][shard]: io thread `io` pushed to `shard` since its last
-  /// kick_shards(). Each vector is touched by its own io thread only.
-  std::vector<std::vector<char>> kicks;
-  std::vector<std::unique_ptr<WakePipe>> wakes;  ///< one per io thread
-
   std::vector<std::unique_ptr<svc::ShardCache>> caches;
-  std::vector<std::atomic<int>> pinned;  ///< cpu id per shard, -1 = none
+  WakePipe wake;  ///< shard workers → the io thread
 
-  /// New connections handed to their owner io thread as (in, out) fds:
-  /// sockets accepted by io thread 0 (in == out) and the stream.
-  struct Inbox {
-    std::mutex mutex;
-    std::vector<std::pair<int, int>> fds;
-  };
-  std::vector<std::unique_ptr<Inbox>> inboxes;
-
-  /// The stream's fds and their file-status flags before start_stream.
+  /// The stream's fds (-1 when serving TCP), adopted by the io thread before
+  /// its first wait, and their file-status flags before start_stream.
+  int stream_in = -1;
+  int stream_out = -1;
   std::vector<std::pair<int, int>> stream_flags;
-
-  std::vector<std::thread> io_threads;
-  std::vector<std::thread> shard_threads;
-  std::atomic<const char*> backend_name{"poll"};
 
   // Serving totals (relaxed: monotonic counters, no ordering needed).
   std::atomic<std::uint64_t> connections{0};
@@ -182,16 +172,51 @@ struct AsyncServer::Impl {
   std::atomic<std::uint64_t> errors{0};
   std::atomic<std::uint64_t> sheds{0};
 
-  std::atomic<std::uint64_t> next_conn_id{kFirstConnId};
-
   bool stopped_joined = false;
 
-  // ----------------------------------------------------------- routing ----
+  // ------------------------------------------------ the io thread's own ----
 
-  /// One engine table per io thread, each touched only by its own thread.
-  /// Shard workers evaluate against the engines it hands out: an engine is
-  /// immutable, and its counters are process-wide per analyzer id.
-  std::vector<std::unique_ptr<svc::EngineTable>> engines;
+  Poller poller;
+  std::unordered_map<std::uint64_t, std::unique_ptr<Conn>> conns;
+  std::uint64_t next_conn_id = kFirstConnId;
+  std::uint64_t pending = 0;  ///< pushed to a shard, response not yet popped
+  /// kicks[shard]: the io thread pushed to `shard` since its last
+  /// kick_shards().
+  std::vector<char> kicks;
+  /// Shard workers evaluate against the engines this table hands out: an
+  /// engine is immutable, and its counters are process-wide per analyzer id.
+  svc::EngineTable engines;
+  obs::Counter& shed_queue = obs::MetricsRegistry::instance().counter(
+      "reconf_svc_shed_total{reason=\"queue\"}");
+
+  // Declared after everything the threads use; wait() joins them.
+  std::thread io_thread;
+  std::vector<std::thread> shard_threads;
+
+  explicit Impl(ServerConfig server_config)
+      : config(std::move(server_config)), engines(config.options) {
+    shard_count = config.shards > 0
+                      ? config.shards
+                      : std::max(1u, std::thread::hardware_concurrency());
+    const std::size_t per_shard_capacity =
+        config.cache_capacity == 0
+            ? 0
+            : std::max<std::size_t>(1, config.cache_capacity / shard_count);
+    // --max-queue is the io thread's budget, split across the shard rings.
+    const std::size_t ring_capacity =
+        std::max<std::size_t>(1, config.max_queue / shard_count);
+    for (unsigned s = 0; s < shard_count; ++s) {
+      requests.push_back(
+          std::make_unique<SpscRing<RequestMsg>>(ring_capacity));
+      responses.push_back(
+          std::make_unique<SpscRing<ResponseMsg>>(ring_capacity));
+      shard_parkers.push_back(std::make_unique<Parker>());
+      caches.push_back(std::make_unique<svc::ShardCache>(per_shard_capacity));
+    }
+    kicks.assign(shard_count, 0);
+  }
+
+  // ----------------------------------------------------------- routing ----
 
   /// Consistent-hash of the verdict-cache key itself — the key
   /// evaluate_with_engine will look up. Using the cache key as the routing
@@ -214,54 +239,37 @@ struct AsyncServer::Impl {
   void shard_main(std::uint32_t shard) {
     svc::ShardCache* cache =
         caches[shard]->enabled() ? caches[shard].get() : nullptr;
+    SpscRing<RequestMsg>& in = *requests[shard];
+    SpscRing<ResponseMsg>& out = *responses[shard];
     Parker& parker = *shard_parkers[shard];
     RequestMsg msg;
     for (;;) {
-      bool did_work = false;
-      for (unsigned io = 0; io < io_count; ++io) {
-        SpscRing<RequestMsg>& in = *requests[io][shard];
-        SpscRing<ResponseMsg>& out = *responses[shard][io];
-        bool answered = false;
-        while (in.try_pop(msg)) {
-          answered = true;
-          ResponseMsg reply;
-          reply.conn = msg.conn;
-          reply.seq = msg.seq;
-          reply.text = answer(msg, cache);
-          // The response ring can only be full when the io thread is busy;
-          // it drains every tick, so yielding (never dropping — a dropped
-          // response would wedge the connection's emit order) is enough.
-          while (!out.try_push(std::move(reply))) {
-            wakes[io]->notify();
-            std::this_thread::yield();
-          }
-        }
-        // One wake-up per drained batch: the io thread takes every answer
-        // in the ring when it runs.
-        if (answered) {
-          did_work = true;
-          wakes[io]->notify();
+      bool answered = false;
+      while (in.try_pop(msg)) {
+        answered = true;
+        ResponseMsg reply;
+        reply.conn = msg.conn;
+        reply.seq = msg.seq;
+        reply.text = answer(msg, cache);
+        // The response ring can only be full when the io thread is busy;
+        // it drains every tick, so yielding (never dropping — a dropped
+        // response would wedge the connection's emit order) is enough.
+        while (!out.try_push(std::move(reply))) {
+          wake.notify();
+          std::this_thread::yield();
         }
       }
-      if (!did_work) {
-        if (drained(shard)) return;
-        parker.park([&] {
-          if (stop.load(std::memory_order_acquire)) return true;
-          for (unsigned io = 0; io < io_count; ++io) {
-            if (!requests[io][shard]->empty()) return true;
-          }
-          return false;
-        });
+      // One wake-up per drained batch: the io thread takes every answer in
+      // the ring when it runs.
+      if (answered) {
+        wake.notify();
+        continue;
       }
+      if (io_stopped.load(std::memory_order_acquire) && in.empty()) return;
+      parker.park([&] {
+        return stop.load(std::memory_order_acquire) || !in.empty();
+      });
     }
-  }
-
-  [[nodiscard]] bool drained(std::uint32_t shard) const {
-    if (io_stopped.load(std::memory_order_acquire) != io_count) return false;
-    for (unsigned io = 0; io < io_count; ++io) {
-      if (!requests[io][shard]->empty()) return false;
-    }
-    return true;
   }
 
   std::string answer(const RequestMsg& msg, svc::ShardCache* cache) {
@@ -280,42 +288,19 @@ struct AsyncServer::Impl {
     return svc::format_verdict_line(v, &msg.request.taskset);
   }
 
-  /// Pins shard `shard`'s just-spawned worker to core shard % cores.
-  /// Called from start() on the thread's native handle, so pinned_cpus()
-  /// is accurate the moment start() returns (no race with worker startup).
-  void maybe_pin(std::uint32_t shard, std::thread& worker) {
-#if defined(__linux__)
-    if (!config.pin_cores) return;
-    const unsigned cores = std::max(1u, std::thread::hardware_concurrency());
-    const int cpu = static_cast<int>(shard % cores);
-    cpu_set_t set;
-    CPU_ZERO(&set);
-    CPU_SET(cpu, &set);
-    if (::pthread_setaffinity_np(worker.native_handle(), sizeof set, &set) ==
-        0) {
-      pinned[shard].store(cpu, std::memory_order_relaxed);
-    }
-#else
-    (void)shard;
-    (void)worker;
-#endif
-  }
+  // ---------------------------------------------------------- io thread ----
 
-  // --------------------------------------------------------- io threads ----
-
-  void io_main(unsigned io) {
-    Poller poller;
-    if (io == 0) backend_name.store(poller.backend());
-    WakePipe& wake = *wakes[io];
+  void io_main() {
     poller.add(wake.fds[0], kWakeTag, /*want_read=*/true,
                /*want_write=*/false);
-    if (io == 0 && listen_fd >= 0) {
+    if (listen_fd >= 0) {
       poller.add(listen_fd, kListenTag, /*want_read=*/true,
                  /*want_write=*/false);
     }
+    // The stream is adopted before the first wait: it must not sit out a
+    // poll timeout.
+    if (stream_in >= 0) adopt(stream_in, stream_out);
 
-    std::unordered_map<std::uint64_t, std::unique_ptr<Conn>> conns;
-    std::uint64_t pending = 0;  ///< pushed-to-shard, response not yet popped
     std::vector<PollEvent> events;
     std::vector<std::uint64_t> dead;
     std::vector<std::uint64_t> answered;
@@ -328,13 +313,7 @@ struct AsyncServer::Impl {
     std::chrono::steady_clock::time_point accept_rearm_at;
     char buf[kReadChunk];
 
-    obs::Counter& shed_queue = obs::MetricsRegistry::instance().counter(
-        "reconf_svc_shed_total{reason=\"queue\"}");
-
     for (;;) {
-      // Adopt handed-over connections first: the stream is in the inbox
-      // before the first wait, and must not sit out a poll timeout.
-      adopt_new(poller, conns, io);
       poller.wait(events, kPollTimeoutMs);
       if (accept_paused &&
           std::chrono::steady_clock::now() >= accept_rearm_at) {
@@ -365,12 +344,12 @@ struct AsyncServer::Impl {
         // An error, or a hangup of the output side (for a socket: both
         // directions shut), means the peer is gone.
         if (ev.error || (ev.hangup && ev.fd == conn.out_fd)) {
-          teardown(poller, conns, conn.id);
+          teardown(conn.id);
           continue;
         }
         if (ev.writable && ev.fd == conn.out_fd) {
-          if (!flush_out(poller, conn)) {
-            teardown(poller, conns, conn.id);
+          if (!flush_out(conn)) {
+            teardown(conn.id);
             continue;
           }
         }
@@ -378,12 +357,12 @@ struct AsyncServer::Impl {
         // it still holds is read up to EOF like any readable input.
         if ((ev.readable || ev.hangup) && ev.fd == conn.fd && !conn.paused &&
             !conn.read_closed && !stop.load(std::memory_order_acquire)) {
-          if (!read_conn(poller, conn, buf, io, pending, shed_queue)) {
-            teardown(poller, conns, conn.id);
+          if (!read_conn(conn, buf)) {
+            teardown(conn.id);
             continue;
           }
         }
-        maybe_close(poller, conns, conn.id);
+        maybe_close(conn.id);
       }
 
       // Drain every shard's response ring into per-connection emit order,
@@ -391,8 +370,8 @@ struct AsyncServer::Impl {
       // tick, not one per answer.
       ResponseMsg reply;
       answered.clear();
-      for (unsigned shard = 0; shard < shard_count; ++shard) {
-        while (responses[shard][io]->try_pop(reply)) {
+      for (const auto& ring : responses) {
+        while (ring->try_pop(reply)) {
           --pending;
           const auto it = conns.find(reply.conn);
           if (it == conns.end()) continue;  // connection died meanwhile
@@ -411,11 +390,11 @@ struct AsyncServer::Impl {
       for (const std::uint64_t id : answered) {
         const auto it = conns.find(id);
         if (it == conns.end()) continue;
-        if (!emit_ready(poller, *it->second)) {
-          teardown(poller, conns, id);
+        if (!emit_ready(*it->second)) {
+          teardown(id);
           continue;
         }
-        maybe_close(poller, conns, id);
+        maybe_close(id);
       }
 
       // Retry block-mode parked requests; their connections resume reading
@@ -434,38 +413,36 @@ struct AsyncServer::Impl {
           sheds.fetch_add(1, std::memory_order_relaxed);
           shed_queue.inc();
           conn->blocked.reset();
-          if (!emit_ready(poller, *conn)) dead.push_back(id);
+          if (!emit_ready(*conn)) dead.push_back(id);
           continue;
         }
         const std::uint32_t shard = conn->blocked_shard;
-        if (requests[io][shard]->try_push(std::move(*conn->blocked))) {
+        if (requests[shard]->try_push(std::move(*conn->blocked))) {
           conn->blocked.reset();
           ++conn->inflight;
           ++pending;
           shard_parkers[shard]->notify();
-          if (!pump_conn(poller, *conn, io, pending, shed_queue)) {
+          if (!pump_conn(*conn)) {
             dead.push_back(id);
             continue;
           }
-          update_interest(poller, *conn);
+          update_interest(*conn);
         }
       }
-      for (const std::uint64_t id : dead) teardown(poller, conns, id);
+      for (const std::uint64_t id : dead) teardown(id);
       for (auto it = conns.begin(); it != conns.end();) {
         const std::uint64_t id = (it++)->first;
-        maybe_close(poller, conns, id);
+        maybe_close(id);
       }
 
       if (stop.load(std::memory_order_acquire)) {
         if (!announced_stop) {
           announced_stop = true;
-          if (io == 0 && listen_fd >= 0) poller.remove(listen_fd);
+          if (listen_fd >= 0) poller.remove(listen_fd);
           // Stop reading every connection: drain answers what was already
           // parsed, nothing more; unread input is dropped.
           for (auto& [id, conn] : conns) {
-            if (!conn->read_closed && !conn->paused) {
-              update_interest(poller, *conn);
-            }
+            if (!conn->read_closed && !conn->paused) update_interest(*conn);
           }
         }
         bool blocked_left = false;
@@ -483,30 +460,26 @@ struct AsyncServer::Impl {
     }
 
     // No further pushes from this thread: let the shard workers drain out.
-    io_stopped.fetch_add(1, std::memory_order_release);
-    for (unsigned shard = 0; shard < shard_count; ++shard) {
-      shard_parkers[shard]->notify();
-    }
-    for (auto& [id, conn] : conns) release(poller, *conn);
+    io_stopped.store(true, std::memory_order_release);
+    for (const auto& parker : shard_parkers) parker->notify();
+    for (auto& [id, conn] : conns) release(*conn);
+    conns.clear();
     poller.remove(wake.fds[0]);
   }
 
-  unsigned rr_next_ = 0;  ///< round-robin cursor; io thread 0 only
-
-  /// Accepts every pending connection. Returns false when the fd table is
-  /// full (EMFILE/ENFILE): the caller then drops read interest on the
-  /// listener until the next poll timeout.
+  /// Accepts and adopts every pending connection. Returns false when the fd
+  /// table is full (EMFILE/ENFILE): the caller then drops read interest on
+  /// the listener until the next poll timeout. Any other failure but a
+  /// transient one stops the server.
   bool accept_new() {
     for (;;) {
       const int fd = ::accept(listen_fd, nullptr, nullptr);
       if (fd < 0) {
         if (errno == EMFILE || errno == ENFILE) return false;
-        if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR ||
-            errno == ECONNABORTED) {
-          return true;
+        if (errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR &&
+            errno != ECONNABORTED) {
+          stop.store(true, std::memory_order_release);
         }
-        accept_failed.store(true, std::memory_order_release);
-        stop.store(true, std::memory_order_release);
         return true;
       }
       if (!set_nonblocking(fd)) {
@@ -514,43 +487,27 @@ struct AsyncServer::Impl {
         continue;
       }
       set_tcp_nodelay(fd);
-      // Round-robin handoff; io thread 0 takes its share through the same
-      // inbox so connection adoption has one code path.
-      const unsigned target = rr_next_++ % io_count;
-      {
-        const std::lock_guard<std::mutex> lock(inboxes[target]->mutex);
-        inboxes[target]->fds.emplace_back(fd, fd);
-      }
-      if (target != 0) wakes[target]->notify();
+      adopt(fd, fd);
     }
   }
 
-  void adopt_new(Poller& poller,
-                 std::unordered_map<std::uint64_t, std::unique_ptr<Conn>>&
-                     conns,
-                 unsigned io) {
-    std::vector<std::pair<int, int>> fds;
-    {
-      const std::lock_guard<std::mutex> lock(inboxes[io]->mutex);
-      fds.swap(inboxes[io]->fds);
+  /// Registers a connection: an accepted socket (in == out) or the stream.
+  /// Once stopping, drain refuses new work: a socket is closed unserved.
+  void adopt(int in, int out) {
+    if (stop.load(std::memory_order_acquire)) {
+      if (in == out) ::close(in);
+      return;
     }
-    for (const auto& [in, out] : fds) {
-      auto conn = std::make_unique<Conn>();
-      conn->fd = in;
-      conn->out_fd = out;
-      if (stop.load(std::memory_order_acquire)) {
-        // Accepted but never served: drain refuses new work.
-        if (!conn->stream()) ::close(in);
-        continue;
-      }
-      connections.fetch_add(1, std::memory_order_relaxed);
-      conn->id = next_conn_id.fetch_add(1, std::memory_order_relaxed);
-      poller.add(in, conn->id, /*want_read=*/true, /*want_write=*/false);
-      if (conn->stream()) {
-        poller.add(out, conn->id, /*want_read=*/false, /*want_write=*/false);
-      }
-      conns.emplace(conn->id, std::move(conn));
+    auto conn = std::make_unique<Conn>();
+    conn->fd = in;
+    conn->out_fd = out;
+    connections.fetch_add(1, std::memory_order_relaxed);
+    conn->id = next_conn_id++;
+    poller.add(in, conn->id, /*want_read=*/true, /*want_write=*/false);
+    if (conn->stream()) {
+      poller.add(out, conn->id, /*want_read=*/false, /*want_write=*/false);
     }
+    conns.emplace(conn->id, std::move(conn));
   }
 
   /// One read per readiness event, framing and dispatching the complete
@@ -559,18 +516,15 @@ struct AsyncServer::Impl {
   /// produced were drained and written. Reading to EAGAIN instead lets a
   /// writer that keeps the pipe full hold the io thread here, parsing into
   /// the rings, while no answer goes out.
-  bool read_conn(Poller& poller, Conn& conn, char* buf, unsigned io,
-                 std::uint64_t& pending, obs::Counter& shed_queue) {
+  bool read_conn(Conn& conn, char* buf) {
     const ssize_t n = ::read(conn.fd, buf, kReadChunk);
     if (n > 0) {
       conn.framer.feed(buf, static_cast<std::size_t>(n));
-      return pump_conn(poller, conn, io, pending, shed_queue);
+      return pump_conn(conn);
     }
     if (n == 0) {
       conn.read_closed = true;
-      if (conn.blocked == nullptr) {
-        return finish_eof(poller, conn, io, pending, shed_queue);
-      }
+      if (conn.blocked == nullptr) return finish_eof(conn);
       return true;  // final line handled once the parked request clears
     }
     if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) {
@@ -581,40 +535,36 @@ struct AsyncServer::Impl {
 
   /// Pops framed lines and routes them, until the connection blocks (full
   /// shard ring in block mode) or flow control pauses it.
-  bool pump_conn(Poller& poller, Conn& conn, unsigned io,
-                 std::uint64_t& pending, obs::Counter& shed_queue) {
+  bool pump_conn(Conn& conn) {
     std::string line;
     svc::LineStatus status;
     while (conn.blocked == nullptr && conn.framer.next(line, status)) {
-      if (!handle_line(conn, line, status, io, pending, shed_queue)) break;
+      if (!handle_line(conn, line, status)) break;
     }
-    kick_shards(io);
+    kick_shards();
     if (conn.read_closed && !conn.eof_flushed && conn.blocked == nullptr) {
-      if (!finish_eof(poller, conn, io, pending, shed_queue)) return false;
+      if (!finish_eof(conn)) return false;
     }
-    if (!emit_ready(poller, conn)) return false;
-    update_interest(poller, conn);
+    if (!emit_ready(conn)) return false;
+    update_interest(conn);
     return true;
   }
 
-  bool finish_eof(Poller& poller, Conn& conn, unsigned io,
-                  std::uint64_t& pending, obs::Counter& shed_queue) {
+  bool finish_eof(Conn& conn) {
     std::string line;
     svc::LineStatus status;
     if (!conn.eof_flushed && conn.framer.finish(line, status)) {
-      handle_line(conn, line, status, io, pending, shed_queue);
-      kick_shards(io);
+      handle_line(conn, line, status);
+      kick_shards();
     }
     // A parked final line keeps eof_flushed false so the next pump retries.
     if (conn.blocked == nullptr) conn.eof_flushed = true;
-    return emit_ready(poller, conn);
+    return emit_ready(conn);
   }
 
   /// Returns false when the line parked the connection (caller stops
   /// pumping); local responses and successful dispatches return true.
-  bool handle_line(Conn& conn, std::string& line, svc::LineStatus status,
-                   unsigned io, std::uint64_t& pending,
-                   obs::Counter& shed_queue) {
+  bool handle_line(Conn& conn, std::string& line, svc::LineStatus status) {
     if (status == svc::LineStatus::kOversized) {
       errors.fetch_add(1, std::memory_order_relaxed);
       local_response(
@@ -653,13 +603,13 @@ struct AsyncServer::Impl {
     RequestMsg msg;
     msg.conn = conn.id;
     msg.seq = conn.next_seq++;
-    msg.engine = &engines[io]->resolve(request.tests);
+    msg.engine = &engines.resolve(request.tests);
     const std::uint32_t shard = route(request, *msg.engine);
     msg.request = std::move(request);
-    if (requests[io][shard]->try_push(std::move(msg))) {
+    if (requests[shard]->try_push(std::move(msg))) {
       ++conn.inflight;
       ++pending;
-      kicks[io][shard] = 1;
+      kicks[shard] = 1;
       return true;
     }
     if (config.shed_on_overload) {
@@ -685,22 +635,22 @@ struct AsyncServer::Impl {
   /// once per read, not once per line. A per-line wake lets a shard park
   /// and be woken again between two lines (a futex call on this thread
   /// and two context switches per request).
-  void kick_shards(unsigned io) {
+  void kick_shards() {
     for (unsigned shard = 0; shard < shard_count; ++shard) {
-      if (kicks[io][shard] != 0) {
-        kicks[io][shard] = 0;
+      if (kicks[shard] != 0) {
+        kicks[shard] = 0;
         shard_parkers[shard]->notify();
       }
     }
   }
 
-  void local_response(Conn& conn, std::uint64_t seq, PendingOut out) {
+  static void local_response(Conn& conn, std::uint64_t seq, PendingOut out) {
     conn.done.emplace(seq, std::move(out));
   }
 
   /// Emits every response whose turn has come into the write buffer, then
   /// flushes. Returns false when the connection must be torn down.
-  bool emit_ready(Poller& poller, Conn& conn) {
+  bool emit_ready(Conn& conn) {
     auto it = conn.done.find(conn.next_emit);
     while (it != conn.done.end()) {
       PendingOut& out = it->second;
@@ -715,7 +665,7 @@ struct AsyncServer::Impl {
       conn.done.erase(it);
       it = conn.done.find(++conn.next_emit);
     }
-    return flush_out(poller, conn);
+    return flush_out(conn);
   }
 
   /// Writes the buffered output, handling partial writes; keeps the write
@@ -724,7 +674,7 @@ struct AsyncServer::Impl {
   /// reading its answers is an EPIPE here, not a SIGPIPE that kills the
   /// process. A stream is written with write(2) (send fails on a pipe or
   /// file); its owner decides what SIGPIPE does.
-  bool flush_out(Poller& poller, Conn& conn) {
+  bool flush_out(Conn& conn) {
     while (conn.out_off < conn.outbuf.size()) {
       const char* data = conn.outbuf.data() + conn.out_off;
       const std::size_t size = conn.outbuf.size() - conn.out_off;
@@ -746,14 +696,14 @@ struct AsyncServer::Impl {
       conn.out_off = 0;
     }
     conn.want_write = conn.out_off < conn.outbuf.size();
-    update_interest(poller, conn);
+    update_interest(conn);
     return true;
   }
 
   /// One place computes the poller interest set from the connection state:
   /// read while not blocked/closed/stopping and the write buffer is within
   /// bounds; write while the buffer has unsent bytes.
-  void update_interest(Poller& poller, Conn& conn) {
+  void update_interest(Conn& conn) {
     const bool backlogged =
         conn.outbuf.size() - conn.out_off > kMaxOutbuf;
     const bool stopping_now = stop.load(std::memory_order_acquire);
@@ -778,30 +728,24 @@ struct AsyncServer::Impl {
     poller.update(conn.out_fd, /*want_read=*/false, conn.want_write);
   }
 
-  void maybe_close(
-      Poller& poller,
-      std::unordered_map<std::uint64_t, std::unique_ptr<Conn>>& conns,
-      std::uint64_t id) {
+  void maybe_close(std::uint64_t id) {
     const auto it = conns.find(id);
     if (it == conns.end()) return;
-    Conn& conn = *it->second;
+    const Conn& conn = *it->second;
     if (!conn.read_closed || !conn.eof_flushed || conn.inflight > 0 ||
         conn.blocked != nullptr || !conn.done.empty() ||
         conn.out_off < conn.outbuf.size()) {
       return;
     }
-    teardown(poller, conns, id);
+    teardown(id);
   }
 
-  void teardown(
-      Poller& poller,
-      std::unordered_map<std::uint64_t, std::unique_ptr<Conn>>& conns,
-      std::uint64_t id) {
+  void teardown(std::uint64_t id) {
     const auto it = conns.find(id);
     if (it == conns.end()) return;
     // The stream is the whole job: once it is done, so is the server.
     if (it->second->stream()) stop.store(true, std::memory_order_release);
-    release(poller, *it->second);
+    release(*it->second);
     // Responses still in flight for this connection are dropped when they
     // surface — the conns lookup fails — and `pending` still decrements.
     conns.erase(it);
@@ -809,7 +753,7 @@ struct AsyncServer::Impl {
 
   /// Deregisters a connection's fds; closes a socket (the stream's fds
   /// belong to the start_stream caller).
-  static void release(Poller& poller, const Conn& conn) {
+  void release(const Conn& conn) {
     poller.remove(conn.fd);
     if (conn.stream()) {
       poller.remove(conn.out_fd);
@@ -818,44 +762,37 @@ struct AsyncServer::Impl {
     }
   }
 
-  /// Opens the wake pipes and spawns the threads: io threads first, so the
-  /// first read does not wait behind the shard worker spawns (a shard ring
-  /// simply holds requests until its worker runs).
+  /// Opens the wake pipe and spawns the threads: the io thread first, so
+  /// the first read does not wait behind the shard worker spawns (a shard
+  /// ring simply holds requests until its worker runs).
   bool launch(std::string* error) {
-    for (auto& wake : wakes) {
-      if (!wake->open()) {
-        if (error != nullptr) *error = "cannot create wake pipe";
-        return false;
-      }
+    if (!wake.open()) {
+      if (error != nullptr) *error = "cannot create wake pipe";
+      return false;
     }
-    for (unsigned io = 0; io < io_count; ++io) {
-      io_threads.emplace_back([this, io] {
-        name_this_thread("reconf-io-", io);
-        io_main(io);
-      });
-    }
+    io_thread = std::thread([this] {
+      name_this_thread("reconf-io");
+      io_main();
+    });
     for (unsigned s = 0; s < shard_count; ++s) {
       shard_threads.emplace_back([this, s] {
-        name_this_thread("reconf-shard-", s);
+        name_this_thread("reconf-shard-" + std::to_string(s));
         shard_main(s);
       });
-      maybe_pin(s, shard_threads.back());
     }
     return true;
   }
 
-  /// Names the calling thread `prefix` + `index`, cut to the 15 bytes Linux
-  /// keeps, so /proc/<pid>/task/*/comm and `top -H` tell io threads from
+  /// Names the calling thread, cut to the 15 bytes Linux keeps, so
+  /// /proc/<pid>/task/*/comm and `top -H` tell the io thread from the
   /// shards. Each thread names itself: that is one prctl, where naming
   /// another thread opens and writes its /proc comm file.
-  static void name_this_thread(const char* prefix, unsigned index) {
+  static void name_this_thread(std::string name) {
 #if defined(__linux__)
-    std::string name = prefix + std::to_string(index);
     name.resize(std::min<std::size_t>(name.size(), 15));
     ::pthread_setname_np(::pthread_self(), name.c_str());
 #else
-    (void)prefix;
-    (void)index;
+    (void)name;
 #endif
   }
 
@@ -865,69 +802,16 @@ struct AsyncServer::Impl {
     for (const auto& cache : caches) stats.push_back(cache->stats());
     svc::publish_shard_cache_stats(stats, config.cache_capacity);
     obs::MetricsRegistry& metrics = obs::MetricsRegistry::instance();
-    metrics.gauge("reconf_net_io_threads").set(static_cast<double>(io_count));
     metrics.gauge("reconf_net_shards").set(static_cast<double>(shard_count));
     metrics.gauge("reconf_net_connections")
         .set(static_cast<double>(connections.load(std::memory_order_relaxed)));
     metrics.gauge("reconf_net_backend_epoll")
-        .set(std::strcmp(backend_name.load(), "epoll") == 0 ? 1.0 : 0.0);
-    for (std::size_t s = 0; s < pinned.size(); ++s) {
-      metrics.gauge("reconf_net_shard_cpu{shard=\"" + std::to_string(s) +
-                    "\"}")
-          .set(static_cast<double>(pinned[s].load(std::memory_order_relaxed)));
-    }
+        .set(std::strcmp(poller.backend(), "epoll") == 0 ? 1.0 : 0.0);
   }
 };
 
 AsyncServer::AsyncServer(ServerConfig config)
-    : impl_(std::make_unique<Impl>()) {
-  impl_->config = std::move(config);
-  impl_->io_count = std::max(1u, impl_->config.io_threads);
-  impl_->shard_count =
-      impl_->config.shards > 0
-          ? impl_->config.shards
-          : std::max(1u, std::thread::hardware_concurrency());
-
-  const std::size_t per_shard_capacity =
-      impl_->config.cache_capacity == 0
-          ? 0
-          : std::max<std::size_t>(
-                1, impl_->config.cache_capacity / impl_->shard_count);
-  impl_->caches.reserve(impl_->shard_count);
-  for (unsigned s = 0; s < impl_->shard_count; ++s) {
-    impl_->caches.push_back(
-        std::make_unique<svc::ShardCache>(per_shard_capacity));
-  }
-  impl_->pinned = std::vector<std::atomic<int>>(impl_->shard_count);
-  for (auto& p : impl_->pinned) p.store(-1, std::memory_order_relaxed);
-
-  // --max-queue is a budget per io thread, split across its shard rings.
-  const std::size_t ring_capacity = std::max<std::size_t>(
-      1, impl_->config.max_queue / impl_->shard_count);
-  impl_->requests.resize(impl_->io_count);
-  for (unsigned io = 0; io < impl_->io_count; ++io) {
-    for (unsigned s = 0; s < impl_->shard_count; ++s) {
-      impl_->requests[io].push_back(
-          std::make_unique<SpscRing<RequestMsg>>(ring_capacity));
-    }
-  }
-  impl_->responses.resize(impl_->shard_count);
-  for (unsigned s = 0; s < impl_->shard_count; ++s) {
-    for (unsigned io = 0; io < impl_->io_count; ++io) {
-      impl_->responses[s].push_back(
-          std::make_unique<SpscRing<ResponseMsg>>(ring_capacity));
-    }
-    impl_->shard_parkers.push_back(std::make_unique<Parker>());
-  }
-  for (unsigned io = 0; io < impl_->io_count; ++io) {
-    impl_->wakes.push_back(std::make_unique<WakePipe>());
-    impl_->inboxes.push_back(std::make_unique<Impl::Inbox>());
-    impl_->engines.push_back(
-        std::make_unique<svc::EngineTable>(impl_->config.options));
-  }
-  impl_->kicks.assign(impl_->io_count,
-                      std::vector<char>(impl_->shard_count, 0));
-}
+    : impl_(std::make_unique<Impl>(std::move(config))) {}
 
 AsyncServer::~AsyncServer() { stop(); }
 
@@ -955,7 +839,8 @@ bool AsyncServer::start_stream(int in_fd, int out_fd, std::string* error) {
     impl_->stream_flags.emplace_back(fd, flags);
   }
   for (const int fd : {in_fd, out_fd}) set_nonblocking(fd);
-  impl_->inboxes[0]->fds.emplace_back(in_fd, out_fd);
+  impl_->stream_in = in_fd;
+  impl_->stream_out = out_fd;
   return impl_->launch(error);
 }
 
@@ -965,19 +850,16 @@ void AsyncServer::request_stop() noexcept {
 
 void AsyncServer::wait() {
   if (impl_->stopped_joined) return;
-  for (std::thread& t : impl_->io_threads) {
-    if (t.joinable()) t.join();
-  }
+  if (impl_->io_thread.joinable()) impl_->io_thread.join();
   for (std::thread& t : impl_->shard_threads) {
     if (t.joinable()) t.join();
   }
-  impl_->io_threads.clear();
   impl_->shard_threads.clear();
   if (impl_->listen_fd >= 0) {
     ::close(impl_->listen_fd);
     impl_->listen_fd = -1;
   }
-  for (auto& wake : impl_->wakes) wake->close_fds();
+  impl_->wake.close_fds();
   for (auto it = impl_->stream_flags.rbegin();
        it != impl_->stream_flags.rend(); ++it) {
     ::fcntl(it->first, F_SETFL, it->second);
@@ -991,9 +873,7 @@ void AsyncServer::stop() {
   request_stop();
   // Parked threads self-heal within the Parker/poller 10ms backstop even
   // without these nudges; they just shorten the tail.
-  for (auto& wake : impl_->wakes) {
-    if (wake->fds[1] >= 0) wake->notify();
-  }
+  if (impl_->wake.fds[1] >= 0) impl_->wake.notify();
   for (auto& parker : impl_->shard_parkers) parker->notify();
   wait();
 }
@@ -1022,16 +902,7 @@ svc::CacheStats AsyncServer::cache_stats() const {
 }
 
 const char* AsyncServer::backend() const noexcept {
-  return impl_->backend_name.load();
-}
-
-std::vector<int> AsyncServer::pinned_cpus() const {
-  std::vector<int> out;
-  out.reserve(impl_->pinned.size());
-  for (const auto& p : impl_->pinned) {
-    out.push_back(p.load(std::memory_order_relaxed));
-  }
-  return out;
+  return impl_->poller.backend();
 }
 
 bool AsyncServer::load_cache_snapshot(const std::string& path,

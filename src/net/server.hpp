@@ -1,6 +1,5 @@
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -16,17 +15,15 @@ namespace reconf::net {
 struct ServerConfig {
   std::string host = "127.0.0.1";
   std::uint16_t port = 0;     ///< 0 = ephemeral (tests); port() reports it
-  unsigned io_threads = 1;    ///< epoll/poll reader loops (parse + frame)
   unsigned shards = 0;        ///< shard workers; 0 = hardware concurrency
   std::size_t cache_capacity = 65536;  ///< split across shards; 0 disables
-  /// Parsed requests one io thread may have queued toward the shard
-  /// workers, split evenly across its shard rings (max(1, max_queue /
+  /// Parsed requests the io thread may have queued toward the shard
+  /// workers, split evenly across the shard rings (max(1, max_queue /
   /// shards) each).
   std::size_t max_queue = 4096;
   bool shed_on_overload = false;  ///< full ring: shed (true) or flow-control
                                   ///< the connection (false)
   long long request_timeout_ms = 0;  ///< 0 = no per-request deadline
-  bool pin_cores = false;   ///< pin shard workers to cores (Linux only)
   svc::BatchOptions options;  ///< pipeline analysis configuration
 };
 
@@ -45,14 +42,14 @@ struct ServerTotals {
 ///
 /// Architecture (one box per thread):
 ///
-///   accept ─▶ [ io thread 0..I )  level-triggered epoll (poll fallback)
+///   accept ─▶ [ io thread ]  level-triggered epoll (poll fallback)
 ///   stream ─▶  frame NDJSON lines (1 MiB cap), parse, resolve the lineup
-///              (one svc::EngineTable per io thread), cache-key route
-///                 │  SPSC ring per (io, shard): request + its engine
+///              (svc::EngineTable), cache-key route
+///                 │  SPSC ring per shard: request + its engine
 ///                 ▼
 ///            [ shard worker 0..S )  consistent-hash owner of its key range
 ///              private contention-free ShardCache; no engine of its own
-///                 │  SPSC ring per (shard, io): responses
+///                 │  SPSC ring per shard: responses
 ///                 ▼
 ///            [ io thread ]  per-connection in-order reassembly (seq),
 ///              write buffers with partial-write handling
@@ -77,12 +74,12 @@ class AsyncServer {
   AsyncServer(const AsyncServer&) = delete;
   AsyncServer& operator=(const AsyncServer&) = delete;
 
-  /// Binds the TCP listener and spawns the io threads and shard workers.
+  /// Binds the TCP listener and spawns the io thread and shard workers.
   /// Returns false with `error` set on bind failure.
   bool start(std::string* error);
 
   /// Serves one pre-adopted byte stream — `in_fd` read, `out_fd` written
-  /// (reconf_serve: stdin and stdout) — as a connection of io thread 0,
+  /// (reconf_serve: stdin and stdout) — as a connection of the io thread,
   /// with no listener. Pipes, sockets, terminals, regular files and
   /// /dev/null all work. Both fds are made nonblocking; wait() gives them
   /// back their original file-status flags. The caller keeps ownership of
@@ -95,7 +92,7 @@ class AsyncServer {
 
   /// Requests a graceful drain: stop accepting and reading, answer
   /// everything already parsed, flush, then stop. Async-signal-safe (one
-  /// lock-free atomic store); the io threads observe it within one poll
+  /// lock-free atomic store); the io thread observes it within one poll
   /// tick.
   void request_stop() noexcept;
 
@@ -116,11 +113,8 @@ class AsyncServer {
   /// Aggregate over shard_cache_stats().
   [[nodiscard]] svc::CacheStats cache_stats() const;
 
-  /// Poller backend of the io threads ("epoll"/"poll").
+  /// Poller backend of the io thread ("epoll"/"poll").
   [[nodiscard]] const char* backend() const noexcept;
-
-  /// CPU ids the shard workers are pinned to (-1 = unpinned), shard order.
-  [[nodiscard]] std::vector<int> pinned_cpus() const;
 
   /// Warm-restores the per-shard caches from a v1 snapshot file, routing
   /// every key into the CURRENT shard count regardless of the writer's

@@ -12,7 +12,7 @@
 namespace reconf::net {
 
 /// Bounded single-producer single-consumer ring queue — the only channel
-/// between an I/O thread and a shard worker in the async serving tier. One
+/// between the io thread and a shard worker in the async serving tier. One
 /// designated producer thread calls try_push, one designated consumer
 /// thread calls try_pop; under that contract the fast path is two relaxed
 /// loads, one acquire load and one release store per operation — no locks,
@@ -25,8 +25,8 @@ namespace reconf::net {
 ///
 /// Slot storage is allocated uninitialized: a value is constructed on push
 /// and destroyed on pop, so a ring costs no page touches until it carries
-/// traffic — a server with a deep ring per (io, shard) pair starts as fast
-/// as one with shallow rings.
+/// traffic — a server with deep rings per shard starts as fast as one with
+/// shallow rings.
 template <typename T>
 class SpscRing {
  public:

@@ -105,8 +105,8 @@ struct BatchOptions {
 /// object, so the table holds at most 2^R − 1 lineup engines for R
 /// registered analyzers however many spellings a client sends.
 ///
-/// Not thread-safe: one table per resolving thread (the serving core keeps
-/// one per io thread, run_batch one per batch). The engines it hands out
+/// Not thread-safe: one table per resolving thread (the serving core's io
+/// thread keeps one, run_batch one per batch). The engines it hands out
 /// are immutable and safe to use from any thread; references stay valid
 /// for the table's lifetime.
 class EngineTable {

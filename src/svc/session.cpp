@@ -8,10 +8,15 @@
 namespace reconf::svc {
 
 AdmissionSession::AdmissionSession(Device device,
-                                   analysis::AnalysisRequest request)
-    : device_(device), engine_(std::move(request)) {
+                                   const analysis::AnalysisEngine& engine)
+    : device_(device), engine_(&engine) {
   RECONF_EXPECTS(device.valid());
   rows_.reserve(kReservedRows);
+}
+
+const analysis::AnalysisEngine& AdmissionSession::default_engine() {
+  static const analysis::AnalysisEngine engine(analysis::fast_any_request());
+  return engine;
 }
 
 AdmissionDecision AdmissionSession::try_admit(const Task& t) {
@@ -26,7 +31,7 @@ AdmissionDecision AdmissionSession::try_admit(const Task& t) {
   }
 
   rows_.push(t);
-  const analysis::Decision decision = engine_.decide(rows_, device_);
+  const analysis::Decision decision = engine_->decide(rows_, device_);
   out.admitted = decision.accepted();
   out.accepted_by = std::string(decision.accepted_by);
   if (!out.admitted) {

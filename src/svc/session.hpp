@@ -25,7 +25,9 @@ struct AdmissionDecision {
 /// wrapper around an analysis::AnalysisEngine that the paper's introduction
 /// motivates: hardware tasks arrive one at a time and the runtime must
 /// decide instantly whether the new task can be admitted without
-/// endangering the deadlines already guaranteed.
+/// endangering the deadlines already guaranteed. The session borrows its
+/// engine: an engine is immutable, so one serves every session, and a
+/// session costs no analyzer or metric lookups to open.
 ///
 /// The session keeps the currently admitted set twice: as a TaskSet (what
 /// `admitted()` returns) and as rows bound in an AnalysisScratch of its own,
@@ -45,12 +47,16 @@ struct AdmissionDecision {
 /// Not thread-safe: one session serves one admission stream.
 class AdmissionSession {
  public:
-  /// `request` selects the analyzer lineup (default: the paper trio,
-  /// cheapest-first early exit); throws analysis::UnknownAnalyzerError on
-  /// unknown ids.
+  /// Decides through `engine`, which must outlive the session (default:
+  /// default_engine()).
   explicit AdmissionSession(
-      Device device,
-      analysis::AnalysisRequest request = analysis::fast_any_request());
+      Device device, const analysis::AnalysisEngine& engine = default_engine());
+  /// A temporary engine would be gone before the first try_admit.
+  AdmissionSession(Device device, analysis::AnalysisEngine&& engine) = delete;
+
+  /// The process-wide engine of analysis::fast_any_request() — the paper
+  /// trio, cheapest-first early exit — built on first use.
+  [[nodiscard]] static const analysis::AnalysisEngine& default_engine();
 
   /// Decides task `t` against the currently admitted set; on acceptance the
   /// task becomes part of the set. A task outside the input domain is
@@ -66,7 +72,7 @@ class AdmissionSession {
   [[nodiscard]] Device device() const noexcept { return device_; }
   /// The resolved analysis pipeline (execution order, fingerprint, stats).
   [[nodiscard]] const analysis::AnalysisEngine& engine() const noexcept {
-    return engine_;
+    return *engine_;
   }
 
  private:
@@ -76,7 +82,7 @@ class AdmissionSession {
   static constexpr std::size_t kReservedRows = 16;
 
   Device device_;
-  analysis::AnalysisEngine engine_;
+  const analysis::AnalysisEngine* engine_;
   TaskSet admitted_;
   analysis::detail::AnalysisScratch rows_;  ///< admitted_, bound
 };

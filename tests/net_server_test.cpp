@@ -2,13 +2,14 @@
 // fragmented NDJSON over real TCP connections, byte-compared against a
 // single-process replay through the same evaluate_with_engine funnel;
 // oversized/malformed line recovery; concurrent connections with interleaved
-// stats requests; clients that close before reading; a full fd table
-// (accepts pause, no busy-spin); snapshot topology portability (save under
-// one shard count, warm-restore under another); core pinning; graceful EOF
-// flush; the poll(2) fallback backend selected via RECONF_NET_POLL=1; and
-// the stream transport (reconf_serve's stdio) on pipes, regular files and
-// /dev/null, answering one request log byte-identically to TCP and the
-// committed wire corpus byte-identically to its recorded answers.
+// stats requests; block-mode back-pressure on a full shard ring; clients
+// that close before reading; a full fd table (accepts pause, no
+// busy-spin); snapshot topology portability (save under one shard count,
+// warm-restore under another); graceful EOF flush; the poll(2) fallback
+// backend selected via RECONF_NET_POLL=1; and the stream transport
+// (reconf_serve's stdio) on pipes, regular files and /dev/null, answering
+// one request log byte-identically to TCP and the committed wire corpus
+// byte-identically to its recorded answers.
 
 #include <algorithm>
 #include <cctype>
@@ -132,7 +133,6 @@ std::string replay_line(const std::string& line, svc::EngineTable& engines,
 net::ServerConfig test_config(unsigned shards) {
   net::ServerConfig config;
   config.shards = shards;
-  config.io_threads = 1;
   config.cache_capacity = 4096;
   return config;
 }
@@ -420,6 +420,59 @@ TEST(NetServer, ShedModeAnswersEveryRequest) {
   EXPECT_EQ(server.totals().sheds, sheds);
 }
 
+TEST(NetServer, BlockModeBackPressuresConnectionsOnAFullRing) {
+  // The default overload mode: one shard behind a 4-slot ring, filled by
+  // four pipelining connections at once. A connection whose request finds
+  // the ring full parks it and stops reading until it fits; nothing is
+  // shed and nothing is lost.
+  net::ServerConfig config = test_config(1);
+  config.max_queue = 4;
+  net::AsyncServer server(config);
+  std::string error;
+  ASSERT_TRUE(server.start(&error)) << error;
+
+  constexpr unsigned kConns = 4;
+  constexpr std::uint64_t kPerConn = 200;
+  const auto id = [](unsigned c, std::uint64_t i) {
+    return "b" + std::to_string(c) + "-" + std::to_string(i);
+  };
+  std::vector<std::vector<std::string>> replies(kConns);
+  {
+    std::vector<std::thread> clients;
+    for (unsigned c = 0; c < kConns; ++c) {
+      clients.emplace_back([&, c] {
+        const int fd = must_connect(server.port());
+        std::string wire;
+        for (std::uint64_t i = 0; i < kPerConn; ++i) {
+          wire += request_line(c * kPerConn + i, id(c, i)) + "\n";
+        }
+        std::thread writer([&] {
+          send_all(fd, wire);
+          ::shutdown(fd, SHUT_WR);
+        });
+        replies[c] = read_lines(fd, kPerConn);
+        writer.join();
+        ::close(fd);
+      });
+    }
+    for (std::thread& t : clients) t.join();
+  }
+  server.stop();
+
+  for (unsigned c = 0; c < kConns; ++c) {
+    ASSERT_EQ(replies[c].size(), kPerConn) << "connection " << c;
+    for (std::uint64_t i = 0; i < kPerConn; ++i) {
+      const std::string& reply = replies[c][i];
+      EXPECT_EQ(reply.rfind("{\"id\":\"" + id(c, i) + "\",", 0), 0u)
+          << "conn " << c << " response " << i << " out of order: " << reply;
+      EXPECT_NE(reply.find("\"verdict\":"), std::string::npos) << reply;
+      EXPECT_EQ(reply.find("\"shed\""), std::string::npos) << reply;
+    }
+  }
+  EXPECT_EQ(server.totals().sheds, 0u);
+  EXPECT_EQ(server.totals().served, kConns * kPerConn);
+}
+
 // ------------------------------------------- snapshot topology change ----
 
 TEST(NetServer, SnapshotWarmRestoreAcrossShardCounts) {
@@ -487,28 +540,6 @@ TEST(NetServer, SnapshotWarmRestoreAcrossShardCounts) {
   }
 }
 
-// ----------------------------------------------------------- pinning ----
-
-TEST(NetServer, PinCoresReportsShardCpus) {
-  net::ServerConfig config = test_config(2);
-  config.pin_cores = true;
-  net::AsyncServer server(config);
-  std::string error;
-  ASSERT_TRUE(server.start(&error)) << error;
-  const std::vector<int> cpus = server.pinned_cpus();
-  ASSERT_EQ(cpus.size(), 2u);
-#if defined(__linux__)
-  const int cores =
-      static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
-  for (std::size_t shard = 0; shard < cpus.size(); ++shard) {
-    EXPECT_EQ(cpus[shard], static_cast<int>(shard) % cores);
-  }
-#else
-  for (const int cpu : cpus) EXPECT_EQ(cpu, -1);
-#endif
-  server.stop();
-}
-
 // ------------------------------------------------------ thread names ----
 
 /// The names of this process's threads, from /proc/self/task/*/comm.
@@ -524,15 +555,12 @@ std::vector<std::string> thread_names() {
 }
 
 TEST(NetServer, ServingThreadsCarryTheirRoleNames) {
-  net::ServerConfig config = test_config(3);
-  config.io_threads = 2;
-  net::AsyncServer server(config);
+  net::AsyncServer server(test_config(3));
   std::string error;
   ASSERT_TRUE(server.start(&error)) << error;
 #if defined(__linux__)
-  const std::vector<std::string> want = {"reconf-io-0", "reconf-io-1",
-                                         "reconf-shard-0", "reconf-shard-1",
-                                         "reconf-shard-2"};
+  const std::vector<std::string> want = {"reconf-io", "reconf-shard-0",
+                                         "reconf-shard-1", "reconf-shard-2"};
   // Each thread names itself as it starts; give them up to 5 s to run.
   std::vector<std::string> names;
   const auto deadline =

@@ -314,7 +314,8 @@ TEST(AdmissionSession, FkfSessionNeverAdmitsThroughGn1) {
   const Device dev{20};
   analysis::AnalysisRequest fkf_request;
   fkf_request.scheduler = analysis::Scheduler::kEdfFkF;
-  svc::AdmissionSession fkf(dev, fkf_request);
+  const analysis::AnalysisEngine fkf_engine(fkf_request);
+  svc::AdmissionSession fkf(dev, fkf_engine);
   EXPECT_EQ(fkf.engine().execution_order(),
             (std::vector<std::string>{"dp", "gn2"}));
 

@@ -20,7 +20,8 @@
 //     filling a full-diagnostics TestReport, what AnalysisEngine::run()
 //     evaluates) and the fast path (AnalysisEngine::decide over
 //     single-analyzer engines, the same kernels without a report) at
-//     N ∈ {4, 8, 16, 32, 64}, median of R repetitions;
+//     N ∈ {4, 8, 16, 32, 64}, median of R repetitions, each group of sizes
+//     (N < 32; N = 32 and 64) timed in alternation;
 //   * the log2(t(64)/t(32)) complexity exponent per series — both GN2
 //     paths must stay visibly below cubic (the paper's O(N³));
 //   * latency percentiles (p50/p95/p99, nanoseconds) from obs histograms:
@@ -40,7 +41,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
-#include <iterator>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -73,31 +74,44 @@ TaskSet make_taskset(int n, std::uint64_t seed) {
   return *ts;
 }
 
-/// Median ns/op of `fn` over `reps` repetitions, each calibrated to run at
-/// least `min_rep_ns` of wall time.
+/// Median ns/op of `fn` on each of `sets` over `reps` rounds. Each set's
+/// iteration count is calibrated once to run at least `min_rep_ns` of wall
+/// time; every round then times one repetition per set in turn, so a slow
+/// spell of the host lands on all the sets' samples, not on one set's
+/// block of repetitions.
 template <class Fn>
-double measure_ns(Fn&& fn, int reps, double min_rep_ns) {
-  // Calibrate the iteration count once.
-  std::uint64_t iters = 1;
-  for (;;) {
-    Stopwatch w;
-    for (std::uint64_t i = 0; i < iters; ++i) fn();
-    const double ns = w.seconds() * 1e9;
-    if (ns >= min_rep_ns || iters > (1ull << 30)) break;
-    const double grow = ns > 0 ? min_rep_ns / ns * 1.2 : 2.0;
-    iters = std::max<std::uint64_t>(
-        iters + 1, static_cast<std::uint64_t>(
-                       static_cast<double>(iters) * std::min(grow, 16.0)));
+std::vector<double> measure_ns(Fn&& fn, const std::vector<TaskSet>& sets,
+                               int reps, double min_rep_ns) {
+  std::vector<std::uint64_t> iters;
+  for (const TaskSet& ts : sets) {
+    std::uint64_t count = 1;
+    for (;;) {
+      Stopwatch w;
+      for (std::uint64_t i = 0; i < count; ++i) fn(ts);
+      const double ns = w.seconds() * 1e9;
+      if (ns >= min_rep_ns || count > (1ull << 30)) break;
+      const double grow = ns > 0 ? min_rep_ns / ns * 1.2 : 2.0;
+      count = std::max<std::uint64_t>(
+          count + 1, static_cast<std::uint64_t>(static_cast<double>(count) *
+                                                std::min(grow, 16.0)));
+    }
+    iters.push_back(count);
   }
-  std::vector<double> samples;
-  samples.reserve(static_cast<std::size_t>(reps));
+  std::vector<std::vector<double>> samples(sets.size());
   for (int r = 0; r < reps; ++r) {
-    Stopwatch w;
-    for (std::uint64_t i = 0; i < iters; ++i) fn();
-    samples.push_back(w.seconds() * 1e9 / static_cast<double>(iters));
+    for (std::size_t k = 0; k < sets.size(); ++k) {
+      Stopwatch w;
+      for (std::uint64_t i = 0; i < iters[k]; ++i) fn(sets[k]);
+      samples[k].push_back(w.seconds() * 1e9 /
+                           static_cast<double>(iters[k]));
+    }
   }
-  std::sort(samples.begin(), samples.end());
-  return samples[samples.size() / 2];
+  std::vector<double> medians;
+  for (std::vector<double>& s : samples) {
+    std::sort(s.begin(), s.end());
+    medians.push_back(s[s.size() / 2]);
+  }
+  return medians;
 }
 
 struct Series {
@@ -128,21 +142,30 @@ constexpr Timing kQuickTiming{3, 2e6};
 
 /// `small` times every N below the last two; those two — the ratio the
 /// complexity exponent and the CI guard read — always get the full timing,
-/// since shorter repetitions let timing noise alone cross the guard.
+/// since shorter repetitions let timing noise alone cross the guard. Each
+/// group's repetitions are interleaved (see measure_ns).
 std::vector<Series> run_analysis_benches(Timing small) {
   std::vector<Series> out;
   const Device dev{100};
   const auto add = [&](const char* test, const char* path, auto&& eval) {
     Series s{test, path, {}};
-    for (const int n : kSizes) {
+    const auto time_group = [&](std::span<const int> sizes, Timing t) {
       // One seed per (test, N), shared between report and fast so the
       // speedup column compares identical work.
-      const TaskSet ts = make_taskset(n, 0xBA5E + static_cast<unsigned>(n));
-      const Timing t =
-          n >= kSizes[std::size(kSizes) - 2] ? kFullTiming : small;
-      s.ns_per_op.emplace_back(n, measure_ns([&] { eval(ts, dev); }, t.reps,
-                                             t.min_rep_ns));
-    }
+      std::vector<TaskSet> sets;
+      for (const int n : sizes) {
+        sets.push_back(make_taskset(n, 0xBA5E + static_cast<unsigned>(n)));
+      }
+      const std::vector<double> ns = measure_ns(
+          [&](const TaskSet& ts) { eval(ts, dev); }, sets, t.reps,
+          t.min_rep_ns);
+      for (std::size_t k = 0; k < sizes.size(); ++k) {
+        s.ns_per_op.emplace_back(sizes[k], ns[k]);
+      }
+    };
+    const std::span<const int> sizes(kSizes);
+    time_group(sizes.first(sizes.size() - 2), small);
+    time_group(sizes.last(2), kFullTiming);
     out.push_back(std::move(s));
   };
 

@@ -69,20 +69,6 @@ int usage() {
   return 2;
 }
 
-void write_text_file(const std::string& path, const std::string& text,
-                     const char* what) {
-  if (path == "-") {
-    std::fputs(text.c_str(), stderr);
-    return;
-  }
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "cannot write %s to %s\n", what, path.c_str());
-    return;
-  }
-  out << text;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {

@@ -12,7 +12,6 @@
 //                [--request-timeout-ms=N] [--cache-snapshot=PATH]
 //                [--metrics-out=PATH] [--trace-out=PATH]
 //                [--listen=[HOST:]PORT] [--port-file=PATH]
-//                [--io-threads=N] [--pin-cores]
 //
 //   --shards=N          shard workers (default 0 = cores). Requests are
 //                       routed by consistent hash of their cache key, so
@@ -31,9 +30,9 @@
 //                       response. Default is decide(), which answers the
 //                       verdict only, allocation-free — identical verdicts
 //   --stats             print throughput and cache statistics to stderr
-//   --max-queue=N       parsed requests an io thread may have queued toward
-//                       the shard workers, split evenly across its shard
-//                       rings (default 4096)
+//   --max-queue=N       parsed requests the io thread may have queued
+//                       toward the shard workers, split evenly across the
+//                       shard rings (default 4096)
 //   --overload=MODE     what a full shard ring does to the connection that
 //                       filled it: "block" (default) pauses reading it —
 //                       back-pressure on the pipe or socket; "shed" drops
@@ -60,19 +59,16 @@
 //                       SIGTERM
 //   --port-file=PATH    after binding, write the actual port to PATH —
 //                       how a client such as perfbench's driver finds a
-//                       server started with --listen=127.0.0.1:0
-//   --io-threads=N      event-loop threads framing and parsing (default 1).
-//                       TCP connections are spread over them; stdio is one
-//                       connection, served by the first
-//   --pin-cores         pin shard workers to cores via
-//                       pthread_setaffinity_np; a no-op off Linux. Pinned
-//                       ids surface in the reconf_net_shard_cpu gauges
+//                       server started with --listen=127.0.0.1:0. A port
+//                       file that cannot be written stops the server with
+//                       exit status 1
 //
-// The io threads run a level-triggered epoll loop (poll(2) fallback;
-// RECONF_NET_POLL=1 forces it). stdin may be a pipe, a terminal, a socket,
-// a regular file or /dev/null, and stdout a pipe or a file; both get their
-// original file-status flags back at exit. Responses come back in request
-// order for any --shards/--io-threads combination.
+// One io thread frames, parses and routes every connection in a
+// level-triggered epoll loop (poll(2) fallback; RECONF_NET_POLL=1 forces
+// it); the shard workers evaluate. stdin may be a pipe, a terminal, a
+// socket, a regular file or /dev/null, and stdout a pipe or a file; both
+// get their original file-status flags back at exit. Responses come back in
+// request order for any --shards.
 //
 // A request line of {"id":"...","stats":true} is answered in stream order
 // with a live metrics snapshot ({"id":...,"stats":{...}}) instead of a
@@ -112,7 +108,6 @@
 #include "analysis/registry.hpp"
 #include "common/flags.hpp"
 #include "common/stopwatch.hpp"
-#include "net/poller.hpp"
 #include "net/server.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -152,7 +147,6 @@ int usage() {
                "[--cache-snapshot=PATH]\n"
                "                    [--metrics-out=PATH] [--trace-out=PATH]\n"
                "                    [--listen=[HOST:]PORT] [--port-file=PATH]\n"
-               "                    [--io-threads=N] [--pin-cores]\n"
                "see the header of tools/reconf_serve.cpp for details\n");
   return 2;
 }
@@ -175,22 +169,6 @@ void validate_default_lineup(const svc::BatchOptions& options) {
     std::fprintf(stderr, "%s\n", e.what());
     std::exit(2);
   }
-}
-
-/// Writes `text` to `path` ("-" = stderr); a failed open is reported but
-/// does not change the exit status — the verdicts already went out.
-void write_text_file(const std::string& path, const std::string& text,
-                     const char* what) {
-  if (path == "-") {
-    std::fputs(text.c_str(), stderr);
-    return;
-  }
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "cannot write %s to %s\n", what, path.c_str());
-    return;
-  }
-  out << text;
 }
 
 /// Parses --listen=[HOST:]PORT into `config`; false when malformed.
@@ -222,8 +200,7 @@ int main(int argc, char** argv) {
           "--fkf",             "--stats",        "--explain",
           "--metrics-out=",    "--trace-out=",   "--max-queue=",
           "--overload=",       "--listen=",      "--request-timeout-ms=",
-          "--cache-snapshot=", "--io-threads=",  "--pin-cores",
-          "--port-file="};
+          "--cache-snapshot=", "--port-file="};
       if (!is_known_flag(a, known)) {
         std::fprintf(stderr, "unknown flag: %s\n", a.c_str());
         return usage();
@@ -241,7 +218,6 @@ int main(int argc, char** argv) {
       int_flag(args, "cache-capacity", 65536, 0, kMaxLong);
   // Upper bounds keep absurd values from turning into a thread-spawn storm.
   const long long shards = int_flag(args, "shards", 0, 0, 65'536);
-  const long long io_threads = int_flag(args, "io-threads", 1, 1, 256);
   const long long max_queue = int_flag(args, "max-queue", 4096, 1, 10'000'000);
   const long long timeout_ms =
       int_flag(args, "request-timeout-ms", 0, 0, kMaxLong);
@@ -263,13 +239,11 @@ int main(int argc, char** argv) {
                  listen.c_str());
     return 2;
   }
-  config.io_threads = static_cast<unsigned>(io_threads);
   config.shards = static_cast<unsigned>(shards);
   config.cache_capacity = static_cast<std::size_t>(cache_capacity);
   config.max_queue = static_cast<std::size_t>(max_queue);
   config.shed_on_overload = overload == "shed";
   config.request_timeout_ms = timeout_ms;
-  config.pin_cores = has_flag(args, "pin-cores");
   if (const auto tests = flag_value(args, "tests")) {
     config.options.request.tests = analysis::split_id_list(*tests);
     if (config.options.request.tests.empty()) {
@@ -332,18 +306,24 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "cannot listen: %s\n", error.c_str());
       return 1;
     }
-    std::fprintf(stderr,
-                 "listening on %s:%u (%s, %zu shard workers, %lld io "
-                 "threads)\n",
+    std::fprintf(stderr, "listening on %s:%u (%s, %zu shard workers)\n",
                  config.host.c_str(), static_cast<unsigned>(server.port()),
-                 net::Poller().backend(), server.shard_cache_stats().size(),
-                 io_threads);
+                 server.backend(), server.shard_cache_stats().size());
     const std::string port_file = flag_str(args, "port-file");
     if (!port_file.empty()) {
-      // Scripts (the CI perf-smoke job) bind port 0 and read the real port
-      // from here instead of scraping stderr.
+      // Scripts (perfbench's driver) bind port 0 and wait for the real port
+      // here instead of scraping stderr, so a file they will never see
+      // must not leave the server running.
       std::ofstream pf(port_file);
       pf << server.port() << "\n";
+      pf.close();
+      if (!pf) {
+        std::fprintf(stderr, "cannot write port file %s\n",
+                     port_file.c_str());
+        g_server.store(nullptr);
+        server.stop();
+        return 1;
+      }
     }
   }
   server.wait();
